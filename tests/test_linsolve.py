@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,3 +65,58 @@ def test_nullspace_vectors_annihilate(rows):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     assert linsolve.rank(rows) + len(linsolve.nullspace(rows)) == 4
+
+
+# ---- oracle: sympy's exact rref, sharing no code with linsolve ----
+
+ratios = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# mostly zero, as the bounded witness systems are (well under 1% nonzero)
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), ratios)
+
+
+@st.composite
+def matrices(draw):
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7)) if draw(st.booleans()) else draw(st.integers(8, 30))
+    entry = draw(st.sampled_from([ratios, sparse_entries]))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+
+def _sympy_rref(rows):
+    sympy = pytest.importorskip("sympy")
+    red, pivots = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]).rref()
+    as_fraction = [
+        [Fraction(int(v.p), int(v.q)) for v in red.row(i)] for i in range(red.rows)
+    ]
+    return as_fraction, list(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_sympy(rows):
+    assert linsolve.rref(rows) == _sympy_rref(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_sympy(rows, data):
+    rhs = data.draw(st.lists(sparse_entries, min_size=len(rows), max_size=len(rows)))
+    ncols = len(rows[0])
+    red, pivots = _sympy_rref([row + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        want = None
+    else:
+        want = [Fraction(0)] * ncols
+        for r, c in enumerate(pivots):
+            want[c] = red[r][ncols]
+    assert linsolve.solve(rows, rhs) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_nullspace_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    basis = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]).nullspace()
+    want = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in basis]
+    assert linsolve.nullspace(rows) == want
+    assert linsolve.rank(rows) == len(rows[0]) - len(want)
