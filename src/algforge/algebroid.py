@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import linsolve
-from .ideals import monomials_up_to
+from . import linsolve, witness
 from .poly import Poly
 
 
@@ -520,6 +519,10 @@ def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> 
 # ---------------------------------------------------------------------------
 
 
+def _section_column(s: Section) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    return {(a, exps): v for a, coeff in enumerate(s.coeffs) for exps, v in coeff.terms.items()}
+
+
 @dataclass
 class ClosureFailure:
     pair: tuple[int, int]
@@ -568,48 +571,20 @@ def subalgebroid_restrict(
         raise AlgebroidError("generating sections are dependent at all sample points")
 
     nvars = algebroid.nvars
-    monos = monomials_up_to(nvars, max_degree)
-    # Columns of the solve: coefficient of (generator g, monomial mu) in each
-    # component of the target section.
+    # one column per (generator g, monomial mu): the section mu * g
+    columns = {
+        (g, mu): _section_column(gen.scale(Poly.monomial(nvars, mu)))
+        for g, gen in enumerate(gens)
+        for mu in witness.monomials_up_to(nvars, max_degree)
+    }
     structure: dict[tuple[int, int], Section] = {}
     for i, j in combinations(range(k), 2):
         target = algebroid.bracket(gens[i], gens[j])
-        rows_index: dict[tuple[int, tuple[int, ...]], int] = {}
-        columns = []
-        for g in gens:
-            for mu in monos:
-                col: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-                for a, coeff in enumerate(g.coeffs):
-                    prod = coeff * Poly.monomial(nvars, mu)
-                    for exps, val in prod.terms.items():
-                        col[(a, exps)] = col.get((a, exps), Fraction(0)) + val
-                columns.append(col)
-                for key in col:
-                    rows_index.setdefault(key, len(rows_index))
-        for a, coeff in enumerate(target.coeffs):
-            for exps in coeff.terms:
-                rows_index.setdefault((a, exps), len(rows_index))
-        mat = [[Fraction(0)] * len(columns) for _ in range(len(rows_index))]
-        for cidx, col in enumerate(columns):
-            for key, val in col.items():
-                mat[rows_index[key]][cidx] = val
-        rhs = [Fraction(0)] * len(rows_index)
-        for a, coeff in enumerate(target.coeffs):
-            for exps, val in coeff.terms.items():
-                rhs[rows_index[(a, exps)]] = val
-        x = linsolve.solve(mat, rhs)
+        x = witness.solve(columns, _section_column(target))
         if x is None:
             return ClosureFailure((i, j), target, max_degree)
-        coeffs = []
-        pos = 0
-        for _ in range(k):
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for mu in monos:
-                if x[pos]:
-                    terms[mu] = x[pos]
-                pos += 1
-            coeffs.append(Poly(nvars, terms))
-        structure[(i, j)] = Section(coeffs)
+        coeffs = witness.polys(x, nvars)
+        structure[(i, j)] = Section([coeffs.get(g, Poly.zero(nvars)) for g in range(k)])
 
     anchor = [algebroid.anchor_of(g) for g in gens]
     return Algebroid(algebroid.base, names, anchor, structure, name="restriction")
@@ -797,57 +772,27 @@ def courant_solution_space(
         if paired_blocks is None
         else _paired_block_unknowns(m, paired_blocks)
     )
-    monos = monomials_up_to(n, max_degree)
-    # One linear column per (cell, monomial): the defect matrix it induces.
-    columns = []
-    rows_index: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    monos = witness.monomials_up_to(n, max_degree)
+    # one column per (cell, monomial mu): the defect matrix rho·G·rho^T of
+    # the G with mu at the cell's positions, entries keyed (i, j, exponent)
+    columns = {}
     for cell in cells:
-        positions = _positions_for(cell, m, paired_blocks)
         for mu in monos:
-            mono = Poly.monomial(n, mu)
             col: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-            for a, b in positions:
-                for i in range(n):
-                    pa = algebroid.anchor[a].comps[i]
-                    if pa.is_zero():
-                        continue
-                    for j in range(n):
-                        pb = algebroid.anchor[b].comps[j]
-                        if pb.is_zero():
-                            continue
-                        prod = pa * mono * pb
-                        for exps, val in prod.terms.items():
-                            key = (i, j, exps)
-                            col[key] = col.get(key, Fraction(0)) + val
-            columns.append(col)
-            for key in col:
-                rows_index.setdefault(key, len(rows_index))
-    nrows = len(rows_index)
-    mat = [[Fraction(0)] * len(columns) for _ in range(max(nrows, 1))]
-    for cidx, col in enumerate(columns):
-        for key, val in col.items():
-            mat[rows_index[key]][cidx] = val
-    null = (
-        linsolve.nullspace(mat)
-        if nrows
-        else [
-            [Fraction(1) if i == j else Fraction(0) for i in range(len(columns))]
-            for j in range(len(columns))
-        ]
-    )
+            for a, b in _positions_for(cell, m, paired_blocks):
+                for i, pa in enumerate(algebroid.anchor[a].comps):
+                    for j, pb in enumerate(algebroid.anchor[b].comps):
+                        for exps, v in (pa * pb).terms.items():
+                            key = (i, j, tuple(e + f for e, f in zip(exps, mu)))
+                            col[key] = col.get(key, Fraction(0)) + v
+            columns[(cell, mu)] = col
     basis = []
     evaluations = []
-    for vec in null:
+    for vec in witness.nullspace(columns):
         g = [[Poly.zero(n) for _ in range(m)] for _ in range(m)]
-        idx = 0
-        for cell in cells:
-            positions = _positions_for(cell, m, paired_blocks)
-            for mu in monos:
-                if vec[idx]:
-                    mono = Poly.monomial(n, mu, vec[idx])
-                    for a, b in positions:
-                        g[a][b] = g[a][b] + mono
-                idx += 1
+        for cell, p in witness.polys(vec, n).items():
+            for a, b in _positions_for(cell, m, paired_blocks):
+                g[a][b] = g[a][b] + p
         basis.append(g)
         evaluations.append([[entry.eval_at(point) for entry in row] for row in g])
     return CourantSpace(
@@ -925,7 +870,7 @@ def lie_infeasibility_certificate(
     n = algebroid.nvars
     m = algebroid.rank
     pairs = list(combinations(range(m), 2))
-    monos = monomials_up_to(n, max_degree)
+    monos = witness.monomials_up_to(n, max_degree)
     nparams = len(pairs) * len(kernel_gens) * len(monos)
     total = n + nparams
 

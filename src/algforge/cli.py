@@ -486,13 +486,21 @@ def cmd_verify_paper(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed recorded in the report and used by any sampling")
     common.add_argument(
         "--max-degree",
-        type=int,
-        default=int(os.environ.get("ALGFORGE_MAX_DEGREE", "4")),
+        type=_non_negative,
+        # a string default goes through the type, so a bad environment value
+        # is a usage error like a bad option
+        default=os.environ.get("ALGFORGE_MAX_DEGREE", "4"),
         help="coefficient degree bound for the bounded searches (default 4, env ALGFORGE_MAX_DEGREE)",
     )
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -526,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("charclass", cmd_charclass, "trace powers of the curvature of a connection")
     p.add_argument("--connection", required=True, help="name of a declared connection")
-    p.add_argument("--max-k", type=int, default=2, help="highest trace power to compute (default 2)")
+    p.add_argument("--max-k", type=_non_negative, default=2, help="highest trace power to compute (default 2)")
 
     p = add("transgression", cmd_transgression, "compare trace forms of two declared connections")
     p.add_argument("--c1", required=True, help="first connection name")

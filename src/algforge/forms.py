@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import linsolve
+from . import witness
 from .algebroid import Algebroid, AlgebroidError, Section
-from .ideals import monomials_up_to
 from .poly import Poly
 
 
@@ -340,77 +339,71 @@ class Lambda2Ideal:
         if omega.is_zero():
             return IdealDecision(MEMBER, {})
         if omega.degree <= 2:
-            return IdealDecision(NOT_MEMBER, note="degrees 0..2 contain only the zero form")
+            return IdealDecision(
+                NOT_MEMBER, note=f"nonzero {omega.degree}-form; the ideal starts in degree 3"
+            )
         if self.is_trivial:
             return IdealDecision(NOT_MEMBER, note="ideal is zero")
         if self.fast_path:
-            return self._membership_fast(omega)
-        return self._membership_bounded(omega, max_degree)
-
-    def _membership_fast(self, omega: Form) -> IdealDecision:
-        a = self.algebroid
-        k = omega.degree
-        cof_comps: dict[int, dict[tuple[int, ...], Poly]] = {}
-        for u, coeff in omega.comps.items():
-            slots = []  # (gen index, complement tuple, sign, monomial Poly)
-            for g_idx, g in self.nonzero_gens():
-                ((t_a, mono),) = g.comps.items()
-                if not set(t_a) <= set(u):
-                    continue
-                s = tuple(sorted(set(u) - set(t_a)))
-                sign, merged = _merge_sign(s, t_a)
-                if sign == 0 or merged != u:
-                    continue
-                slots.append((g_idx, s, sign, mono))
-            remainder, quotients = _monomial_divide(coeff, [mono for _, _, _, mono in slots])
-            if not remainder.is_zero():
+            remainder, values = self._divide(omega)
+            if remainder:
+                ((u, _), _) = next(iter(remainder.items()))
+                names = "^".join(f"w({self.algebroid.gen_names[i]})" for i in u)
                 return IdealDecision(
-                    NOT_MEMBER,
-                    note=(
-                        "component on "
-                        + "^".join(f"w({a.gen_names[i]})" for i in u)
-                        + " has terms outside the generator monomials"
-                    ),
+                    NOT_MEMBER, note=f"component on {names} has terms outside the generator monomials"
                 )
-            for (g_idx, s, sign, _), q in zip(slots, quotients):
-                if q.is_zero():
-                    continue
-                bucket = cof_comps.setdefault(g_idx, {})
-                signed = q if sign > 0 else -q
-                bucket[s] = bucket.get(s, Poly.zero(a.nvars)) + signed
-        cofactors = {
-            g_idx: Form(a, k - 3, comps) for g_idx, comps in cof_comps.items()
-        }
-        return IdealDecision(MEMBER, cofactors)
+        else:
+            values = witness.solve(self._columns(omega.degree, max_degree), _column(omega))
+            if values is None:
+                return IdealDecision(NO_WITNESS, note=f"no witness with coefficient degree <= {max_degree}")
+        return IdealDecision(MEMBER, self._cofactors(omega.degree, values))
 
-    def _membership_bounded(self, omega: Form, max_degree: int) -> IdealDecision:
-        a = self.algebroid
-        k = omega.degree
-        if k < 3:
-            return IdealDecision(NOT_MEMBER, note="ideal starts in degree 3")
-        columns = []
-        tags = []  # (gen index, tuple, exps)
-        monos = monomials_up_to(a.nvars, max_degree)
-        for g_idx, g in self.nonzero_gens():
-            for s in combinations(range(a.rank), k - 3):
-                eta = Form(a, k - 3, {s: Poly.const(a.nvars, 1)})
-                base = eta.wedge(g)
-                if base.is_zero():
-                    continue
-                for mu in monos:
-                    columns.append(base.scale(Poly.monomial(a.nvars, mu)))
-                    tags.append((g_idx, s, mu))
-        x = _solve_forms(columns, omega)
-        if x is None:
-            return IdealDecision(NO_WITNESS, note=f"no witness with coefficient degree <= {max_degree}")
-        cof_comps: dict[int, dict[tuple[int, ...], Poly]] = {}
-        for val, (g_idx, s, mu) in zip(x, tags):
-            if not val:
-                continue
-            bucket = cof_comps.setdefault(g_idx, {})
-            bucket[s] = bucket.get(s, Poly.zero(a.nvars)) + Poly.monomial(a.nvars, mu, val)
-        cofactors = {g: Form(a, k - 3, c) for g, c in cof_comps.items()}
-        return IdealDecision(MEMBER, cofactors)
+    def _divide(self, omega: Form) -> tuple[dict, dict]:
+        """Fast-path division: (remainder column, cofactor values tagged as in ``_columns``).
+
+        A term on u goes to the first generator on t within u whose monomial
+        divides it, as a cofactor term on s = u - t; the rest, the canonical
+        remainder, is what no generator divides.
+        """
+        remainder, values = {}, {}
+        for u, coeff in omega.comps.items():
+            divisors = []
+            for g_idx, g in self.nonzero_gens():
+                ((t, mono),) = g.comps.items()
+                if set(t) <= set(u):
+                    s = tuple(sorted(set(u) - set(t)))
+                    ((g_exps, g_scalar),) = mono.terms.items()
+                    divisors.append((g_idx, s, _merge_sign(s, t)[0], g_exps, g_scalar))
+            for exps, c in coeff.terms.items():
+                for g_idx, s, sign, g_exps, g_scalar in divisors:
+                    if all(e >= ge for e, ge in zip(exps, g_exps)):
+                        quotient = tuple(e - ge for e, ge in zip(exps, g_exps))
+                        values[((g_idx, s), quotient)] = sign * c / g_scalar
+                        break
+                else:
+                    remainder[(u, exps)] = c
+        return remainder, values
+
+    def _columns(self, degree: int, max_degree: int) -> dict:
+        """Columns (mu * eta) ^ g spanning the ideal's forms of a degree.
+
+        Tagged ((g, s), mu): generator g, basis (degree-3)-form eta on the
+        index tuple s, monomial mu.  Empty below degree 3.
+        """
+        return {
+            ((g_idx, s), mu): column
+            for g_idx, g in self.nonzero_gens()
+            for (s, mu), column in _basis_columns(
+                self.algebroid, degree - 3, max_degree, lambda eta: eta.wedge(g)
+            ).items()
+        }
+
+    def _cofactors(self, degree: int, values: dict) -> dict[int, Form]:
+        """Cofactor forms from the values of a solve over ``_columns``."""
+        comps: dict[int, dict[tuple[int, ...], Poly]] = {}
+        for (g_idx, s), p in witness.polys(values, self.algebroid.nvars).items():
+            comps.setdefault(g_idx, {})[s] = p
+        return {g_idx: Form(self.algebroid, degree - 3, c) for g_idx, c in comps.items()}
 
     def check_cofactors(self, omega: Form, decision: IdealDecision) -> bool:
         """Recombine cofactors against the generators; must reproduce omega."""
@@ -428,104 +421,26 @@ class Lambda2Ideal:
         if omega.degree <= 2 or self.is_trivial or omega.is_zero():
             return omega
         if self.fast_path:
-            comps = {}
-            for u, coeff in omega.comps.items():
-                gen_monos = []
-                for _, g in self.nonzero_gens():
-                    ((t_a, mono),) = g.comps.items()
-                    if set(t_a) <= set(u):
-                        gen_monos.append(mono)
-                remainder, _ = _monomial_divide(coeff, gen_monos)
-                if not remainder.is_zero():
-                    comps[u] = remainder
-            return Form(self.algebroid, omega.degree, comps)
-        return self._normal_form_bounded(omega, max_degree)
-
-    def _normal_form_bounded(self, omega: Form, max_degree: int) -> Form:
-        a = self.algebroid
-        k = omega.degree
-        columns = []
-        monos = monomials_up_to(a.nvars, max_degree)
-        for _, g in self.nonzero_gens():
-            for s in combinations(range(a.rank), k - 3):
-                eta = Form(a, k - 3, {s: Poly.const(a.nvars, 1)})
-                base = eta.wedge(g)
-                if base.is_zero():
-                    continue
-                for mu in monos:
-                    columns.append(base.scale(Poly.monomial(a.nvars, mu)))
-        coords = _coordinate_order([omega, *columns])
-        index = {c: i for i, c in enumerate(coords)}
-        rows = [_form_vector(col, index) for col in columns]
-        reduced, pivots = linsolve.rref(rows) if rows else ([], [])
-        vec = _form_vector(omega, index)
-        for row, piv in zip(reduced, pivots):
-            if vec[piv]:
-                factor = vec[piv]
-                for i in range(len(vec)):
-                    vec[i] -= factor * row[i]
-        comps: dict[tuple[int, ...], Poly] = {}
-        for (u, exps), i in index.items():
-            if vec[i]:
-                comps.setdefault(u, Poly.zero(a.nvars))
-                comps[u] = comps[u] + Poly.monomial(a.nvars, exps, vec[i])
-        return Form(a, k, comps)
-
-
-def _monomial_divide(p: Poly, gen_monos: list[Poly]):
-    """Divide by scalar-monomial generators: remainder plus one quotient each.
-
-    Terms divisible by several generators go to the first dividing one, so the
-    remainder — the part divisible by none — is canonical.
-    """
-    nvars = p.nvars
-    quotients = [Poly.zero(nvars) for _ in gen_monos]
-    remainder = Poly.zero(nvars)
-    gens = []
-    for g in gen_monos:
-        ((exps, scalar),) = g.terms.items()
-        gens.append((exps, scalar))
-    for exps, coeff in p.terms.items():
-        for idx, (g_exps, g_scalar) in enumerate(gens):
-            if all(e >= ge for e, ge in zip(exps, g_exps)):
-                q_exps = tuple(e - ge for e, ge in zip(exps, g_exps))
-                quotients[idx] = quotients[idx] + Poly.monomial(nvars, q_exps, coeff / g_scalar)
-                break
+            remainder, _ = self._divide(omega)
         else:
-            remainder = remainder + Poly.monomial(nvars, exps, coeff)
-    return remainder, quotients
+            columns = self._columns(omega.degree, max_degree)
+            remainder = witness.reduce(columns, _column(omega), key=_coordinate_key)
+        return _form(self.algebroid, omega.degree, remainder)
 
 
-def _coordinate_order(forms: list[Form]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    coords = set()
-    for f in forms:
-        for u, coeff in f.comps.items():
-            for exps in coeff.terms:
-                coords.add((u, exps))
-    return sorted(coords, key=lambda c: (c[0], (-sum(c[1]), tuple(-e for e in c[1]))))
+def _coordinate_key(coord):
+    """Index tuple first, then the monomial in graded-lex order, highest first."""
+    u, exps = coord
+    return u, -sum(exps), tuple(-e for e in exps)
 
 
-def _form_vector(f: Form, index) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
-    for u, coeff in f.comps.items():
-        for exps, val in coeff.terms.items():
-            vec[index[(u, exps)]] = val
-    return vec
+def _column(f: Form) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+    return {(u, exps): v for u, coeff in f.comps.items() for exps, v in coeff.terms.items()}
 
 
-def _solve_forms(columns: list[Form], target: Form):
-    """Exact rational solve of sum_i x_i * columns_i = target, None if unsolvable."""
-    coords = _coordinate_order([target, *columns])
-    index = {c: i for i, c in enumerate(coords)}
-    if not coords:
-        return [Fraction(0)] * len(columns)
-    mat = [[Fraction(0)] * len(columns) for _ in coords]
-    for cidx, col in enumerate(columns):
-        for u, coeff in col.comps.items():
-            for exps, val in coeff.terms.items():
-                mat[index[(u, exps)]][cidx] = val
-    rhs = _form_vector(target, index)
-    return linsolve.solve(mat, rhs)
+def _form(a: Algebroid, degree: int, values: dict) -> Form:
+    """The form whose column is ``values``: the inverse of ``_column``."""
+    return Form(a, degree, witness.polys(values, a.nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -548,33 +463,22 @@ class ClosednessDecision:
         return self.status == YES
 
 
-def _theta_columns(a: Algebroid, degree: int, max_degree: int, operator):
-    """Images under ``operator`` of all monomial basis forms of the degree."""
-    columns = []
-    tags = []
+def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict:
+    """Nonzero images under ``operator`` of the monomial basis forms of a degree.
+
+    Tagged (s, mu): basis form on the index tuple s times the monomial mu.
+    """
     if degree < 0:
-        return columns, tags
-    monos = monomials_up_to(a.nvars, max_degree)
+        return {}
+    columns = {}
+    monos = witness.monomials_up_to(a.nvars, max_degree)
     for s in combinations(range(a.rank), degree):
         base = Form(a, degree, {s: Poly.const(a.nvars, 1)})
         for mu in monos:
-            candidate = base.scale(Poly.monomial(a.nvars, mu))
-            image = operator(candidate)
-            if image.is_zero():
-                continue
-            columns.append(image)
-            tags.append((s, mu))
-    return columns, tags
-
-
-def _assemble(a: Algebroid, degree: int, coeffs, tags) -> Form:
-    comps: dict[tuple[int, ...], Poly] = {}
-    for val, (s, mu) in zip(coeffs, tags):
-        if not val:
-            continue
-        comps.setdefault(s, Poly.zero(a.nvars))
-        comps[s] = comps[s] + Poly.monomial(a.nvars, mu, val)
-    return Form(a, degree, comps)
+            image = operator(base.scale(Poly.monomial(a.nvars, mu)))
+            if not image.is_zero():
+                columns[(s, mu)] = _column(image)
+    return columns
 
 
 def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
@@ -583,14 +487,12 @@ def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
     d_omega = differential(omega)
     if d_omega.is_zero():
         return ClosednessDecision(YES, Form.zero(a, max(omega.degree - 1, 0)), note="d omega = 0")
-    columns, tags = _theta_columns(a, omega.degree - 1, max_degree, d_squared)
-    x = _solve_forms(columns, d_omega)
+    x = witness.solve(_basis_columns(a, omega.degree - 1, max_degree, d_squared), _column(d_omega))
     if x is None:
         return ClosednessDecision(
             NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}"
         )
-    theta = _assemble(a, omega.degree - 1, x, tags)
-    return ClosednessDecision(YES, theta)
+    return ClosednessDecision(YES, _form(a, omega.degree - 1, x))
 
 
 def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
@@ -606,31 +508,15 @@ def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Closedn
     a = omega.algebroid
     if omega.is_zero():
         return ClosednessDecision(YES, Form.zero(a, max(omega.degree - 1, 0)), {})
-    d_columns, d_tags = _theta_columns(a, omega.degree - 1, max_degree, differential)
-    ideal_columns = []
-    ideal_tags = []
-    if omega.degree >= 3:
-        monos = monomials_up_to(a.nvars, max_degree)
-        for g_idx, g in ideal.nonzero_gens():
-            for s in combinations(range(a.rank), omega.degree - 3):
-                eta = Form(a, omega.degree - 3, {s: Poly.const(a.nvars, 1)})
-                base = eta.wedge(g)
-                if base.is_zero():
-                    continue
-                for mu in monos:
-                    ideal_columns.append(base.scale(Poly.monomial(a.nvars, mu)))
-                    ideal_tags.append((g_idx, s, mu))
-    x = _solve_forms(d_columns + ideal_columns, omega)
+    d_columns = _basis_columns(a, omega.degree - 1, max_degree, differential)
+    # theta slots are index tuples, ideal slots (generator, index tuple): the
+    # tags cannot collide
+    ideal_columns = ideal._columns(omega.degree, max_degree)
+    x = witness.solve({**d_columns, **ideal_columns}, _column(omega))
     if x is None:
         return ClosednessDecision(
             NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}"
         )
-    theta = _assemble(a, omega.degree - 1, x[: len(d_columns)], d_tags)
-    cof_comps: dict[int, dict[tuple[int, ...], Poly]] = {}
-    for val, (g_idx, s, mu) in zip(x[len(d_columns) :], ideal_tags):
-        if not val:
-            continue
-        bucket = cof_comps.setdefault(g_idx, {})
-        bucket[s] = bucket.get(s, Poly.zero(a.nvars)) + Poly.monomial(a.nvars, mu, val)
-    cofactors = {g: Form(a, omega.degree - 3, c) for g, c in cof_comps.items()}
+    theta = _form(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
+    cofactors = ideal._cofactors(omega.degree, {t: v for t, v in x.items() if t in ideal_columns})
     return ClosednessDecision(YES, theta, cofactors)

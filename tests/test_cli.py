@@ -204,3 +204,41 @@ def test_help_exits_zero(capsys):
 )
 def test_corpus_check_exit_codes(capsys, name, expected):
     assert run(capsys, "check", name)[0] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("obstruction", "E0", "--triple", "1,2,3", "--max-degree", "-1"),
+        ("courant", "E0", "--max-degree", "-1"),
+        ("courant", "E0", "--max-degree", "two"),
+        ("charclass", "E0", "--connection", "torsionfree", "--max-k", "-1"),
+    ],
+)
+def test_bad_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expected a non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_bad_degree_in_the_environment_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ALGFORGE_MAX_DEGREE", value)
+    code, out, err = run(capsys, "check", "E0")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err
+
+
+def test_degree_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("ALGFORGE_MAX_DEGREE", "2")
+    code, out, _ = run(capsys, "courant", "E0")
+    assert code == 1
+    assert "dimension 12 at coefficient degree <= 2" in out
+
+
+def test_weak_closed_note_on_a_1_form(capsys):
+    code, out, _ = run(capsys, "cohomology", "E0", "--form", "omega21")
+    assert code == 1
+    assert "[FAIL] weak-closed  (nonzero 2-form; the ideal starts in degree 3)" in out

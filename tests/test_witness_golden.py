@@ -23,10 +23,10 @@ X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 
 
-def w(*idx):
-    out = Form.dual(ITEMIZED, idx[0])
+def w(*idx, on=ITEMIZED):
+    out = Form.dual(on, idx[0])
     for i in idx[1:]:
-        out = out.wedge(Form.dual(ITEMIZED, i))
+        out = out.wedge(Form.dual(on, i))
     return out
 
 
@@ -104,6 +104,34 @@ def test_bounded_strong_closed_theta():
     decision = strong_closed(differential(w(1).scale(X2)), 2)
     assert decision.status == "yes"
     assert decision.witness.to_text() == "x2 * w(X21)"
+
+
+def test_fast_path_cofactors_and_normal_forms():
+    # E0's d²-ideal is monomial, so these go through exact division instead
+    ideal = Lambda2Ideal(E0)
+    assert ideal.fast_path
+    g = ideal.gens3
+
+    def v(*idx):
+        return w(*idx, on=E0)
+
+    m4 = (
+        v(0).wedge(g[0]).scale(X1 * X2 + 3)
+        + v(3).wedge(g[1]).scale(X1**3)
+        + v(0, 1, 2, 3).scale(X1 * X1 * X2 * X2)
+    )
+    assert texts(ideal.membership(m4).cofactors) == {0: "(-x1^3 - 1/2*x1^2 + x1*x2 + 3) * w(X11)"}
+    m3 = v(1, 2, 3).scale(5 * X1**2 * X2 - 3 * X2**3) + v(0, 1, 2).scale(X1**2 + X2**2)
+    assert texts(ideal.membership(m3).cofactors) == {0: "3/2*x2", 1: "-1/2", 2: "5/2*x2", 3: "1/2"}
+    outsider = m3 + v(0, 1, 3).scale(X1) + v(1, 2, 3).scale(X1 * X2 + 7)
+    decision = ideal.membership(outsider)
+    assert decision.status == "not-member"
+    assert decision.note == "component on w(X21)^w(X12)^w(X22) has terms outside the generator monomials"
+    assert ideal.normal_form(outsider).to_text() == (
+        "x1 * w(X11)^w(X21)^w(X22) + (x1*x2 + 7) * w(X21)^w(X12)^w(X22)"
+    )
+    residue = ideal.normal_form(m4 + v(0, 1, 2, 3).scale(X1 * X2))
+    assert residue.to_text() == "x1*x2 * w(X11)^w(X21)^w(X12)^w(X22)"
 
 
 def _basis_text(space):
