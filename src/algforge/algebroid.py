@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import linsolve, witness
 from .poly import Poly
@@ -845,87 +845,59 @@ def lie_infeasibility_certificate(
 ) -> Certificate:
     """Certify that no bounded-degree kernel-valued bracket change is Lie-izing.
 
-    Each candidate modification B assigns to every generator pair a kernel
-    section with indeterminate polynomial coefficients of degree <= D.  The
-    modified Jacobiator is J + 𝓑 with
+    A candidate modification is B = Σ_p c_p·μ_p·G_p with free rational
+    parameters c_p: G_p puts one kernel generator on one generator pair and
+    is zero elsewhere, and μ_p runs over the monomials of degree <= D.  The
+    modified Jacobiator on the triple is J + 𝓑 with
 
-        𝓑(X,Y,Z) = Σ_cyc ( [B(X,Y),Z] + B([X,Y],Z) + B(B(X,Y),Z) ).
+        𝓑(X,Y,Z) = Σ_cyc ( [B(X,Y),Z] + B([X,Y],Z) + B(B(X,Y),Z) ),
 
-    Expanding 𝓑 in the ring extended by one variable per indeterminate lets
-    minimal base-variable degrees be read off exactly: if every 𝓑 term has
-    base degree strictly above the lowest nonzero homogeneous degree of J on
-    the triple, that slice of J survives any choice of parameters.
+    which is linear plus quadratic in the parameters.  Coefficients of
+    distinct parameter monomials cannot cancel one another, so the lowest
+    base degree of 𝓑 is the least over its nonzero coefficients:
+
+    * on c_p: Σ_cyc ( [μ_p G_p(X,Y), Z] + μ_p G_p([X,Y], Z) ).  The bracket
+      differentiates μ_p along ρ(Z), so every monomial is tried;
+    * on c_p c_q: μ_p μ_q Σ_cyc ( G_q(G_p(X,Y), Z) + G_p(G_q(X,Y), Z) ), half
+      of it when p = q.  Each G is ℱ-bilinear, so no derivative falls on
+      μ_p μ_q: it factors out and raises every degree by its own, and the
+      lowest degree is reached at μ_p = μ_q = 1 whatever D is.
+
+    If every coefficient has base degree strictly above the lowest nonzero
+    homogeneous degree of J on the triple, that slice of J survives any
+    choice of parameters.
     """
     for g in kernel_gens:
         if not algebroid.anchor_of(g).is_zero():
             raise AlgebroidError("kernel generators must be anchor-killed")
-    i, j, k = triple
-    jac = algebroid.jacobiator(
-        algebroid.unit_section(i), algebroid.unit_section(j), algebroid.unit_section(k)
-    )
+    a = algebroid
+    x, y, z = (a.unit_section(t) for t in triple)
+    jac = a.jacobiator(x, y, z)
     if jac.is_zero():
         return Certificate("trivially-feasible", triple, max_degree)
     jac_min = jac.min_degree()
 
-    n = algebroid.nvars
-    m = algebroid.rank
-    pairs = list(combinations(range(m), 2))
-    monos = witness.monomials_up_to(n, max_degree)
-    nparams = len(pairs) * len(kernel_gens) * len(monos)
-    total = n + nparams
-
-    def lift(p: Poly) -> Poly:
-        return p.extend(nparams)
-
-    # The ambient algebroid over the extended ring.
-    ext_base = BaseSpace(
-        tuple(algebroid.base.var_names) + tuple(f"c{t + 1}" for t in range(nparams))
-    )
-    ext_anchor = []
-    for row in algebroid.anchor:
-        comps = [lift(c) for c in row.comps] + [Poly.zero(total)] * nparams
-        ext_anchor.append(VectorField(ext_base, comps))
-    ext_structure = {
-        key: Section([lift(c) for c in value.coeffs])
-        for key, value in algebroid.structure.items()
-    }
-    ext = Algebroid(ext_base, algebroid.gen_names, ext_anchor, ext_structure)
-
-    # B on generator pairs, with one parameter variable per (pair, kernel
-    # generator, monomial).
-    param = 0
-    b_table: dict[tuple[int, int], Section] = {}
-    for pair in pairs:
-        value = Section.zero(m, total)
-        for g in kernel_gens:
-            lifted = Section([lift(c) for c in g.coeffs])
-            for mu in monos:
-                exps = list(mu) + [0] * nparams
-                exps[n + param] = 1
-                value = value + lifted.scale(Poly.monomial(total, exps))
-                param += 1
-        b_table[pair] = value
-    modifier = BracketModifier(b_table)
-
-    def b_apply(x: Section, y: Section) -> Section:
-        return modifier.apply(ext, x, y)
-
-    units = [ext.unit_section(t) for t in range(m)]
-    x, y, z = units[i], units[j], units[k]
-    contribution = Section.zero(m, total)
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        bab = b_apply(a, b)
-        contribution = contribution + ext.bracket(bab, c)
-        contribution = contribution + b_apply(ext.bracket(a, b), c)
-        contribution = contribution + b_apply(bab, c)
-
-    # Minimal degree in the base variables only (parameters are degree 0).
-    mod_min = None
-    for coeff in contribution.coeffs:
-        for exps in coeff.terms:
-            base_deg = sum(exps[:n])
-            if mod_min is None or base_deg < mod_min:
-                mod_min = base_deg
+    zero = a.zero_section()
+    cyclic = [(u, v, w, a.bracket(u, v)) for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
+    basis = [
+        BracketModifier({pair: g}) for pair in combinations(range(a.rank), 2) for g in kernel_gens
+    ]
+    monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
+    # the coefficient of c_p, for G_p = g and μ_p = mu
+    linear = [
+        sum(
+            (a.bracket(g.apply(a, u, v).scale(mu), w) + g.apply(a, uv, w).scale(mu) for u, v, w, uv in cyclic),
+            zero,
+        )
+        for g in basis
+        for mu in monos
+    ]
+    # the coefficient of c_p c_q, for G_p = g, G_q = h and μ_p = μ_q = 1
+    quadratic = [
+        sum((h.apply(a, g.apply(a, u, v), w) + g.apply(a, h.apply(a, u, v), w) for u, v, w, _ in cyclic), zero)
+        for g, h in combinations_with_replacement(basis, 2)
+    ]
+    mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)
     if mod_min is None:
         # The modification is identically zero; J alone decides and is nonzero.
         return Certificate("infeasible", triple, max_degree, jac_min, None)

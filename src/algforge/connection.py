@@ -221,11 +221,6 @@ class DerivedBundle:
             i, j, sign = j, i, -1
         return self.m + self.wedge_pairs.index((i, j)), sign
 
-    def embed(self, s: Section) -> Section:
-        """Include an E-section into the derived bundle."""
-        pad = [Poly.zero(self.base_algebroid.nvars)] * len(self.wedge_pairs)
-        return Section(list(s.coeffs) + pad)
-
     def e_part(self, s: Section) -> Section:
         return Section(s.coeffs[: self.m])
 
@@ -239,12 +234,6 @@ class DerivedBundle:
         for idx, (i, j) in enumerate(self.wedge_pairs):
             coeffs[self.m + idx] = u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i]
         return Section(coeffs)
-
-    def wedge_of_derived(self, u: Section, v: Section) -> Section:
-        """Wedge of two derived sections that are supported on the E part."""
-        if not (self.wedge_part_is_zero(u) and self.wedge_part_is_zero(v)):
-            raise AlgebroidError("wedge is defined for E-supported sections only")
-        return self.wedge_of(self.e_part(u), self.e_part(v))
 
 
 def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> DerivedBundle:

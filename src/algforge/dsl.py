@@ -31,6 +31,11 @@ from .connection import EConnection
 from .forms import Form
 from .poly import Poly
 
+# Largest exponent, and largest total degree of a product, that a document may
+# write.  The bundled corpus never goes above 4; without a cap a short line
+# such as `(x+1)^99999` stalls the parser in polynomial expansion.
+DEGREE_CAP = 64
+
 
 class DslError(ValueError):
     """Syntax or semantic error with a document position."""
@@ -515,7 +520,16 @@ class _Parser:
     def parse_poly_term(self) -> Poly:
         value = self.parse_poly_factor()
         while self.accept("*"):
-            value = value * self.parse_poly_factor()
+            value = self.times_poly_factor(value)
+        return value
+
+    def times_poly_factor(self, value: Poly) -> Poly:
+        """value times the next factor, refused past the degree cap."""
+        tok = self.peek()
+        value = value * self.parse_poly_factor()
+        degree = value.total_degree()
+        if degree > DEGREE_CAP:
+            self.semantic(f"product of degree {degree} exceeds the degree cap of {DEGREE_CAP}", tok)
         return value
 
     def parse_poly_factor(self) -> Poly:
@@ -523,7 +537,11 @@ class _Parser:
             return -self.parse_poly_factor()
         value = self.parse_poly_atom()
         if self.accept("^"):
-            return value ** self.expect_int()
+            tok = self.peek()
+            k = self.expect_int()
+            if k > DEGREE_CAP or value.total_degree() * k > DEGREE_CAP:
+                self.semantic(f"exponent {k} would exceed the degree cap of {DEGREE_CAP}", tok)
+            return value ** k
         return value
 
     def parse_poly_atom(self) -> Poly:
@@ -632,8 +650,7 @@ class _Parser:
                     name_tok = tok
                     self.advance()
                 elif tok.kind == "ident" and tok.text in self.var_index or tok.kind == "int" or tok.text == "(":
-                    factor = self.parse_poly_factor()
-                    coeff = coeff * factor
+                    coeff = self.times_poly_factor(coeff)
                 elif tok.kind == "ident":
                     raise DslError(
                         f"expected a {basis_hint} or polynomial, found {tok.text!r}",
@@ -697,7 +714,7 @@ class _Parser:
                     while self.accept("^"):
                         indices.append(parse_dual_atom())
                 elif tok.kind == "ident" and tok.text in self.var_index or tok.kind == "int" or tok.text == "(":
-                    coeff = coeff * self.parse_poly_factor()
+                    coeff = self.times_poly_factor(coeff)
                 else:
                     break
                 if not self.accept("*"):

@@ -67,9 +67,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 if absent)."""
         return self.terms.get((0,) * self.nvars, _ZERO)

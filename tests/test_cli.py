@@ -44,6 +44,15 @@ def test_parse_errors_exit_2(capsys):
         assert "error: line" in err
 
 
+def test_degree_cap_exits_2(tmp_path, capsys):
+    doc = tmp_path / "huge.alg"
+    doc.write_text("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> (x+1)^99999*d1\n")
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 2
+    assert out == ""
+    assert "error: line 3, col 19: exponent 99999 would exceed the degree cap of 64" in err
+
+
 def test_unknown_document_exits_2(capsys):
     code, _, err = run(capsys, "check", "no_such_thing")
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 
 from algforge.catalog import builtin
 from algforge.dsl import (
+    DEGREE_CAP,
     DslError,
     algebroid_to_document,
     document_algebroid,
@@ -92,12 +93,21 @@ def test_error_kinds_and_positions():
         ("bundle E rank 2 gens (A, B)\n", "semantic", 1),  # no base declared
         ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nform f = w(A) + w(A)^w(B)\n", "semantic", 3),
         ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nsection s = A^-1\n", "syntax", 3),
+        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> (x+1)^99999*d1\n", "semantic", 3),
+        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> x^99999999*d1\n", "semantic", 3),
+        ("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^40*y^40*d1\n", "semantic", 3),
     ]
     for text, kind, line in cases:
         with pytest.raises(DslError) as exc:
             parse(text)
         assert exc.value.kind == kind, text
         assert exc.value.line == line, text
+
+
+def test_degree_cap_admits_its_bound():
+    doc = parse("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^32*(y^2)^16*d1\n")
+    assert doc.bundle().anchors[0].comps[0].total_degree() == DEGREE_CAP
+    assert parse(serialize(doc)) == doc
 
 
 def test_duplicate_names_rejected():
