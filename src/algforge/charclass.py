@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, VectorField
 from .connection import EConnection
@@ -139,21 +138,11 @@ def curvature_matrix(conn: EConnection) -> FormMatrix:
     """2-form matrix of curvature values on generator pairs."""
     a_ = conn.algebroid
     r = conn.target_rank
-    m = a_.rank
-    units = [a_.unit_section(i) for i in range(m)]
-    targets = [
-        Section(
-            [Poly.const(a_.nvars, 1) if i == b else Poly.zero(a_.nvars) for i in range(r)]
-        )
-        for b in range(r)
-    ]
     comps: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
-    for alpha, beta in combinations(range(m), 2):
-        for b in range(r):
-            value = conn.curvature(units[alpha], units[beta], targets[b])
-            for a_idx, coeff in enumerate(value.coeffs):
-                if not coeff.is_zero():
-                    comps[a_idx][b][(alpha, beta)] = coeff
+    for (alpha, beta, b), value in conn.curvature_table().items():
+        for a_idx, coeff in enumerate(value.coeffs):
+            if not coeff.is_zero():
+                comps[a_idx][b][(alpha, beta)] = coeff
     entries = [[Form(a_, 2, comps[i][j]) for j in range(r)] for i in range(r)]
     return FormMatrix(a_, 2, entries)
 
@@ -355,14 +344,12 @@ def transgression_check(
     p = product_algebroid(e)
     tilde = interpolate_connections(p, first, second)
     ch_tilde = char_form(tilde, k)
-    diff = char_form(second, k) - char_form(first, k)
+    ch_first, ch_second = char_form(first, k), char_form(second, k)
+    diff = ch_second - ch_first
     primary = p.homotopy(ch_tilde)
     ideal_part = p.homotopy(differential(ch_tilde))
     identity_ok = (differential(primary) + ideal_part) == diff
-    restriction_ok = (
-        p.restrict_form(ch_tilde, 0) == char_form(first, k)
-        and p.restrict_form(ch_tilde, 1) == char_form(second, k)
-    )
+    restriction_ok = p.restrict_form(ch_tilde, 0) == ch_first and p.restrict_form(ch_tilde, 1) == ch_second
     membership = ideal.membership(ideal_part, max_degree)
     return TransgressionReport(k, diff, primary, ideal_part, identity_ok, restriction_ok, membership)
 

@@ -209,17 +209,12 @@ def cmd_connection_report(args) -> Report:
         note="torsion-free" if not torsion_lines else f"{len(torsion_lines)} nonzero pairs",
     )
 
-    curv_lines = []
-    anchored = True
-    for i, j in combinations(range(a.rank), 2):
-        for b in range(a.rank):
-            value = conn.curvature(units[i], units[j], units[b])
-            if not value.is_zero():
-                curv_lines.append(
-                    f"R({a.gen_names[i]}, {a.gen_names[j]}) {a.gen_names[b]} = {a.section_text(value)}"
-                )
-                if not a.anchor_of(value).is_zero():
-                    anchored = False
+    table = conn.curvature_table()
+    curv_lines = [
+        f"R({a.gen_names[i]}, {a.gen_names[j]}) {a.gen_names[b]} = {a.section_text(value)}"
+        for (i, j, b), value in table.items()
+    ]
+    anchored = all(a.anchor_of(value).is_zero() for value in table.values())
     report.add(
         "curvature-table",
         True,

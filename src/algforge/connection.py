@@ -5,6 +5,11 @@ an algebroid E.  It is determined by its values on generator pairs (the gamma
 table) and extended by the usual two rules: F-linearity in the direction slot
 and the Leibniz rule over coefficients in the section slot.
 
+Curvature on generators is computed once per connection (``curvature_table``,
+read for any ordered pair by ``curvature_gen``), and every generator sweep
+reads it.  ``curvature`` on arbitrary sections is not expanded over the table:
+curvature is a tensor only when the anchor axioms hold, and E0_itemized fails them.
+
 The derived bundle construction glues E and E∧E into one algebroid whose
 bracket is the antisymmetrization of a lifted connection; its generator-triple
 Jacobiator sweep is the mechanical heart of the Lie-ness verification for the
@@ -42,6 +47,7 @@ class EConnection:
                 raise AlgebroidError("gamma value has the wrong rank")
             if not value.is_zero():
                 self.gamma[(alpha, b)] = value
+        self._curvature_table: dict[tuple[int, int, int], Section] | None = None
 
     # ---- structure ----
 
@@ -107,25 +113,34 @@ class EConnection:
         )
 
     def curvature_table(self) -> dict[tuple[int, int, int], Section]:
-        """All R(e_i, e_j)e_b on generator pairs i<j; zero values omitted."""
-        m = self.algebroid.rank
-        units = [self.algebroid.unit_section(i) for i in range(m)]
-        targets = [
-            Section(
-                [
-                    Poly.const(self.algebroid.nvars, 1) if a == b else Poly.zero(self.algebroid.nvars)
-                    for a in range(self.target_rank)
-                ]
-            )
-            for b in range(self.target_rank)
-        ]
-        table = {}
-        for i, j in combinations(range(m), 2):
-            for b in range(self.target_rank):
-                value = self.curvature(units[i], units[j], targets[b])
-                if not value.is_zero():
-                    table[(i, j, b)] = value
-        return table
+        """All R(e_i, e_j)e_b on generator pairs i<j; zero values omitted.
+
+        Computed on the first call and kept: a connection, its gamma and its
+        algebroid are never changed after construction.
+        """
+        if self._curvature_table is None:
+            a_ = self.algebroid
+            units = [a_.unit_section(i) for i in range(a_.rank)]
+            one, zero = Poly.const(a_.nvars, 1), Poly.zero(a_.nvars)
+            targets = [
+                Section([one if a == b else zero for a in range(self.target_rank)])
+                for b in range(self.target_rank)
+            ]
+            self._curvature_table = {}
+            for i, j in combinations(range(a_.rank), 2):
+                for b in range(self.target_rank):
+                    value = self.curvature(units[i], units[j], targets[b])
+                    if not value.is_zero():
+                        self._curvature_table[(i, j, b)] = value
+        return self._curvature_table
+
+    def curvature_gen(self, i: int, j: int, b: int) -> Section:
+        """R(e_i, e_j)e_b for any generator pair, read off the curvature table."""
+        if i == j:
+            return self.zero_target()
+        if i < j:
+            return self.curvature_table().get((i, j, b), self.zero_target())
+        return -self.curvature_table().get((j, i, b), self.zero_target())
 
     def bianchi_defect(self, x: Section, y: Section, z: Section) -> Section:
         """Cyclic curvature sum minus its torsion expansion; identically zero.
@@ -274,17 +289,16 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
 
     zero_e = e.zero_section()
 
+    def on_wedge(image, k: int, l: int) -> Section:
+        """The E-endomorphism e_b -> image(b) applied to e_k∧e_l by the Leibniz rule."""
+        wedge = [a + b for a, b in zip(wedge_coeffs(image(k), units[l]), wedge_coeffs(units[k], image(l)))]
+        return lift(zero_e, wedge)
+
     # anchor
     anchor = [VectorField(e.base, row.comps) for row in e.anchor]
     for i, j in pairs:
         defect = vf_bracket(e.anchor[i], e.anchor[j]) - e.anchor_of(e.bracket_gen(i, j))
         anchor.append(defect)
-
-    # curvature cache on generator pairs
-    curv: dict[tuple[int, int, int], Section] = {}
-    for i, j in pairs:
-        for b in range(m):
-            curv[(i, j, b)] = conn.curvature(units[i], units[j], units[b])
 
     def build_gamma(half: bool) -> dict[tuple[int, int], Section]:
         gamma: dict[tuple[int, int], Section] = {}
@@ -301,32 +315,17 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
                     gamma[(alpha, b)] = value
         # (E generator, wedge): Leibniz over the wedge
         for alpha in range(m):
-            for w, (i, j) in enumerate(pairs):
-                di = conn.gamma_entry(alpha, i)
-                dj = conn.gamma_entry(alpha, j)
-                wedge = [
-                    a + b
-                    for a, b in zip(wedge_coeffs(di, units[j]), wedge_coeffs(units[i], dj))
-                ]
-                value = lift(zero_e, wedge)
+            for w, (k, l) in enumerate(pairs):
+                value = on_wedge(lambda b: conn.gamma_entry(alpha, b), k, l)
                 if not value.is_zero():
                     gamma[(alpha, m + w)] = value
         # (wedge, E generator): curvature
-        for w, (i, j) in enumerate(pairs):
-            for b in range(m):
-                value = lift(curv[(i, j, b)])
-                if not value.is_zero():
-                    gamma[(m + w, b)] = value
+        for (i, j, b), value in conn.curvature_table().items():
+            gamma[(m + pairs.index((i, j)), b)] = lift(value)
         # (wedge, wedge): curvature acts as a derivation over the wedge
         for w, (i, j) in enumerate(pairs):
             for w2, (k, l) in enumerate(pairs):
-                rk = curv[(i, j, k)]
-                rl = curv[(i, j, l)]
-                wedge = [
-                    a + b
-                    for a, b in zip(wedge_coeffs(rk, units[l]), wedge_coeffs(units[k], rl))
-                ]
-                value = lift(zero_e, wedge)
+                value = on_wedge(lambda b: conn.curvature_gen(i, j, b), k, l)
                 if not value.is_zero():
                     gamma[(m + w, m + w2)] = value
         return gamma
@@ -401,109 +400,65 @@ def verify_prhelp(d: DerivedBundle) -> PrhelpReport:
       5. R1 with two wedge directions is a derivation over wedges.
     """
     e = d.base_algebroid
-    m = e.rank
+    m, total = e.rank, d.derived.rank
     names = d.derived.gen_names
-    units = [d.derived.unit_section(t) for t in range(d.derived.rank)]
-    e_units = units[:m]
-    w_units = units[m:]
-    lifted, plain = d.lifted, d.plain_ext
-
-    def r1(u: Section, v: Section, s: Section) -> Section:
-        return lifted.curvature(u, v, s)
-
-    items = []
+    units = [d.derived.unit_section(t) for t in range(total)]
+    e_units = [e.unit_section(i) for i in range(m)]
+    r1 = d.lifted.curvature_gen
+    plain_d = d.plain_ext.covariant_derivative
 
     # item 1: curvature with two E directions vanishes on everything
-    failures = []
-    checked = 0
-    for i, j in combinations(range(m), 2):
-        for t in range(d.derived.rank):
-            checked += 1
-            value = r1(e_units[i], e_units[j], units[t])
-            if not value.is_zero():
-                failures.append(((names[i], names[j], names[t]), value))
-    items.append(PrhelpItem(1, "E-direction curvature vanishes", checked, failures))
+    failures = [
+        ((names[i], names[j], names[t]), value)
+        for (i, j, t), value in d.lifted.curvature_table().items()
+        if j < m
+    ]
+    items = [PrhelpItem(1, "E-direction curvature vanishes", m * (m - 1) // 2 * total, failures)]
 
-    # item 2: wedge-vs-E curvature equals the plain commutator expression
-    failures = []
-    checked = 0
-    for w, wu in enumerate(w_units):
-        for y in range(m):
-            for z in range(m):
-                checked += 1
-                lhs = r1(wu, e_units[y], e_units[z])
-                rhs = (
-                    plain.covariant_derivative(wu, plain.covariant_derivative(e_units[y], e_units[z]))
-                    - plain.covariant_derivative(e_units[y], plain.covariant_derivative(wu, e_units[z]))
-                    - plain.covariant_derivative(plain.covariant_derivative(wu, e_units[y]), e_units[z])
-                    + plain.covariant_derivative(plain.covariant_derivative(e_units[y], wu), e_units[z])
-                )
-                defect = lhs - rhs
-                if not defect.is_zero():
-                    failures.append(((names[m + w], names[y], names[z]), defect))
-    items.append(PrhelpItem(2, "wedge/E curvature commutator form", checked, failures))
+    def commutator_form(number: int, label: str, second: range) -> PrhelpItem:
+        """Items 2 and 4: wedge-direction curvature equals the plain commutator expression."""
+        failures = []
+        checked = 0
+        for w in range(m, total):
+            for y in second:
+                for z in range(m):
+                    checked += 1
+                    wu, yu, zu = units[w], units[y], units[z]
+                    rhs = (
+                        plain_d(wu, plain_d(yu, zu))
+                        - plain_d(yu, plain_d(wu, zu))
+                        - plain_d(plain_d(wu, yu), zu)
+                        + plain_d(plain_d(yu, wu), zu)
+                    )
+                    defect = r1(w, y, z) - rhs
+                    if not defect.is_zero():
+                        failures.append(((names[w], names[y], names[z]), defect))
+        return PrhelpItem(number, label, checked, failures)
 
-    # item 3: wedge-vs-E curvature is a derivation over wedge arguments
-    failures = []
-    checked = 0
-    for w, wu in enumerate(w_units):
-        for y in range(m):
-            for k, l in combinations(range(m), 2):
-                checked += 1
-                target_idx = m + d.wedge_pairs.index((k, l))
-                lhs = r1(wu, e_units[y], units[target_idx])
-                rz = r1(wu, e_units[y], e_units[k])
-                rt = r1(wu, e_units[y], e_units[l])
-                if not (d.wedge_part_is_zero(rz) and d.wedge_part_is_zero(rt)):
-                    failures.append(((names[m + w], names[y], names[target_idx]), lhs))
-                    continue
-                rhs = d.wedge_of(d.e_part(rz), e.unit_section(l)) + d.wedge_of(
-                    e.unit_section(k), d.e_part(rt)
-                )
-                defect = lhs - rhs
-                if not defect.is_zero():
-                    failures.append(((names[m + w], names[y], names[target_idx]), defect))
-    items.append(PrhelpItem(3, "wedge/E curvature derivation rule", checked, failures))
+    def derivation_rule(number: int, label: str, second: range) -> PrhelpItem:
+        """Items 3 and 5: wedge-direction curvature is a derivation over wedge arguments."""
+        failures = []
+        checked = 0
+        for w in range(m, total):
+            for y in second:
+                for t, (k, l) in enumerate(d.wedge_pairs, start=m):
+                    checked += 1
+                    lhs = r1(w, y, t)
+                    rz, rt = r1(w, y, k), r1(w, y, l)
+                    if not (d.wedge_part_is_zero(rz) and d.wedge_part_is_zero(rt)):
+                        failures.append(((names[w], names[y], names[t]), lhs))
+                        continue
+                    rhs = d.wedge_of(d.e_part(rz), e_units[l]) + d.wedge_of(e_units[k], d.e_part(rt))
+                    defect = lhs - rhs
+                    if not defect.is_zero():
+                        failures.append(((names[w], names[y], names[t]), defect))
+        return PrhelpItem(number, label, checked, failures)
 
-    # item 4: wedge-vs-wedge curvature equals the plain commutator expression
-    failures = []
-    checked = 0
-    for w, wu in enumerate(w_units):
-        for w2, wv in enumerate(w_units):
-            for z in range(m):
-                checked += 1
-                lhs = r1(wu, wv, e_units[z])
-                rhs = (
-                    plain.covariant_derivative(wu, plain.covariant_derivative(wv, e_units[z]))
-                    - plain.covariant_derivative(wv, plain.covariant_derivative(wu, e_units[z]))
-                    - plain.covariant_derivative(plain.covariant_derivative(wu, wv), e_units[z])
-                    + plain.covariant_derivative(plain.covariant_derivative(wv, wu), e_units[z])
-                )
-                defect = lhs - rhs
-                if not defect.is_zero():
-                    failures.append(((names[m + w], names[m + w2], names[z]), defect))
-    items.append(PrhelpItem(4, "wedge/wedge curvature commutator form", checked, failures))
-
-    # item 5: wedge-vs-wedge curvature is a derivation over wedge arguments
-    failures = []
-    checked = 0
-    for w, wu in enumerate(w_units):
-        for w2, wv in enumerate(w_units):
-            for k, l in combinations(range(m), 2):
-                checked += 1
-                target_idx = m + d.wedge_pairs.index((k, l))
-                lhs = r1(wu, wv, units[target_idx])
-                rz = r1(wu, wv, e_units[k])
-                rt = r1(wu, wv, e_units[l])
-                if not (d.wedge_part_is_zero(rz) and d.wedge_part_is_zero(rt)):
-                    failures.append(((names[m + w], names[m + w2], names[target_idx]), lhs))
-                    continue
-                rhs = d.wedge_of(d.e_part(rz), e.unit_section(l)) + d.wedge_of(
-                    e.unit_section(k), d.e_part(rt)
-                )
-                defect = lhs - rhs
-                if not defect.is_zero():
-                    failures.append(((names[m + w], names[m + w2], names[target_idx]), defect))
-    items.append(PrhelpItem(5, "wedge/wedge curvature derivation rule", checked, failures))
-
+    e_dirs, wedge_dirs = range(m), range(m, total)
+    items += [
+        commutator_form(2, "wedge/E curvature commutator form", e_dirs),
+        derivation_rule(3, "wedge/E curvature derivation rule", e_dirs),
+        commutator_form(4, "wedge/wedge curvature commutator form", wedge_dirs),
+        derivation_rule(5, "wedge/wedge curvature derivation rule", wedge_dirs),
+    ]
     return PrhelpReport(items)

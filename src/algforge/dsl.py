@@ -53,6 +53,7 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = set("()[]{},^*+-=/")
+_DIGITS = set("0123456789")  # str.isdigit() also admits superscripts such as "²"
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
@@ -270,7 +271,14 @@ class _Parser:
         if tok.kind != "int":
             raise DslError(f"expected integer, found {tok.text!r}", tok.line, tok.col)
         self.advance()
-        return int(tok.text)
+        return self.int_value(tok)
+
+    def int_value(self, tok: Token) -> int:
+        """The value of an integer literal; Python refuses very long digit strings."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.semantic(f"integer literal of {len(tok.text)} digits is too long", tok)
 
     def semantic(self, message: str, tok: Token):
         raise DslError(message, tok.line, tok.col, kind="semantic")
@@ -549,7 +557,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            num = int(tok.text)
+            num = self.int_value(tok)
             if self.accept("/"):
                 den = self.expect_int()
                 if den == 0:

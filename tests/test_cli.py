@@ -53,6 +53,22 @@ def test_degree_cap_exits_2(tmp_path, capsys):
     assert "error: line 3, col 19: exponent 99999 would exceed the degree cap of 64" in err
 
 
+@pytest.mark.parametrize(
+    "anchor, message",
+    [
+        ("x1^²*d1", "line 3, col 16: unexpected character '²'"),
+        ("9" * 5000 + "*x1*d1", "line 3, col 13: integer literal of 5000 digits is too long"),
+    ],
+)
+def test_bad_integer_literals_exit_2(tmp_path, capsys, anchor, message):
+    doc = tmp_path / "literal.alg"
+    doc.write_text(f"base 1 (x1)\nbundle E rank 1 gens (e)\nanchor e -> {anchor}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 def test_unknown_document_exits_2(capsys):
     code, _, err = run(capsys, "check", "no_such_thing")
     assert code == 2

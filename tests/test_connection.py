@@ -1,12 +1,12 @@
 """Connections: torsion, curvature, the cyclic curvature identity."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from algforge.algebroid import AlgebroidError
 from algforge.catalog import e0_kernel_sections, make_e0, make_tangent, torsionfree_gamma
-from algforge.connection import EConnection, flat_connection, induced_connection
+from algforge.connection import EConnection, derive_bundle, flat_connection, induced_connection
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -70,10 +70,17 @@ def test_curvature_against_hand_values():
 
 
 def test_curvature_table_matches_pointwise_calls():
-    table = TF.curvature_table()
-    for (i, j, b), value in table.items():
-        assert value == TF.curvature(UNITS[i], UNITS[j], UNITS[b])
-        assert not value.is_zero()
+    for conn in (TF, Sampler(3).connection(E0, max_degree=1), derive_bundle(TF).lifted):
+        a = conn.algebroid
+        units = [a.unit_section(i) for i in range(a.rank)]
+        table = conn.curvature_table()
+        assert conn.curvature_table() is table
+        for (i, j, b), value in table.items():
+            assert i < j
+            assert value == conn.curvature(units[i], units[j], units[b])
+            assert not value.is_zero()
+        for i, j, b in product(range(a.rank), repeat=3):
+            assert conn.curvature_gen(i, j, b) == conn.curvature(units[i], units[j], units[b]), (conn.name, i, j, b)
 
 
 def test_curvature_is_tensorial_in_the_directions():

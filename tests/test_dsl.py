@@ -96,6 +96,8 @@ def test_error_kinds_and_positions():
         ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> (x+1)^99999*d1\n", "semantic", 3),
         ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> x^99999999*d1\n", "semantic", 3),
         ("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^40*y^40*d1\n", "semantic", 3),
+        ("base 1 (x1)\nbundle E rank 1 gens (e)\nanchor e -> x1^²*d1\n", "syntax", 3),
+        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> " + "9" * 5000 + "*x*d1\n", "semantic", 3),
     ]
     for text, kind, line in cases:
         with pytest.raises(DslError) as exc:

@@ -3,7 +3,8 @@
 A new frame f_a = Σ_b P[b][a] e_b with P a constant integer matrix of
 determinant ±1 describes the same algebroid.  The Jacobiator is ℱ-trilinear,
 so its table in the new frame is the old table pushed through P in each slot
-and read back through P⁻¹; being Lie does not depend on the frame.  The number
+and read back through P⁻¹; so is the curvature table of the torsion-free
+connection; being Lie does not depend on the frame.  The number
 of failing generator triples does under a shear, but not under a permutation,
 which only relabels the triples.
 """
@@ -13,7 +14,8 @@ from itertools import product
 import pytest
 
 from algforge.algebroid import Algebroid, Section
-from algforge.catalog import builtin, make_e0
+from algforge.catalog import builtin, make_e0, torsionfree_gamma
+from algforge.connection import EConnection
 from algforge.poly import Poly
 
 E0 = make_e0()
@@ -91,6 +93,26 @@ def test_jacobiator_table_transforms_trilinearly(p, p_inverse):
                 pushed = pushed + value.scale(weight)
         want = matrix_times(p_inverse, pushed)
         assert new.jacobiator(new_units[a], new_units[b], new_units[c]) == want
+
+
+@pytest.mark.parametrize("p, p_inverse", [(PERMUTATION, PERMUTATION_INVERSE), (SHEAR, SHEAR_INVERSE)])
+def test_curvature_table_transforms_trilinearly(p, p_inverse):
+    m = E0.rank
+    tf = EConnection(E0, torsionfree_gamma(E0))
+    f = frame(E0, p)
+    gamma = {
+        (a, c): matrix_times(p_inverse, tf.covariant_derivative(f[a], f[c]))
+        for a, c in product(range(m), repeat=2)
+    }
+    new = EConnection(reframe(E0, p, p_inverse), gamma)
+    assert new.is_torsion_free()
+    for a, b, c in product(range(m), repeat=3):
+        pushed = E0.zero_section()
+        for i, j, k in product(range(m), repeat=3):
+            weight = p[i][a] * p[j][b] * p[k][c]
+            if weight:
+                pushed = pushed + tf.curvature_gen(i, j, k).scale(weight)
+        assert new.curvature_gen(a, b, c) == matrix_times(p_inverse, pushed)
 
 
 @pytest.mark.parametrize("name", ["E0", "E0prime_lie"])
