@@ -289,9 +289,9 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
 
     zero_e = e.zero_section()
 
-    def on_wedge(image, k: int, l: int) -> Section:
-        """The E-endomorphism e_b -> image(b) applied to e_k∧e_l by the Leibniz rule."""
-        wedge = [a + b for a, b in zip(wedge_coeffs(image(k), units[l]), wedge_coeffs(units[k], image(l)))]
+    def on_wedge(image_k: Section, image_l: Section, k: int, l: int) -> Section:
+        """An E-endomorphism taking e_k, e_l to image_k, image_l, applied to e_k∧e_l by the Leibniz rule."""
+        wedge = [a + b for a, b in zip(wedge_coeffs(image_k, units[l]), wedge_coeffs(units[k], image_l))]
         return lift(zero_e, wedge)
 
     # anchor
@@ -316,7 +316,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         # (E generator, wedge): Leibniz over the wedge
         for alpha in range(m):
             for w, (k, l) in enumerate(pairs):
-                value = on_wedge(lambda b: conn.gamma_entry(alpha, b), k, l)
+                value = on_wedge(conn.gamma_entry(alpha, k), conn.gamma_entry(alpha, l), k, l)
                 if not value.is_zero():
                     gamma[(alpha, m + w)] = value
         # (wedge, E generator): curvature
@@ -325,7 +325,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         # (wedge, wedge): curvature acts as a derivation over the wedge
         for w, (i, j) in enumerate(pairs):
             for w2, (k, l) in enumerate(pairs):
-                value = on_wedge(lambda b: conn.curvature_gen(i, j, b), k, l)
+                value = on_wedge(conn.curvature_gen(i, j, k), conn.curvature_gen(i, j, l), k, l)
                 if not value.is_zero():
                     gamma[(m + w, m + w2)] = value
         return gamma
