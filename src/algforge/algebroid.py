@@ -75,8 +75,10 @@ class VectorField:
         """Directional derivative of a coefficient function."""
         out = Poly.zero(self.base.dim)
         for j, comp in enumerate(self.comps):
-            if not comp.is_zero():
-                out = out + comp * f.partial(j)
+            if comp.terms:
+                df = f.partial(j)
+                if df.terms:
+                    out = out + comp * df
         return out
 
     def __add__(self, other: VectorField) -> VectorField:
@@ -135,6 +137,10 @@ class Section:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
+
+    def support(self) -> list[tuple[int, Poly]]:
+        """(generator index, coefficient) for every nonzero coefficient."""
+        return [(i, c) for i, c in enumerate(self.coeffs) if c.terms]
 
     def __add__(self, other: Section) -> Section:
         return Section([a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -258,12 +264,13 @@ class Algebroid:
     def anchor_of(self, s: Section) -> VectorField:
         if s.rank != self.rank:
             raise AlgebroidError("section has the wrong rank")
-        out = [Poly.zero(self.nvars) for _ in range(self.nvars)]
+        out = [Poly.zero(self.nvars)] * self.nvars
         for coeff, row in zip(s.coeffs, self.anchor):
             if coeff.is_zero():
                 continue
             for j, comp in enumerate(row.comps):
-                out[j] = out[j] + coeff * comp
+                if comp.terms:
+                    out[j] = out[j] + coeff * comp
         return VectorField(self.base, out)
 
     def anchor_rank_at(self, point) -> int:
@@ -282,23 +289,32 @@ class Algebroid:
     def bracket(self, x: Section, y: Section) -> Section:
         """Leibniz expansion of the structure table to arbitrary sections.
 
-        [X, Y] = sum_{i<j} (X_i Y_j - X_j Y_i) [e_i, e_j]
+        [X, Y] = sum_{i != j} X_i Y_j [e_i, e_j]
                  + sum_j rho(X)(Y_j) e_j - sum_i rho(Y)(X_i) e_i
+
+        summed over the nonzero coefficients of X and Y only.
         """
         if x.rank != self.rank or y.rank != self.rank:
             raise AlgebroidError("bracket arguments have the wrong rank")
-        out = [Poly.zero(self.nvars) for _ in range(self.rank)]
-        for (i, j), value in self.structure.items():
-            weight = x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i]
-            if weight.is_zero():
-                continue
-            for a, coeff in enumerate(value.coeffs):
-                if not coeff.is_zero():
-                    out[a] = out[a] + weight * coeff
+        out = [Poly.zero(self.nvars)] * self.rank
+        xs, ys = x.support(), y.support()
+        for i, xi in xs:
+            for j, yj in ys:
+                # the diagonal is never stored, so i == j finds nothing
+                value = self.structure.get((i, j) if i < j else (j, i))
+                if value is None:
+                    continue
+                weight = xi * yj
+                for a, coeff in enumerate(value.coeffs):
+                    if coeff.terms:
+                        term = weight * coeff
+                        out[a] = out[a] + term if i < j else out[a] - term
         rho_x = self.anchor_of(x)
         rho_y = self.anchor_of(y)
-        for a in range(self.rank):
-            out[a] = out[a] + rho_x.apply(y.coeffs[a]) - rho_y.apply(x.coeffs[a])
+        for a, ya in ys:
+            out[a] = out[a] + rho_x.apply(ya)
+        for a, xa in xs:
+            out[a] = out[a] - rho_y.apply(xa)
         return Section(out)
 
     def jacobiator(self, x: Section, y: Section, z: Section) -> Section:
@@ -444,10 +460,13 @@ class BracketModifier:
     def apply(self, algebroid: Algebroid, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
         out = algebroid.zero_section()
-        for (i, j), value in self.values.items():
-            weight = x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i]
-            if not weight.is_zero():
-                out = out + value.scale(weight)
+        xs, ys = x.support(), y.support()
+        for i, xi in xs:
+            for j, yj in ys:
+                value = self.values.get((i, j) if i < j else (j, i))
+                if value is not None:
+                    term = value.scale(xi * yj)
+                    out = out + term if i < j else out - term
         return out
 
 

@@ -83,11 +83,21 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
     """Return (document text, display label) for a FILE argument."""
     p = Path(file_arg)
     if p.is_file():
-        return p.read_text(), p.name
+        try:
+            return p.read_text(encoding="utf-8"), p.name
+        except UnicodeDecodeError as exc:
+            data, start = exc.object, exc.start
+            line = data.count(b"\n", 0, start) + 1
+            col = start - data.rfind(b"\n", 0, start)
+            raise CliError(
+                f"{file_arg!r} is not UTF-8 text: byte 0x{data[start]:02x} at line {line}, col {col}"
+            ) from None
+        except OSError as exc:
+            raise CliError(f"cannot read {file_arg!r}: {exc.strerror or exc}") from None
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", file_arg):
         res = resources.files("algforge") / "corpus" / f"{file_arg}.alg"
         if res.is_file():
-            return res.read_text(), f"{file_arg}.alg"
+            return res.read_text(encoding="utf-8"), f"{file_arg}.alg"
         m = _TANGENT.match(file_arg)
         if m:
             a = make_tangent(int(m.group(1)))

@@ -70,14 +70,18 @@ class EConnection:
         if s.rank != self.target_rank:
             raise AlgebroidError("target section has the wrong rank")
         rho_x = self.algebroid.anchor_of(x)
-        out = [rho_x.apply(c) for c in s.coeffs]
-        for (alpha, b), value in self.gamma.items():
-            weight = x.coeffs[alpha] * s.coeffs[b]
-            if weight.is_zero():
-                continue
-            for a, coeff in enumerate(value.coeffs):
-                if not coeff.is_zero():
-                    out[a] = out[a] + weight * coeff
+        out = [rho_x.apply(c) if c.terms else c for c in s.coeffs]
+        # sum of x_alpha s_b gamma(alpha, b) over the nonzero coefficients of x and s
+        targets = s.support()
+        for alpha, xa in x.support():
+            for b, sb in targets:
+                value = self.gamma.get((alpha, b))
+                if value is None:
+                    continue
+                weight = xa * sb
+                for a, coeff in enumerate(value.coeffs):
+                    if coeff.terms:
+                        out[a] = out[a] + weight * coeff
         return Section(out)
 
     # ---- torsion (target = algebroid only) ----

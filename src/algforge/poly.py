@@ -8,12 +8,16 @@ every object in the package (anchors, brackets, connections, forms).
   terms = {(2, 1): Fraction(1), (0, 0): Fraction(3)}   # x1^2*x2 + 3
 
 Zero-coefficient terms are never stored; the zero polynomial has no terms.
-Instances are treated as immutable: every operation returns a new Poly.
+Instances are immutable: nothing writes ``terms`` after construction, so an
+operation may return one of its operands unchanged.  The public constructor
+normalises whatever it is given; ring operations build their results in
+normal form and wrap them without a second pass (``_trusted``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
@@ -40,14 +44,14 @@ class Poly:
 
     @staticmethod
     def zero(nvars: int) -> Poly:
-        return Poly(nvars)
+        return _trusted(nvars, {})
 
     @staticmethod
     def const(nvars: int, value: int | Fraction) -> Poly:
         value = Fraction(value)
         if not value:
-            return Poly(nvars)
-        return Poly(nvars, {(0,) * nvars: value})
+            return _trusted(nvars, {})
+        return _trusted(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, idx: int) -> Poly:
@@ -90,49 +94,76 @@ class Poly:
 
     # ---- ring operations ----
 
-    def _check(self, other: Poly) -> None:
+    def _operand(self, other: Poly | int | Fraction) -> Poly:
+        """The other operand as a Poly in the same variables."""
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                return Poly.const(self.nvars, other)
+            raise TypeError(f"cannot combine a Poly with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
+        return other
 
     def __add__(self, other: Poly | int | Fraction) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        self._check(other)
-        out = dict(self.terms)
+        other = self._operand(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = self.terms.copy()
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, _ZERO) + coeff
-        return Poly(self.nvars, out)
+            total = out.get(exps)
+            if total is None:
+                out[exps] = coeff
+            else:
+                total += coeff
+                if total:
+                    out[exps] = total
+                else:
+                    del out[exps]
+        return _trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __sub__(self, other: Poly | int | Fraction) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        self._check(other)
-        out = dict(self.terms)
+        other = self._operand(other)
+        if not other.terms:
+            return self
+        out = self.terms.copy()
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, _ZERO) - coeff
-        return Poly(self.nvars, out)
+            total = out.get(exps)
+            if total is None:
+                out[exps] = -coeff
+            else:
+                total -= coeff
+                if total:
+                    out[exps] = total
+                else:
+                    del out[exps]
+        return _trusted(self.nvars, out)
 
     def __rsub__(self, other: int | Fraction) -> Poly:
         return Poly.const(self.nvars, other) - self
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             if not other:
-                return Poly(self.nvars)
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
+                return _trusted(self.nvars, {})
+            return _trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
+        other = self._operand(other)
         out: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, _ZERO) + ca * cb
-        return Poly(self.nvars, out)
+                key = tuple(map(add, ea, eb))
+                total = out.get(key)
+                out[key] = ca * cb if total is None else total + ca * cb
+        if len(self.terms) > 1 and len(other.terms) > 1:
+            # only sums of two or more products can cancel
+            out = {e: c for e, c in out.items() if c}
+        return _trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -150,10 +181,10 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None  # mutable-ish container; not usable as a dict key
@@ -165,13 +196,10 @@ class Poly:
         out: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[var] = k - 1
-            key = tuple(e)
-            out[key] = out.get(key, _ZERO) + coeff * k
-        return Poly(self.nvars, out)
+            if k:
+                # lowering one exponent is injective on the terms that have it
+                out[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff * k
+        return _trusted(self.nvars, out)
 
     def eval_at(self, point: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -274,6 +302,14 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i + 1}" for i in range(self.nvars)]
         return f"Poly({self.to_text(names)})"
+
+
+def _trusted(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
+    """Wrap terms already in normal form: nonzero Fractions keyed by nvars-tuples."""
+    p = object.__new__(Poly)
+    p.nvars = nvars
+    p.terms = terms
+    return p
 
 
 def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:

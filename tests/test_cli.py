@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,29 @@ def test_bad_integer_literals_exit_2(tmp_path, capsys, anchor, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys):
+    doc = tmp_path / "latin1.alg"
+    doc.write_bytes(b"base 1 (x1)\nbundle E rank 1 gens (e)\nanchor e -> \xff*d1\n")
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {str(doc)!r} is not UTF-8 text: byte 0xff at line 3, col 13\n"
+
+
+def test_a_document_that_cannot_be_read_exits_2(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "locked.alg"
+    doc.write_text("base 1 (u)\nbundle L rank 1 gens (A)\nanchor A -> u*d1\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {str(doc)!r}: Permission denied\n"
 
 
 def test_unknown_document_exits_2(capsys):

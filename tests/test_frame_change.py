@@ -6,17 +6,20 @@ so its table in the new frame is the old table pushed through P in each slot
 and read back through P⁻¹; so is the curvature table of the torsion-free
 connection; being Lie does not depend on the frame.  The number
 of failing generator triples does under a shear, but not under a permutation,
-which only relabels the triples.
+which only relabels the triples; neither do the d²-ideal membership verdicts
+of forms carried along by a permutation.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from algforge.algebroid import Algebroid, Section
 from algforge.catalog import builtin, make_e0, torsionfree_gamma
 from algforge.connection import EConnection
+from algforge.forms import MEMBER, NOT_MEMBER, Form, Lambda2Ideal, d_squared
 from algforge.poly import Poly
+from algforge.sampling import Sampler
 
 E0 = make_e0()
 
@@ -131,3 +134,32 @@ def test_a_permutation_keeps_the_failure_count():
     assert len(after.failures) == len(before.failures)
     # a shear mixes a failing triple into a third one
     assert len(reframe(E0, SHEAR, SHEAR_INVERSE).check_lie().failures) == 3
+
+
+def reframe_form(omega: Form, new: Algebroid, f: list[Section]) -> Form:
+    """The same form written in the new frame: its values on the new generators."""
+    comps = {
+        key: omega.eval_sections(*(f[a] for a in key))
+        for key in combinations(range(new.rank), omega.degree)
+    }
+    return Form(new, omega.degree, comps)
+
+
+def test_a_permutation_keeps_the_ideal_membership_verdicts():
+    new = reframe(E0, PERMUTATION, PERMUTATION_INVERSE)
+    f = frame(E0, PERMUTATION)
+    ideal, new_ideal = Lambda2Ideal(E0), Lambda2Ideal(new)
+    sampler = Sampler(5)
+    forms = [sampler.form(E0, 2) for _ in range(3)] + [sampler.form(E0, 3) for _ in range(4)]
+    # d² of a 1-form lies in the ideal, and commutes with the change of frame
+    ones = [sampler.form(E0, 1) for _ in range(3)]
+    for w in ones:
+        assert d_squared(reframe_form(w, new, f)) == reframe_form(d_squared(w), new, f)
+    members = [d_squared(w) for w in ones]
+    forms += members + [members[0] + ideal.gens3[0].scale(sampler.poly(E0.nvars))]
+    verdicts = []
+    for omega in forms:
+        before = ideal.membership(omega).status
+        assert new_ideal.membership(reframe_form(omega, new, f)).status == before
+        verdicts.append((omega.degree, before))
+    assert {(3, MEMBER), (3, NOT_MEMBER), (2, NOT_MEMBER)} <= set(verdicts)

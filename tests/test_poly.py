@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,64 @@ def test_partial_is_a_derivation(p, q):
 def test_eval_is_a_ring_map(p, a, b):
     q = p * p - p * 2
     assert q.eval_at([a, b]) == p.eval_at([a, b]) ** 2 - 2 * p.eval_at([a, b])
+
+
+# ---- oracle: sympy's polynomial arithmetic, sharing no code with Poly ----
+
+NVARS = 3
+ratios = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+exps3 = st.tuples(*[st.integers(0, 3)] * NVARS)
+# dictionaries with zero values exercise the public constructor's normalisation
+polys3 = st.dictionaries(exps3, ratios, max_size=5).map(lambda d: Poly(NVARS, d))
+scalars = st.one_of(st.integers(-3, 3), ratios)
+
+
+def assert_normal_form(p: Poly) -> None:
+    """The invariant ring operations rely on: nonzero Fractions keyed by nvars-tuples of ints."""
+    assert type(p) is Poly and p.nvars == NVARS
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == NVARS
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+def sympy_poly(p: Poly):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"x0:{NVARS}")
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * NVARS: 0}, *gens, domain="QQ")
+
+
+def agrees(p: Poly, expected) -> bool:
+    """p is in normal form and has exactly the sympy polynomial's terms."""
+    assert_normal_form(p)
+    want = {e: Fraction(int(c.p), int(c.q)) for e, c in expected.as_dict().items() if c}
+    return p.terms == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys3, polys3, scalars)
+def test_ring_operations_match_sympy(p, q, c):
+    sp, sq = sympy_poly(p), sympy_poly(q)
+    assert agrees(p, sp)
+    assert agrees(p + q, sp + sq)
+    assert agrees(p - q, sp - sq)
+    assert agrees(p - p, sp - sp)
+    assert agrees(p * q, sp * sq)
+    assert agrees(-p, -sp)
+    sc = sympy_poly(Poly.const(NVARS, c))
+    assert agrees(p + c, sp + sc)
+    assert agrees(c + p, sp + sc)
+    assert agrees(p - c, sp - sc)
+    assert agrees(c - p, sc - sp)
+    assert agrees(p * c, sp * sc)
+    assert agrees(c * p, sp * sc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys3, st.integers(0, 4))
+def test_powers_and_partials_match_sympy(p, k):
+    sp = sympy_poly(p)
+    assert agrees(p**k, sp**k)
+    for var in range(NVARS):
+        assert agrees(p.partial(var), sp.diff(sp.gens[var]))
