@@ -460,8 +460,8 @@ class BracketModifier:
     def apply(self, algebroid: Algebroid, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
         out = algebroid.zero_section()
-        xs, ys = x.support(), y.support()
-        for i, xi in xs:
+        ys = y.support()
+        for i, xi in x.support():
             for j, yj in ys:
                 value = self.values.get((i, j) if i < j else (j, i))
                 if value is not None:
