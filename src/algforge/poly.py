@@ -187,7 +187,7 @@ class Poly:
             other = Poly.const(self.nvars, other)
         return self.nvars == other.nvars and self.terms == other.terms
 
-    __hash__ = None  # mutable-ish container; not usable as a dict key
+    __hash__ = None  # equality is by terms; Polys are not used as dict keys
 
     # ---- calculus ----
 
