@@ -796,15 +796,17 @@ def courant_solution_space(
     # the G with mu at the cell's positions, entries keyed (i, j, exponent)
     columns = {}
     for cell in cells:
+        # the cell's defect at mu = 1; mu only shifts its exponents
+        product: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
+        for a, b in _positions_for(cell, m, paired_blocks):
+            for i, pa in enumerate(algebroid.anchor[a].comps):
+                for j, pb in enumerate(algebroid.anchor[b].comps):
+                    for exps, v in (pa * pb).terms.items():
+                        product[(i, j, exps)] = product.get((i, j, exps), Fraction(0)) + v
         for mu in monos:
-            col: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-            for a, b in _positions_for(cell, m, paired_blocks):
-                for i, pa in enumerate(algebroid.anchor[a].comps):
-                    for j, pb in enumerate(algebroid.anchor[b].comps):
-                        for exps, v in (pa * pb).terms.items():
-                            key = (i, j, tuple(e + f for e, f in zip(exps, mu)))
-                            col[key] = col.get(key, Fraction(0)) + v
-            columns[(cell, mu)] = col
+            columns[(cell, mu)] = {
+                (i, j, tuple(e + f for e, f in zip(exps, mu))): v for (i, j, exps), v in product.items()
+            }
     basis = []
     evaluations = []
     for vec in witness.nullspace(columns):

@@ -1,11 +1,13 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse rows.
 
-Matrices are lists of dense rows.  ``rref`` eliminates on sparse rows,
-because the witness systems of this package are wide and well under 1%
-nonzero; its result is the unique RREF for the given column order.
+A row is a ``dict[int, Fraction]`` from column index to value; zero values
+are ignored on input and never returned.  The witness systems of this
+package are wide and well under 1% nonzero, so ``rref`` eliminates on these
+rows and its result is the unique RREF for the given column order.
 ``solve``, ``nullspace`` and ``rank`` read off it, so a returned solution is
-checkable by substitution and a nullspace basis spans exactly.  ``det`` does
-its own dense elimination.
+checkable by substitution and a nullspace basis spans exactly.  ``rank``
+and ``det`` take small dense matrices; ``det`` does its own dense
+elimination.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Row = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+def _subtract(row: Row, f: Fraction, other: Row) -> None:
     """row -= f * other on sparse rows, in place, keeping only nonzeros."""
     for c, v in other.items():
         w = row.get(c, _ZERO) - f * v
@@ -30,16 +31,13 @@ def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction])
             del row[c]
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
+def rref(rows: Sequence[Row]) -> dict[int, Row]:
+    """Reduced row echelon form as ``{pivot column: reduced row}`` in pivot order."""
     # pivot column -> its row, kept fully reduced: no other kept row has an
     # entry in a pivot column
-    basis: dict[int, dict[int, Fraction]] = {}
-    for dense in rows:
-        row = {c: Fraction(v) for c, v in enumerate(dense) if v}
+    basis: dict[int, Row] = {}
+    for given in rows:
+        row = {c: v for c, v in given.items() if v}
         for p in [c for c in row if c in basis]:
             _subtract(row, row[p], basis[p])
         if not row:
@@ -51,56 +49,31 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
             if pivot in other:
                 _subtract(other, other[pivot], row)
         basis[pivot] = row
-    pivots = sorted(basis)
-    m = [[_ZERO] * ncols for _ in range(nrows)]
-    for r, p in enumerate(pivots):
-        for c, v in basis[p].items():
-            m[r][c] = v
-    return m, pivots
+    return dict(sorted(basis.items()))
 
 
-def solve(
-    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> Vector | None:
-    """One exact solution of A·x = b with free variables set to 0, or None."""
-    if not rows:
-        return [] if not any(Fraction(v) for v in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:  # a pivot in the rhs column means 0 = 1 somewhere
+def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction], ncols: int) -> Row | None:
+    """Nonzero entries of one solution of A·x = b in column order, free variables 0, or None."""
+    red = rref([{**row, ncols: b} for row, b in zip(rows, rhs)])
+    if ncols in red:  # a pivot in the rhs column means 0 = 1 somewhere
         return None
-    x = [_ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+    return {p: row[ncols] for p, row in red.items() if ncols in row}
 
 
-def nullspace(rows: Sequence[Sequence[int | Fraction]], ncols: int | None = None) -> list[Vector]:
-    """Basis of the right nullspace of A (one vector per free column)."""
-    if not rows:
-        return [] if not ncols else [
-            [_ONE if i == j else _ZERO for i in range(ncols)] for j in range(ncols)
-        ]
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for fc in free_cols:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def nullspace(rows: Sequence[Row], ncols: int) -> list[Row]:
+    """Basis of the right nullspace of A, one vector per free column."""
+    red = rref(rows)
+    basis = {c: {c: _ONE} for c in range(ncols) if c not in red}
+    for p, row in red.items():
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = -v
+    return list(basis.values())
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Rank of a dense matrix."""
+    return len(rref([dict(enumerate(row)) for row in rows]))
 
 
 def det(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:

@@ -4,9 +4,11 @@ A *column* maps coordinates to Fractions; columns come in a dict keyed by
 *tag*, whose order is the column order.  That order fixes every answer, since
 free unknowns are set to zero and the reduced row echelon form is unique for
 a given column order.  Tags are ``(slot, exponent)`` pairs (a cofactor, form
-component or matrix cell, times a monomial); ``polys`` reads values back as
-one polynomial per slot.  A failed search means no witness up to the degree
-bound, never a refutation.
+component or matrix cell, times a monomial).  The columns become one sparse
+``linsolve`` row per coordinate, keyed by column position; solutions and
+nullspace vectors come back as nonzero values in column order, and ``polys``
+reads them as one polynomial per slot.  A failed search means no witness up
+to the degree bound, never a refutation.
 """
 
 from __future__ import annotations
@@ -33,39 +35,34 @@ def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _dense(vector: Column, index: dict) -> list[Fraction]:
-    out = [Fraction(0)] * len(index)
-    for coord, value in vector.items():
-        out[index[coord]] = value
-    return out
+def _rows(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, linsolve.Row]:
+    """One sparse row per coordinate, its entries keyed by column position.
 
-
-def _coords(*vectors: Column) -> list:
-    """Every coordinate of the vectors, in order of first appearance."""
-    return list(dict.fromkeys(c for v in vectors for c in v))
-
-
-def _rows(columns: dict[Hashable, Column], coords: list) -> list:
-    """The dense matrix with one row per coordinate and one column per tag."""
-    index = {c: i for i, c in enumerate(coords)}
-    return list(zip(*(_dense(col, index) for col in columns.values())))
+    The target's coordinates get a row too, empty if no column reaches them.
+    """
+    rows: dict[Hashable, linsolve.Row] = {c: {} for c in target}
+    for j, col in enumerate(columns.values()):
+        for coord, value in col.items():
+            rows.setdefault(coord, {})[j] = value
+    return rows
 
 
 def solve(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, Fraction] | None:
     """Nonzero values of a combination of the columns equal to target, or None."""
-    coords = _coords(*columns.values(), target)
-    x = linsolve.solve(_rows(columns, coords), [target.get(c, Fraction(0)) for c in coords])
+    rows = _rows(columns, target)
+    x = linsolve.solve(list(rows.values()), [target.get(c, Fraction(0)) for c in rows], len(columns))
     if x is None:
         return None
-    return {tag: v for tag, v in zip(columns, x) if v}
+    tags = list(columns)
+    return {tags[j]: v for j, v in x.items()}
 
 
 def nullspace(columns: dict[Hashable, Column]) -> list[dict[Hashable, Fraction]]:
     """Basis of the combinations of the columns that vanish, as nonzero values."""
-    rows = _rows(columns, _coords(*columns.values()))
+    tags = list(columns)
     return [
-        {tag: v for tag, v in zip(columns, vec) if v}
-        for vec in linsolve.nullspace(rows, ncols=len(columns))
+        {tags[j]: vec[j] for j in sorted(vec)}
+        for vec in linsolve.nullspace(list(_rows(columns, {}).values()), len(tags))
     ]
 
 
@@ -75,16 +72,15 @@ def reduce(columns: dict[Hashable, Column], target: Column, key: Callable) -> Co
     Coordinates are sorted by ``key``; the remainder has no entry at any
     pivot coordinate of the columns' reduced echelon form.
     """
-    coords = sorted(_coords(target, *columns.values()), key=key)
+    coords = sorted(dict.fromkeys(c for col in (target, *columns.values()) for c in col), key=key)
     index = {c: i for i, c in enumerate(coords)}
-    vec = _dense(target, index)
+    vec = {index[c]: v for c, v in target.items() if v}
     # one row per column, so the pivots are coordinates
-    reduced, pivots = linsolve.rref([_dense(col, index) for col in columns.values()])
-    for row, piv in zip(reduced, pivots):
-        factor = vec[piv]
-        if factor:
-            vec = [a - factor * b for a, b in zip(vec, row)]
-    return {c: v for c, v in zip(coords, vec) if v}
+    red = linsolve.rref([{index[c]: v for c, v in col.items()} for col in columns.values()])
+    for piv, row in red.items():
+        if piv in vec:
+            linsolve._subtract(vec, vec[piv], row)
+    return {coords[i]: vec[i] for i in sorted(vec)}
 
 
 def polys(values: dict[tuple[Hashable, tuple[int, ...]], Fraction], nvars: int) -> dict[Hashable, Poly]:

@@ -9,33 +9,42 @@ from hypothesis import strategies as st
 from algforge import linsolve
 
 
+def _sparse(rows):
+    """Dense rows as the sparse rows linsolve takes."""
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dot(row, x):
+    return sum(row[c] * v for c, v in x.items())
+
+
 def test_solve_unique():
-    x = linsolve.solve([[2, 1], [1, 3]], [5, 10])
-    assert x == [Fraction(1), Fraction(3)]
+    x = linsolve.solve(_sparse([[2, 1], [1, 3]]), [5, 10], 2)
+    assert x == {0: Fraction(1), 1: Fraction(3)}
 
 
 def test_solve_inconsistent_returns_none():
-    assert linsolve.solve([[1, 1], [1, 1]], [0, 1]) is None
+    assert linsolve.solve(_sparse([[1, 1], [1, 1]]), [0, 1], 2) is None
 
 
 def test_solve_underdetermined_picks_a_solution():
-    x = linsolve.solve([[1, 1, 0]], [2])
+    x = linsolve.solve(_sparse([[1, 1, 0]]), [2], 3)
     assert x is not None
-    assert sum(a * b for a, b in zip([1, 1, 0], x)) == 2
+    assert _dot([1, 1, 0], x) == 2
 
 
 def test_rank_and_nullspace_dimensions():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert linsolve.rank(rows) == 2
-    null = linsolve.nullspace(rows)
+    null = linsolve.nullspace(_sparse(rows), 3)
     assert len(null) == 1
     vec = null[0]
     for row in rows:
-        assert sum(a * b for a, b in zip(row, vec)) == 0
+        assert _dot(row, vec) == 0
 
 
 def test_nullspace_of_empty_system_is_full():
-    assert len(linsolve.nullspace([], ncols=3)) == 3
+    assert linsolve.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_det():
@@ -51,20 +60,20 @@ entries = st.integers(min_value=-5, max_value=5)
 @given(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=2, max_size=4), st.lists(entries, min_size=3, max_size=3))
 def test_solve_verifies_or_refuses(rows, x_true):
     rhs = [sum(a * b for a, b in zip(row, x_true)) for row in rows]
-    x = linsolve.solve(rows, rhs)
+    x = linsolve.solve(_sparse(rows), rhs, 3)
     # the system is consistent by construction, so a solution must come back
     assert x is not None
     for row, r in zip(rows, rhs):
-        assert sum(a * b for a, b in zip(row, x)) == r
+        assert _dot(row, x) == r
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=2, max_size=3))
 def test_nullspace_vectors_annihilate(rows):
-    for vec in linsolve.nullspace(rows):
+    for vec in linsolve.nullspace(_sparse(rows), 4):
         for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
-    assert linsolve.rank(rows) + len(linsolve.nullspace(rows)) == 4
+            assert _dot(row, vec) == 0
+    assert linsolve.rank(rows) + len(linsolve.nullspace(_sparse(rows), 4)) == 4
 
 
 # ---- oracle: sympy's exact rref, sharing no code with linsolve ----
@@ -88,19 +97,25 @@ def _sympy(rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
 
 
-def _fractions(values):
-    return [Fraction(int(v.p), int(v.q)) for v in values]
+def _fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def _sparse_vector(values):
+    """A sympy row or column as a sparse row of Fractions."""
+    return {c: _fraction(v) for c, v in enumerate(values) if v}
 
 
 def _sympy_rref(rows):
+    """sympy's RREF as ``[(pivot, sparse reduced row)]`` in pivot order."""
     red, pivots = _sympy(rows).rref()
-    return [_fractions(red.row(i)) for i in range(red.rows)], list(pivots)
+    return [(c, _sparse_vector(red.row(r))) for r, c in enumerate(pivots)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rref_matches_sympy(rows):
-    assert linsolve.rref(rows) == _sympy_rref(rows)
+    assert list(linsolve.rref(_sparse(rows)).items()) == _sympy_rref(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,19 +123,36 @@ def test_rref_matches_sympy(rows):
 def test_solve_matches_sympy(rows, data):
     rhs = data.draw(st.lists(sparse_entries, min_size=len(rows), max_size=len(rows)))
     ncols = len(rows[0])
-    red, pivots = _sympy_rref([row + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
+    red = dict(_sympy_rref([row + [b] for row, b in zip(rows, rhs)]))
+    if ncols in red:
         want = None
     else:
-        want = [Fraction(0)] * ncols
-        for r, c in enumerate(pivots):
-            want[c] = red[r][ncols]
-    assert linsolve.solve(rows, rhs) == want
+        want = {c: row[ncols] for c, row in red.items() if ncols in row}
+    assert linsolve.solve(_sparse(rows), rhs, ncols) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_nullspace_matches_sympy(rows):
-    want = [_fractions(vec) for vec in _sympy(rows).nullspace()]
-    assert linsolve.nullspace(rows) == want
+    want = [_sparse_vector(vec) for vec in _sympy(rows).nullspace()]
+    assert linsolve.nullspace(_sparse(rows), len(rows[0])) == want
     assert linsolve.rank(rows) == len(rows[0]) - len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_matches_sympy(rows):
+    assert linsolve.rank(rows) == _sympy(rows).rank()
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([ratios, sparse_entries]))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_det_matches_sympy(rows):
+    assert linsolve.det(rows) == _fraction(_sympy(rows).det())
