@@ -53,7 +53,10 @@ def rref(rows: Sequence[Row]) -> dict[int, Row]:
 
 
 def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction], ncols: int) -> Row | None:
-    """Nonzero entries of one solution of A·x = b in column order, free variables 0, or None."""
+    """One solution of A·x = b with free variables 0, or None.
+
+    The solution is given by its nonzero entries, in column order.
+    """
     red = rref([{**row, ncols: b} for row, b in zip(rows, rhs)])
     if ncols in red:  # a pivot in the rhs column means 0 = 1 somewhere
         return None
