@@ -6,7 +6,9 @@ An algebroid here is a rank-m bundle over a polynomial base, given by
 * a structure table: the bracket [e_i, e_j] for i < j, skew-extended.
 
 Brackets of arbitrary polynomial sections are produced from the table by the
-Leibniz expansion, so the table determines everything.  The two axioms that
+Leibniz expansion, written once for every generator-pair table (structure,
+bracket modifier, connection gamma) as one pair-table sum, ``pair_sum``, and
+one anchored derivative, ``Algebroid.derivative``.  The two axioms that
 make such a bundle an almost Lie algebroid — the Leibniz rule (true by
 construction) and anchor compatibility rho([X,Y]) = [rho X, rho Y] — reduce to
 polynomial identities on generator pairs, which is what check_axioms sweeps.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from . import linsolve, witness
@@ -143,10 +146,10 @@ class Section:
         return [(i, c) for i, c in enumerate(self.coeffs) if c.terms]
 
     def __add__(self, other: Section) -> Section:
-        return Section([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Section([a + b if b.terms else a for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: Section) -> Section:
-        return Section([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Section([a - b if b.terms else a for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> Section:
         return Section([-a for a in self.coeffs])
@@ -193,6 +196,52 @@ def section_text(s: Section, gen_names, var_names) -> str:
 
 
 # ---------------------------------------------------------------------------
+# generator-pair tables and their Leibniz extension
+# ---------------------------------------------------------------------------
+
+
+def _skew_table(values: dict[tuple[int, int], Section], what: str) -> dict[tuple[int, int], Section]:
+    """A skew generator-pair table stored on i < j: (j, i) entries negated, zeros dropped."""
+    table = {}
+    for (i, j), value in values.items():
+        if i == j and not value.is_zero():
+            raise AlgebroidError(f"{what} diagonal must be zero")
+        if i > j:
+            i, j, value = j, i, -value
+        if not value.is_zero():
+            table[(i, j)] = value
+    return table
+
+
+def _signed(table: dict[tuple[int, int], Section], i: int, j: int) -> tuple[Section, int] | None:
+    """T(e_i, e_j) of a skew table stored on i < j as (stored value, sign); None when zero."""
+    value = table.get((i, j) if i < j else (j, i))  # the diagonal is never stored
+    return None if value is None else (value, 1 if i < j else -1)
+
+
+def pair_sum(start: Section, x: Section, y: Section, entry) -> Section:
+    """start + sum_{i, j} x_i y_j T(e_i, e_j) over the nonzero coefficients of x and y.
+
+    ``entry(i, j)`` reads the pair table T: the stored value and the sign it
+    enters with, or None where T(e_i, e_j) is zero.
+    """
+    out = list(start.coeffs)
+    ys = y.support()
+    for i, xi in x.support():
+        for j, yj in ys:
+            found = entry(i, j)
+            if found is None:
+                continue
+            value, sign = found
+            weight = xi * yj
+            for a, coeff in enumerate(value.coeffs):
+                if coeff.terms:
+                    term = weight * coeff
+                    out[a] = out[a] + term if sign > 0 else out[a] - term
+    return Section(out)
+
+
+# ---------------------------------------------------------------------------
 # the algebroid itself
 # ---------------------------------------------------------------------------
 
@@ -216,18 +265,9 @@ class Algebroid:
         if len(anchor) != self.rank:
             raise AlgebroidError("anchor needs one vector field per generator")
         self.anchor = list(anchor)
-        self.structure: dict[tuple[int, int], Section] = {}
-        for (i, j), value in (structure or {}).items():
-            if i == j:
-                if not value.is_zero():
-                    raise AlgebroidError("diagonal bracket entries must be zero")
-                continue
-            if i > j:
-                i, j, value = j, i, -value
-            if value.rank != self.rank:
-                raise AlgebroidError("structure section has the wrong rank")
-            if not value.is_zero():
-                self.structure[(i, j)] = value
+        if any(value.rank != self.rank for value in (structure or {}).values()):
+            raise AlgebroidError("structure section has the wrong rank")
+        self.structure = _skew_table(structure or {}, "bracket")
         self.name = name
 
     # ---- building blocks ----
@@ -264,14 +304,11 @@ class Algebroid:
     def anchor_of(self, s: Section) -> VectorField:
         if s.rank != self.rank:
             raise AlgebroidError("section has the wrong rank")
-        out = [Poly.zero(self.nvars)] * self.nvars
-        for coeff, row in zip(s.coeffs, self.anchor):
-            if coeff.is_zero():
-                continue
-            for j, comp in enumerate(row.comps):
-                if comp.terms:
-                    out[j] = out[j] + coeff * comp
-        return VectorField(self.base, out)
+        return VectorField(self.base, map_section(self.anchor_matrix(), s).coeffs)
+
+    def anchor_matrix(self) -> list[list[Poly]]:
+        """The anchor as an n×m matrix: column a holds the components of rho(e_a)."""
+        return [[row.comps[j] for row in self.anchor] for j in range(self.nvars)]
 
     def anchor_rank_at(self, point) -> int:
         rows = [[comp.eval_at(point) for comp in row.comps] for row in self.anchor]
@@ -280,42 +317,38 @@ class Algebroid:
     # ---- bracket ----
 
     def bracket_gen(self, i: int, j: int) -> Section:
-        if i == j:
+        found = _signed(self.structure, i, j)
+        if found is None:
             return self.zero_section()
-        if i < j:
-            return self.structure.get((i, j), self.zero_section())
-        return -self.structure.get((j, i), self.zero_section())
+        value, sign = found
+        return value if sign > 0 else -value
+
+    def derivative(self, x: Section, s: Section) -> Section:
+        """D_X s = sum_a rho(X)(s_a) e_a with rho(X) = sum_i X_i rho(e_i), applied row by row.
+
+        ``s`` may be a section of any bundle over the base; rho(X) is never formed.
+        """
+        rows = [(xi, self.anchor[i]) for i, xi in x.support()]
+        zero = Poly.zero(self.nvars)
+        out = []
+        for f in s.coeffs:
+            total = zero
+            if f.terms:
+                for xi, row in rows:
+                    df = row.apply(f)
+                    if df.terms:
+                        total = total + xi * df
+            out.append(total)
+        return Section(out)
 
     def bracket(self, x: Section, y: Section) -> Section:
-        """Leibniz expansion of the structure table to arbitrary sections.
+        """Leibniz extension of the structure table to arbitrary sections.
 
-        [X, Y] = sum_{i != j} X_i Y_j [e_i, e_j]
-                 + sum_j rho(X)(Y_j) e_j - sum_i rho(Y)(X_i) e_i
-
-        summed over the nonzero coefficients of X and Y only.
+        [X, Y] = sum_{i, j} X_i Y_j [e_i, e_j] + D_X Y - D_Y X
         """
         if x.rank != self.rank or y.rank != self.rank:
             raise AlgebroidError("bracket arguments have the wrong rank")
-        out = [Poly.zero(self.nvars)] * self.rank
-        xs, ys = x.support(), y.support()
-        for i, xi in xs:
-            for j, yj in ys:
-                # the diagonal is never stored, so i == j finds nothing
-                value = self.structure.get((i, j) if i < j else (j, i))
-                if value is None:
-                    continue
-                weight = xi * yj
-                for a, coeff in enumerate(value.coeffs):
-                    if coeff.terms:
-                        term = weight * coeff
-                        out[a] = out[a] + term if i < j else out[a] - term
-        rho_x = self.anchor_of(x)
-        rho_y = self.anchor_of(y)
-        for a, ya in ys:
-            out[a] = out[a] + rho_x.apply(ya)
-        for a, xa in xs:
-            out[a] = out[a] - rho_y.apply(xa)
-        return Section(out)
+        return pair_sum(self.derivative(x, y) - self.derivative(y, x), x, y, partial(_signed, self.structure))
 
     def jacobiator(self, x: Section, y: Section, z: Section) -> Section:
         """Cyclic sum [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
@@ -361,11 +394,9 @@ class Algebroid:
     def modify_bracket(self, modifier: BracketModifier, name: str = "") -> Algebroid:
         """Add a kernel-valued skew tensor to the structure table."""
         modifier.validate(self)
-        structure = {}
-        for i, j in combinations(range(self.rank), 2):
-            value = self.bracket_gen(i, j) + modifier.value(i, j, self)
-            if not value.is_zero():
-                structure[(i, j)] = value
+        structure = dict(self.structure)
+        for pair, value in modifier.values.items():
+            structure[pair] = structure[pair] + value if pair in structure else value
         return Algebroid(self.base, self.gen_names, self.anchor, structure, name or self.name)
 
 
@@ -429,23 +460,7 @@ class BracketModifier:
     """A skew ℱ-bilinear modification B given by its values on generator pairs."""
 
     def __init__(self, values: dict[tuple[int, int], Section]):
-        self.values: dict[tuple[int, int], Section] = {}
-        for (i, j), value in values.items():
-            if i == j:
-                if not value.is_zero():
-                    raise AlgebroidError("modifier diagonal must be zero")
-                continue
-            if i > j:
-                i, j, value = j, i, -value
-            if not value.is_zero():
-                self.values[(i, j)] = value
-
-    def value(self, i: int, j: int, algebroid: Algebroid) -> Section:
-        if i == j:
-            return algebroid.zero_section()
-        if i < j:
-            return self.values.get((i, j), algebroid.zero_section())
-        return -self.values.get((j, i), algebroid.zero_section())
+        self.values = _skew_table(values, "modifier")
 
     def validate(self, algebroid: Algebroid) -> None:
         for (i, j), value in self.values.items():
@@ -459,15 +474,7 @@ class BracketModifier:
 
     def apply(self, algebroid: Algebroid, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
-        out = algebroid.zero_section()
-        ys = y.support()
-        for i, xi in x.support():
-            for j, yj in ys:
-                value = self.values.get((i, j) if i < j else (j, i))
-                if value is not None:
-                    term = value.scale(xi * yj)
-                    out = out + term if i < j else out - term
-        return out
+        return pair_sum(algebroid.zero_section(), x, y, partial(_signed, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +504,13 @@ class MorphismReport:
         return "; ".join(parts)
 
 
-def map_section(matrix: list[list[Poly]], s: Section, dst: Algebroid) -> Section:
-    """Apply a bundle map (rank(dst) x rank(src) polynomial matrix) to a section."""
-    out = [Poly.zero(dst.nvars) for _ in range(dst.rank)]
-    for b, coeff in enumerate(s.coeffs):
-        if coeff.is_zero():
-            continue
-        for a in range(dst.rank):
-            entry = matrix[a][b]
-            if not entry.is_zero():
-                out[a] = out[a] + coeff * entry
+def map_section(matrix: list[list[Poly]], s: Section) -> Section:
+    """Apply a polynomial bundle map (column b is the image of generator b) to a section."""
+    out = [Poly.zero(matrix[0][0].nvars)] * len(matrix)
+    for b, coeff in s.support():
+        for a, row in enumerate(matrix):
+            if row[b].terms:
+                out[a] = out[a] + coeff * row[b]
     return Section(out)
 
 
@@ -516,16 +520,15 @@ def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> 
         raise AlgebroidError("morphisms here require the same base")
     if len(matrix) != dst.rank or any(len(row) != src.rank for row in matrix):
         raise AlgebroidError("bundle map matrix must be rank(dst) x rank(src)")
+    images = [map_section(matrix, src.unit_section(i)) for i in range(src.rank)]
     anchor_failures = []
-    for i in range(src.rank):
-        image = map_section(matrix, src.unit_section(i), dst)
+    for i, image in enumerate(images):
         defect = dst.anchor_of(image) - src.anchor[i]
         if not defect.is_zero():
             anchor_failures.append((i, defect))
     bracket_failures = []
-    images = [map_section(matrix, src.unit_section(i), dst) for i in range(src.rank)]
     for i, j in combinations(range(src.rank), 2):
-        lhs = map_section(matrix, src.bracket_gen(i, j), dst)
+        lhs = map_section(matrix, src.bracket_gen(i, j))
         rhs = dst.bracket(images[i], images[j])
         defect = lhs - rhs
         if not defect.is_zero():
@@ -624,28 +627,15 @@ class Endomorphism:
             raise AlgebroidError("endomorphism matrix must be square")
 
     def apply(self, s: Section) -> Section:
-        nvars = self.matrix[0][0].nvars
-        out = [Poly.zero(nvars) for _ in range(self.rank)]
-        for b, coeff in enumerate(s.coeffs):
-            if coeff.is_zero():
-                continue
-            for a in range(self.rank):
-                entry = self.matrix[a][b]
-                if not entry.is_zero():
-                    out[a] = out[a] + coeff * entry
-        return Section(out)
+        return map_section(self.matrix, s)
 
     def is_almost_complex(self) -> bool:
-        """Check matrix² = -identity as a polynomial identity."""
+        """Check J(J e_b) = -e_b on every generator as a polynomial identity."""
         nvars = self.matrix[0][0].nvars
-        for a in range(self.rank):
-            for b in range(self.rank):
-                entry = Poly.zero(nvars)
-                for c in range(self.rank):
-                    entry = entry + self.matrix[a][c] * self.matrix[c][b]
-                want = Poly.const(nvars, -1) if a == b else Poly.zero(nvars)
-                if entry != want:
-                    return False
+        for b in range(self.rank):
+            image = self.apply(Section([row[b] for row in self.matrix]))
+            if list(image.coeffs) != [Poly.const(nvars, -1 if a == b else 0) for a in range(self.rank)]:
+                return False
         return True
 
 
@@ -678,25 +668,10 @@ def courant_defect(algebroid: Algebroid, g: list[list[Poly]]) -> list[list[Poly]
         for b in range(a + 1, m):
             if g[a][b] != g[b][a]:
                 raise AlgebroidError("cometric matrix must be symmetric")
-    # anchor rows: row a = components of rho(e_a); the anchor matrix of the
-    # bundle map E -> TM has these as columns.
-    out = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            total = Poly.zero(n)
-            for a in range(m):
-                pa = algebroid.anchor[a].comps[i]
-                if pa.is_zero():
-                    continue
-                for b in range(m):
-                    entry = g[a][b]
-                    if entry.is_zero():
-                        continue
-                    pb = algebroid.anchor[b].comps[j]
-                    if not pb.is_zero():
-                        total = total + pa * entry * pb
-            out[i][j] = total
-    return out
+    # column j of rho·G·rho^T is rho applied to G applied to row j of rho
+    rho = algebroid.anchor_matrix()
+    columns = [map_section(rho, map_section(g, Section(rho[j]))).coeffs for j in range(n)]
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
 
 
 @dataclass

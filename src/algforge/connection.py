@@ -3,7 +3,9 @@
 An EConnection differentiates sections of a target bundle A along sections of
 an algebroid E.  It is determined by its values on generator pairs (the gamma
 table) and extended by the usual two rules: F-linearity in the direction slot
-and the Leibniz rule over coefficients in the section slot.
+and the Leibniz rule over coefficients in the section slot.  Both come from
+the one Leibniz kernel in ``algebroid``: nabla_X s is the anchored derivative
+``Algebroid.derivative(X, s)`` plus ``pair_sum`` over the gamma table.
 
 Curvature on generators is computed once per connection (``curvature_table``,
 read for any ordered pair by ``curvature_gen``), and every generator sweep
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebroid import Algebroid, AlgebroidError, Section, VectorField, vf_bracket
+from .algebroid import Algebroid, AlgebroidError, Section, VectorField, map_section, pair_sum, vf_bracket
 from .poly import Poly
 
 
@@ -65,24 +67,13 @@ class EConnection:
     # ---- the two extension rules ----
 
     def covariant_derivative(self, x: Section, s: Section) -> Section:
+        """nabla_X s = D_X s + sum_{alpha, b} X_alpha s_b gamma(alpha, b)."""
         if x.rank != self.algebroid.rank:
             raise AlgebroidError("direction section has the wrong rank")
         if s.rank != self.target_rank:
             raise AlgebroidError("target section has the wrong rank")
-        rho_x = self.algebroid.anchor_of(x)
-        out = [rho_x.apply(c) if c.terms else c for c in s.coeffs]
-        # sum of x_alpha s_b gamma(alpha, b) over the nonzero coefficients of x and s
-        targets = s.support()
-        for alpha, xa in x.support():
-            for b, sb in targets:
-                value = self.gamma.get((alpha, b))
-                if value is None:
-                    continue
-                weight = xa * sb
-                for a, coeff in enumerate(value.coeffs):
-                    if coeff.terms:
-                        out[a] = out[a] + weight * coeff
-        return Section(out)
+        g = self.gamma  # every entry enters with sign +1
+        return pair_sum(self.algebroid.derivative(x, s), x, s, lambda a, b: (g[a, b], 1) if (a, b) in g else None)
 
     # ---- torsion (target = algebroid only) ----
 
@@ -192,20 +183,12 @@ def induced_connection(
     gens = tuple(target_gens) if target_gens is not None else algebroid.gen_names
     if len(gens) != rank:
         raise AlgebroidError("target generator names must match the Christoffel rank")
+    # gamma(beta, b) = the matrix (christoffels[j][a][b])_{a, j} applied to rho(e_beta)
+    matrices = [[[christoffels[j][a][b] for j in range(n)] for a in range(rank)] for b in range(rank)]
     gamma = {}
-    for beta in range(algebroid.rank):
-        rho = algebroid.anchor[beta]
-        for b in range(rank):
-            coeffs = [Poly.zero(n) for _ in range(rank)]
-            for j in range(n):
-                rj = rho.comps[j]
-                if rj.is_zero():
-                    continue
-                for a in range(rank):
-                    entry = christoffels[j][a][b]
-                    if not entry.is_zero():
-                        coeffs[a] = coeffs[a] + rj * entry
-            value = Section(coeffs)
+    for beta, rho in enumerate(algebroid.anchor):
+        for b, matrix in enumerate(matrices):
+            value = map_section(matrix, Section(rho.comps))
             if not value.is_zero():
                 gamma[(beta, b)] = value
     return EConnection(algebroid, gamma, target_gens=gens, name=name)

@@ -401,7 +401,7 @@ class _Parser:
         if key in decl_a.brackets:
             self.semantic(f"bracket [{a_tok.text}, {b_tok.text}] declared twice", a_tok)
         if i > j:
-            value = value.neg()
+            value = -value
         if not value.is_zero():
             decl_a.brackets[key] = value
 

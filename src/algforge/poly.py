@@ -205,6 +205,8 @@ class Poly:
         """Exact evaluation at a rational point."""
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
+        if not self.terms:
+            return _ZERO
         vals = [Fraction(v) for v in point]
         total = _ZERO
         for exps, coeff in self.terms.items():

@@ -5,6 +5,7 @@ import pytest
 from algforge.algebroid import (
     AlgebroidError,
     BracketModifier,
+    Endomorphism,
     Section,
     check_morphism,
     courant_defect,
@@ -141,6 +142,17 @@ def test_nijenhuis_of_the_catalog_complex_structure():
     for i in range(4):
         for k in range(i + 1, 4):
             assert nijenhuis(E0, j, UNITS[i], UNITS[k]).is_zero()
+
+
+def test_matrices_whose_square_is_not_minus_one_are_refused():
+    z, one, x1 = Poly.zero(2), Poly.const(2, 1), Poly.variable(2, 0)
+    identity = Endomorphism([[one if a == b else z for b in range(4)] for a in range(4)])
+    # squares to -1 except for an x1 left in one off-diagonal entry
+    almost = Endomorphism([[z, one, z, z], [-one, z, z, z], [x1, z, z, one], [z, z, -one, z]])
+    for j in (identity, almost):
+        assert not j.is_almost_complex()
+        with pytest.raises(AlgebroidError):
+            nijenhuis(E0, j, UNITS[0], UNITS[1])
 
 
 def test_courant_defect_of_identity():

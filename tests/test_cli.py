@@ -37,6 +37,15 @@ def test_check_reads_a_path(tmp_path, capsys):
     assert "tiny.alg" in out
 
 
+def test_check_accepts_a_reversed_bracket_declaration(tmp_path, capsys):
+    doc = tmp_path / "reversed.alg"
+    doc.write_text("base 1 (x)\nbundle E rank 2 gens (a, b)\nanchor a -> d1\nanchor b -> -x*d1\nbracket [b, a] = a\n")
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 0
+    assert "[PASS] anchor-axioms:E" in out
+    assert err == ""
+
+
 def test_parse_errors_exit_2(capsys):
     for name in ("bad_syntax", "bad_diagonal", "bad_anchor_dim"):
         code, out, err = run(capsys, "check", name)

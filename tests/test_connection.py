@@ -111,6 +111,21 @@ def test_induced_connection_from_base_christoffels():
     assert conn.covariant_derivative(units[0], units[0]).is_zero()
 
 
+def test_induced_connection_reads_christoffels_by_target_then_source():
+    # christoffels[j][a][b]: nonzero only for (a, b) = (2, 1) and (0, 3), so a
+    # transposed read of (a, b) gives a different table
+    z = Poly.zero(2)
+    entries = {(0, 2, 1): X1, (1, 0, 3): X2 * X2}
+    christoffels = [[[entries.get((j, a, b), z) for b in range(4)] for a in range(4)] for j in range(2)]
+    conn = induced_connection(E0, christoffels)
+    # rho(X11), rho(X12) have a d1 part and rho(X21), rho(X22) a d2 part
+    assert set(conn.gamma) == {(0, 1), (2, 1), (1, 3), (3, 3)}
+    for beta, b in product(range(4), repeat=2):
+        rho = E0.anchor[beta].comps
+        want = [sum((rho[j] * christoffels[j][a][b] for j in range(2)), z) for a in range(4)]
+        assert list(conn.gamma_entry(beta, b).coeffs) == want
+
+
 def test_gamma_rejects_bad_indices():
     with pytest.raises(AlgebroidError):
         EConnection(E0, {(0, 9): UNITS[0]})

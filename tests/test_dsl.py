@@ -82,6 +82,18 @@ def test_bundled_documents_match_the_generator():
         assert corpus_text(name) == text, f"{name} is stale; run scripts/generate_corpus.py"
 
 
+def test_a_reversed_bracket_declaration_is_negated():
+    head = "base 1 (x)\nbundle E rank 2 gens (a, b)\nanchor a -> d1\nanchor b -> -x*d1\n"
+    reversed_doc = parse(head + "bracket [b, a] = a\n")
+    forward_doc = parse(head + "bracket [a, b] = -a\n")
+    reversed_alg, forward_alg = document_algebroid(reversed_doc), document_algebroid(forward_doc)
+    assert reversed_alg.structure == forward_alg.structure
+    assert reversed_alg.section_text(reversed_alg.bracket_gen(0, 1)) == "-a"
+    assert reversed_alg.section_text(reversed_alg.bracket_gen(1, 0)) == "a"
+    assert reversed_doc == forward_doc
+    assert parse(serialize(reversed_doc)) == reversed_doc
+
+
 def test_error_kinds_and_positions():
     cases = [
         ("base 2 (x, y)\nbundle E rank 3 gens (A, B)\n", "semantic", 2),

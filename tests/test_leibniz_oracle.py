@@ -105,11 +105,21 @@ def test_covariant_derivative_matches_the_gamma_loop(name):
             assert conn.covariant_derivative(x, s) == oracle_covariant_derivative(conn, x, s)
 
 
+# kernel sections for sampled modifiers: E0's two off-axis sections, and on
+# E0prime its generators Ys1 and Ys2, whose anchor is zero
+E0PRIME = builtin("E0prime")
+MODIFIED = [
+    (E0, list(e0_kernel_sections().values())),
+    (E0PRIME, [E0PRIME.unit_section(2), E0PRIME.unit_section(3)]),
+]
+
+
 def test_modifier_matches_the_pair_loop():
-    kern = list(e0_kernel_sections().values())
-    secs = sections(E0, seed=5, sampled=4)
-    for seed in range(4):
-        modifier = Sampler(seed).kernel_modifier(E0, kern, max_degree=2)
-        for x in secs:
-            for y in secs:
-                assert modifier.apply(E0, x, y) == oracle_modifier(modifier, E0, x, y)
+    for a, kern in MODIFIED:
+        secs = sections(a, seed=5, sampled=4)
+        for seed in range(4):
+            modifier = Sampler(seed).kernel_modifier(a, kern, max_degree=2)
+            modifier.validate(a)
+            for x in secs:
+                for y in secs:
+                    assert modifier.apply(a, x, y) == oracle_modifier(modifier, a, x, y)

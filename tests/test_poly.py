@@ -53,6 +53,13 @@ def test_eval_and_substitute():
     assert p.subs_scalar(1, Fraction(1, 3)) == X * X + 1
 
 
+def test_eval_of_the_zero_polynomial():
+    value = Poly.zero(2).eval_at([Fraction(1, 2), 3])
+    assert value == 0 and type(value) is Fraction
+    with pytest.raises(ValueError):
+        Poly.zero(2).eval_at([1])
+
+
 def test_integrate_unit_interval():
     # integral over [0,1] in the second variable: x^2*y^2 + y -> x^2/3 + 1/2
     p = X * X * Y * Y + Y
