@@ -176,7 +176,7 @@ def cmd_jacobiator(args) -> Report:
         value = a.jacobiator(units[i], units[j], units[k])
         label = f"({a.gen_names[i]},{a.gen_names[j]},{a.gen_names[k]})"
         witness = a.section_text(value)
-        report.add(f"jacobiator:{label}", True, witness=witness)
+        report.add(f"jacobiator:{label}", value.is_zero(), witness=witness)
         if not a.anchor_of(value).is_zero():
             anchored = False
     report.add(
@@ -430,7 +430,11 @@ def cmd_nijenhuis(args) -> Report:
     decl = doc.endo(args.endo)
     a = document_algebroid(doc, decl.bundle)
     j = document_endo(doc, a, args.endo)
-    report.add("square-is-minus-identity", j.is_almost_complex())
+    almost_complex = j.is_almost_complex()
+    report.add("square-is-minus-identity", almost_complex)
+    if not almost_complex:
+        # the integrability tensor is defined only for an almost complex J
+        return report
     units = [a.unit_section(i) for i in range(a.rank)]
     bad = []
     for i, k in combinations(range(a.rank), 2):

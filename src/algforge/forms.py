@@ -1,10 +1,12 @@
 """Exterior forms on an algebroid's dual generator basis.
 
 A k-form stores polynomial components on strictly increasing k-tuples of
-generator indices.  The differential follows the alternating Cartan sum, so
-when the bracket fails the Jacobi identity the square of d is not zero; its
-failure on dual generators spans an exterior ideal, and the interesting
-closedness questions are posed modulo that ideal.
+generator indices.  The differential is the derivation fixed by two rules:
+df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor, and
+dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
+table.  When the bracket fails the Jacobi identity the square of d is not
+zero; its failure on dual generators spans an exterior ideal, and the
+interesting closedness questions are posed modulo that ideal.
 
 Membership in the ideal is decided two ways.  When every ideal generator is a
 single monomial on a single index tuple — as happens for the rank-4 flagship
@@ -161,21 +163,6 @@ class Form:
             out = out + coeff * _poly_det(rows)
         return out
 
-    def eval_section_then_gens(self, s: Section, rest: tuple[int, ...]) -> Poly:
-        """Evaluate with one polynomial section followed by unit generators."""
-        out = Poly.zero(self.algebroid.nvars)
-        for t, coeff in enumerate(s.coeffs):
-            if coeff.is_zero() or t in rest:
-                continue
-            pos = sum(1 for r in rest if r < t)
-            merged = tuple(sorted(rest + (t,)))
-            value = self.comps.get(merged)
-            if value is None:
-                continue
-            signed = value if pos % 2 == 0 else -value
-            out = out + coeff * signed
-        return out
-
     # ---- wedge ----
 
     def wedge(self, other: Form) -> Form:
@@ -226,37 +213,36 @@ class Form:
 
 
 def differential(omega: Form) -> Form:
-    """Alternating sum of anchored derivatives and bracket insertions.
+    """The derivation of degree one fixed by df and dθ^c.
 
-    d ω(X_0,…,X_k) = Σ_i (−1)^i ρ(X_i) ω(…X̂_i…)
-                     + Σ_{i<j} (−1)^{i+j} ω([X_i,X_j], …X̂_iX̂_j…)
-    evaluated on generator tuples.
+    d(f θ^u) = df ∧ θ^u + f Σ_t (−1)^t θ^{u_0} ∧ … ∧ dθ^{u_t} ∧ … ∧ θ^{u_{k−1}}
+    with df = Σ_b ρ(e_b)(f) θ^b and dθ^c = −Σ_{i<j} c^c_ij θ^i ∧ θ^j, where
+    [e_i, e_j] = Σ_c c^c_ij e_c, summed over the components of ω only.  For
+    any anchored skew bracket with the Leibniz rule, Jacobi or not, it equals
+    the alternating Cartan sum on generator tuples.  Components come out in
+    index order, the order in which the d²-ideal's monomial division names
+    the first component it cannot divide.
     """
     a = omega.algebroid
-    k = omega.degree
-    m = a.rank
-    if k >= m:
-        return Form.zero(a, k + 1)
+    zero = Poly.zero(a.nvars)
     comps: dict[tuple[int, ...], Poly] = {}
-    for u in combinations(range(m), k + 1):
-        total = Poly.zero(a.nvars)
-        for i in range(k + 1):
-            reduced = u[:i] + u[i + 1 :]
-            value = omega.comps.get(reduced)
-            if value is not None:
-                term = a.anchor[u[i]].apply(value)
-                total = total + term if i % 2 == 0 else total - term
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                reduced = tuple(x for t, x in enumerate(u) if t != i and t != j)
-                term = omega.eval_section_then_gens(a.bracket_gen(u[i], u[j]), reduced)
-                if (i + j) % 2 == 0:
-                    total = total + term
-                else:
-                    total = total - term
-        if not total.is_zero():
-            comps[u] = total
-    return Form(a, k + 1, comps)
+    for u, f in omega.comps.items():
+        for b, row in enumerate(a.anchor):
+            sign, key = _merge_sign((b,), u)
+            if sign:
+                df = row.apply(f)
+                comps[key] = comps.get(key, zero) + (df if sign > 0 else -df)
+        for t, c in enumerate(u):
+            rest = u[:t] + u[t + 1 :]
+            for pair, value in a.structure.items():
+                coeff = value.coeffs[c]
+                sign, key = _merge_sign(pair, rest)
+                if sign and coeff.terms:
+                    # dθ^c has even degree, so it moves to the front unsigned:
+                    # the term is (−1)^(t+1) f c^c_ij on θ^i ∧ θ^j ∧ θ^rest
+                    term = f * coeff
+                    comps[key] = comps.get(key, zero) + (term if (sign > 0) == (t % 2 == 1) else -term)
+    return Form(a, omega.degree + 1, dict(sorted(comps.items())))
 
 
 def d_squared(omega: Form) -> Form:

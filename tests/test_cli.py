@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -130,8 +131,12 @@ def test_lie_passes_on_the_lie_variant(capsys):
 
 def test_jacobiator_single_triple(capsys):
     code, out, _ = run(capsys, "jacobiator", "E0", "--triples", "1,2,3")
+    assert code == 1
+    assert "[FAIL] jacobiator:(X11,X21,X12)\n         2*x2^2*X21 - 2*x1^2*X22\n" in out
+    assert "[PASS] anchor-kills-jacobiator" in out
+    code, out, _ = run(capsys, "jacobiator", "E0", "--triples", "1,2,4")
     assert code == 0
-    assert "2*x2^2*X21 - 2*x1^2*X22" in out
+    assert "[PASS] jacobiator:(X11,X21,X22)\n         0\n" in out
 
 
 def test_jacobiator_rejects_bad_triples(capsys):
@@ -203,6 +208,18 @@ def test_nijenhuis(capsys):
     code, out, _ = run(capsys, "nijenhuis", "E0", "--endo", "J0")
     assert code == 0
     assert "square-is-minus-identity" in out
+
+
+def test_nijenhuis_of_an_endomorphism_whose_square_is_not_minus_one(tmp_path, capsys):
+    text = (resources.files("algforge") / "corpus" / "plane_forms.alg").read_text()
+    assert "  V -> -U\n" in text
+    doc = tmp_path / "plane_reflection.alg"
+    doc.write_text(text.replace("  V -> -U\n", "  V -> U\n"))
+    code, out, err = run(capsys, "nijenhuis", str(doc), "--endo", "R90")
+    assert code == 1
+    assert "[FAIL] square-is-minus-identity" in out
+    assert "integrability-tensor-vanishes" not in out
+    assert err == ""
 
 
 def test_obstruction_infeasible_triple(capsys):

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algforge.catalog import make_e0, make_tangent
 from algforge.forms import (
     Form,
     Lambda2Ideal,
+    _poly_det,
     d_squared,
     differential,
     pullback,
@@ -157,3 +160,32 @@ def test_form_text_and_component_access():
 def test_eval_rejects_wrong_arity():
     with pytest.raises(Exception):
         w(0, 1).eval_sections(UNITS[0])
+
+
+# ---- oracle: sympy's determinant, sharing no code with _poly_det ----
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3
+).map(lambda d: Poly(2, d))
+
+
+@st.composite
+def square_poly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_poly_matrices())
+def test_poly_det_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x0:2")
+
+    def entry(p: Poly):
+        terms = p.terms.items()
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * x[0] ** i * x[1] ** j for (i, j), c in terms))
+
+    det = sympy.Matrix([[entry(p) for p in row] for row in rows]).det(method="berkowitz")
+    want = sympy.Poly(det, *x, domain="QQ")
+    terms = {e: Fraction(int(c.p), int(c.q)) for e, c in want.as_dict().items() if c}
+    assert _poly_det(rows).terms == terms

@@ -7,7 +7,9 @@ and read back through P⁻¹; so is the curvature table of the torsion-free
 connection; being Lie does not depend on the frame.  The number
 of failing generator triples does under a shear, but not under a permutation,
 which only relabels the triples; neither do the d²-ideal membership verdicts
-of forms carried along by a permutation.
+of forms carried along by a permutation.  The differential is built from the
+anchor and the structure table alone, so it commutes with either change of
+frame, although the shear's d²-ideal is no longer monomial.
 """
 
 from itertools import combinations, product
@@ -17,7 +19,7 @@ import pytest
 from algforge.algebroid import Algebroid, Section
 from algforge.catalog import builtin, make_e0, torsionfree_gamma
 from algforge.connection import EConnection
-from algforge.forms import MEMBER, NOT_MEMBER, Form, Lambda2Ideal, d_squared
+from algforge.forms import MEMBER, NOT_MEMBER, Form, Lambda2Ideal, d_squared, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -143,6 +145,18 @@ def reframe_form(omega: Form, new: Algebroid, f: list[Section]) -> Form:
         for key in combinations(range(new.rank), omega.degree)
     }
     return Form(new, omega.degree, comps)
+
+
+@pytest.mark.parametrize("p, p_inverse", [(PERMUTATION, PERMUTATION_INVERSE), (SHEAR, SHEAR_INVERSE)])
+def test_the_differential_commutes_with_the_change_of_frame(p, p_inverse):
+    new = reframe(E0, p, p_inverse)
+    f = frame(E0, p)
+    assert Lambda2Ideal(new).fast_path == (p is PERMUTATION)
+    sampler = Sampler(8)
+    for degree in range(4):
+        for _ in range(4):
+            omega = sampler.form(E0, degree)
+            assert differential(reframe_form(omega, new, f)) == reframe_form(differential(omega), new, f)
 
 
 def test_a_permutation_keeps_the_ideal_membership_verdicts():

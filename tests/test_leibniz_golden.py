@@ -74,11 +74,11 @@ def test_nijenhuis_of_a_non_integrable_structure_on_every_pair():
 # sha256 of the `jacobiator <document> --json` bytes and the exit code; the
 # three malformed documents print nothing and exit 2
 JACOBIATOR_JSON = {
-    "E0": ("d748829607f2d510e6e1eace830d046e477a6d5f861f101152a1a1c2da617e5c", 0),
+    "E0": ("523af14472c10f873dd149dc59f5da44e8f488bcb53ee4125363d9f01ab7a5ad", 1),
     "E00": ("8a92557a24a22e35ee31b97284a9f42a09b8bfa87abdbc0e0e15a6ae277cd8e4", 0),
-    "E0_itemized": ("36443f7938993c2379e85cd23769a0c13e013b48b5f79699dd91b97a56d586e9", 1),
+    "E0_itemized": ("7d06ddf0da170f31b47057f38e425e625592ebe7051a0f7014de3e19da8b5eb4", 1),
     "E0doubleprime": ("dbbe0387463de3f3a91170452b2022a643bde0aca4e8303abb308c171e0576c3", 0),
-    "E0prime": ("40f50f9795cbf2a795f126d45a8ba8f8fcf803a55dc38640fb2a82cbef298ccf", 0),
+    "E0prime": ("f68bf8e76dd199fb755714688285ad7de713b91867d958cb2c07035303199fd2", 1),
     "E0prime_lie": ("aab61586d8ba6cf15e70dbe202ac33e82f672e47e495f111e29999bcd73fa787", 0),
     "derived_e0": ("8eafd0434594f4969fb3506f397dbcf32e79304482ffa92eb7fba86fdc4cc331", 0),
     "plane_forms": ("a543becb299771a6190fb2e0ba95add7247ab8b58974f1c9ab18da7c934c1955", 0),
