@@ -582,9 +582,9 @@ def subalgebroid_restrict(
     # Independence over the coefficient ring, checked at sample points.
     independent = False
     for raw in _GENERIC_POINTS:
-        point = [Fraction(v) for v in raw[: algebroid.nvars]]
+        point = list(raw[: algebroid.nvars])
         while len(point) < algebroid.nvars:
-            point.append(Fraction(len(point) + 2))
+            point.append(len(point) + 2)
         rows = [[c.eval_at(point) for c in g.coeffs] for g in gens]
         if linsolve.rank(rows) == k:
             independent = True
@@ -758,7 +758,7 @@ def courant_solution_space(
     """
     m, n = algebroid.rank, algebroid.nvars
     if point is None:
-        point = tuple(Fraction(0) for _ in range(n))
+        point = (0,) * n
     if paired_blocks is not None and m % paired_blocks:
         raise AlgebroidError("block size must divide the rank")
     cells = (
@@ -777,7 +777,7 @@ def courant_solution_space(
             for i, pa in enumerate(algebroid.anchor[a].comps):
                 for j, pb in enumerate(algebroid.anchor[b].comps):
                     for exps, v in (pa * pb).terms.items():
-                        product[(i, j, exps)] = product.get((i, j, exps), Fraction(0)) + v
+                        product[(i, j, exps)] = product.get((i, j, exps), 0) + v
         for mu in monos:
             columns[(cell, mu)] = {
                 (i, j, tuple(e + f for e, f in zip(exps, mu))): v for (i, j, exps), v in product.items()

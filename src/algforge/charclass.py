@@ -12,7 +12,6 @@ difference of characteristic forms into an exact part and an ideal part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, VectorField
 from .connection import EConnection
@@ -208,7 +207,7 @@ class ProductAlgebroid:
         for key, coeff in omega.comps.items():
             if self.et_index in key:
                 continue
-            p = coeff.subs_scalar(self.t_index, Fraction(u)).drop_var(self.t_index)
+            p = coeff.subs_scalar(self.t_index, u).drop_var(self.t_index)
             if not p.is_zero():
                 comps[key] = p
         return Form(self.base, omega.degree, comps)

@@ -364,7 +364,7 @@ class Lambda2Ideal:
                 for g_idx, s, sign, g_exps, g_scalar in divisors:
                     if all(e >= ge for e, ge in zip(exps, g_exps)):
                         quotient = tuple(e - ge for e, ge in zip(exps, g_exps))
-                        values[((g_idx, s), quotient)] = sign * c / g_scalar
+                        values[((g_idx, s), quotient)] = Fraction(sign * c, g_scalar)
                         break
                 else:
                     remainder[(u, exps)] = c

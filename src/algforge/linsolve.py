@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals on sparse rows.
 
-A row is a ``dict[int, Fraction]`` from column index to value; zero values
-are ignored on input and never returned.  The witness systems of this
-package are wide and well under 1% nonzero, so ``rref`` eliminates on these
-rows and its result is the unique RREF for the given column order.
+A row is a ``dict[int, int | Fraction]`` from column index to value; zero
+values are ignored on input and never returned, and returned values are
+Fractions.  The witness systems of this package are wide and well under 1%
+nonzero, so ``rref`` eliminates on these rows and its result is the unique
+RREF for the given column order.
 ``solve``, ``nullspace`` and ``rank`` read off it, so a returned solution is
 checkable by substitution and a nullspace basis spans exactly.  ``rank``
 and ``det`` take small dense matrices; ``det`` does its own dense
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Row = dict[int, Fraction]
+Row = dict[int, int | Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -1,12 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a mapping from monomial exponent tuples to Fraction
+A polynomial is a mapping from monomial exponent tuples to rational
 coefficients.  Everything is exact: no floats, no rounding, so equality of
 polynomials is a reliable identity test.  This is the coefficient ring for
 every object in the package (anchors, brackets, connections, forms).
 
-  terms = {(2, 1): Fraction(1), (0, 0): Fraction(3)}   # x1^2*x2 + 3
+  terms = {(2, 1): 1, (0, 0): Fraction(3, 2)}   # x1^2*x2 + 3/2
 
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+its denominator is not 1, so the integral documents that make up most of
+the work multiply machine-word integers rather than Fractions; a result
+that comes out as an integral Fraction is folded back to ``int``.
 Zero-coefficient terms are never stored; the zero polynomial has no terms.
 Instances are immutable: nothing writes ``terms`` after construction, so an
 operation may return one of its operands unchanged.  The public constructor
@@ -21,21 +25,39 @@ from operator import add
 from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
-_ZERO = Fraction(0)
+
+def _coeff(value: Coeff) -> Coeff:
+    """A rational value as a coefficient: an int if integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _fold(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
+    """Turn the integral Fractions among nonzero values into ints, in place."""
+    # a sum over ints stays an int; one Fraction among them makes it a Fraction
+    if type(sum(terms.values())) is not int:
+        for exps, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[exps] = c.numerator
+    return terms
 
 
 class Poly:
-    """A sparse polynomial with Fraction coefficients in ``nvars`` variables."""
+    """A sparse polynomial with rational coefficients in ``nvars`` variables."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[Exponent, Coeff] | None = None):
         self.nvars = nvars
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coeff] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     clean[tuple(exps)] = coeff
         self.terms = clean
@@ -47,8 +69,8 @@ class Poly:
         return _trusted(nvars, {})
 
     @staticmethod
-    def const(nvars: int, value: int | Fraction) -> Poly:
-        value = Fraction(value)
+    def const(nvars: int, value: Coeff) -> Poly:
+        value = _coeff(value)
         if not value:
             return _trusted(nvars, {})
         return _trusted(nvars, {(0,) * nvars: value})
@@ -60,20 +82,20 @@ class Poly:
             raise ValueError(f"variable index {idx} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[idx] = 1
-        return Poly(nvars, {tuple(exps): Fraction(1)})
+        return _trusted(nvars, {tuple(exps): 1})
 
     @staticmethod
-    def monomial(nvars: int, exps: Sequence[int], coeff: int | Fraction = 1) -> Poly:
-        return Poly(nvars, {tuple(exps): Fraction(coeff)})
+    def monomial(nvars: int, exps: Sequence[int], coeff: Coeff = 1) -> Poly:
+        return Poly(nvars, {tuple(exps): coeff})
 
     # ---- predicates / measures ----
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return self.terms.get((0,) * self.nvars, 0)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -94,7 +116,7 @@ class Poly:
 
     # ---- ring operations ----
 
-    def _operand(self, other: Poly | int | Fraction) -> Poly:
+    def _operand(self, other: Poly | Coeff) -> Poly:
         """The other operand as a Poly in the same variables."""
         if type(other) is not Poly:
             if isinstance(other, (int, Fraction)):
@@ -104,7 +126,7 @@ class Poly:
             raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
         return other
 
-    def __add__(self, other: Poly | int | Fraction) -> Poly:
+    def __add__(self, other: Poly | Coeff) -> Poly:
         other = self._operand(other)
         if not other.terms:
             return self
@@ -117,15 +139,17 @@ class Poly:
                 out[exps] = coeff
             else:
                 total += coeff
-                if total:
+                if not total:
+                    del out[exps]
+                elif type(total) is int or total.denominator != 1:
                     out[exps] = total
                 else:
-                    del out[exps]
+                    out[exps] = total.numerator
         return _trusted(self.nvars, out)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Poly | int | Fraction) -> Poly:
+    def __sub__(self, other: Poly | Coeff) -> Poly:
         other = self._operand(other)
         if not other.terms:
             return self
@@ -136,34 +160,39 @@ class Poly:
                 out[exps] = -coeff
             else:
                 total -= coeff
-                if total:
+                if not total:
+                    del out[exps]
+                elif type(total) is int or total.denominator != 1:
                     out[exps] = total
                 else:
-                    del out[exps]
+                    out[exps] = total.numerator
         return _trusted(self.nvars, out)
 
-    def __rsub__(self, other: int | Fraction) -> Poly:
+    def __rsub__(self, other: Coeff) -> Poly:
         return Poly.const(self.nvars, other) - self
 
     def __neg__(self) -> Poly:
         return _trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: Poly | int | Fraction) -> Poly:
+    def __mul__(self, other: Poly | Coeff) -> Poly:
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
+            other = _coeff(other)
             if not other:
                 return _trusted(self.nvars, {})
-            return _trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
-        other = self._operand(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+            return _trusted(self.nvars, _fold({e: c * other for e, c in self.terms.items()}))
+        a, b = self.terms, self._operand(other).terms
+        if not a or not b:
+            return _trusted(self.nvars, {})
+        out: dict[Exponent, Coeff] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 key = tuple(map(add, ea, eb))
                 total = out.get(key)
                 out[key] = ca * cb if total is None else total + ca * cb
-        if len(self.terms) > 1 and len(other.terms) > 1:
+        if len(a) > 1 and len(b) > 1:
             # only sums of two or more products can cancel
             out = {e: c for e, c in out.items() if c}
-        return _trusted(self.nvars, out)
+        return _trusted(self.nvars, _fold(out))
 
     __rmul__ = __mul__
 
@@ -193,34 +222,32 @@ class Poly:
 
     def partial(self, var: int) -> Poly:
         """Exact partial derivative with respect to variable ``var``."""
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
             if k:
                 # lowering one exponent is injective on the terms that have it
                 out[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff * k
-        return _trusted(self.nvars, out)
+        return _trusted(self.nvars, _fold(out))
 
-    def eval_at(self, point: Sequence[int | Fraction]) -> Fraction:
-        """Exact evaluation at a rational point."""
+    def eval_at(self, point: Sequence[Coeff]) -> Fraction:
+        """Exact evaluation at a rational point, as a Fraction."""
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
-        if not self.terms:
-            return _ZERO
-        vals = [Fraction(v) for v in point]
-        total = _ZERO
+        vals = [_coeff(v) for v in point]
+        total = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for e, v in zip(exps, vals):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return Fraction(total)
 
-    def subs_scalar(self, var: int, value: int | Fraction) -> Poly:
+    def subs_scalar(self, var: int, value: Coeff) -> Poly:
         """Substitute a rational value for one variable (variable count kept)."""
-        value = Fraction(value)
-        out: dict[Exponent, Fraction] = {}
+        value = _coeff(value)
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
             c = coeff * (value**k if k else 1)
@@ -229,7 +256,7 @@ class Poly:
             e = list(exps)
             e[var] = 0
             key = tuple(e)
-            out[key] = out.get(key, _ZERO) + c
+            out[key] = out.get(key, 0) + c
         return Poly(self.nvars, out)
 
     def integrate_unit(self, var: int) -> Poly:
@@ -238,13 +265,13 @@ class Poly:
         Each term c*x^k*rest contributes c/(k+1)*rest; the result no longer
         depends on ``var``.
         """
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
             e = list(exps)
             e[var] = 0
             key = tuple(e)
-            out[key] = out.get(key, _ZERO) + coeff / (k + 1)
+            out[key] = out.get(key, 0) + Fraction(coeff, k + 1)
         return Poly(self.nvars, out)
 
     # ---- variable plumbing ----
@@ -254,7 +281,7 @@ class Poly:
         if extra == 0:
             return self
         pad = (0,) * extra
-        return Poly(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
+        return _trusted(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
 
     def drop_var(self, var: int) -> Poly:
         """Remove a variable the polynomial does not depend on."""
@@ -263,11 +290,11 @@ class Poly:
         out = {}
         for exps, coeff in self.terms.items():
             out[exps[:var] + exps[var + 1 :]] = coeff
-        return Poly(self.nvars - 1, out)
+        return _trusted(self.nvars - 1, out)
 
     # ---- canonical text ----
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in graded-lex order: higher total degree first, lex ties."""
         return sorted(
             self.terms.items(),
@@ -306,8 +333,12 @@ class Poly:
         return f"Poly({self.to_text(names)})"
 
 
-def _trusted(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
-    """Wrap terms already in normal form: nonzero Fractions keyed by nvars-tuples."""
+def _trusted(nvars: int, terms: dict[Exponent, Coeff]) -> Poly:
+    """Wrap terms already in normal form: nonzero coefficients keyed by nvars-tuples.
+
+    A coefficient in normal form is an int, or a Fraction whose denominator
+    is not 1.
+    """
     p = object.__new__(Poly)
     p.nvars = nvars
     p.terms = terms

@@ -9,7 +9,6 @@ Coefficients are small integers to keep exact arithmetic cheap.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .algebroid import Algebroid, BracketModifier, Section
@@ -28,8 +27,8 @@ class Sampler:
 
     # ---- scalars ----
 
-    def coefficient(self) -> Fraction:
-        return Fraction(self.rng.choice(_COEFFS))
+    def coefficient(self) -> int:
+        return self.rng.choice(_COEFFS)
 
     def monomial_exponents(self, nvars: int, max_degree: int) -> tuple[int, ...]:
         total = self.rng.randint(0, max_degree)

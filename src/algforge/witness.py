@@ -1,9 +1,9 @@
 """Degree-bounded witness searches as tagged sparse linear systems.
 
-A *column* maps coordinates to Fractions; columns come in a dict keyed by
-*tag*, whose order is the column order.  That order fixes every answer, since
-free unknowns are set to zero and the reduced row echelon form is unique for
-a given column order.  Tags are ``(slot, exponent)`` pairs (a cofactor, form
+A *column* maps coordinates to exact rationals (int or Fraction); columns
+come in a dict keyed by *tag*, whose order is the column order.  That order
+fixes every answer, since free unknowns are set to zero and the reduced row
+echelon form is unique for a given column order.  Tags are ``(slot, exponent)`` pairs (a cofactor, form
 component or matrix cell, times a monomial).  The columns become one sparse
 ``linsolve`` row per coordinate, keyed by column position; solutions and
 nullspace vectors come back as nonzero values in column order, and ``polys``
@@ -20,7 +20,7 @@ from typing import Callable, Hashable
 from . import linsolve
 from .poly import Poly
 
-Column = dict[Hashable, Fraction]
+Column = dict[Hashable, int | Fraction]
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -50,7 +50,7 @@ def _rows(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, lin
 def solve(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, Fraction] | None:
     """Nonzero values of a combination of the columns equal to target, or None."""
     rows = _rows(columns, target)
-    x = linsolve.solve(list(rows.values()), [target.get(c, Fraction(0)) for c in rows], len(columns))
+    x = linsolve.solve(list(rows.values()), [target.get(c, 0) for c in rows], len(columns))
     if x is None:
         return None
     tags = list(columns)

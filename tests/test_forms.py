@@ -86,6 +86,25 @@ def test_ideal_membership_fast_path_with_cofactors():
     assert IDEAL.check_cofactors(member, decision)
 
 
+def test_fast_path_cofactors_of_odd_coefficients_are_exact_halves():
+    # every generator's scalar is ±2, so each coefficient ±1 divides to ±1/2
+    target = w(1, 2, 3).scale(X2 * X2 - X1 * X1 * X2 + X1 * X1) + w(0, 1, 2).scale(-(X2 * X2 * X1))
+    remainder, values = IDEAL._divide(target)
+    assert not remainder
+    assert sorted(values.values()) == [-Fraction(1, 2)] * 2 + [Fraction(1, 2)] * 2
+    assert all(type(v) is Fraction for v in values.values())
+    decision = IDEAL.membership(target)
+    assert decision.is_member
+    cofactors = {g: eta.comps[()].terms for g, eta in decision.cofactors.items()}
+    assert cofactors == {
+        0: {(0, 0): Fraction(-1, 2)},
+        1: {(1, 0): Fraction(1, 2)},
+        2: {(0, 1): Fraction(-1, 2), (0, 0): Fraction(1, 2)},
+    }
+    assert all(type(c) is Fraction for terms in cofactors.values() for c in terms.values())
+    assert IDEAL.check_cofactors(target, decision)
+
+
 def test_ideal_membership_refuses_outsiders():
     outsider = w(1, 2, 3).scale(X1)  # coefficient not in <x1^2, x2^2>
     decision = IDEAL.membership(outsider)

@@ -130,10 +130,15 @@ scalars = st.one_of(st.integers(-3, 3), ratios)
 
 
 def assert_normal_form(p: Poly) -> None:
-    """The invariant ring operations rely on: nonzero Fractions keyed by nvars-tuples of ints."""
+    """The invariant ring operations rely on: nonzero coefficients keyed by nvars-tuples of ints.
+
+    A coefficient is an int, or a Fraction whose denominator is not 1; never
+    a bool, a float or an integral Fraction.
+    """
     assert type(p) is Poly and p.nvars == NVARS
     for exps, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
         assert type(exps) is tuple and len(exps) == NVARS
         assert all(type(e) is int and e >= 0 for e in exps)
 
@@ -178,3 +183,48 @@ def test_powers_and_partials_match_sympy(p, k):
     assert agrees(p**k, sp**k)
     for var in range(NVARS):
         assert agrees(p.partial(var), sp.diff(sp.gens[var]))
+
+
+points = st.lists(scalars, min_size=NVARS, max_size=NVARS)
+
+
+def sympy_value(c):
+    sympy = pytest.importorskip("sympy")
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys3, points, st.integers(0, NVARS - 1))
+def test_evaluation_substitution_and_integration_match_sympy(p, point, var):
+    sympy = pytest.importorskip("sympy")
+    sp = sympy_poly(p)
+    x = sp.gens[var]
+    value = p.eval_at(point)
+    assert type(value) is Fraction
+    want = sp.as_expr().subs(dict(zip(sp.gens, map(sympy_value, point))))
+    assert value == Fraction(int(sympy.numer(want)), int(sympy.denom(want)))
+    sub = sp.as_expr().subs(x, sympy_value(point[var]))
+    assert agrees(p.subs_scalar(var, point[var]), sympy.Poly(sub, *sp.gens, domain="QQ"))
+    integral = sympy.integrate(sp.as_expr(), (x, 0, 1))
+    assert agrees(p.integrate_unit(var), sympy.Poly(integral, *sp.gens, domain="QQ"))
+
+
+def test_integral_fractions_become_ints():
+    half_x = Poly.monomial(NVARS, (1, 0, 0), Fraction(1, 2))
+    for p in (
+        Poly.const(NVARS, Fraction(4, 2)),
+        Poly.monomial(NVARS, (0, 1, 0), Fraction(4, 2)),
+        Poly(NVARS, {(0, 0, 1): Fraction(-6, 3), (1, 1, 0): True}),
+        half_x * 2,
+        2 * half_x,
+        half_x * Fraction(4, 2),
+        half_x + half_x,
+        half_x * Poly.const(NVARS, 4),
+        Poly.monomial(NVARS, (2, 0, 0), Fraction(1, 2)).partial(0),
+        Poly.monomial(NVARS, (0, 0, 2), 1).integrate_unit(2) * 3,
+    ):
+        assert_normal_form(p)
+        assert p.terms and all(type(c) is int for c in p.terms.values())
+    assert (half_x * 2).terms == {(1, 0, 0): 1}
+    assert Poly.const(NVARS, Fraction(4, 2)).constant_value() == 2
