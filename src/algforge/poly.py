@@ -27,6 +27,8 @@ from typing import Iterable, Sequence
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 def _coeff(value: Coeff) -> Coeff:
     """A rational value as a coefficient: an int if integral, else a Fraction."""
@@ -234,6 +236,8 @@ class Poly:
         """Exact evaluation at a rational point, as a Fraction."""
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
+        if not self.terms:
+            return _ZERO
         vals = [_coeff(v) for v in point]
         total = 0
         for exps, coeff in self.terms.items():
