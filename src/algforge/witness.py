@@ -3,8 +3,9 @@
 A *column* maps coordinates to exact rationals (int or Fraction); columns
 come in a dict keyed by *tag*, whose order is the column order.  That order
 fixes every answer, since free unknowns are set to zero and the reduced row
-echelon form is unique for a given column order.  Tags are ``(slot, exponent)`` pairs (a cofactor, form
-component or matrix cell, times a monomial).  The columns become one sparse
+echelon form is unique for a given column order.  Tags are
+``(slot, exponent)`` pairs (a cofactor, form component or matrix cell, times
+a monomial).  The columns become one sparse
 ``linsolve`` row per coordinate, keyed by column position; solutions and
 nullspace vectors come back as nonzero values in column order, and ``polys``
 reads them as one polynomial per slot.  A failed search means no witness up
