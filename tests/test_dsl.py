@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from algforge.catalog import builtin
+from algforge.catalog import builtin, e0_kernel_sections, make_tangent
+from algforge.connection import derive_bundle, flat_connection
 from algforge.dsl import (
     DEGREE_CAP,
     DslError,
@@ -58,17 +59,57 @@ def test_invalid_documents_raise_positioned_errors(name):
     assert "line" in str(exc.value)
 
 
-def test_parsed_e0_matches_builtin():
-    doc = parse(corpus_text("E0.alg"))
-    a = document_algebroid(doc)
+def test_e0_anchors_brackets_and_kernel_are_pinned():
     e0 = builtin("E0")
-    assert a.gen_names == e0.gen_names
-    assert a.base.var_names == e0.base.var_names
-    assert list(a.anchor) == list(e0.anchor)
-    for key, value in e0.structure.items():
-        assert a.structure.get(key, a.zero_section()) == value
-    for key, value in a.structure.items():
-        assert e0.structure.get(key, e0.zero_section()) == value
+    assert [vf.to_text() for vf in e0.anchor] == ["x1^2*d1", "x1^2*d2", "x2^2*d1", "x2^2*d2"]
+    brackets = {
+        (0, 1): "2*x1*X21",
+        (0, 2): "-2*x1*X12",
+        (0, 3): "0",
+        (1, 2): "2*x2*X11 - 2*x1*X22",
+        (1, 3): "2*x2*X21",
+        (2, 3): "-2*x2*X12",
+    }
+    assert {key: e0.section_text(e0.bracket_gen(*key)) for key in brackets} == brackets
+    kern = e0_kernel_sections()
+    assert {name: e0.section_text(s) for name, s in kern.items()} == {
+        "Xs1": "x2^2*X11 - x1^2*X12",
+        "Xs2": "x2^2*X21 - x1^2*X22",
+    }
+
+
+# the bundled documents that are serializer output rather than hand-written
+CANONICAL = [
+    "E0.alg",
+    "E0_itemized.alg",
+    "E0prime.alg",
+    "E0prime_lie.alg",
+    "E0doubleprime.alg",
+    "E00.alg",
+    "tangent2.alg",
+    "derived_e0.alg",
+]
+
+
+@pytest.mark.parametrize("name", CANONICAL)
+def test_bundled_documents_are_canonical(name):
+    text = corpus_text(name)
+    assert serialize(parse(text)) == text
+
+
+def test_derived_e0_document_is_the_derived_bundle_of_e0():
+    doc = parse(corpus_text("E0.alg"))
+    e0 = document_algebroid(doc)
+    d = derive_bundle(document_connection(doc, e0, "torsionfree"))
+    want = serialize(algebroid_to_document(d.derived, connections={"lifted": d.lifted}))
+    assert corpus_text("derived_e0.alg") == want
+
+
+def test_tangent2_document_is_the_generated_tangent_bundle():
+    # the same document the CLI generates for a `tangent<N>` name
+    t2 = make_tangent(2)
+    want = serialize(algebroid_to_document(t2, connections={"flat": flat_connection(t2)}))
+    assert corpus_text("tangent2.alg") == want
 
 
 def test_bundled_documents_match_the_generator():
