@@ -8,9 +8,9 @@ holds.
 """
 
 from algforge import builtin, make_tangent, subalgebroid_restrict
-from algforge.catalog import e0_kernel_sections, make_e0
+from algforge.catalog import builtin, e0_kernel_sections
 
-e0 = make_e0()
+e0 = builtin("E0")
 print(f"bundle {e0.name}: rank {e0.rank} over {len(e0.base.var_names)} variables")
 for name, vf in zip(e0.gen_names, e0.anchor):
     print(f"  anchor {name} -> {vf.to_text()}")

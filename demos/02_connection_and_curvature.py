@@ -10,10 +10,10 @@ the bundle extended by its own wedge square becomes an honest Lie bracket.
 from itertools import combinations
 
 from algforge import EConnection, derive_bundle, torsionfree_gamma
-from algforge.catalog import make_e0
+from algforge.catalog import builtin
 from algforge.connection import verify_prhelp
 
-e0 = make_e0()
+e0 = builtin("E0")
 conn = EConnection(e0, torsionfree_gamma(e0), name="torsionfree")
 units = [e0.unit_section(i) for i in range(4)]
 

@@ -10,12 +10,12 @@ agree with classical base-manifold data under the anchor's pullback.
 """
 
 from algforge import EConnection, flat_connection, torsionfree_gamma
-from algforge.catalog import make_e0
+from algforge.catalog import builtin
 from algforge.charclass import char_form, connection_forms, pullback_consistency, transgression_check
 from algforge.forms import Lambda2Ideal, strong_closed, weak_closed
 from algforge.poly import Poly
 
-e0 = make_e0()
+e0 = builtin("E0")
 tf = EConnection(e0, torsionfree_gamma(e0), name="torsionfree")
 fl = flat_connection(e0)
 ideal = Lambda2Ideal(e0)

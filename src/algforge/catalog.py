@@ -10,179 +10,55 @@ The remaining entries are supporting cast: quotient-shaped relatives of E0
 (``E0prime`` and friends), a rank-2 bundle with the same anchor image
 (``E0doubleprime``), its rank-4 extension by the kernel (``E00``), and
 tangent bundles for sanity checks.
+
+Every named bundle and E0's companions (kernel sections, complex structure,
+torsion-free connection) are read from the bundled documents in
+``corpus/<name>.alg``, their only source: a built-in bundle is changed by
+editing its document.  Only ``tangent<n>`` is built in code.
 """
 
 from __future__ import annotations
 
 import re
+from importlib import resources
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Endomorphism, Section, VectorField
+from .dsl import Document, document_algebroid, parse
 from .poly import Poly
 
+_BUNDLED = ("E0", "E00", "E0_itemized", "E0doubleprime", "E0prime", "E0prime_lie")
 
-def _plane() -> BaseSpace:
-    return BaseSpace(("x1", "x2"))
-
-
-def _p(nvars: int, *terms) -> Poly:
-    """Small helper: sum of (coefficient, exponent-tuple) pairs."""
-    out = Poly.zero(nvars)
-    for coeff, exps in terms:
-        out = out + Poly.monomial(nvars, exps, coeff)
-    return out
+# the one spelling of a generated tangent bundle's name, dimension 1..99
+TANGENT = re.compile(r"tangent([1-9][0-9]?)")
 
 
-def _vf(base: BaseSpace, comps) -> VectorField:
-    return VectorField(base, comps)
+def corpus_file(name: str):
+    """The bundled document ``<name>.alg`` as a package resource."""
+    return resources.files("algforge") / "corpus" / f"{name}.alg"
 
 
-def make_e0(itemized: bool = False) -> Algebroid:
-    """Rank-4 bundle over the plane with square anchors.
-
-    Generators X11, X21, X12, X22; anchor of X_j^i is (x^j)² times the i-th
-    coordinate field.  ``itemized=True`` swaps in the variant bracket table
-    that differs on [X11, X21] (coefficient x2 instead of x1); that variant
-    fails anchor compatibility and is kept for the failure-path demos.
-    """
-    base = _plane()
-    z = Poly.zero(2)
-    x1sq = _p(2, (1, (2, 0)))
-    x2sq = _p(2, (1, (0, 2)))
-    anchor = [
-        _vf(base, [x1sq, z]),
-        _vf(base, [z, x1sq]),
-        _vf(base, [x2sq, z]),
-        _vf(base, [z, x2sq]),
-    ]
-    two_x1 = _p(2, (2, (1, 0)))
-    two_x2 = _p(2, (2, (0, 1)))
-
-    def sec(*pairs) -> Section:
-        coeffs = [Poly.zero(2)] * 4
-        for idx, poly in pairs:
-            coeffs[idx] = poly
-        return Section(coeffs)
-
-    structure = {
-        (0, 1): sec((1, two_x2 if itemized else two_x1)),
-        (0, 2): sec((2, -two_x1)),
-        (1, 2): sec((0, two_x2), (3, -two_x1)),
-        (1, 3): sec((1, two_x2)),
-        (2, 3): sec((2, -two_x2)),
-    }
-    name = "E0_itemized" if itemized else "E0"
-    return Algebroid(base, ("X11", "X21", "X12", "X22"), anchor, structure, name)
+def corpus_document(name: str) -> Document:
+    """A fresh parse of the bundled document ``<name>.alg``."""
+    return parse(corpus_file(name).read_text(encoding="utf-8"))
 
 
 def e0_kernel_sections() -> dict[str, Section]:
     """The two anchor-killed sections spanning ker(rho) off the axes."""
-    x1sq = _p(2, (1, (2, 0)))
-    x2sq = _p(2, (1, (0, 2)))
-    z = Poly.zero(2)
-    return {
-        "Xs1": Section([x2sq, z, -x1sq, z]),
-        "Xs2": Section([z, x2sq, z, -x1sq]),
-    }
+    doc = corpus_document("E0")
+    return {name: doc.section(name).value for name in ("Xs1", "Xs2")}
 
 
 def e0_complex_structure() -> Endomorphism:
     """The almost complex J with J(X11) = -X21, J(X21) = X11, and likewise
     on the second pair.  Columns are images of generators."""
-    z = Poly.zero(2)
-    one = Poly.const(2, 1)
-    return Endomorphism(
-        [
-            [z, one, z, z],
-            [-one, z, z, z],
-            [z, z, z, one],
-            [z, z, -one, z],
-        ]
-    )
-
-
-def make_e0prime(lie: bool = False) -> Algebroid:
-    """Rank-4 relative of E0 with two anchored and two kernel generators.
-
-    With ``lie=False`` the kernel generators bracket to a nonzero kernel
-    combination and the bundle is almost Lie but not Lie; ``lie=True`` zeroes
-    that entry, giving a genuine Lie algebroid with the same anchor.
-    """
-    base = _plane()
-    z = Poly.zero(2)
-    x1sq = _p(2, (1, (2, 0)))
-    x2sq = _p(2, (1, (0, 2)))
-    anchor = [
-        _vf(base, [x1sq, z]),
-        _vf(base, [z, x2sq]),
-        _vf(base, [z, z]),
-        _vf(base, [z, z]),
-    ]
-    two_x1 = _p(2, (2, (1, 0)))
-    two_x2 = _p(2, (2, (0, 1)))
-
-    def sec(*pairs) -> Section:
-        coeffs = [Poly.zero(2)] * 4
-        for idx, poly in pairs:
-            coeffs[idx] = poly
-        return Section(coeffs)
-
-    structure = {
-        (0, 3): sec((3, two_x1)),
-        (1, 2): sec((2, two_x2)),
-    }
-    if not lie:
-        structure[(2, 3)] = sec(
-            (2, _p(2, (2, (2, 1)))),  # 2 x1^2 x2
-            (3, _p(2, (2, (1, 2)))),  # 2 x1 x2^2
-        )
-    name = "E0prime_lie" if lie else "E0prime"
-    return Algebroid(base, ("Y11", "Y22", "Ys1", "Ys2"), anchor, structure, name)
+    return Endomorphism([list(row) for row in corpus_document("E0").endo("J0").matrix])
 
 
 def e0prime_to_e0_matrix() -> list[list[Poly]]:
     """Bundle map E0prime -> E0: Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2."""
-    z = Poly.zero(2)
-    one = Poly.const(2, 1)
-    x1sq = _p(2, (1, (2, 0)))
-    x2sq = _p(2, (1, (0, 2)))
-    return [
-        [one, z, x2sq, z],
-        [z, z, z, x2sq],
-        [z, z, -x1sq, z],
-        [z, one, z, -x1sq],
-    ]
-
-
-def make_e0doubleprime() -> Algebroid:
-    """Rank-2 Lie algebroid whose anchor has the same image sheaf as E0's."""
-    base = _plane()
-    z = Poly.zero(2)
-    r2 = _p(2, (1, (2, 0)), (1, (0, 2)))  # x1^2 + x2^2
-    anchor = [_vf(base, [r2, z]), _vf(base, [z, r2])]
-    structure = {
-        (0, 1): Section([_p(2, (-2, (0, 1))), _p(2, (2, (1, 0)))])  # -2x2 A1 + 2x1 B1
-    }
-    return Algebroid(base, ("A1", "B1"), anchor, structure, "E0doubleprime")
-
-
-def make_e00() -> Algebroid:
-    """Rank-4 Lie algebroid: the rank-2 example extended by two kernel
-    generators with all mixed brackets zero."""
-    base = _plane()
-    z = Poly.zero(2)
-    r2 = _p(2, (1, (2, 0)), (1, (0, 2)))
-    anchor = [
-        _vf(base, [r2, z]),
-        _vf(base, [z, r2]),
-        _vf(base, [z, z]),
-        _vf(base, [z, z]),
-    ]
-    structure = {
-        (0, 1): Section(
-            [_p(2, (-2, (0, 1))), _p(2, (2, (1, 0))), Poly.zero(2), Poly.zero(2)]
-        )
-    }
-    return Algebroid(base, ("A1", "A2", "Xs1", "Xs2"), anchor, structure, "E00")
+    e0, kern = builtin("E0"), e0_kernel_sections()
+    columns = [e0.unit_section(0), e0.unit_section(3), kern["Xs1"], kern["Xs2"]]
+    return [list(row) for row in zip(*(c.coeffs for c in columns))]
 
 
 def make_tangent(n: int) -> Algebroid:
@@ -198,25 +74,15 @@ def make_tangent(n: int) -> Algebroid:
     return Algebroid(base, tuple(f"T{i + 1}" for i in range(n)), anchor, {}, f"tangent{n}")
 
 
-_BUILDERS = {
-    "E0": lambda: make_e0(),
-    "E0_itemized": lambda: make_e0(itemized=True),
-    "E0prime": lambda: make_e0prime(),
-    "E0prime_lie": lambda: make_e0prime(lie=True),
-    "E0doubleprime": make_e0doubleprime,
-    "E00": make_e00,
-}
-
-
 def builtin_names() -> list[str]:
-    return sorted(_BUILDERS) + ["tangent<n>"]
+    return list(_BUNDLED) + ["tangent<n>"]
 
 
 def builtin(name: str) -> Algebroid:
     """Look up a built-in algebroid by name ('E0', 'tangent2', ...)."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    match = re.fullmatch(r"tangent\(?(\d+)\)?", name)
+    if name in _BUNDLED:
+        return document_algebroid(corpus_document(name))
+    match = TANGENT.fullmatch(name)
     if match:
         return make_tangent(int(match.group(1)))
     raise AlgebroidError(
@@ -232,15 +98,4 @@ def torsionfree_gamma(e0: Algebroid) -> dict[tuple[int, int], Section]:
     """
     if e0.gen_names != ("X11", "X21", "X12", "X22"):
         raise AlgebroidError("the torsion-free table is specific to E0's generators")
-    lower_upper = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    position = {lu: idx for idx, lu in enumerate(lower_upper)}
-    gamma: dict[tuple[int, int], Section] = {}
-    for alpha, (j, i) in enumerate(lower_upper):
-        for b, (l, k) in enumerate(lower_upper):
-            if j != k:
-                continue
-            coeffs = [Poly.zero(2)] * 4
-            exps = (1, 0) if k == 1 else (0, 1)
-            coeffs[position[(l, i)]] = Poly.monomial(2, exps, 2)
-            gamma[(alpha, b)] = Section(coeffs)
-    return gamma
+    return dict(corpus_document("E0").connection("torsionfree").gamma)

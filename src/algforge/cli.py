@@ -32,7 +32,6 @@ import argparse
 import os
 import re
 import sys
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .algebroid import (
     lie_infeasibility_certificate,
     nijenhuis,
 )
-from .catalog import make_tangent
+from .catalog import TANGENT, corpus_file, make_tangent
 from .charclass import (
     cartan_residual,
     char_form,
@@ -64,10 +63,7 @@ from .dsl import (
     serialize,
 )
 from .forms import Lambda2Ideal, d_squared, strong_closed, weak_closed, weak_exact
-from .poly import Poly
 from .reports import FAIL, INCONCLUSIVE, PASS, Report, input_digest
-
-_TANGENT = re.compile(r"^tangent([1-9][0-9]?)$")
 
 
 class CliError(Exception):
@@ -95,10 +91,10 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
         except OSError as exc:
             raise CliError(f"cannot read {file_arg!r}: {exc.strerror or exc}") from None
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", file_arg):
-        res = resources.files("algforge") / "corpus" / f"{file_arg}.alg"
+        res = corpus_file(file_arg)
         if res.is_file():
             return res.read_text(encoding="utf-8"), f"{file_arg}.alg"
-        m = _TANGENT.match(file_arg)
+        m = TANGENT.fullmatch(file_arg)
         if m:
             a = make_tangent(int(m.group(1)))
             doc = algebroid_to_document(a, connections={"flat": flat_connection(a)})

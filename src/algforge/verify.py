@@ -22,14 +22,7 @@ from .algebroid import (
     nijenhuis,
     subalgebroid_restrict,
 )
-from .catalog import (
-    builtin,
-    e0_complex_structure,
-    e0_kernel_sections,
-    e0prime_to_e0_matrix,
-    make_e0,
-    torsionfree_gamma,
-)
+from .catalog import builtin, corpus_document
 from .charclass import (
     cartan_residual,
     char_form,
@@ -40,7 +33,8 @@ from .charclass import (
     pullback_consistency,
     transgression_check,
 )
-from .connection import EConnection, derive_bundle, flat_connection, verify_prhelp
+from .connection import derive_bundle, flat_connection, verify_prhelp
+from .dsl import document_algebroid, document_connection, document_endo
 from .forms import Form, Lambda2Ideal, d_squared, differential, strong_closed, weak_closed
 from .poly import Poly
 from .sampling import Sampler
@@ -58,19 +52,24 @@ class Context:
 
 
 @lru_cache(maxsize=None)
+def _e0_document():
+    return corpus_document("E0")
+
+
+@lru_cache(maxsize=None)
 def _e0():
-    return make_e0()
+    return document_algebroid(_e0_document())
 
 
 @lru_cache(maxsize=None)
 def _kernel():
-    return e0_kernel_sections()
+    doc = _e0_document()
+    return {name: doc.section(name).value for name in ("Xs1", "Xs2")}
 
 
 @lru_cache(maxsize=None)
 def _torsionfree():
-    e0 = _e0()
-    return EConnection(e0, torsionfree_gamma(e0), name="torsionfree")
+    return document_connection(_e0_document(), _e0(), "torsionfree")
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +185,10 @@ def c05_rank4_family_morphism(ctx: Context):
     lie = primed.check_lie()
     if not lie.is_lie:
         return False, f"primed variant is not Lie: {lie.describe()}"
-    rep = check_morphism(unprimed, _e0(), e0prime_to_e0_matrix())
+    # Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2, as columns
+    e0, kern = _e0(), _kernel()
+    columns = [e0.unit_section(0), e0.unit_section(3), kern["Xs1"], kern["Xs2"]]
+    rep = check_morphism(unprimed, e0, [list(row) for row in zip(*(c.coeffs for c in columns))])
     if not rep.ok:
         return False, "bundle map is not a morphism for the unprimed bracket"
     return True, "axioms, primed Jacobi sweep, and the bundle morphism all pass"
@@ -233,10 +235,9 @@ def c08_bianchi(ctx: Context):
     tf = _torsionfree()
     units = [e0.unit_section(i) for i in range(4)]
     triples = list(combinations(range(4), 3))
-    for conn_label, conn in [("torsion-free", tf)]:
-        for i, j, k in triples:
-            if not conn.bianchi_defect(units[i], units[j], units[k]).is_zero():
-                return False, f"{conn_label} connection fails on triple ({i},{j},{k})"
+    for i, j, k in triples:
+        if not tf.bianchi_defect(units[i], units[j], units[k]).is_zero():
+            return False, f"torsion-free connection fails on triple ({i},{j},{k})"
     sampler = Sampler(ctx.seed)
     for trial in range(20):
         conn = sampler.connection(e0, max_degree=1)
@@ -315,7 +316,7 @@ def c12_courant_instance(ctx: Context):
 
 def c13_complex_structure(ctx: Context):
     e0 = _e0()
-    j0 = e0_complex_structure()
+    j0 = document_endo(_e0_document(), e0, "J0")
     if not j0.is_almost_complex():
         return False, "matrix square is not minus the identity"
     units = [e0.unit_section(i) for i in range(4)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from algforge import catalog
 from algforge.algebroid import (
     AlgebroidError,
     BracketModifier,
@@ -20,12 +21,11 @@ from algforge.catalog import (
     e0_complex_structure,
     e0_kernel_sections,
     e0prime_to_e0_matrix,
-    make_e0,
     make_tangent,
 )
 from algforge.poly import Poly
 
-E0 = make_e0()
+E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 UNITS = [E0.unit_section(i) for i in range(4)]
@@ -217,3 +217,15 @@ def test_builtin_names_cover_the_catalog():
         assert expected in names
     with pytest.raises(AlgebroidError):
         builtin("definitely_not_registered")
+
+
+def test_builtin_tangent_names_follow_the_cli_rule(monkeypatch):
+    assert builtin("tangent3").gen_names == ("T1", "T2", "T3")
+
+    def refuse(n):
+        raise AssertionError(f"built tangent{n}")
+
+    monkeypatch.setattr(catalog, "make_tangent", refuse)
+    for name in ("tangent(3", "tangent(3)", "tangent100", "tangent0", "tangent03"):
+        with pytest.raises(AlgebroidError, match="unknown builtin"):
+            builtin(name)

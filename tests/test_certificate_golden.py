@@ -14,10 +14,10 @@ import pytest
 
 from algforge import cli
 from algforge.algebroid import lie_infeasibility_certificate
-from algforge.catalog import e0_kernel_sections, make_e0
+from algforge.catalog import builtin, e0_kernel_sections
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 KERN = list(e0_kernel_sections().values())
 TRIPLES = list(combinations(range(4), 3))
 

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from algforge.catalog import make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.charclass import (
     FormMatrix,
     cartan_residual,
@@ -20,7 +20,7 @@ from algforge.forms import Form, Lambda2Ideal, d_squared, differential, strong_c
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")

@@ -5,12 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from algforge.algebroid import AlgebroidError
-from algforge.catalog import e0_kernel_sections, make_e0, make_tangent, torsionfree_gamma
+from algforge.catalog import builtin, e0_kernel_sections, make_tangent, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, flat_connection, induced_connection
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 UNITS = [E0.unit_section(i) for i in range(4)]

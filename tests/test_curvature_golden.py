@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from algforge import cli
-from algforge.catalog import make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, verify_prhelp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,7 +40,7 @@ def test_derive_document_bytes(tmp_path, capsys):
     assert out.read_text() == golden("derive_E0_torsionfree.alg")
 
 
-E0 = make_e0()
+E0 = builtin("E0")
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
 
 PRHELP = [

@@ -1,9 +1,9 @@
 """The wedge-square extension driven by a connection."""
 
-from algforge.catalog import make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, verify_prhelp
 
-E0 = make_e0()
+E0 = builtin("E0")
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
 DERIVED = derive_bundle(TF)
 

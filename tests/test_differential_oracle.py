@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from algforge.algebroid import Algebroid, Section
-from algforge.catalog import builtin, make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.charclass import product_algebroid
 from algforge.connection import EConnection, derive_bundle
 from algforge.forms import Form, differential
@@ -71,7 +71,7 @@ def forms(a: Algebroid, seed: int, sampled: int) -> list[Form]:
     return out
 
 
-E0 = make_e0()
+E0 = builtin("E0")
 
 ALGEBROIDS = {
     "E0": E0,

@@ -1,9 +1,7 @@
 """The document language: parsing, elaboration, serialization, corpus sync."""
 
-import importlib.util
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -110,17 +108,6 @@ def test_tangent2_document_is_the_generated_tangent_bundle():
     t2 = make_tangent(2)
     want = serialize(algebroid_to_document(t2, connections={"flat": flat_connection(t2)}))
     assert corpus_text("tangent2.alg") == want
-
-
-def test_bundled_documents_match_the_generator():
-    spec = importlib.util.spec_from_file_location(
-        "generate_corpus",
-        Path(__file__).resolve().parents[1] / "scripts" / "generate_corpus.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for name, text in module.build_documents().items():
-        assert corpus_text(name) == text, f"{name} is stale; run scripts/generate_corpus.py"
 
 
 def test_a_reversed_bracket_declaration_is_negated():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algforge.catalog import make_e0, make_tangent
+from algforge.catalog import builtin, make_tangent
 from algforge.forms import (
     Form,
     Lambda2Ideal,
@@ -20,7 +20,7 @@ from algforge.forms import (
 )
 from algforge.poly import Poly
 
-E0 = make_e0()
+E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 UNITS = [E0.unit_section(i) for i in range(4)]

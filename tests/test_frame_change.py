@@ -17,13 +17,13 @@ from itertools import combinations, product
 import pytest
 
 from algforge.algebroid import Algebroid, Section
-from algforge.catalog import builtin, make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection
 from algforge.forms import MEMBER, NOT_MEMBER, Form, Lambda2Ideal, d_squared, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 
 PERMUTATION = [
     [0, 1, 0, 0],

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from algforge.catalog import make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.charclass import (
     char_form,
     homotopy_identity_report,
@@ -14,7 +14,7 @@ from algforge.forms import Form, Lambda2Ideal, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 P = product_algebroid(E0)
 EXT = P.extended
 

@@ -15,11 +15,11 @@ import pytest
 
 from algforge import cli
 from algforge.algebroid import Endomorphism, check_morphism, nijenhuis
-from algforge.catalog import builtin, e0_kernel_sections, e0prime_to_e0_matrix, make_e0
+from algforge.catalog import builtin, e0_kernel_sections, e0prime_to_e0_matrix
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 
 
 def test_morphism_failure_from_the_lie_variant():

@@ -12,7 +12,7 @@ axioms, and on the rank-10 derived bundle.
 import pytest
 
 from algforge.algebroid import Algebroid, BracketModifier, Section
-from algforge.catalog import builtin, e0_kernel_sections, make_e0, torsionfree_gamma
+from algforge.catalog import builtin, e0_kernel_sections, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle
 from algforge.poly import Poly
 from algforge.sampling import Sampler
@@ -65,7 +65,7 @@ def sections(a: Algebroid, seed: int, sampled: int) -> list[Section]:
     return out
 
 
-E0 = make_e0()
+E0 = builtin("E0")
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
 DERIVED = derive_bundle(TF)
 

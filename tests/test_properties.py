@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algforge.algebroid import Section, vf_bracket
-from algforge.catalog import make_e0, torsionfree_gamma
+from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection
 from algforge.forms import Form, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
-E0 = make_e0()
+E0 = builtin("E0")
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
 
 coeff = st.integers(min_value=-3, max_value=3).map(Fraction)

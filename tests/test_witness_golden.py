@@ -12,13 +12,13 @@ membership, normal-form and weak-exact queries take the bounded path.
 import pytest
 
 from algforge.algebroid import courant_solution_space, subalgebroid_restrict
-from algforge.catalog import builtin, make_e0
+from algforge.catalog import builtin
 from algforge.forms import Form, Lambda2Ideal, differential, strong_closed, weak_exact
 from algforge.poly import Poly
 
 ITEMIZED = builtin("E0_itemized")
 IDEAL = Lambda2Ideal(ITEMIZED)
-E0 = make_e0()
+E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 
