@@ -694,12 +694,8 @@ class CourantSpace:
         )
 
     def invertible_at_point(self) -> list[int]:
-        """Indices of basis elements whose evaluation has nonzero determinant."""
-        out = []
-        for idx, mat in enumerate(self.evaluations):
-            if linsolve.det(mat) != 0:
-                out.append(idx)
-        return out
+        """Indices of basis elements whose evaluation is an invertible matrix."""
+        return [idx for idx, mat in enumerate(self.evaluations) if linsolve.rank(mat) == len(mat)]
 
 
 def _symmetric_unknowns(m: int) -> list[tuple[int, int]]:

@@ -7,8 +7,8 @@ nonzero, so ``rref`` eliminates on these rows and its result is the unique
 RREF for the given column order.
 ``solve``, ``nullspace`` and ``rank`` read off it, so a returned solution is
 checkable by substitution and a nullspace basis spans exactly.  ``rank``
-and ``det`` take small dense matrices; ``det`` does its own dense
-elimination.
+takes a small dense matrix; a square one is invertible exactly when its
+rank is its size.
 """
 
 from __future__ import annotations
@@ -79,30 +79,3 @@ def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of a dense matrix."""
     return len(rref([dict(enumerate(row)) for row in rows]))
 
-
-def det(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant by elimination with partial pivoting on nonzeros."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = _ONE
-    result = _ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = _ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result

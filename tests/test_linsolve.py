@@ -47,12 +47,6 @@ def test_nullspace_of_empty_system_is_full():
     assert linsolve.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
-def test_det():
-    assert linsolve.det([[1, 2], [3, 4]]) == -2
-    assert linsolve.det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
-    assert linsolve.det([[1, 1], [1, 1]]) == 0
-
-
 entries = st.integers(min_value=-5, max_value=5)
 
 
@@ -143,16 +137,3 @@ def test_nullspace_matches_sympy(rows):
 @given(matrices())
 def test_rank_matches_sympy(rows):
     assert linsolve.rank(rows) == _sympy(rows).rank()
-
-
-@st.composite
-def square_matrices(draw):
-    n = draw(st.integers(1, 6))
-    entry = draw(st.sampled_from([ratios, sparse_entries]))
-    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-
-
-@settings(max_examples=100, deadline=None)
-@given(square_matrices())
-def test_det_matches_sympy(rows):
-    assert linsolve.det(rows) == _fraction(_sympy(rows).det())
