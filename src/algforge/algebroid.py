@@ -18,7 +18,7 @@ axioms hold, so check_lie sweeps generator triples only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, VectorField
 from .connection import EConnection
 from .forms import (
-    ClosednessDecision,
     Form,
     IdealDecision,
     Lambda2Ideal,

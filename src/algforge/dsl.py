@@ -515,7 +515,6 @@ class _Parser:
     # ---- expressions ----
 
     def parse_poly_expr(self) -> Poly:
-        n = len(self.base_vars)
         value = self.parse_poly_term()
         while True:
             if self.accept("+"):
@@ -780,10 +779,6 @@ def parse(text: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def _poly_text(p: Poly, var_names) -> str:
-    return p.to_text(var_names)
-
-
 def _coeff_prefix(p: Poly, var_names) -> tuple[str, str]:
     """Render a coefficient as (sign, body*) where body omits a bare 1."""
     text = p.to_text(var_names)
@@ -860,7 +855,7 @@ def serialize(doc: Document) -> str:
         lines.append(f"cometric {cm.name} = [")
         for r, row in enumerate(cm.rows):
             tail = "," if r + 1 < len(cm.rows) else ""
-            lines.append("  [" + ", ".join(_poly_text(p, v) for p in row) + "]" + tail)
+            lines.append("  [" + ", ".join(p.to_text(v) for p in row) + "]" + tail)
         lines.append("]")
     for f in doc.forms:
         b = doc.bundle(f.bundle)

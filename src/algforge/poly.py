@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -348,9 +348,3 @@ def _trusted(nvars: int, terms: dict[Exponent, Coeff]) -> Poly:
     p.terms = terms
     return p
 
-
-def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:
-    total = Poly.zero(nvars)
-    for p in polys:
-        total = total + p
-    return total

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algforge.poly import Poly, poly_sum
+from algforge.poly import Poly
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -82,11 +82,6 @@ def test_to_text_is_canonical():
     assert p.to_text(("x", "y")) == "y^2 - 2*x + 1"
     assert Poly.zero(2).to_text(("x", "y")) == "0"
     assert (X * Fraction(3, 4)).to_text(("x", "y")) == "3/4*x"
-
-
-def test_poly_sum():
-    assert poly_sum(2, [X, Y, X]) == X * 2 + Y
-    assert poly_sum(2, []).is_zero()
 
 
 coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
