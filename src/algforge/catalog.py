@@ -75,7 +75,7 @@ def make_tangent(n: int) -> Algebroid:
 
 
 def builtin_names() -> list[str]:
-    return list(_BUNDLED) + ["tangent<n>"]
+    return sorted(_BUNDLED) + ["tangent<n>"]
 
 
 def builtin(name: str) -> Algebroid:

@@ -53,6 +53,8 @@ class Context:
 
 @lru_cache(maxsize=None)
 def _e0_document():
+    """E0.alg, parsed once: E0, its kernel sections, the torsion-free
+    connection and J0 are all read from it.  Criteria only read it."""
     return corpus_document("E0")
 
 
