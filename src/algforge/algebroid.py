@@ -171,9 +171,10 @@ class Section:
         return f"Section({list(self.coeffs)!r})"
 
 
-def section_text(s: Section, gen_names, var_names) -> str:
+def sum_text(coeffs, names, var_names) -> str:
+    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements."""
     pieces = []
-    for name, coeff in zip(gen_names, s.coeffs):
+    for name, coeff in zip(names, coeffs):
         if coeff.is_zero():
             continue
         text = coeff.to_text(var_names)
@@ -290,14 +291,8 @@ class Algebroid:
             raise AlgebroidError("section has the wrong rank")
         return s
 
-    def gen_index(self, name: str) -> int:
-        try:
-            return self.gen_names.index(name)
-        except ValueError:
-            raise AlgebroidError(f"unknown generator {name!r}") from None
-
     def section_text(self, s: Section) -> str:
-        return section_text(s, self.gen_names, self.base.var_names)
+        return sum_text(s.coeffs, self.gen_names, self.base.var_names)
 
     # ---- anchor ----
 
@@ -679,8 +674,7 @@ class CourantSpace:
     """Solution space of rho·G·rho^T = 0 at a degree bound."""
 
     basis: list[list[list[Poly]]]
-    point: tuple
-    evaluations: list[list[list[Fraction]]]
+    evaluations: list[list[list[Fraction]]]  # each basis element at the origin
     parametrization: str  # "full" or "paired-blocks"
     max_degree: int
 
@@ -740,7 +734,6 @@ def _positions_for(cell: tuple[int, int], m: int, block: int | None) -> list[tup
 def courant_solution_space(
     algebroid: Algebroid,
     max_degree: int = 4,
-    point=None,
     paired_blocks: int | None = None,
 ) -> CourantSpace:
     """Basis of cometrics G with rho·G·rho^T = 0, coefficients of degree <= D.
@@ -753,8 +746,7 @@ def courant_solution_space(
     which surfaces a full-space solution that the paired-block space lacks.
     """
     m, n = algebroid.rank, algebroid.nvars
-    if point is None:
-        point = (0,) * n
+    origin = (0,) * n
     if paired_blocks is not None and m % paired_blocks:
         raise AlgebroidError("block size must divide the rank")
     cells = (
@@ -786,10 +778,9 @@ def courant_solution_space(
             for a, b in _positions_for(cell, m, paired_blocks):
                 g[a][b] = g[a][b] + p
         basis.append(g)
-        evaluations.append([[entry.eval_at(point) for entry in row] for row in g])
+        evaluations.append([[entry.eval_at(origin) for entry in row] for row in g])
     return CourantSpace(
         basis,
-        tuple(point),
         evaluations,
         "full" if paired_blocks is None else "paired-blocks",
         max_degree,

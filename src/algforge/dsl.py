@@ -16,9 +16,15 @@ Unspecified anchors, brackets, connection entries, and endomorphism images
 default to zero; explicit diagonal brackets must be zero.  `#` starts a
 comment.  Parsing elaborates straight into exact engine objects, so a parsed
 document is canonical: serialize() prints it back and parse(serialize(doc))
-is structurally equal to doc.  Within form expressions `w(...)` is reserved
-for generator duals, and in anchor expressions `d1..dn` name the coordinate
-fields.
+is structurally equal to doc.
+
+Every right-hand side is a sum of signed terms, and a term is a '*'-product
+of polynomial factors and basis elements; one loop, `_Parser.parse_terms`,
+reads them all.  Anchor terms name exactly one coordinate field `d1..dn`,
+section terms (brackets, connection entries, endomorphism images) exactly one
+generator, and the literal 0 may stand alone.  Form terms name any number of
+generator duals `w(...)`, none in a 0-form, and `w(A)*w(B)` is `w(A)^w(B)`.
+Every sign and every '*' must be followed by a factor or a basis element.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField
+from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, sum_text
 from .connection import EConnection
 from .forms import Form
 from .poly import Poly
@@ -229,10 +235,9 @@ class _Parser:
         self.base_vars: tuple[str, ...] | None = None
         self.var_index: dict[str, int] = {}
         self.names: dict[str, str] = {}  # declared name -> kind
-        self.bundles: list[BundleDecl] = []
         self.bundle_of_gen: dict[str, tuple[BundleDecl, int]] = {}
         self.anchored: set[str] = set()
-        self.doc = None
+        self.doc = Document(base_vars=())
 
     # ---- token plumbing ----
 
@@ -306,8 +311,6 @@ class _Parser:
     # ---- document ----
 
     def parse_document(self) -> Document:
-        doc = Document(base_vars=())
-        self.doc = doc
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident" or tok.text not in _KEYWORDS:
@@ -320,8 +323,8 @@ class _Parser:
         if self.base_vars is None:
             last = self.peek()
             raise DslError("document has no base statement", last.line, last.col, kind="semantic")
-        doc.base_vars = self.base_vars
-        return doc
+        self.doc.base_vars = self.base_vars
+        return self.doc
 
     # ---- statements ----
 
@@ -360,7 +363,6 @@ class _Parser:
         gens = tuple(self.declare(tok, "generator") for tok in gen_toks)
         n = len(self.base_vars)
         decl = BundleDecl(name, gens, tuple(VectorField(BaseSpace(self.base_vars), [Poly.zero(n)] * n) for _ in gens))
-        self.bundles.append(decl)
         self.doc.bundles.append(decl)
         for idx, g in enumerate(gens):
             self.bundle_of_gen[g] = (decl, idx)
@@ -392,7 +394,7 @@ class _Parser:
         decl_b, j = self.lookup_gen(b_tok)
         if decl_a is not decl_b:
             self.semantic("bracket entries must come from one bundle", a_tok)
-        value = self.parse_section_expr(decl_a)
+        value = self.parse_section_expr(decl_a)[1]
         if i == j:
             if not value.is_zero():
                 self.semantic("diagonal bracket must be zero", a_tok)
@@ -410,7 +412,7 @@ class _Parser:
         self.need_base(kw)
         name_tok = self.expect_ident("section name")
         self.expect("=")
-        bundle, value = self.parse_section_expr_any_bundle(name_tok)
+        bundle, value = self.parse_section_expr(None, name_tok)
         name = self.declare(name_tok, "section")
         self.doc.sections.append(SectionDecl(name, bundle.name, value))
 
@@ -420,10 +422,7 @@ class _Parser:
         name_tok = self.expect_ident("connection name")
         self.expect("on")
         bundle_tok = self.expect_ident("bundle name")
-        bundle = None
-        for b in self.bundles:
-            if b.name == bundle_tok.text:
-                bundle = b
+        bundle = next((b for b in self.doc.bundles if b.name == bundle_tok.text), None)
         if bundle is None:
             self.semantic(f"undeclared bundle {bundle_tok.text!r}", bundle_tok)
         self.expect("{")
@@ -441,7 +440,7 @@ class _Parser:
             if decl_d is not bundle or decl_t is not bundle:
                 self.semantic("connection entries must use the bundle's generators", d_tok)
             self.expect("->")
-            value = self.parse_section_expr(bundle)
+            value = self.parse_section_expr(bundle)[1]
             if (alpha, b_idx) in gamma:
                 self.semantic(f"connection entry {d_tok.text} {t_tok.text} declared twice", d_tok)
             if not value.is_zero():
@@ -465,7 +464,7 @@ class _Parser:
             elif decl is not bundle:
                 self.semantic("endomorphism entries must use one bundle", g_tok)
             self.expect("->")
-            value = self.parse_section_expr(bundle)
+            value = self.parse_section_expr(bundle)[1]
             if idx in images:
                 self.semantic(f"image of {g_tok.text!r} declared twice", g_tok)
             images[idx] = value
@@ -575,187 +574,137 @@ class _Parser:
             return value
         raise DslError(f"expected a polynomial, found {tok.text!r}", tok.line, tok.col)
 
-    def parse_vf_expr(self) -> VectorField:
-        n = len(self.base_vars)
-        d_names = {f"d{k + 1}": k for k in range(n)}
-        comps = [Poly.zero(n) for _ in range(n)]
+    def parse_terms(self, read_atom, hint: str):
+        """Yield the (coefficient, atoms) terms of a signed sum, one at a time.
 
-        def sink(name_tok: Token, coeff: Poly):
-            idx = d_names.get(name_tok.text)
-            if idx is None:
-                self.semantic(
-                    f"{name_tok.text!r} is not a coordinate field of this {n}-variable base", name_tok
-                )
-            comps[idx] = comps[idx] + coeff
-
-        self.parse_weighted_sum(sink, basis_hint="coordinate field d1..d" + str(n))
-        return VectorField(BaseSpace(self.base_vars), comps)
-
-    def parse_section_expr(self, bundle: BundleDecl) -> Section:
-        n = len(self.base_vars)
-        coeffs = [Poly.zero(n) for _ in range(len(bundle.gens))]
-
-        def sink(name_tok: Token, coeff: Poly):
-            hit = self.bundle_of_gen.get(name_tok.text)
-            if hit is None or hit[0] is not bundle:
-                self.semantic(f"{name_tok.text!r} is not a generator of bundle {bundle.name!r}", name_tok)
-            coeffs[hit[1]] = coeffs[hit[1]] + coeff
-
-        self.parse_weighted_sum(sink, basis_hint="generator")
-        return Section(coeffs)
-
-    def parse_section_expr_any_bundle(self, where: Token) -> tuple[BundleDecl, Section]:
-        n = len(self.base_vars)
-        found: list[BundleDecl] = []
-        entries: list[tuple[int, Poly]] = []
-
-        def sink(name_tok: Token, coeff: Poly):
-            hit = self.bundle_of_gen.get(name_tok.text)
-            if hit is None:
-                self.semantic(f"undeclared generator {name_tok.text!r}", name_tok)
-            if found and hit[0] is not found[0]:
-                self.semantic("section mixes generators of different bundles", name_tok)
-            if not found:
-                found.append(hit[0])
-            entries.append((hit[1], coeff))
-
-        self.parse_weighted_sum(sink, basis_hint="generator")
-        if not found:
-            self.semantic("section expression names no generator", where)
-        bundle = found[0]
-        coeffs = [Poly.zero(n) for _ in range(len(bundle.gens))]
-        for idx, coeff in entries:
-            coeffs[idx] = coeffs[idx] + coeff
-        return bundle, Section(coeffs)
-
-    def parse_weighted_sum(self, sink, basis_hint: str):
-        """Sum of terms, each a '*'-product of poly factors and one basis name.
-
-        A term with no basis name must be the literal zero.  `sink` receives
-        (name token, accumulated coefficient) per term.
+        A term is a '*'-product of polynomial factors and basis atoms.
+        `read_atom()` consumes one basis atom and returns it, or returns None,
+        consuming nothing, where no atom starts.  Every sign and every '*' must
+        be followed by a factor or an atom.  A term is yielded as soon as it is
+        read, so a caller's error about it points just past it.
         """
         n = len(self.base_vars)
         first = True
         while True:
-            sign = 1
             if self.accept("-"):
                 sign = -1
-            elif self.accept("+"):
-                pass
-            elif not first:
+            elif self.accept("+") or first:
+                sign = 1
+            else:
                 return
-            coeff = Poly.const(n, sign)
-            name_tok: Token | None = None
+            first = False
+            coeff, atoms = Poly.const(n, sign), []
             while True:
                 tok = self.peek()
-                if tok.kind == "ident" and tok.text in self.bundle_of_gen or (
-                    tok.kind == "ident" and tok.text.startswith("d") and tok.text[1:].isdigit()
-                    and tok.text not in self.var_index
-                ):
-                    if name_tok is not None:
-                        self.semantic("term names two basis elements", tok)
-                    name_tok = tok
-                    self.advance()
+                atom = read_atom()
+                if atom is not None:
+                    atoms.append(atom)
                 elif tok.kind == "ident" and tok.text in self.var_index or tok.kind == "int" or tok.text == "(":
                     coeff = self.times_poly_factor(coeff)
-                elif tok.kind == "ident":
-                    raise DslError(
-                        f"expected a {basis_hint} or polynomial, found {tok.text!r}",
-                        tok.line,
-                        tok.col,
-                        kind="semantic",
-                    )
                 else:
-                    break
+                    kind = "semantic" if tok.kind == "ident" and tok.text not in _KEYWORDS else "syntax"
+                    raise DslError(f"expected a {hint} or polynomial, found {tok.text!r}", tok.line, tok.col, kind)
                 if not self.accept("*"):
                     break
-            if name_tok is None:
-                if not coeff.is_zero():
-                    tok = self.peek()
-                    raise DslError(
-                        f"term has no {basis_hint}; only the literal 0 may stand alone",
-                        tok.line,
-                        tok.col,
-                        kind="semantic",
-                    )
-            else:
-                sink(name_tok, coeff)
-            first = False
-            if not (self.at("+") or self.at("-")):
-                return
+            yield coeff, atoms
+
+    def read_name(self) -> Token | None:
+        """A generator or coordinate-field name (`d1..dn`) as a basis atom."""
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text not in self.var_index and (
+            tok.text in self.bundle_of_gen or tok.text.startswith("d") and tok.text[1:].isdigit()
+        ):
+            return self.advance()
+        return None
+
+    def named_terms(self, hint: str):
+        """(coefficient, name token) per term of a sum naming one basis element a term."""
+        for coeff, names in self.parse_terms(self.read_name, hint):
+            if len(names) > 1:
+                self.semantic("term names two basis elements", names[1])
+            if names:
+                yield coeff, names[0]
+            elif not coeff.is_zero():
+                self.semantic(f"term has no {hint}; only the literal 0 may stand alone", self.peek())
+
+    def parse_vf_expr(self) -> VectorField:
+        n = len(self.base_vars)
+        d_names = {f"d{k + 1}": k for k in range(n)}
+        comps = [Poly.zero(n) for _ in range(n)]
+        for coeff, tok in self.named_terms(f"coordinate field d1..d{n}"):
+            idx = d_names.get(tok.text)
+            if idx is None:
+                self.semantic(f"{tok.text!r} is not a coordinate field of this {n}-variable base", tok)
+            comps[idx] = comps[idx] + coeff
+        return VectorField(BaseSpace(self.base_vars), comps)
+
+    def parse_section_expr(self, bundle: BundleDecl | None, where: Token | None = None) -> tuple[BundleDecl, Section]:
+        """A section of `bundle`; given None, of the bundle its first generator
+        belongs to, with an error at `where` if it names none."""
+        fixed = bundle is not None
+        entries: list[tuple[int, Poly]] = []
+        for coeff, tok in self.named_terms("generator"):
+            hit = self.bundle_of_gen.get(tok.text)
+            if fixed and (hit is None or hit[0] is not bundle):
+                self.semantic(f"{tok.text!r} is not a generator of bundle {bundle.name!r}", tok)
+            if hit is None:
+                self.semantic(f"undeclared generator {tok.text!r}", tok)
+            bundle = bundle or hit[0]
+            if hit[0] is not bundle:
+                self.semantic("section mixes generators of different bundles", tok)
+            entries.append((hit[1], coeff))
+        if bundle is None:
+            self.semantic("section expression names no generator", where)
+        coeffs = [Poly.zero(len(self.base_vars))] * len(bundle.gens)
+        for idx, coeff in entries:
+            coeffs[idx] = coeffs[idx] + coeff
+        return bundle, Section(coeffs)
 
     def parse_form_expr(self, where: Token) -> tuple[BundleDecl, int, dict[tuple[int, ...], Poly]]:
         n = len(self.base_vars)
-        bundle_box: list[BundleDecl] = []
-        terms: list[tuple[tuple[int, ...], Poly]] = []
+        bundle = None
 
-        def parse_dual_atom() -> int:
-            self.expect("w")
-            self.expect("(")
-            g_tok = self.expect_ident("generator name")
-            hit = self.bundle_of_gen.get(g_tok.text)
-            if hit is None:
-                self.semantic(f"undeclared generator {g_tok.text!r}", g_tok)
-            if bundle_box and hit[0] is not bundle_box[0]:
-                self.semantic("form mixes generators of different bundles", g_tok)
-            if not bundle_box:
-                bundle_box.append(hit[0])
-            self.expect(")")
-            return hit[1]
-
-        first = True
-        while True:
-            sign = 1
-            if self.accept("-"):
-                sign = -1
-            elif self.accept("+"):
-                pass
-            elif not first:
-                break
-            coeff = Poly.const(n, sign)
-            indices: list[int] = []
+        def read_duals() -> list[int] | None:
+            """w(g)(^w(g))* as generator indices."""
+            nonlocal bundle
+            if not (self.at("w") and self.peek(1).text == "("):
+                return None
+            indices = []
             while True:
-                tok = self.peek()
-                if tok.kind == "ident" and tok.text == "w" and self.peek(1).text == "(":
-                    indices.append(parse_dual_atom())
-                    while self.accept("^"):
-                        indices.append(parse_dual_atom())
-                elif tok.kind == "ident" and tok.text in self.var_index or tok.kind == "int" or tok.text == "(":
-                    coeff = self.times_poly_factor(coeff)
-                else:
-                    break
-                if not self.accept("*"):
-                    break
-            terms.append((tuple(indices), coeff))
-            first = False
-            if not (self.at("+") or self.at("-")):
-                break
+                self.expect("w")
+                self.expect("(")
+                g_tok = self.expect_ident("generator name")
+                hit = self.bundle_of_gen.get(g_tok.text)
+                if hit is None:
+                    self.semantic(f"undeclared generator {g_tok.text!r}", g_tok)
+                bundle = bundle or hit[0]
+                if hit[0] is not bundle:
+                    self.semantic("form mixes generators of different bundles", g_tok)
+                self.expect(")")
+                indices.append(hit[1])
+                if not self.accept("^"):
+                    return indices
 
-        # fold terms: sort indices with parity, drop repeats and zeros
+        # fold terms: sort indices with parity, drop repeats and zeros;
+        # w(A)*w(B) is w(A)^w(B)
         degrees = set()
         comps: dict[tuple[int, ...], Poly] = {}
-        for indices, coeff in terms:
-            if coeff.is_zero():
-                continue
-            if len(set(indices)) != len(indices):
+        for coeff, duals in self.parse_terms(read_duals, "generator dual"):
+            indices = [i for chain in duals for i in chain]
+            if coeff.is_zero() or len(set(indices)) != len(indices):
                 continue
             degrees.add(len(indices))
             key, parity = _sort_with_parity(indices)
-            if parity < 0:
-                coeff = -coeff
-            comps[key] = comps.get(key, Poly.zero(n)) + coeff
+            comps[key] = comps.get(key, Poly.zero(n)) + (coeff if parity > 0 else -coeff)
         comps = {k: v for k, v in comps.items() if not v.is_zero()}
         live_degrees = {len(k) for k in comps} or (degrees or {0})
         if len(live_degrees) > 1:
             self.semantic("form mixes components of different degrees", where)
-        degree = next(iter(live_degrees))
-        if degree > 0 and not bundle_box:
-            self.semantic("form expression names no generator dual", where)
-        if not bundle_box:
-            if not self.bundles:
+        if bundle is None:
+            if not self.doc.bundles:
                 self.semantic("a scalar form needs a bundle to live on; declare one first", where)
-            bundle_box.append(self.bundles[0])
-        return bundle_box[0], degree, comps
+            bundle = self.doc.bundles[0]
+        return bundle, next(iter(live_degrees)), comps
 
 
 def _sort_with_parity(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -779,76 +728,37 @@ def parse(text: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_prefix(p: Poly, var_names) -> tuple[str, str]:
-    """Render a coefficient as (sign, body*) where body omits a bare 1."""
-    text = p.to_text(var_names)
-    sign = "+"
-    if len(p.terms) == 1:
-        if text.startswith("-"):
-            sign = "-"
-            text = text[1:]
-    elif text.startswith("-") or " " in text:
-        return "+", f"({text})*"
-    if text == "1":
-        return sign, ""
-    return sign, f"{text}*"
-
-
-def _weighted_sum_text(pairs: list[tuple[Poly, str]], var_names) -> str:
-    """Canonical `c1*B1 + c2*B2` rendering for sections and vector fields."""
-    pieces = []
-    for coeff, basis in pairs:
-        if coeff.is_zero():
-            continue
-        sign, body = _coeff_prefix(coeff, var_names)
-        pieces.append((sign, f"{body}{basis}"))
-    if not pieces:
-        return "0"
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def section_to_text(value: Section, bundle: BundleDecl, var_names) -> str:
-    return _weighted_sum_text(list(zip(value.coeffs, bundle.gens)), var_names)
-
-
 def serialize(doc: Document) -> str:
     v = doc.base_vars
     lines: list[str] = [f"base {len(v)} ({', '.join(v)})"]
     for b in doc.bundles:
         lines.append("")
         lines.append(f"bundle {b.name} rank {len(b.gens)} gens ({', '.join(b.gens)})")
+        d_names = [f"d{j + 1}" for j in range(len(v))]
         for gen, vf in zip(b.gens, b.anchors):
-            if vf.is_zero():
-                continue
-            pairs = [(coeff, f"d{j + 1}") for j, coeff in enumerate(vf.comps)]
-            lines.append(f"anchor {gen} -> {_weighted_sum_text(pairs, v)}")
+            if not vf.is_zero():
+                lines.append(f"anchor {gen} -> {sum_text(vf.comps, d_names, v)}")
         for (i, j), value in sorted(b.brackets.items()):
-            lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {section_to_text(value, b, v)}")
+            lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {sum_text(value.coeffs, b.gens, v)}")
     for s in doc.sections:
-        b = doc.bundle(s.bundle)
         lines.append("")
-        lines.append(f"section {s.name} = {section_to_text(s.value, b, v)}")
+        lines.append(f"section {s.name} = {sum_text(s.value.coeffs, doc.bundle(s.bundle).gens, v)}")
     for c in doc.connections:
         b = doc.bundle(c.bundle)
         lines.append("")
         lines.append(f"connection {c.name} on {b.name} {{")
         for (alpha, t_idx), value in sorted(c.gamma.items()):
-            lines.append(f"  {b.gens[alpha]} {b.gens[t_idx]} -> {section_to_text(value, b, v)}")
+            lines.append(f"  {b.gens[alpha]} {b.gens[t_idx]} -> {sum_text(value.coeffs, b.gens, v)}")
         lines.append("  default 0")
         lines.append("}")
     for e in doc.endos:
         b = doc.bundle(e.bundle)
         lines.append("")
         lines.append(f"endo {e.name} {{")
-        for col in range(len(b.gens)):
-            column = Section([e.matrix[row][col] for row in range(len(b.gens))])
-            if column.is_zero():
-                continue
-            lines.append(f"  {b.gens[col]} -> {section_to_text(column, b, v)}")
+        for col, gen in enumerate(b.gens):
+            column = [row[col] for row in e.matrix]
+            if any(not p.is_zero() for p in column):
+                lines.append(f"  {gen} -> {sum_text(column, b.gens, v)}")
         lines.append("}")
     for cm in doc.cometrics:
         lines.append("")
@@ -858,25 +768,15 @@ def serialize(doc: Document) -> str:
             lines.append("  [" + ", ".join(p.to_text(v) for p in row) + "]" + tail)
         lines.append("]")
     for f in doc.forms:
-        b = doc.bundle(f.bundle)
+        gens = doc.bundle(f.bundle).gens
+        keys = sorted(f.comps)
+        if keys == [()]:
+            text = f.comps[()].to_text(v)
+            if " " in text or text.startswith("-"):
+                text = f"({text})"
+        else:
+            text = sum_text([f.comps[k] for k in keys], ["^".join(f"w({gens[i]})" for i in k) for k in keys], v)
         lines.append("")
-        if not f.comps:
-            lines.append(f"form {f.name} = 0")
-            continue
-        pieces = []
-        for key in sorted(f.comps):
-            coeff = f.comps[key]
-            basis = "^".join(f"w({b.gens[i]})" for i in key)
-            sign, body = _coeff_prefix(coeff, v)
-            if not basis:
-                text = coeff.to_text(v)
-                pieces.append(("+", f"({text})" if (" " in text or text.startswith("-")) else text))
-            else:
-                pieces.append((sign, f"{body}{basis}" if body else basis))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
         lines.append(f"form {f.name} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -928,16 +828,8 @@ def _safe_ident(name: str, taken: set[str]) -> str:
     return candidate
 
 
-def algebroid_to_document(
-    algebroid: Algebroid,
-    *,
-    sections: dict[str, Section] | None = None,
-    connections: dict[str, EConnection] | None = None,
-    endos: dict[str, Endomorphism] | None = None,
-    cometrics: dict[str, list[list[Poly]]] | None = None,
-    forms: dict[str, Form] | None = None,
-) -> Document:
-    """Express an algebroid (plus companions) as a document.
+def algebroid_to_document(algebroid: Algebroid, *, connections: dict[str, EConnection] | None = None) -> Document:
+    """Express an algebroid, and any connections on it, as a document.
 
     Generator names are sanitized to identifiers (wedge names like `A^B`
     become `A_B`), so round-tripping a derived bundle is possible; the
@@ -949,19 +841,7 @@ def algebroid_to_document(
     brackets = {k: s for k, s in algebroid.structure.items() if not s.is_zero()}
     decl = BundleDecl(bundle_name, gens, tuple(algebroid.anchor), brackets)
     doc = Document(base_vars=tuple(algebroid.base.var_names), bundles=[decl])
-    for name, value in (sections or {}).items():
-        doc.sections.append(SectionDecl(_safe_ident(name, taken), bundle_name, value))
     for name, conn in (connections or {}).items():
         gamma = {k: s for k, s in conn.gamma.items() if not s.is_zero()}
         doc.connections.append(ConnectionDecl(_safe_ident(name, taken), bundle_name, gamma))
-    for name, endo in (endos or {}).items():
-        doc.endos.append(
-            EndoDecl(_safe_ident(name, taken), bundle_name, tuple(tuple(row) for row in endo.matrix))
-        )
-    for name, rows in (cometrics or {}).items():
-        doc.cometrics.append(CometricDecl(_safe_ident(name, taken), tuple(tuple(r) for r in rows)))
-    for name, form in (forms or {}).items():
-        doc.forms.append(
-            FormDecl(_safe_ident(name, taken), bundle_name, form.degree, dict(form.comps))
-        )
     return doc

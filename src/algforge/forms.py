@@ -256,20 +256,11 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
     the n coordinate fields of the base (the tangent builtin fits); the
     output evaluates it on anchor images.
     """
-    n = algebroid.nvars
-    if base_form.algebroid.rank != n:
+    if base_form.algebroid.rank != algebroid.nvars:
         raise AlgebroidError("base form rank must equal the number of base variables")
+    images = [Section(row.comps) for row in algebroid.anchor]
     k = base_form.degree
-    if k == 0:
-        return Form.function(algebroid, base_form.component(()))
-    comps: dict[tuple[int, ...], Poly] = {}
-    for u in combinations(range(algebroid.rank), k):
-        total = Poly.zero(n)
-        for key, coeff in base_form.comps.items():
-            rows = [[algebroid.anchor[g].comps[j] for j in key] for g in u]
-            total = total + coeff * _poly_det(rows)
-        if not total.is_zero():
-            comps[u] = total
+    comps = {u: base_form.eval_sections(*(images[g] for g in u)) for u in combinations(range(algebroid.rank), k)}
     return Form(algebroid, k, comps)
 
 

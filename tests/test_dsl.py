@@ -159,7 +159,9 @@ def test_error_kinds_and_positions():
         (T + "anchor A -> 1/0*d1\n", ("semantic", 4, 13, "zero denominator")),
         (T + "anchor A -> (x +)*d1\n", ("syntax", 4, 17, "expected a polynomial, found ')'")),
         (T + "anchor A -> x^y*d1\n", ("syntax", 4, 15, "expected integer, found 'y'")),
-        (T + "anchor A ->", ("semantic", 4, 12, no_field)),
+        (T + "anchor A ->", ("syntax", 4, 12, "expected a coordinate field d1..d2 or polynomial, found ''")),
+        (T + "anchor A -> d1*", ("syntax", 4, 16, "expected a coordinate field d1..d2 or polynomial, found ''")),
+        (T + "anchor A -> d1 +", ("syntax", 4, 17, "expected a coordinate field d1..d2 or polynomial, found ''")),
         # brackets
         (T + "bracket [A, B] = C\n", ("semantic", 4, 18, "'C' is not a generator of bundle 'E'")),
         (T + "bracket [A, C] = 0\n", ("semantic", 4, 10, "bracket entries must come from one bundle")),
@@ -167,7 +169,7 @@ def test_error_kinds_and_positions():
         (T + "bracket [A, B] = A\nbracket [B, A] = B\n", ("semantic", 5, 10, "bracket [B, A] declared twice")),
         (T + "bracket [A, B] = x*A*B\n", ("semantic", 4, 22, "term names two basis elements")),
         (T + "bracket [A, B] = 2\n", ("semantic", 5, 1, no_gen)),
-        (T + "bracket [A, B] =", ("semantic", 4, 17, no_gen)),
+        (T + "bracket [A, B] =", ("syntax", 4, 17, "expected a generator or polynomial, found ''")),
         # sections
         (T + "section s = 0\n", ("semantic", 4, 9, "section expression names no generator")),
         (T + "section s = A + C\n", ("semantic", 4, 17, "section mixes generators of different bundles")),
@@ -176,7 +178,10 @@ def test_error_kinds_and_positions():
         (T + "section s = A*B\n", ("semantic", 4, 15, "term names two basis elements")),
         (T + "section s = x - A\n", ("semantic", 4, 15, no_gen)),
         (T + "section s = x^40*y^40*A\n", ("semantic", 4, 18, "product of degree 80 exceeds the degree cap of 64")),
-        (T + "section s =", ("semantic", 4, 12, no_gen)),
+        (T + "section s =", ("syntax", 4, 12, "expected a generator or polynomial, found ''")),
+        (T + "section s = A*", ("syntax", 4, 15, "expected a generator or polynomial, found ''")),
+        (T + "section s = A*-x\n", ("syntax", 4, 15, "expected a generator or polynomial, found '-'")),
+        (T + "section s =\nsection t = A\n", ("syntax", 5, 1, "expected a generator or polynomial, found 'section'")),
         # connections
         (T + "connection c on G { }\n", ("semantic", 4, 17, "undeclared bundle 'G'")),
         (T + "connection c on E { A B -> C }\n", ("semantic", 4, 28, "'C' is not a generator of bundle 'E'")),
@@ -196,7 +201,12 @@ def test_error_kinds_and_positions():
         (T + "form f = w(1)\n", ("syntax", 4, 12, "expected generator name, found '1'")),
         (T + "form f = w(A) + w(C)\n", ("semantic", 4, 19, "form mixes generators of different bundles")),
         (T + "form f = w(A B)\n", ("syntax", 4, 14, "expected ')', found 'B'")),
-        (T + "form f = x*A\n", ("syntax", 4, 12, f"expected a statement keyword ({KEYWORDS}), found 'A'")),
+        (T + "form f = x*A\n", ("semantic", 4, 12, "expected a generator dual or polynomial, found 'A'")),
+        (T + "form f =", ("syntax", 4, 9, "expected a generator dual or polynomial, found ''")),
+        (T + "form f = -", ("syntax", 4, 11, "expected a generator dual or polynomial, found ''")),
+        (T + "form f = 2*", ("syntax", 4, 12, "expected a generator dual or polynomial, found ''")),
+        (T + "form f = w(A)*", ("syntax", 4, 15, "expected a generator dual or polynomial, found ''")),
+        (T + "form f =\nform g = 1\n", ("syntax", 5, 1, "expected a generator dual or polynomial, found 'form'")),
         (T + "form f = x^40*y^40*w(A)\n", ("semantic", 4, 15, "product of degree 80 exceeds the degree cap of 64")),
         ("base 1 (x)\nform f = 1\n", ("semantic", 2, 6, "a scalar form needs a bundle to live on; declare one first")),
         # cometrics
@@ -207,6 +217,12 @@ def test_error_kinds_and_positions():
             parse(text)
         err = exc.value
         assert (err.kind, err.line, err.col, err.message) == want, text
+
+
+def test_a_product_of_duals_is_their_wedge():
+    doc = parse(TWO_BUNDLES + "form f = x*w(B)*w(A)\nform g = -x*w(A)^w(B)\nform h = 3/2\n")
+    assert doc.form("f").comps == doc.form("g").comps
+    assert (doc.form("h").degree, doc.form("h").bundle) == (0, "E")
 
 
 def test_degree_cap_admits_its_bound():
