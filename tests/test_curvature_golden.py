@@ -7,6 +7,7 @@ computed or looked up must reproduce them exactly.  The files under
 ``tests/golden`` are the outputs of the commands named in their file names.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from algforge import cli
 from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, verify_prhelp
+from algforge.dsl import algebroid_to_document, serialize
+from algforge.sampling import Sampler
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,3 +86,40 @@ def test_prhelp_failures_without_the_half_wedge_term():
     assert [len(i.failures) for i in items] == [14, 0, 0, 0, 0]
     got = [(" ".join(labels), d.derived.section_text(defect)) for labels, defect in items[0].failures]
     assert got == PRHELP_NO_HALF_FAILURES
+
+
+def symmetrically_perturbed(conn: EConnection) -> EConnection:
+    """conn plus a seeded symmetric tensor: S(a, b) = S(b, a) added to Γ(a, b) and Γ(b, a).
+
+    Torsion on generators is Γ(a, b) − Γ(b, a) − [e_a, e_b], so the sum stays
+    torsion-free when conn is, with gamma values other than E0's own.
+    """
+    e, sampler = conn.algebroid, Sampler(4)
+    gamma = dict(conn.gamma)
+    for a in range(e.rank):
+        for b in range(a, e.rank):
+            s = sampler.section(e, max_degree=1)
+            for key in {(a, b), (b, a)}:
+                gamma[key] = conn.gamma_entry(*key) + s
+    return EConnection(e, gamma, name="perturbed")
+
+
+PERTURBED = symmetrically_perturbed(TF)
+
+# sha256 of the document holding the derived bundle and both of its connections
+DERIVED_DOCUMENT_SHA256 = {
+    ("torsionfree", True): "f1dbe1bdad018ce3ee02773d6a66e0ca93b3b7715286be75ce32b9b7295085e4",
+    ("torsionfree", False): "b8f4e919065c62b780a271169bc2fef5618ab6fc4e93126cf1dbae05b871c8ed",
+    ("perturbed", True): "2b4bf9ed344c81cc5a2ecdc730a59eb2570e561b6a67c5149a72cf8faf420575",
+    ("perturbed", False): "269500b4e8e9734d9550cfa689bea0254670fb51836117956b8a7904009857c6",
+}
+
+
+@pytest.mark.parametrize("half", [True, False])
+@pytest.mark.parametrize("conn", [TF, PERTURBED], ids=["torsionfree", "perturbed"])
+def test_derived_gamma_tables_are_pinned(conn, half):
+    assert conn.is_torsion_free()
+    d = derive_bundle(conn, include_half_correction=half)
+    doc = algebroid_to_document(d.derived, connections={"lifted": d.lifted, "plain": d.plain_ext})
+    digest = hashlib.sha256(serialize(doc).encode()).hexdigest()
+    assert digest == DERIVED_DOCUMENT_SHA256[conn.name, half]
