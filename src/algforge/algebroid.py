@@ -674,26 +674,22 @@ class CourantSpace:
     """Solution space of rho·G·rho^T = 0 at a degree bound."""
 
     basis: list[list[list[Poly]]]
-    evaluations: list[list[list[Fraction]]]  # each basis element at the origin
-    parametrization: str  # "full" or "paired-blocks"
-    max_degree: int
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def all_zero_at_point(self) -> bool:
-        return all(
-            all(all(v == 0 for v in row) for row in mat) for mat in self.evaluations
-        )
+        """True when every basis element vanishes at the origin."""
+        return all(entry.constant_value() == 0 for g in self.basis for row in g for entry in row)
 
     def invertible_at_point(self) -> list[int]:
-        """Indices of basis elements whose evaluation is an invertible matrix."""
-        return [idx for idx, mat in enumerate(self.evaluations) if linsolve.rank(mat) == len(mat)]
-
-
-def _symmetric_unknowns(m: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(m) for b in range(a, m)]
+        """Indices of basis elements whose value at the origin is an invertible matrix."""
+        return [
+            idx
+            for idx, g in enumerate(self.basis)
+            if linsolve.rank([[entry.constant_value() for entry in row] for row in g]) == len(g)
+        ]
 
 
 def _paired_block_unknowns(m: int, block: int) -> list[tuple[int, int]]:
@@ -701,8 +697,8 @@ def _paired_block_unknowns(m: int, block: int) -> list[tuple[int, int]]:
 
     The matrix is split into (m/block)² blocks; one unknown block is shared
     UNtransposed by the (I,J) and (J,I) positions, diagonal blocks are
-    symmetric.  This is the parametrization under which the recorded
-    obstruction computation is carried out; see courant_solution_space.
+    symmetric.  With block = m this is the upper triangle of one symmetric
+    matrix, the full space; see courant_solution_space.
     """
     cells = []
     nb = m // block
@@ -717,10 +713,8 @@ def _paired_block_unknowns(m: int, block: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _positions_for(cell: tuple[int, int], m: int, block: int | None) -> list[tuple[int, int]]:
+def _positions_for(cell: tuple[int, int], block: int) -> list[tuple[int, int]]:
     a, b = cell
-    if block is None:
-        return [(a, b)] if a == b else [(a, b), (b, a)]
     bi, r = divmod(a, block)
     bj, c = divmod(b, block)
     if bi == bj:
@@ -738,30 +732,26 @@ def courant_solution_space(
 ) -> CourantSpace:
     """Basis of cometrics G with rho·G·rho^T = 0, coefficients of degree <= D.
 
-    Default parametrization: all symmetric m×m polynomial matrices.  With
-    ``paired_blocks=s`` the matrix is parametrized by shared s×s blocks (one
-    unknown block serving both off-diagonal corners untransposed), which is
-    the system the recorded obstruction computation solves; the two
-    parametrizations genuinely differ — see the verify-paper courant check,
-    which surfaces a full-space solution that the paired-block space lacks.
+    The matrix is parametrized by shared s×s blocks (one unknown block serving
+    both off-diagonal corners untransposed, diagonal blocks symmetric) with
+    s = ``paired_blocks``; s = 2 is the system the recorded obstruction
+    computation solves.  The default, all symmetric m×m polynomial matrices,
+    is the one-block case s = m.  The two spaces genuinely differ — see the
+    verify-paper courant check, which surfaces a full-space solution that the
+    paired-block space lacks.
     """
     m, n = algebroid.rank, algebroid.nvars
-    origin = (0,) * n
-    if paired_blocks is not None and m % paired_blocks:
+    block = m if paired_blocks is None else paired_blocks
+    if m % block:
         raise AlgebroidError("block size must divide the rank")
-    cells = (
-        _symmetric_unknowns(m)
-        if paired_blocks is None
-        else _paired_block_unknowns(m, paired_blocks)
-    )
     monos = witness.monomials_up_to(n, max_degree)
     # one column per (cell, monomial mu): the defect matrix rho·G·rho^T of
     # the G with mu at the cell's positions, entries keyed (i, j, exponent)
     columns = {}
-    for cell in cells:
+    for cell in _paired_block_unknowns(m, block):
         # the cell's defect at mu = 1; mu only shifts its exponents
         product: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-        for a, b in _positions_for(cell, m, paired_blocks):
+        for a, b in _positions_for(cell, block):
             for i, pa in enumerate(algebroid.anchor[a].comps):
                 for j, pb in enumerate(algebroid.anchor[b].comps):
                     for exps, v in (pa * pb).terms.items():
@@ -771,20 +761,13 @@ def courant_solution_space(
                 (i, j, tuple(e + f for e, f in zip(exps, mu))): v for (i, j, exps), v in product.items()
             }
     basis = []
-    evaluations = []
     for vec in witness.nullspace(columns):
         g = [[Poly.zero(n) for _ in range(m)] for _ in range(m)]
         for cell, p in witness.polys(vec, n).items():
-            for a, b in _positions_for(cell, m, paired_blocks):
+            for a, b in _positions_for(cell, block):
                 g[a][b] = g[a][b] + p
         basis.append(g)
-        evaluations.append([[entry.eval_at(origin) for entry in row] for row in g])
-    return CourantSpace(
-        basis,
-        evaluations,
-        "full" if paired_blocks is None else "paired-blocks",
-        max_degree,
-    )
+    return CourantSpace(basis)
 
 
 # ---------------------------------------------------------------------------

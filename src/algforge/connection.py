@@ -13,7 +13,10 @@ reads it.  ``curvature`` on arbitrary sections is not expanded over the table:
 curvature is a tensor only when the anchor axioms hold, and E0_itemized fails them.
 
 The derived bundle construction glues E and E∧E into one algebroid whose
-bracket is the antisymmetrization of a lifted connection; its generator-triple
+bracket is the antisymmetrization of a lifted connection.  One rule builds
+it: along each derived direction an E-endomorphism A_p (a gamma row, or the
+curvature of a wedge direction) acts on E and on wedges by the Leibniz rule,
+and lifted = plain + ½ wedge on (E, E) pairs.  Its generator-triple
 Jacobiator sweep is the mechanical heart of the Lie-ness verification for the
 rank-10 example built from E0.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebroid import Algebroid, AlgebroidError, Section, VectorField, map_section, pair_sum, vf_bracket
+from .algebroid import Algebroid, AlgebroidError, Section, map_section, pair_sum, vf_bracket
 from .poly import Poly
 
 
@@ -204,7 +207,6 @@ class DerivedBundle:
     """E extended by its own wedge square, bracketed by a lifted connection."""
 
     base_algebroid: Algebroid
-    connection: EConnection
     derived: Algebroid
     lifted: EConnection
     plain_ext: EConnection
@@ -214,15 +216,6 @@ class DerivedBundle:
     def m(self) -> int:
         return self.base_algebroid.rank
 
-    def wedge_position(self, i: int, j: int) -> tuple[int, int]:
-        """Derived index of e_i∧e_j together with the orientation sign."""
-        if i == j:
-            raise AlgebroidError("wedge of a generator with itself is zero")
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        return self.m + self.wedge_pairs.index((i, j)), sign
-
     def e_part(self, s: Section) -> Section:
         return Section(s.coeffs[: self.m])
 
@@ -231,11 +224,12 @@ class DerivedBundle:
 
     def wedge_of(self, u: Section, v: Section) -> Section:
         """Derived section u∧v of two E-sections."""
-        nvars = self.base_algebroid.nvars
-        coeffs = [Poly.zero(nvars)] * (self.m + len(self.wedge_pairs))
-        for idx, (i, j) in enumerate(self.wedge_pairs):
-            coeffs[self.m + idx] = u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i]
-        return Section(coeffs)
+        return Section([Poly.zero(self.base_algebroid.nvars)] * self.m + _wedge(self.wedge_pairs, u, v))
+
+
+def _wedge(pairs: list[tuple[int, int]], u: Section, v: Section) -> list[Poly]:
+    """The coefficients of u∧v on the wedge generators e_i∧e_j, (i, j) in pairs."""
+    return [u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i] for i, j in pairs]
 
 
 def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> DerivedBundle:
@@ -243,13 +237,16 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
 
     Generators: the m of E followed by the C(m,2) wedges e_i∧e_j (i<j).
     Anchor: unchanged on E; on wedges the anchor-compatibility defect of the
-    pair (zero whenever E passes check_axioms).  The bracket is the
-    antisymmetrized lifted connection, whose gamma is assembled from four
-    blocks: plain derivatives plus half a wedge on (E, E) pairs, the Leibniz
-    extension over wedges, curvature on (wedge, E) pairs, and the curvature
-    Leibniz rule on (wedge, wedge) pairs.  ``include_half_correction=False``
-    drops the half-wedge term, giving the plain extension operator that the
-    derived-curvature identities are phrased in.
+    pair (zero whenever E passes check_axioms).
+
+    Along each derived direction p one E-endomorphism A_p acts: the gamma row
+    e_b -> Γ(p, b) of an E direction, or the curvature e_b -> R(e_i, e_j)e_b
+    of a wedge direction e_i∧e_j.  The plain extension applies A_p to the E
+    generators and to each wedge by the Leibniz rule,
+    A_p(e_k∧e_l) = A_p e_k ∧ e_l + e_k ∧ A_p e_l.  The lifted connection is the
+    plain one plus ½ e_α∧e_b on (E, E) pairs, and the bracket is its
+    antisymmetrization.  ``include_half_correction=False`` drops the half-wedge
+    term, so the lifted connection equals the plain extension.
     """
     if not conn.is_endomorphism_valued:
         raise AlgebroidError("derive_bundle needs a connection on the algebroid itself")
@@ -262,81 +259,40 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
     gen_names = list(e.gen_names) + [
         f"{e.gen_names[i]}^{e.gen_names[j]}" for i, j in pairs
     ]
-
     units = [e.unit_section(i) for i in range(m)]
+    no_e, no_wedge = [Poly.zero(nvars)] * m, [Poly.zero(nvars)] * len(pairs)
 
-    def wedge_coeffs(u: Section, v: Section) -> list[Poly]:
-        return [
-            u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i] for i, j in pairs
-        ]
+    anchor = list(e.anchor) + [
+        vf_bracket(e.anchor[i], e.anchor[j]) - e.anchor_of(e.bracket_gen(i, j)) for i, j in pairs
+    ]
 
-    def lift(e_sec: Section, wedge: list[Poly] | None = None) -> Section:
-        tail = wedge if wedge is not None else [Poly.zero(nvars)] * len(pairs)
-        return Section(list(e_sec.coeffs) + tail)
+    # A_p as the images of e_0 .. e_{m-1}, for every derived direction p
+    actions = [[conn.gamma_entry(p, b) for b in range(m)] for p in range(m)]
+    actions += [[conn.curvature_gen(i, j, b) for b in range(m)] for i, j in pairs]
+    plain: dict[tuple[int, int], Section] = {}
+    for p, image in enumerate(actions):
+        for b in range(m):
+            plain[p, b] = Section(list(image[b].coeffs) + no_wedge)
+        for w, (k, l) in enumerate(pairs, start=m):
+            leibniz = zip(_wedge(pairs, image[k], units[l]), _wedge(pairs, units[k], image[l]))
+            plain[p, w] = Section(no_e + [a + b for a, b in leibniz])
 
-    zero_e = e.zero_section()
-
-    def on_wedge(image_k: Section, image_l: Section, k: int, l: int) -> Section:
-        """An E-endomorphism taking e_k, e_l to image_k, image_l, applied to e_k∧e_l by the Leibniz rule."""
-        wedge = [a + b for a, b in zip(wedge_coeffs(image_k, units[l]), wedge_coeffs(units[k], image_l))]
-        return lift(zero_e, wedge)
-
-    # anchor
-    anchor = [VectorField(e.base, row.comps) for row in e.anchor]
-    for i, j in pairs:
-        defect = vf_bracket(e.anchor[i], e.anchor[j]) - e.anchor_of(e.bracket_gen(i, j))
-        anchor.append(defect)
-
-    def build_gamma(half: bool) -> dict[tuple[int, int], Section]:
-        gamma: dict[tuple[int, int], Section] = {}
-        # (E generator, E generator)
-        half_w = Fraction(1, 2)
-        for alpha in range(m):
+    lifted = dict(plain)
+    if include_half_correction:
+        half = Fraction(1, 2)
+        for a in range(m):
             for b in range(m):
-                base = conn.gamma_entry(alpha, b)
-                wedge = None
-                if half:
-                    wedge = [c * half_w for c in wedge_coeffs(units[alpha], units[b])]
-                value = lift(base, wedge)
-                if not value.is_zero():
-                    gamma[(alpha, b)] = value
-        # (E generator, wedge): Leibniz over the wedge
-        for alpha in range(m):
-            for w, (k, l) in enumerate(pairs):
-                value = on_wedge(conn.gamma_entry(alpha, k), conn.gamma_entry(alpha, l), k, l)
-                if not value.is_zero():
-                    gamma[(alpha, m + w)] = value
-        # (wedge, E generator): curvature
-        for (i, j, b), value in conn.curvature_table().items():
-            gamma[(m + pairs.index((i, j)), b)] = lift(value)
-        # (wedge, wedge): curvature acts as a derivation over the wedge
-        for w, (i, j) in enumerate(pairs):
-            for w2, (k, l) in enumerate(pairs):
-                value = on_wedge(conn.curvature_gen(i, j, k), conn.curvature_gen(i, j, l), k, l)
-                if not value.is_zero():
-                    gamma[(m + w, m + w2)] = value
-        return gamma
+                lifted[a, b] = plain[a, b] + Section(no_e + [c * half for c in _wedge(pairs, units[a], units[b])])
 
-    lifted_gamma = build_gamma(half=include_half_correction)
-    plain_gamma = build_gamma(half=False)
-
-    # derived bracket = antisymmetrized lifted connection on generators
-    def gamma_lookup(gamma, p, q):
-        return gamma.get((p, q), Section.zero(total, nvars))
-
-    structure = {}
-    for p in range(total):
-        for q in range(p + 1, total):
-            value = gamma_lookup(lifted_gamma, p, q) - gamma_lookup(lifted_gamma, q, p)
-            if not value.is_zero():
-                structure[(p, q)] = value
-
-    derived = Algebroid(
-        e.base, gen_names, anchor, structure, name=(e.name or "E") + "_derived"
+    structure = {(p, q): lifted[p, q] - lifted[q, p] for p, q in combinations(range(total), 2)}
+    derived = Algebroid(e.base, gen_names, anchor, structure, name=(e.name or "E") + "_derived")
+    return DerivedBundle(
+        e,
+        derived,
+        EConnection(derived, lifted, name="lifted"),
+        EConnection(derived, plain, name="plain-extension"),
+        pairs,
     )
-    lifted = EConnection(derived, lifted_gamma, name="lifted")
-    plain = EConnection(derived, plain_gamma, name="plain-extension")
-    return DerivedBundle(e, conn, derived, lifted, plain, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +319,6 @@ class PrhelpReport:
     @property
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
-
-    def describe(self) -> str:
-        lines = []
-        for item in self.items:
-            status = "ok" if item.ok else f"{len(item.failures)} failures"
-            lines.append(f"item {item.number} ({item.label}): {item.checked} tuples, {status}")
-        return "\n".join(lines)
 
 
 def verify_prhelp(d: DerivedBundle) -> PrhelpReport:

@@ -685,15 +685,18 @@ class _Parser:
                 if not self.accept("^"):
                     return indices
 
-        # fold terms: sort indices with parity, drop repeats and zeros;
+        # fold terms: sort indices with parity, drop repeats and zeros, but
+        # keep the degree of a zero term (0*w(A) is a zero 1-form);
         # w(A)*w(B) is w(A)^w(B)
         degrees = set()
         comps: dict[tuple[int, ...], Poly] = {}
         for coeff, duals in self.parse_terms(read_duals, "generator dual"):
             indices = [i for chain in duals for i in chain]
-            if coeff.is_zero() or len(set(indices)) != len(indices):
+            if len(set(indices)) != len(indices):
                 continue
             degrees.add(len(indices))
+            if coeff.is_zero():
+                continue
             key, parity = _sort_with_parity(indices)
             comps[key] = comps.get(key, Poly.zero(n)) + (coeff if parity > 0 else -coeff)
         comps = {k: v for k, v in comps.items() if not v.is_zero()}
@@ -728,6 +731,11 @@ def parse(text: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
+def _or_zero_on(text: str, name: str) -> str:
+    """A sum's text, with the bare zero written `0*name` so that it names its bundle."""
+    return f"0*{name}" if text == "0" else text
+
+
 def serialize(doc: Document) -> str:
     v = doc.base_vars
     lines: list[str] = [f"base {len(v)} ({', '.join(v)})"]
@@ -741,8 +749,9 @@ def serialize(doc: Document) -> str:
         for (i, j), value in sorted(b.brackets.items()):
             lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {sum_text(value.coeffs, b.gens, v)}")
     for s in doc.sections:
+        gens = doc.bundle(s.bundle).gens
         lines.append("")
-        lines.append(f"section {s.name} = {sum_text(s.value.coeffs, doc.bundle(s.bundle).gens, v)}")
+        lines.append(f"section {s.name} = {_or_zero_on(sum_text(s.value.coeffs, gens, v), gens[0])}")
     for c in doc.connections:
         b = doc.bundle(c.bundle)
         lines.append("")
@@ -755,10 +764,10 @@ def serialize(doc: Document) -> str:
         b = doc.bundle(e.bundle)
         lines.append("")
         lines.append(f"endo {e.name} {{")
-        for col, gen in enumerate(b.gens):
-            column = [row[col] for row in e.matrix]
-            if any(not p.is_zero() for p in column):
-                lines.append(f"  {gen} -> {sum_text(column, b.gens, v)}")
+        images = [(gen, [row[col] for row in e.matrix]) for col, gen in enumerate(b.gens)]
+        live = [(gen, column) for gen, column in images if any(not p.is_zero() for p in column)]
+        for gen, column in live or images[:1]:  # the zero endomorphism: `first -> 0`
+            lines.append(f"  {gen} -> {sum_text(column, b.gens, v)}")
         lines.append("}")
     for cm in doc.cometrics:
         lines.append("")
@@ -776,6 +785,8 @@ def serialize(doc: Document) -> str:
                 text = f"({text})"
         else:
             text = sum_text([f.comps[k] for k in keys], ["^".join(f"w({gens[i]})" for i in k) for k in keys], v)
+            if f.degree:
+                text = _or_zero_on(text, "^".join(f"w({g})" for g in gens[: f.degree]))
         lines.append("")
         lines.append(f"form {f.name} = {text}")
     return "\n".join(lines) + "\n"

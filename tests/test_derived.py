@@ -13,8 +13,7 @@ def test_shape_and_names():
     assert d.rank == 10
     assert d.gen_names[:4] == E0.gen_names
     assert d.gen_names[4] == "X11^X21"
-    assert DERIVED.wedge_position(0, 1) == (4, 1)
-    assert DERIVED.wedge_position(1, 0) == (4, -1)
+    assert DERIVED.wedge_pairs[0] == (0, 1)
 
 
 def test_anchor_of_wedge_generators_vanishes():

@@ -5,11 +5,15 @@ from importlib import resources
 
 import pytest
 
+from algforge.algebroid import Section
 from algforge.catalog import builtin, e0_kernel_sections, make_tangent
 from algforge.connection import derive_bundle, flat_connection
 from algforge.dsl import (
     DEGREE_CAP,
     DslError,
+    EndoDecl,
+    FormDecl,
+    SectionDecl,
     algebroid_to_document,
     document_algebroid,
     document_connection,
@@ -223,6 +227,27 @@ def test_a_product_of_duals_is_their_wedge():
     doc = parse(TWO_BUNDLES + "form f = x*w(B)*w(A)\nform g = -x*w(A)^w(B)\nform h = 3/2\n")
     assert doc.form("f").comps == doc.form("g").comps
     assert (doc.form("h").degree, doc.form("h").bundle) == (0, "E")
+
+
+# one zero object of each kind on the second of two bundles, and the text
+# serialize writes for it: each names a generator of its bundle
+ZERO_HEAD = "base 1 (x)\nbundle E rank 1 gens (A)\nbundle F rank 2 gens (B, C)\n"
+ZERO_F = Section.zero(2, 1)
+ZEROS = [
+    (SectionDecl("s", "F", ZERO_F), "section s = 0*B"),
+    (EndoDecl("J", "F", (ZERO_F.coeffs, ZERO_F.coeffs)), "endo J {\n  B -> 0\n}"),
+    (FormDecl("f", "F", 1), "form f = 0*w(B)"),
+    (FormDecl("g", "F", 2), "form g = 0*w(B)^w(C)"),
+]
+
+
+@pytest.mark.parametrize("decl, text", ZEROS, ids=["section", "endo", "1-form", "2-form"])
+def test_zero_objects_round_trip_on_the_second_bundle(decl, text):
+    doc = parse(ZERO_HEAD)
+    {SectionDecl: doc.sections, EndoDecl: doc.endos, FormDecl: doc.forms}[type(decl)].append(decl)
+    written = serialize(doc)
+    assert written.endswith(f"\n{text}\n")
+    assert parse(written) == doc
 
 
 def test_degree_cap_admits_its_bound():
