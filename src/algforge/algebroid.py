@@ -5,10 +5,16 @@ An algebroid here is a rank-m bundle over a polynomial base, given by
 * an anchor: one base vector field per generator (m×n polynomial matrix), and
 * a structure table: the bracket [e_i, e_j] for i < j, skew-extended.
 
-Brackets of arbitrary polynomial sections are produced from the table by the
-Leibniz expansion, written once for every generator-pair table (structure,
-bracket modifier, connection gamma) as one pair-table sum, ``pair_sum``, and
-one anchored derivative, ``Algebroid.derivative``.  The two axioms that
+A section is one flat dict {(generator, exponents): coefficient}; its
+``coeffs`` reads it back as one Poly per generator.  Brackets of arbitrary
+polynomial sections are produced from the table by the Leibniz expansion,
+written once for every generator-pair table (structure, bracket modifier,
+connection gamma) as loops that add straight into one output dict: the
+pair-table sum ``pair_sum`` and the anchored derivative
+``Algebroid.derivative``.  Each algebroid stores its anchor rows as
+(j, [(exponents, coefficient)]) lists, and ``apply_row`` is the one loop that
+applies such a row to polynomial terms, for D_X here, for df in ``forms``
+and for ``VectorField.apply``.  The two axioms that
 make such a bundle an almost Lie algebroid — the Leibniz rule (true by
 construction) and anchor compatibility rho([X,Y]) = [rho X, rho Y] — reduce to
 polynomial identities on generator pairs, which is what check_axioms sweeps.
@@ -22,9 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+from operator import add
 
 from . import linsolve, witness
-from .poly import Poly
+from .poly import Poly, _fold, _merge, _trusted
 
 
 class AlgebroidError(ValueError):
@@ -67,22 +74,14 @@ class VectorField:
         self.base = base
         self.comps = comps
 
-    @staticmethod
-    def zero(base: BaseSpace) -> VectorField:
-        return VectorField(base, [Poly.zero(base.dim)] * base.dim)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a coefficient function."""
-        out = Poly.zero(self.base.dim)
-        for j, comp in enumerate(self.comps):
-            if comp.terms:
-                df = f.partial(j)
-                if df.terms:
-                    out = out + comp * df
-        return out
+        row = [(j, comp.terms.items()) for j, comp in enumerate(self.comps) if comp.terms]
+        out = apply_row({}, row, (((None, exps), c) for exps, c in f.terms.items()))
+        return Poly(self.base.dim, {exps: c for (_, exps), c in out.items()})
 
     def __add__(self, other: VectorField) -> VectorField:
         return VectorField(self.base, [a + b for a, b in zip(self.comps, other.comps)])
@@ -123,52 +122,102 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
 
 
 class Section:
-    """A bundle section as a coefficient vector over the generators."""
+    """A bundle section as one flat term dict {(generator, exponents): coefficient}.
 
-    __slots__ = ("coeffs",)
+    Coefficients are in the ``poly`` normal form: nonzero, an int where
+    integral and a Fraction otherwise.  The dict is the only copy of the
+    coefficients; ``coeffs`` reads them back as one Poly per generator.
+    """
+
+    __slots__ = ("terms", "rank", "nvars")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        self.rank = len(coeffs)
+        self.nvars = coeffs[0].nvars if coeffs else 0
+        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in p.terms.items()}
 
     @staticmethod
     def zero(rank: int, nvars: int) -> Section:
-        return Section([Poly.zero(nvars)] * rank)
+        return _section(rank, nvars, {})
 
     @property
-    def rank(self) -> int:
-        return len(self.coeffs)
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The coefficient of every generator as a Poly (read-only, built on each read)."""
+        split = [{} for _ in range(self.rank)]
+        for (a, exps), c in self.terms.items():
+            split[a][exps] = c
+        return tuple(_trusted(self.nvars, terms) for terms in split)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def support(self) -> list[tuple[int, Poly]]:
-        """(generator index, coefficient) for every nonzero coefficient."""
-        return [(i, c) for i, c in enumerate(self.coeffs) if c.terms]
+        return not self.terms
 
     def __add__(self, other: Section) -> Section:
-        return Section([a + b if b.terms else a for a, b in zip(self.coeffs, other.coeffs)])
+        return _section(self.rank, self.nvars, _merge(self.terms, other.terms))
 
     def __sub__(self, other: Section) -> Section:
-        return Section([a - b if b.terms else a for a, b in zip(self.coeffs, other.coeffs)])
+        return _section(self.rank, self.nvars, _merge(self.terms, other.terms, negate=True))
 
     def __neg__(self) -> Section:
-        return Section([-a for a in self.coeffs])
+        return _section(self.rank, self.nvars, {key: -c for key, c in self.terms.items()})
 
     def scale(self, f: Poly | int | Fraction) -> Section:
-        return Section([c * f for c in self.coeffs])
+        if not isinstance(f, Poly):
+            f = Poly.const(self.nvars, f)
+        out: dict = {}
+        for (a, exps), c in self.terms.items():
+            _add_shifted(out, a, exps, c, f.terms.items())
+        return _finish(self.rank, self.nvars, out)
 
     def __eq__(self, other):
-        return isinstance(other, Section) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        ) and len(self.coeffs) == len(other.coeffs)
+        return (
+            isinstance(other, Section)
+            and (self.rank, self.nvars) == (other.rank, other.nvars)
+            and self.terms == other.terms
+        )
 
     def min_degree(self) -> int:
         """Smallest total degree over all nonzero coefficient terms (-1 if zero)."""
-        degs = [c.min_degree() for c in self.coeffs if not c.is_zero()]
-        return min(degs) if degs else -1
+        return min((sum(exps) for _, exps in self.terms), default=-1)
 
     def __repr__(self):
         return f"Section({list(self.coeffs)!r})"
+
+
+def _section(rank: int, nvars: int, terms: dict) -> Section:
+    """Wrap a term dict already in normal form."""
+    s = object.__new__(Section)
+    s.rank, s.nvars, s.terms = rank, nvars, terms
+    return s
+
+
+def _finish(rank: int, nvars: int, out: dict) -> Section:
+    """The section of an accumulated term dict: zero sums dropped, integral Fractions made ints."""
+    return _section(rank, nvars, _fold({key: c for key, c in out.items() if c}))
+
+
+def _add_shifted(out: dict, slot, shift: tuple[int, ...], weight, terms) -> None:
+    """Add weight * x^shift * t to ``out`` at (slot, exponents) for every term t of ``terms``."""
+    for exps, c in terms:
+        key = (slot, tuple(map(add, shift, exps)))
+        out[key] = out.get(key, 0) + weight * c
+
+
+def apply_row(out: dict, row, items, weight=1, shift: tuple[int, ...] | None = None) -> dict:
+    """Add weight * x^shift * V(f) to ``out`` for a vector field V = sum_j V_j d/dx_j.
+
+    ``row`` lists (j, [(exponents, coefficient)]) for the nonzero V_j, as an
+    algebroid stores each anchor row; ``items`` yields ((slot, exponents),
+    coefficient) for the terms of f, and every result term lands on
+    (slot, exponents).  This is the one derivative loop of the package.
+    """
+    for (slot, exps), c in items:
+        for j, comp in row:
+            k = exps[j]
+            if k:
+                lowered = exps[:j] + (k - 1,) + exps[j + 1 :]
+                _add_shifted(out, slot, tuple(map(add, lowered, shift)) if shift else lowered, weight * k * c, comp)
+    return out
 
 
 def sum_text(coeffs, names, var_names) -> str:
@@ -220,26 +269,24 @@ def _signed(table: dict[tuple[int, int], Section], i: int, j: int) -> tuple[Sect
     return None if value is None else (value, 1 if i < j else -1)
 
 
-def pair_sum(start: Section, x: Section, y: Section, entry) -> Section:
-    """start + sum_{i, j} x_i y_j T(e_i, e_j) over the nonzero coefficients of x and y.
+def pair_sum(out: dict, x: Section, y: Section, entry) -> Section:
+    """The term dict ``out`` plus sum_{i, j} x_i y_j T(e_i, e_j), as a section of y's bundle.
 
     ``entry(i, j)`` reads the pair table T: the stored value and the sign it
     enters with, or None where T(e_i, e_j) is zero.
     """
-    out = list(start.coeffs)
-    ys = y.support()
-    for i, xi in x.support():
-        for j, yj in ys:
+    ys = y.terms.items()
+    for (i, x_exps), xc in x.terms.items():
+        for (j, y_exps), yc in ys:
             found = entry(i, j)
-            if found is None:
-                continue
-            value, sign = found
-            weight = xi * yj
-            for a, coeff in enumerate(value.coeffs):
-                if coeff.terms:
-                    term = weight * coeff
-                    out[a] = out[a] + term if sign > 0 else out[a] - term
-    return Section(out)
+            if found is not None:
+                value, sign = found
+                shift = tuple(map(add, x_exps, y_exps))
+                weight = xc * yc if sign > 0 else -(xc * yc)
+                for (a, exps), c in value.terms.items():
+                    key = (a, tuple(map(add, shift, exps)))
+                    out[key] = out.get(key, 0) + weight * c
+    return _finish(y.rank, y.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +313,8 @@ class Algebroid:
         if len(anchor) != self.rank:
             raise AlgebroidError("anchor needs one vector field per generator")
         self.anchor = list(anchor)
+        # the anchor rows as the derivative loop reads them: (j, [(exponents, coefficient)])
+        self.rows = [[(j, list(c.terms.items())) for j, c in enumerate(row.comps) if c.terms] for row in self.anchor]
         if any(value.rank != self.rank for value in (structure or {}).values()):
             raise AlgebroidError("structure section has the wrong rank")
         self.structure = _skew_table(structure or {}, "bracket")
@@ -281,15 +330,7 @@ class Algebroid:
         return Section.zero(self.rank, self.nvars)
 
     def unit_section(self, i: int) -> Section:
-        coeffs = [Poly.zero(self.nvars) for _ in range(self.rank)]
-        coeffs[i] = Poly.const(self.nvars, 1)
-        return Section(coeffs)
-
-    def section(self, coeffs) -> Section:
-        s = Section(coeffs)
-        if s.rank != self.rank:
-            raise AlgebroidError("section has the wrong rank")
-        return s
+        return _section(self.rank, self.nvars, {(i, (0,) * self.nvars): 1})
 
     def section_text(self, s: Section) -> str:
         return sum_text(s.coeffs, self.gen_names, self.base.var_names)
@@ -318,23 +359,18 @@ class Algebroid:
         value, sign = found
         return value if sign > 0 else -value
 
-    def derivative(self, x: Section, s: Section) -> Section:
-        """D_X s = sum_a rho(X)(s_a) e_a with rho(X) = sum_i X_i rho(e_i), applied row by row.
+    def derivative(self, out: dict, x: Section, s: Section, sign: int = 1) -> dict:
+        """Add sign * D_X s = sign * sum_a rho(X)(s_a) e_a to the term dict ``out``.
 
-        ``s`` may be a section of any bundle over the base; rho(X) is never formed.
+        rho(X) is never formed: each term of X weights the stored anchor row
+        of its generator, so a generator direction reads its row as stored.
+        ``s`` may be a section of any bundle over the base.
         """
-        rows = [(xi, self.anchor[i]) for i, xi in x.support()]
-        zero = Poly.zero(self.nvars)
-        out = []
-        for f in s.coeffs:
-            total = zero
-            if f.terms:
-                for xi, row in rows:
-                    df = row.apply(f)
-                    if df.terms:
-                        total = total + xi * df
-            out.append(total)
-        return Section(out)
+        items = s.terms.items()
+        for (i, exps), c in x.terms.items():
+            if self.rows[i]:
+                apply_row(out, self.rows[i], items, sign * c, exps if any(exps) else None)
+        return out
 
     def bracket(self, x: Section, y: Section) -> Section:
         """Leibniz extension of the structure table to arbitrary sections.
@@ -343,7 +379,8 @@ class Algebroid:
         """
         if x.rank != self.rank or y.rank != self.rank:
             raise AlgebroidError("bracket arguments have the wrong rank")
-        return pair_sum(self.derivative(x, y) - self.derivative(y, x), x, y, partial(_signed, self.structure))
+        out = self.derivative(self.derivative({}, x, y), y, x, -1)
+        return pair_sum(out, x, y, partial(_signed, self.structure))
 
     def jacobiator(self, x: Section, y: Section, z: Section) -> Section:
         """Cyclic sum [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
@@ -469,7 +506,7 @@ class BracketModifier:
 
     def apply(self, algebroid: Algebroid, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
-        return pair_sum(algebroid.zero_section(), x, y, partial(_signed, self.values))
+        return pair_sum({}, x, y, partial(_signed, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +538,11 @@ class MorphismReport:
 
 def map_section(matrix: list[list[Poly]], s: Section) -> Section:
     """Apply a polynomial bundle map (column b is the image of generator b) to a section."""
-    out = [Poly.zero(matrix[0][0].nvars)] * len(matrix)
-    for b, coeff in s.support():
+    out: dict = {}
+    for (b, exps), c in s.terms.items():
         for a, row in enumerate(matrix):
-            if row[b].terms:
-                out[a] = out[a] + coeff * row[b]
-    return Section(out)
+            _add_shifted(out, a, exps, c, row[b].terms.items())
+    return _finish(len(matrix), s.nvars, out)
 
 
 def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> MorphismReport:
@@ -534,10 +570,6 @@ def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> 
 # ---------------------------------------------------------------------------
 # subbundles spanned by sections
 # ---------------------------------------------------------------------------
-
-
-def _section_column(s: Section) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    return {(a, exps): v for a, coeff in enumerate(s.coeffs) for exps, v in coeff.terms.items()}
 
 
 @dataclass
@@ -588,20 +620,19 @@ def subalgebroid_restrict(
         raise AlgebroidError("generating sections are dependent at all sample points")
 
     nvars = algebroid.nvars
-    # one column per (generator g, monomial mu): the section mu * g
+    # one column per (generator g, monomial mu): the terms of the section mu * g
     columns = {
-        (g, mu): _section_column(gen.scale(Poly.monomial(nvars, mu)))
+        (g, mu): gen.scale(Poly.monomial(nvars, mu)).terms
         for g, gen in enumerate(gens)
         for mu in witness.monomials_up_to(nvars, max_degree)
     }
     structure: dict[tuple[int, int], Section] = {}
     for i, j in combinations(range(k), 2):
         target = algebroid.bracket(gens[i], gens[j])
-        x = witness.solve(columns, _section_column(target))
+        x = witness.solve(columns, target.terms)
         if x is None:
             return ClosureFailure((i, j), target, max_degree)
-        coeffs = witness.polys(x, nvars)
-        structure[(i, j)] = Section([coeffs.get(g, Poly.zero(nvars)) for g in range(k)])
+        structure[(i, j)] = _finish(k, nvars, x)
 
     anchor = [algebroid.anchor_of(g) for g in gens]
     return Algebroid(algebroid.base, names, anchor, structure, name="restriction")
@@ -629,7 +660,7 @@ class Endomorphism:
         nvars = self.matrix[0][0].nvars
         for b in range(self.rank):
             image = self.apply(Section([row[b] for row in self.matrix]))
-            if list(image.coeffs) != [Poly.const(nvars, -1 if a == b else 0) for a in range(self.rank)]:
+            if image.terms != {(b, (0,) * nvars): -1}:
                 return False
         return True
 

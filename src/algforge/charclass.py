@@ -92,6 +92,9 @@ class FormMatrix:
             raise AlgebroidError("matrix wedge power needs k >= 0")
         out = FormMatrix.identity(self.algebroid, self.size)
         for _ in range(k):
+            if out.is_zero():
+                # every further factor keeps it zero; only the degree grows
+                return FormMatrix.zero(self.algebroid, self.size, self.degree * k)
             out = out.wedge_mul(self)
         return out
 

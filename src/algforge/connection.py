@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebroid import Algebroid, AlgebroidError, Section, map_section, pair_sum, vf_bracket
+from .algebroid import Algebroid, AlgebroidError, Section, _section, map_section, pair_sum, vf_bracket
 from .poly import Poly
 
 
@@ -76,7 +76,7 @@ class EConnection:
         if s.rank != self.target_rank:
             raise AlgebroidError("target section has the wrong rank")
         g = self.gamma  # every entry enters with sign +1
-        return pair_sum(self.algebroid.derivative(x, s), x, s, lambda a, b: (g[a, b], 1) if (a, b) in g else None)
+        return pair_sum(self.algebroid.derivative({}, x, s), x, s, lambda a, b: (g[a, b], 1) if (a, b) in g else None)
 
     # ---- torsion (target = algebroid only) ----
 
@@ -119,11 +119,7 @@ class EConnection:
         if self._curvature_table is None:
             a_ = self.algebroid
             units = [a_.unit_section(i) for i in range(a_.rank)]
-            one, zero = Poly.const(a_.nvars, 1), Poly.zero(a_.nvars)
-            targets = [
-                Section([one if a == b else zero for a in range(self.target_rank)])
-                for b in range(self.target_rank)
-            ]
+            targets = [_section(self.target_rank, a_.nvars, {(b, (0,) * a_.nvars): 1}) for b in range(self.target_rank)]
             self._curvature_table = {}
             for i, j in combinations(range(a_.rank), 2):
                 for b in range(self.target_rank):
@@ -217,10 +213,10 @@ class DerivedBundle:
         return self.base_algebroid.rank
 
     def e_part(self, s: Section) -> Section:
-        return Section(s.coeffs[: self.m])
+        return _section(self.m, s.nvars, {key: c for key, c in s.terms.items() if key[0] < self.m})
 
     def wedge_part_is_zero(self, s: Section) -> bool:
-        return all(c.is_zero() for c in s.coeffs[self.m :])
+        return all(a < self.m for a, _ in s.terms)
 
     def wedge_of(self, u: Section, v: Section) -> Section:
         """Derived section u∧v of two E-sections."""
@@ -229,7 +225,8 @@ class DerivedBundle:
 
 def _wedge(pairs: list[tuple[int, int]], u: Section, v: Section) -> list[Poly]:
     """The coefficients of u∧v on the wedge generators e_i∧e_j, (i, j) in pairs."""
-    return [u.coeffs[i] * v.coeffs[j] - u.coeffs[j] * v.coeffs[i] for i, j in pairs]
+    u, v = u.coeffs, v.coeffs
+    return [u[i] * v[j] - u[j] * v[i] for i, j in pairs]
 
 
 def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> DerivedBundle:

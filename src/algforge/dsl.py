@@ -692,9 +692,9 @@ class _Parser:
         comps: dict[tuple[int, ...], Poly] = {}
         for coeff, duals in self.parse_terms(read_duals, "generator dual"):
             indices = [i for chain in duals for i in chain]
+            degrees.add(len(indices))
             if len(set(indices)) != len(indices):
                 continue
-            degrees.add(len(indices))
             if coeff.is_zero():
                 continue
             key, parity = _sort_with_parity(indices)

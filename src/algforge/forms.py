@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section
+from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, apply_row
 from .poly import Poly
 
 
@@ -158,8 +158,9 @@ class Form:
         if self.degree == 0:
             return self.component(())
         out = Poly.zero(self.algebroid.nvars)
+        coeffs = [s.coeffs for s in sections]
         for key, coeff in self.comps.items():
-            rows = [[s.coeffs[i] for i in key] for s in sections]
+            rows = [[c[i] for i in key] for c in coeffs]
             out = out + coeff * _poly_det(rows)
         return out
 
@@ -224,24 +225,29 @@ def differential(omega: Form) -> Form:
     the first component it cannot divide.
     """
     a = omega.algebroid
-    zero = Poly.zero(a.nvars)
-    comps: dict[tuple[int, ...], Poly] = {}
+    # dθ^c read from the structure table: c -> {(i, j): terms of c^c_ij}
+    dtheta: dict[int, dict] = {}
+    for pair, value in a.structure.items():
+        for (c, exps), v in value.terms.items():
+            dtheta.setdefault(c, {}).setdefault(pair, {})[exps] = v
+    out: dict = {}
     for u, f in omega.comps.items():
-        for b, row in enumerate(a.anchor):
-            sign, key = _merge_sign((b,), u)
-            if sign:
-                df = row.apply(f)
-                comps[key] = comps.get(key, zero) + (df if sign > 0 else -df)
+        for b, row in enumerate(a.rows):
+            if row:
+                sign, key = _merge_sign((b,), u)
+                if sign:
+                    apply_row(out, row, (((key, exps), c) for exps, c in f.terms.items()), sign)
         for t, c in enumerate(u):
             rest = u[:t] + u[t + 1 :]
-            for pair, value in a.structure.items():
-                coeff = value.coeffs[c]
+            for pair, terms in dtheta.get(c, {}).items():
                 sign, key = _merge_sign(pair, rest)
-                if sign and coeff.terms:
+                if sign:
                     # dθ^c has even degree, so it moves to the front unsigned:
                     # the term is (−1)^(t+1) f c^c_ij on θ^i ∧ θ^j ∧ θ^rest
-                    term = f * coeff
-                    comps[key] = comps.get(key, zero) + (term if (sign > 0) == (t % 2 == 1) else -term)
+                    weight = sign if t % 2 else -sign
+                    for exps, fc in f.terms.items():
+                        _add_shifted(out, key, exps, weight * fc, terms.items())
+    comps = witness.polys({key: c for key, c in out.items() if c}, a.nvars)
     return Form(a, omega.degree + 1, dict(sorted(comps.items())))
 
 

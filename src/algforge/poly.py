@@ -49,6 +49,29 @@ def _fold(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
     return terms
 
 
+def _merge(a: dict, b: dict, negate: bool = False) -> dict:
+    """a + b, or a - b when ``negate``, of two normal-form term dicts as a new one.
+
+    Keys are whatever the dicts share (exponent tuples here, (generator,
+    exponents) for sections); sums that cancel are dropped and integral
+    Fractions folded to int.
+    """
+    out = a.copy()
+    for key, coeff in b.items():
+        total = out.get(key)
+        if total is None:
+            out[key] = -coeff if negate else coeff
+        else:
+            total = total - coeff if negate else total + coeff
+            if not total:
+                del out[key]
+            elif type(total) is int or total.denominator != 1:
+                out[key] = total
+            else:
+                out[key] = total.numerator
+    return out
+
+
 class Poly:
     """A sparse polynomial with rational coefficients in ``nvars`` variables."""
 
@@ -134,20 +157,7 @@ class Poly:
             return self
         if not self.terms:
             return other
-        out = self.terms.copy()
-        for exps, coeff in other.terms.items():
-            total = out.get(exps)
-            if total is None:
-                out[exps] = coeff
-            else:
-                total += coeff
-                if not total:
-                    del out[exps]
-                elif type(total) is int or total.denominator != 1:
-                    out[exps] = total
-                else:
-                    out[exps] = total.numerator
-        return _trusted(self.nvars, out)
+        return _trusted(self.nvars, _merge(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -155,20 +165,7 @@ class Poly:
         other = self._operand(other)
         if not other.terms:
             return self
-        out = self.terms.copy()
-        for exps, coeff in other.terms.items():
-            total = out.get(exps)
-            if total is None:
-                out[exps] = -coeff
-            else:
-                total -= coeff
-                if not total:
-                    del out[exps]
-                elif type(total) is int or total.denominator != 1:
-                    out[exps] = total
-                else:
-                    out[exps] = total.numerator
-        return _trusted(self.nvars, out)
+        return _trusted(self.nvars, _merge(self.terms, other.terms, negate=True))
 
     def __rsub__(self, other: Coeff) -> Poly:
         return Poly.const(self.nvars, other) - self

@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -194,6 +195,16 @@ def test_transgression(capsys):
     code, out, _ = run(capsys, "transgression", "E0", "--c1", "flat", "--c2", "torsionfree", "--k", "1")
     assert code == 0
     assert "4*x1 * w(X11) + 4*x2 * w(X22)" in out
+
+
+def test_transgression_at_a_huge_order_stops_once_the_power_is_zero(capsys):
+    # above half the rank the curvature power is the zero matrix; its degree
+    # still grows with k, but no further product is formed
+    argv = ["transgression", "E0", "--c1", "flat", "--c2", "torsionfree", "--json", "--k"]
+    start = time.perf_counter()
+    code, huge, _ = run(capsys, *argv, str(10**18))
+    assert (code, time.perf_counter() - start < 2) == (0, True)
+    assert run(capsys, *argv, "3") == (0, huge.replace(f"order {10**18};", "order 3;"), "")
 
 
 def test_courant_reports_spaces_and_defect(capsys):

@@ -250,6 +250,12 @@ def test_zero_objects_round_trip_on_the_second_bundle(decl, text):
     assert parse(written) == doc
 
 
+def test_a_repeated_dual_keeps_its_degree_on_the_second_bundle():
+    doc = parse(ZERO_HEAD + "form f = w(C)^w(C)\n")
+    assert doc.form("f") == FormDecl("f", "F", 2)
+    assert parse(serialize(doc)) == doc
+
+
 def test_degree_cap_admits_its_bound():
     doc = parse("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^32*(y^2)^16*d1\n")
     assert doc.bundle().anchors[0].comps[0].total_degree() == DEGREE_CAP

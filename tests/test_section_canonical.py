@@ -1,0 +1,83 @@
+"""Sections come out of every kernel in the one canonical coefficient form.
+
+A stored coefficient is never zero, and it is an ``int`` where integral and
+a ``Fraction`` only where its denominator is not 1 (never a bool, a float or
+an integral Fraction), the form ``poly`` keeps and the reports rely on.  The
+derived bundle's lifted connection is the interesting input: its ½-wedge
+terms cancel back to integers in the bracket and the curvature.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from algforge.algebroid import Section
+from algforge.catalog import builtin, e0_kernel_sections, torsionfree_gamma
+from algforge.connection import EConnection, derive_bundle
+from algforge.poly import Poly
+from algforge.sampling import Sampler
+
+E0 = builtin("E0")
+TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
+DERIVED = derive_bundle(TF)
+
+
+def assert_canonical(s: Section) -> None:
+    for coeff in s.coeffs:
+        for c in coeff.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+            assert c != 0
+    assert Section(s.coeffs) == s
+
+
+def sections(a, seed):
+    sampler = Sampler(seed)
+    half = a.unit_section(0).scale(Fraction(1, 2))
+    return [a.zero_section(), half, half + half] + [a.unit_section(i) for i in range(a.rank)] + [
+        sampler.section(a) for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("conn", [TF, DERIVED.lifted, DERIVED.plain_ext], ids=lambda c: c.name)
+def test_kernel_outputs_are_canonical(conn):
+    a = conn.algebroid
+    secs = sections(a, seed=a.rank)
+    for x in secs:
+        assert_canonical(x)
+        assert_canonical(-x)
+        assert_canonical(x.scale(Fraction(2, 3)))
+        for y in secs:
+            for s in (a.bracket(x, y), conn.covariant_derivative(x, y), x + y, x - y, x - x):
+                assert_canonical(s)
+    units = [a.unit_section(i) for i in range(a.rank)]
+    for i, j in ((0, 1), (1, 3), (0, a.rank - 1)):
+        for b in range(a.rank):
+            assert_canonical(conn.curvature(units[i], units[j], units[b]))
+            assert_canonical(conn.curvature_gen(i, j, b))
+
+
+def test_the_half_wedge_terms_cancel_back_to_integers():
+    # lifted = plain + ½ e_α∧e_b on (E, E) pairs; the bracket antisymmetrises it
+    a = DERIVED.derived
+    for value in a.structure.values():
+        assert_canonical(value)
+        assert all(type(c) is int for coeff in value.coeffs for c in coeff.terms.values())
+    assert any(type(c) is Fraction for value in DERIVED.lifted.gamma.values() for coeff in value.coeffs
+               for c in coeff.terms.values())
+
+
+def test_modifier_outputs_are_canonical():
+    kern = list(e0_kernel_sections().values())
+    modifier = Sampler(3).kernel_modifier(E0, kern, max_degree=2)
+    secs = sections(E0, seed=9)
+    for x in secs:
+        for y in secs:
+            assert_canonical(modifier.apply(E0, x, y))
+
+
+def test_the_poly_constructor_round_trip_drops_zeros_and_folds():
+    x = Poly.variable(2, 0)
+    s = Section([x * Fraction(4, 2), Poly.zero(2), Poly.const(2, Fraction(1, 3))])
+    assert_canonical(s)
+    assert s.rank == 3 and s.coeffs[1].is_zero()
+    assert (s - s).is_zero() and (s - s) == Section.zero(3, 2)
