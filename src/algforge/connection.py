@@ -5,7 +5,8 @@ an algebroid E.  It is determined by its values on generator pairs (the gamma
 table) and extended by the usual two rules: F-linearity in the direction slot
 and the Leibniz rule over coefficients in the section slot.  Both come from
 the one Leibniz kernel in ``algebroid``: nabla_X s is the anchored derivative
-``Algebroid.derivative(X, s)`` plus ``pair_sum`` over the gamma table.
+D_X s (``Algebroid.derivative``) plus ``pair_sum`` over the gamma table, both
+adding into one term dict.
 
 Curvature on generators is computed once per connection (``curvature_table``,
 read for any ordered pair by ``curvature_gen``), and every generator sweep

@@ -2,7 +2,7 @@
 
 A k-form stores polynomial components on strictly increasing k-tuples of
 generator indices.  The differential is the derivation fixed by two rules:
-df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor, and
+df = Σ_b ρ(e_b)(f) θ^b on functions, read from the stored anchor rows, and
 dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
 table.  When the bracket fails the Jacobi identity the square of d is not
 zero; its failure on dual generators spans an exterior ideal, and the
