@@ -1,12 +1,12 @@
 """Section operations against an independent sympy re-implementation.
 
-Everything below the imports of the tables is sympy: polynomials become
-sympy expressions in the base coordinates, a section a list of them, and
-anchor application, the Leibniz bracket, the covariant derivative, the
-bracket modifier and the Jacobiator are written out from their textbook
-formulas with ``sympy.diff``.  Nothing of the package's arithmetic is used;
-the package is read only for its input tables (anchor rows, the structure,
-gamma and modifier tables) and for the results under test.  Inputs are the
+The oracle is sympy throughout: polynomials become sympy expressions in the
+base coordinates, a section a list of them, and anchor application, the
+Leibniz bracket, the covariant derivative, the bracket modifier and the
+Jacobiator are written out from their textbook formulas with
+``sympy.diff``.  Nothing of the package's arithmetic is used; the package is
+read only for its input tables (anchor, structure, gamma and modifier
+tables) and for the results under test.  Inputs are the
 zero section, the generators and seeded sampled sections over E0,
 E0_itemized (which fails the anchor axioms), tangent3 and the rank-10
 derived bundle with its lifted and plain connections.
