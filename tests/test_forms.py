@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algforge.catalog import builtin, make_tangent
+from algforge.algebroid import AlgebroidError
+from algforge.catalog import builtin, corpus_document, make_tangent
+from algforge.dsl import document_algebroid, document_form
 from algforge.forms import (
     Form,
     Lambda2Ideal,
@@ -19,6 +21,7 @@ from algforge.forms import (
     weak_exact,
 )
 from algforge.poly import Poly
+from algforge.sampling import Sampler
 
 E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
@@ -174,6 +177,36 @@ def test_form_text_and_component_access():
     omega = w(0, 2).scale(Fraction(1, 2))
     assert omega.component((0, 2)) == Fraction(1, 2) * Poly.const(2, 1)
     assert "w(X11)^w(X12)" in omega.to_text()
+
+
+@pytest.mark.parametrize(
+    "degree, key",
+    [(-1, ()), (2, (0,)), (1, (4,)), (2, (1, 0)), (2, (1, 1))],
+    ids=["negative-degree", "wrong-length", "out-of-range", "decreasing", "repeated"],
+)
+def test_public_constructor_rejects_bad_keys(degree, key):
+    with pytest.raises(AlgebroidError):
+        Form(E0, degree, {key: X1})
+
+
+def test_document_and_sampler_forms_build_through_the_public_constructor(monkeypatch):
+    checked = []
+    init = Form.__init__
+
+    def spy(self, algebroid, degree, comps):
+        checked.append(degree)
+        init(self, algebroid, degree, comps)
+
+    monkeypatch.setattr(Form, "__init__", spy)
+    doc = corpus_document("plane_forms")
+    plane = document_algebroid(doc)
+    assert document_form(doc, plane, "radial").degree == 1
+    assert Sampler(0).form(E0, 2).degree == 2
+    assert checked == [1, 2]
+    # a declaration's keys are checked on the way in
+    doc.form("area").comps[(1, 0)] = Poly.const(2, 1)
+    with pytest.raises(AlgebroidError):
+        document_form(doc, plane, "area")
 
 
 def test_eval_rejects_wrong_arity():
