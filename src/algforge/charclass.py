@@ -7,11 +7,19 @@ forms.  Independence from the connection is verified per instance by an
 explicit homotopy: the two connections are joined along an extra interval
 variable, and an integration operator H peels the interval off, splitting the
 difference of characteristic forms into an exact part and an ideal part.
+
+Every form here is built straight as a ``forms`` term dict: the connection
+and curvature matrices from the term dicts of the gamma and curvature
+sections, matrix products by adding each entry's wedge terms into one dict,
+and the interval operators (inclusion, restriction to an endpoint, H) as one
+loop over a form's terms.  Results are wrapped through the trusted
+``forms._form``/``_finish``, never re-checked key by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, VectorField
 from .connection import EConnection
@@ -19,6 +27,9 @@ from .forms import (
     Form,
     IdealDecision,
     Lambda2Ideal,
+    _finish,
+    _form,
+    _wedge_into,
     d_squared,
     differential,
 )
@@ -76,16 +87,16 @@ class FormMatrix:
         )
 
     def wedge_mul(self, other: FormMatrix) -> FormMatrix:
+        degree = self.degree + other.degree
         out = []
-        for i in range(self.size):
-            row = []
+        for row in self.entries:
+            out.append([])
             for j in range(other.size):
-                total = Form.zero(self.algebroid, self.degree + other.degree)
-                for c in range(self.size):
-                    total = total + self.entries[i][c].wedge(other.entries[c][j])
-                row.append(total)
-            out.append(row)
-        return FormMatrix(self.algebroid, self.degree + other.degree, out)
+                total: dict = {}
+                for f, g in zip(row, other.entries):
+                    _wedge_into(total, f.terms, g[j].terms)
+                out[-1].append(_finish(self.algebroid, degree, total))
+        return FormMatrix(self.algebroid, degree, out)
 
     def wedge_power(self, k: int) -> FormMatrix:
         if k < 0:
@@ -125,27 +136,22 @@ class FormMatrix:
 
 def connection_forms(conn: EConnection) -> FormMatrix:
     """theta[a][b] = sum over directions of gamma[a, direction, b] omega^direction."""
-    a_ = conn.algebroid
     r = conn.target_rank
-    entries = [[Form.zero(a_, 1) for _ in range(r)] for _ in range(r)]
+    terms: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
     for (beta, b), value in conn.gamma.items():
-        for idx, coeff in enumerate(value.coeffs):
-            if not coeff.is_zero():
-                entries[idx][b] = entries[idx][b] + Form(a_, 1, {(beta,): coeff})
-    return FormMatrix(a_, 1, entries)
+        for (idx, exps), c in value.terms.items():
+            terms[idx][b][((beta,), exps)] = c
+    return FormMatrix(conn.algebroid, 1, [[_form(conn.algebroid, 1, t) for t in row] for row in terms])
 
 
 def curvature_matrix(conn: EConnection) -> FormMatrix:
     """2-form matrix of curvature values on generator pairs."""
-    a_ = conn.algebroid
     r = conn.target_rank
-    comps: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
+    terms: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
     for (alpha, beta, b), value in conn.curvature_table().items():
-        for a_idx, coeff in enumerate(value.coeffs):
-            if not coeff.is_zero():
-                comps[a_idx][b][(alpha, beta)] = coeff
-    entries = [[Form(a_, 2, comps[i][j]) for j in range(r)] for i in range(r)]
-    return FormMatrix(a_, 2, entries)
+        for (idx, exps), c in value.terms.items():
+            terms[idx][b][((alpha, beta), exps)] = c
+    return FormMatrix(conn.algebroid, 2, [[_form(conn.algebroid, 2, t) for t in row] for row in terms])
 
 
 def cartan_residual(conn: EConnection) -> FormMatrix:
@@ -200,19 +206,17 @@ class ProductAlgebroid:
 
     def include_form(self, omega: Form) -> Form:
         """View a form on the base algebroid as a t-independent extended form."""
-        comps = {key: coeff.extend(1) for key, coeff in omega.comps.items()}
-        return Form(self.extended, omega.degree, comps)
+        return _form(self.extended, omega.degree, {(key, exps + (0,)): c for (key, exps), c in omega.terms.items()})
 
     def restrict_form(self, omega: Form, u) -> Form:
         """Substitute t = u and delete interval components."""
-        comps = {}
-        for key, coeff in omega.comps.items():
-            if self.et_index in key:
-                continue
-            p = coeff.subs_scalar(self.t_index, u).drop_var(self.t_index)
-            if not p.is_zero():
-                comps[key] = p
-        return Form(self.base, omega.degree, comps)
+        t = self.t_index
+        out: dict = {}
+        for (key, exps), c in omega.terms.items():
+            if self.et_index not in key:
+                k = (key, exps[:t] + exps[t + 1 :])
+                out[k] = out.get(k, 0) + (c * u ** exps[t] if exps[t] else c)
+        return _finish(self.base, omega.degree, out)
 
     def homotopy(self, omega: Form) -> Form:
         """Integrate the interval component away; degree drops by one.
@@ -224,18 +228,15 @@ class ProductAlgebroid:
         """
         if omega.degree == 0:
             return Form.zero(self.base, 0)
-        comps = {}
-        for key, coeff in omega.comps.items():
-            if self.et_index not in key:
-                continue
-            s = tuple(i for i in key if i != self.et_index)
-            integrated = coeff.integrate_unit(self.t_index).drop_var(self.t_index)
-            if integrated.is_zero():
-                continue
-            if len(s) % 2:
-                integrated = -integrated
-            comps[s] = comps.get(s, Poly.zero(self.base.nvars)) + integrated
-        return Form(self.base, omega.degree - 1, comps)
+        t = self.t_index
+        out: dict = {}
+        for (key, exps), c in omega.terms.items():
+            if self.et_index in key:
+                s = tuple(i for i in key if i != self.et_index)
+                k = (s, exps[:t] + exps[t + 1 :])
+                value = Fraction(c, exps[t] + 1) if exps[t] else c
+                out[k] = out.get(k, 0) + (-value if len(s) % 2 else value)
+        return _finish(self.base, omega.degree - 1, out)
 
 
 def product_algebroid(e: Algebroid) -> ProductAlgebroid:

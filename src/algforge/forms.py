@@ -1,7 +1,14 @@
 """Exterior forms on an algebroid's dual generator basis.
 
-A k-form stores polynomial components on strictly increasing k-tuples of
-generator indices.  The differential is the derivation fixed by two rules:
+A k-form is one flat dict {(index tuple, exponents): coefficient} over
+strictly increasing k-tuples of generator indices, in the ``poly`` normal
+form, as a section is; ``comps`` reads it back as one Poly per tuple.  The
+dict is also the form's witness column, so the searches below hand it to
+``witness`` and read their solutions back as forms without a conversion.
+Only the public constructor, which takes outside input, checks keys; wedge,
+sums, scaling, the differential and the interval operators of ``charclass``
+build their results already valid and wrap them through ``_form``.
+The differential is the derivation fixed by two rules:
 df = Σ_b ρ(e_b)(f) θ^b on functions, read from the stored anchor rows, and
 dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
 table.  When the bracket fails the Jacobi identity the square of d is not
@@ -21,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from . import witness
 from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, apply_row
-from .poly import Poly
+from .poly import Poly, _fold, _merge, _trusted
 
 
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]):
@@ -70,16 +78,21 @@ def _poly_det(rows: list[list[Poly]]) -> Poly:
 
 
 class Form:
-    """Alternating polynomial form of fixed degree on the generator basis."""
+    """Alternating polynomial form of fixed degree on the generator basis.
 
-    __slots__ = ("algebroid", "degree", "comps")
+    Stored as one flat dict ``terms = {(index tuple, exponents): coefficient}``
+    with strictly increasing index tuples and coefficients in the ``poly``
+    normal form; this dict is also the form's witness column.  The public
+    constructor checks every key of its one-Poly-per-tuple input; internal
+    results are wrapped already valid by ``_form``.
+    """
+
+    __slots__ = ("algebroid", "degree", "terms")
 
     def __init__(self, algebroid: Algebroid, degree: int, comps: dict[tuple[int, ...], Poly]):
         if degree < 0:
             raise AlgebroidError("form degree must be nonnegative")
-        self.algebroid = algebroid
-        self.degree = degree
-        clean: dict[tuple[int, ...], Poly] = {}
+        terms = {}
         for key, value in comps.items():
             key = tuple(key)
             if len(key) != degree:
@@ -88,9 +101,9 @@ class Form:
                 raise AlgebroidError("component index out of range")
             if list(key) != sorted(set(key)):
                 raise AlgebroidError("component keys must be strictly increasing")
-            if not value.is_zero():
-                clean[key] = value
-        self.comps = clean
+            for exps, c in value.terms.items():
+                terms[(key, exps)] = c
+        self.algebroid, self.degree, self.terms = algebroid, degree, terms
 
     # ---- constructors ----
 
@@ -111,36 +124,48 @@ class Form:
 
     # ---- structure ----
 
+    @property
+    def comps(self) -> dict[tuple[int, ...], Poly]:
+        """The coefficient of every index tuple as a Poly (read-only, built on each read)."""
+        split: dict = {}
+        for (key, exps), c in self.terms.items():
+            split.setdefault(key, {})[exps] = c
+        return {key: _trusted(self.algebroid.nvars, terms) for key, terms in split.items()}
+
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.terms
 
     def component(self, key: tuple[int, ...]) -> Poly:
-        return self.comps.get(tuple(key), Poly.zero(self.algebroid.nvars))
+        key = tuple(key)
+        return _trusted(self.algebroid.nvars, {exps: c for (u, exps), c in self.terms.items() if u == key})
 
     def sorted_comps(self):
         return sorted(self.comps.items())
 
     def __add__(self, other: Form) -> Form:
         self._check_compatible(other)
-        comps = dict(self.comps)
-        for key, value in other.comps.items():
-            comps[key] = comps.get(key, Poly.zero(self.algebroid.nvars)) + value
-        return Form(self.algebroid, self.degree, comps)
+        return _form(self.algebroid, self.degree, _merge(self.terms, other.terms))
 
     def __sub__(self, other: Form) -> Form:
-        return self + (-other)
+        self._check_compatible(other)
+        return _form(self.algebroid, self.degree, _merge(self.terms, other.terms, negate=True))
 
     def __neg__(self) -> Form:
-        return Form(self.algebroid, self.degree, {k: -v for k, v in self.comps.items()})
+        return _form(self.algebroid, self.degree, {key: -c for key, c in self.terms.items()})
 
     def scale(self, f: Poly | int | Fraction) -> Form:
-        return Form(self.algebroid, self.degree, {k: v * f for k, v in self.comps.items()})
+        if not isinstance(f, Poly):
+            f = Poly.const(self.algebroid.nvars, f)
+        out: dict = {}
+        for (key, exps), c in self.terms.items():
+            _add_shifted(out, key, exps, c, f.terms.items())
+        return _finish(self.algebroid, self.degree, out)
 
     def __eq__(self, other):
         return (
             isinstance(other, Form)
             and self.degree == other.degree
-            and self.comps == other.comps
+            and self.terms == other.terms
         )
 
     def _check_compatible(self, other: Form) -> None:
@@ -169,18 +194,7 @@ class Form:
     def wedge(self, other: Form) -> Form:
         if self.algebroid is not other.algebroid and self.algebroid.gen_names != other.algebroid.gen_names:
             raise AlgebroidError("forms live on different algebroids")
-        comps: dict[tuple[int, ...], Poly] = {}
-        zero = Poly.zero(self.algebroid.nvars)
-        for s, a in self.comps.items():
-            for t, b in other.comps.items():
-                sign, merged = _merge_sign(s, t)
-                if sign == 0:
-                    continue
-                term = a * b
-                if sign < 0:
-                    term = -term
-                comps[merged] = comps.get(merged, zero) + term
-        return Form(self.algebroid, self.degree + other.degree, comps)
+        return _finish(self.algebroid, self.degree + other.degree, _wedge_into({}, self.terms, other.terms))
 
     # ---- text ----
 
@@ -208,6 +222,29 @@ class Form:
         return f"Form({self.to_text()})"
 
 
+def _form(algebroid: Algebroid, degree: int, terms: dict) -> Form:
+    """Wrap a term dict already in normal form: valid index tuples, ``poly`` normal-form coefficients."""
+    f = object.__new__(Form)
+    f.algebroid, f.degree, f.terms = algebroid, degree, terms
+    return f
+
+
+def _finish(algebroid: Algebroid, degree: int, out: dict) -> Form:
+    """The form of an accumulated term dict: zero sums dropped, integral Fractions made ints."""
+    return _form(algebroid, degree, _fold({key: c for key, c in out.items() if c}))
+
+
+def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
+    """Add the wedge product of two forms' term dicts into ``out``, unfinished."""
+    for (s, ea), a in alpha.items():
+        for (t, eb), b in beta.items():
+            sign, key = _merge_sign(s, t)
+            if sign:
+                key = (key, tuple(map(add, ea, eb)))
+                out[key] = out.get(key, 0) + (a * b if sign > 0 else -(a * b))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the differential
 # ---------------------------------------------------------------------------
@@ -230,13 +267,16 @@ def differential(omega: Form) -> Form:
     for pair, value in a.structure.items():
         for (c, exps), v in value.terms.items():
             dtheta.setdefault(c, {}).setdefault(pair, {})[exps] = v
+    by_key: dict = {}
+    for (u, exps), c in omega.terms.items():
+        by_key.setdefault(u, []).append((exps, c))
     out: dict = {}
-    for u, f in omega.comps.items():
+    for u, f in by_key.items():
         for b, row in enumerate(a.rows):
             if row:
                 sign, key = _merge_sign((b,), u)
                 if sign:
-                    apply_row(out, row, (((key, exps), c) for exps, c in f.terms.items()), sign)
+                    apply_row(out, row, (((key, exps), c) for exps, c in f), sign)
         for t, c in enumerate(u):
             rest = u[:t] + u[t + 1 :]
             for pair, terms in dtheta.get(c, {}).items():
@@ -245,10 +285,9 @@ def differential(omega: Form) -> Form:
                     # dθ^c has even degree, so it moves to the front unsigned:
                     # the term is (−1)^(t+1) f c^c_ij on θ^i ∧ θ^j ∧ θ^rest
                     weight = sign if t % 2 else -sign
-                    for exps, fc in f.terms.items():
+                    for exps, fc in f:
                         _add_shifted(out, key, exps, weight * fc, terms.items())
-    comps = witness.polys({key: c for key, c in out.items() if c}, a.nvars)
-    return Form(a, omega.degree + 1, dict(sorted(comps.items())))
+    return _finish(a, omega.degree + 1, dict(sorted(out.items())))
 
 
 def d_squared(omega: Form) -> Form:
@@ -308,13 +347,7 @@ class Lambda2Ideal:
     @property
     def fast_path(self) -> bool:
         """True when every generator is one monomial on one index tuple."""
-        for _, g in self.nonzero_gens():
-            if len(g.comps) != 1:
-                return False
-            (coeff,) = g.comps.values()
-            if len(coeff.terms) != 1:
-                return False
-        return True
+        return all(len(g.terms) == 1 for _, g in self.nonzero_gens())
 
     # ---- membership ----
 
@@ -330,13 +363,15 @@ class Lambda2Ideal:
         if self.fast_path:
             remainder, values = self._divide(omega)
             if remainder:
-                ((u, _), _) = next(iter(remainder.items()))
+                # the first component of omega, in its own order, with terms left over
+                left = {u for u, _ in remainder}
+                u = next(u for u, _ in omega.terms if u in left)
                 names = "^".join(f"w({self.algebroid.gen_names[i]})" for i in u)
                 return IdealDecision(
                     NOT_MEMBER, note=f"component on {names} has terms outside the generator monomials"
                 )
         else:
-            values = witness.solve(self._columns(omega.degree, max_degree), _column(omega))
+            values = witness.solve(self._columns(omega.degree, max_degree), omega.terms)
             if values is None:
                 return IdealDecision(NO_WITNESS, note=f"no witness with coefficient degree <= {max_degree}")
         return IdealDecision(MEMBER, self._cofactors(omega.degree, values))
@@ -348,23 +383,22 @@ class Lambda2Ideal:
         divides it, as a cofactor term on s = u - t; the rest, the canonical
         remainder, is what no generator divides.
         """
-        remainder, values = {}, {}
-        for u, coeff in omega.comps.items():
-            divisors = []
-            for g_idx, g in self.nonzero_gens():
-                ((t, mono),) = g.comps.items()
-                if set(t) <= set(u):
-                    s = tuple(sorted(set(u) - set(t)))
-                    ((g_exps, g_scalar),) = mono.terms.items()
-                    divisors.append((g_idx, s, _merge_sign(s, t)[0], g_exps, g_scalar))
-            for exps, c in coeff.terms.items():
-                for g_idx, s, sign, g_exps, g_scalar in divisors:
-                    if all(e >= ge for e, ge in zip(exps, g_exps)):
-                        quotient = tuple(e - ge for e, ge in zip(exps, g_exps))
-                        values[((g_idx, s), quotient)] = Fraction(sign * c, g_scalar)
-                        break
-                else:
-                    remainder[(u, exps)] = c
+        remainder, values, divisors = {}, {}, {}
+        for (u, exps), c in omega.terms.items():
+            if u not in divisors:
+                divisors[u] = []
+                for g_idx, g in self.nonzero_gens():
+                    (((t, g_exps), g_scalar),) = g.terms.items()
+                    if set(t) <= set(u):
+                        s = tuple(sorted(set(u) - set(t)))
+                        divisors[u].append((g_idx, s, _merge_sign(s, t)[0], g_exps, g_scalar))
+            for g_idx, s, sign, g_exps, g_scalar in divisors[u]:
+                if all(e >= ge for e, ge in zip(exps, g_exps)):
+                    quotient = tuple(e - ge for e, ge in zip(exps, g_exps))
+                    values[((g_idx, s), quotient)] = Fraction(sign * c, g_scalar)
+                    break
+            else:
+                remainder[(u, exps)] = c
         return remainder, values
 
     def _columns(self, degree: int, max_degree: int) -> dict:
@@ -383,10 +417,10 @@ class Lambda2Ideal:
 
     def _cofactors(self, degree: int, values: dict) -> dict[int, Form]:
         """Cofactor forms from the values of a solve over ``_columns``."""
-        comps: dict[int, dict[tuple[int, ...], Poly]] = {}
-        for (g_idx, s), p in witness.polys(values, self.algebroid.nvars).items():
-            comps.setdefault(g_idx, {})[s] = p
-        return {g_idx: Form(self.algebroid, degree - 3, c) for g_idx, c in comps.items()}
+        terms: dict[int, dict] = {}
+        for ((g_idx, s), mu), v in values.items():
+            terms.setdefault(g_idx, {})[(s, mu)] = v
+        return {g_idx: _finish(self.algebroid, degree - 3, t) for g_idx, t in terms.items()}
 
     def check_cofactors(self, omega: Form, decision: IdealDecision) -> bool:
         """Recombine cofactors against the generators; must reproduce omega."""
@@ -407,23 +441,14 @@ class Lambda2Ideal:
             remainder, _ = self._divide(omega)
         else:
             columns = self._columns(omega.degree, max_degree)
-            remainder = witness.reduce(columns, _column(omega), key=_coordinate_key)
-        return _form(self.algebroid, omega.degree, remainder)
+            remainder = witness.reduce(columns, omega.terms, key=_coordinate_key)
+        return _finish(self.algebroid, omega.degree, remainder)
 
 
 def _coordinate_key(coord):
     """Index tuple first, then the monomial in graded-lex order, highest first."""
     u, exps = coord
     return u, -sum(exps), tuple(-e for e in exps)
-
-
-def _column(f: Form) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
-    return {(u, exps): v for u, coeff in f.comps.items() for exps, v in coeff.terms.items()}
-
-
-def _form(a: Algebroid, degree: int, values: dict) -> Form:
-    """The form whose column is ``values``: the inverse of ``_column``."""
-    return Form(a, degree, witness.polys(values, a.nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +481,10 @@ def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict
     columns = {}
     monos = witness.monomials_up_to(a.nvars, max_degree)
     for s in combinations(range(a.rank), degree):
-        base = Form(a, degree, {s: Poly.const(a.nvars, 1)})
         for mu in monos:
-            image = operator(base.scale(Poly.monomial(a.nvars, mu)))
+            image = operator(_form(a, degree, {(s, mu): 1}))
             if not image.is_zero():
-                columns[(s, mu)] = _column(image)
+                columns[(s, mu)] = image.terms
     return columns
 
 
@@ -470,12 +494,12 @@ def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
     d_omega = differential(omega)
     if d_omega.is_zero():
         return ClosednessDecision(YES, Form.zero(a, max(omega.degree - 1, 0)), note="d omega = 0")
-    x = witness.solve(_basis_columns(a, omega.degree - 1, max_degree, d_squared), _column(d_omega))
+    x = witness.solve(_basis_columns(a, omega.degree - 1, max_degree, d_squared), d_omega.terms)
     if x is None:
         return ClosednessDecision(
             NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}"
         )
-    return ClosednessDecision(YES, _form(a, omega.degree - 1, x))
+    return ClosednessDecision(YES, _finish(a, omega.degree - 1, x))
 
 
 def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
@@ -495,11 +519,11 @@ def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Closedn
     # theta slots are index tuples, ideal slots (generator, index tuple): the
     # tags cannot collide
     ideal_columns = ideal._columns(omega.degree, max_degree)
-    x = witness.solve({**d_columns, **ideal_columns}, _column(omega))
+    x = witness.solve({**d_columns, **ideal_columns}, omega.terms)
     if x is None:
         return ClosednessDecision(
             NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}"
         )
-    theta = _form(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
+    theta = _finish(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
     cofactors = ideal._cofactors(omega.degree, {t: v for t, v in x.items() if t in ideal_columns})
     return ClosednessDecision(YES, theta, cofactors)

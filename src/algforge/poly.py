@@ -134,11 +134,6 @@ class Poly:
             return -1
         return min(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     # ---- ring operations ----
 
     def _operand(self, other: Poly | Coeff) -> Poly:
@@ -219,16 +214,6 @@ class Poly:
 
     # ---- calculus ----
 
-    def partial(self, var: int) -> Poly:
-        """Exact partial derivative with respect to variable ``var``."""
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
-            if k:
-                # lowering one exponent is injective on the terms that have it
-                out[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff * k
-        return _trusted(self.nvars, _fold(out))
-
     def eval_at(self, point: Sequence[Coeff]) -> Fraction:
         """Exact evaluation at a rational point, as a Fraction."""
         if len(point) != self.nvars:
@@ -245,36 +230,6 @@ class Poly:
             total += term
         return Fraction(total)
 
-    def subs_scalar(self, var: int, value: Coeff) -> Poly:
-        """Substitute a rational value for one variable (variable count kept)."""
-        value = _coeff(value)
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
-            c = coeff * (value**k if k else 1)
-            if not c:
-                continue
-            e = list(exps)
-            e[var] = 0
-            key = tuple(e)
-            out[key] = out.get(key, 0) + c
-        return Poly(self.nvars, out)
-
-    def integrate_unit(self, var: int) -> Poly:
-        """Definite integral over [0, 1] in variable ``var`` (exact).
-
-        Each term c*x^k*rest contributes c/(k+1)*rest; the result no longer
-        depends on ``var``.
-        """
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
-            e = list(exps)
-            e[var] = 0
-            key = tuple(e)
-            out[key] = out.get(key, 0) + Fraction(coeff, k + 1)
-        return Poly(self.nvars, out)
-
     # ---- variable plumbing ----
 
     def extend(self, extra: int) -> Poly:
@@ -283,15 +238,6 @@ class Poly:
             return self
         pad = (0,) * extra
         return _trusted(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
-
-    def drop_var(self, var: int) -> Poly:
-        """Remove a variable the polynomial does not depend on."""
-        if self.degree_in(var) > 0:
-            raise ValueError("polynomial still depends on the dropped variable")
-        out = {}
-        for exps, coeff in self.terms.items():
-            out[exps[:var] + exps[var + 1 :]] = coeff
-        return _trusted(self.nvars - 1, out)
 
     # ---- canonical text ----
 

@@ -35,22 +35,12 @@ def test_degrees():
     p = X * X * Y + X
     assert p.total_degree() == 3
     assert p.min_degree() == 1
-    assert p.degree_in(0) == 2
-    assert p.degree_in(1) == 1
     assert Poly.zero(2).total_degree() == -1
-
-
-def test_partial_derivative():
-    p = X * X * Y - Y * 5
-    assert p.partial(0) == X * Y * 2
-    assert p.partial(1) == X * X - 5
 
 
 def test_eval_and_substitute():
     p = X * X + Y * 3
     assert p.eval_at([2, 1]) == 7
-    assert p.subs_scalar(0, 2) == Y * 3 + 4
-    assert p.subs_scalar(1, Fraction(1, 3)) == X * X + 1
 
 
 def test_eval_of_the_zero_polynomial():
@@ -60,21 +50,11 @@ def test_eval_of_the_zero_polynomial():
         Poly.zero(2).eval_at([1])
 
 
-def test_integrate_unit_interval():
-    # integral over [0,1] in the second variable: x^2*y^2 + y -> x^2/3 + 1/2
-    p = X * X * Y * Y + Y
-    q = p.integrate_unit(1)
-    assert q == X * X * Fraction(1, 3) + Fraction(1, 2)
-    assert q.degree_in(1) == 0
-
-
 def test_extend_and_drop_var():
     p = X * Y + X
     ext = p.extend(1)
     assert ext.nvars == 3
-    assert ext.drop_var(2) == p
-    at_zero = (ext * Poly.variable(3, 2)).subs_scalar(2, 0)
-    assert at_zero.is_zero()
+    assert ext.terms == {(1, 1, 0): 1, (1, 0, 0): 1}
 
 
 def test_to_text_is_canonical():
@@ -98,13 +78,6 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p + Poly.zero(2) == p
     assert p * Poly.const(2, 1) == p
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
-def test_partial_is_a_derivation(p, q):
-    for var in (0, 1):
-        assert (p * q).partial(var) == p.partial(var) * q + p * q.partial(var)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,8 +149,6 @@ def test_ring_operations_match_sympy(p, q, c):
 def test_powers_and_partials_match_sympy(p, k):
     sp = sympy_poly(p)
     assert agrees(p**k, sp**k)
-    for var in range(NVARS):
-        assert agrees(p.partial(var), sp.diff(sp.gens[var]))
 
 
 points = st.lists(scalars, min_size=NVARS, max_size=NVARS)
@@ -190,19 +161,14 @@ def sympy_value(c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys3, points, st.integers(0, NVARS - 1))
-def test_evaluation_substitution_and_integration_match_sympy(p, point, var):
+@given(polys3, points)
+def test_evaluation_substitution_and_integration_match_sympy(p, point):
     sympy = pytest.importorskip("sympy")
     sp = sympy_poly(p)
-    x = sp.gens[var]
     value = p.eval_at(point)
     assert type(value) is Fraction
     want = sp.as_expr().subs(dict(zip(sp.gens, map(sympy_value, point))))
     assert value == Fraction(int(sympy.numer(want)), int(sympy.denom(want)))
-    sub = sp.as_expr().subs(x, sympy_value(point[var]))
-    assert agrees(p.subs_scalar(var, point[var]), sympy.Poly(sub, *sp.gens, domain="QQ"))
-    integral = sympy.integrate(sp.as_expr(), (x, 0, 1))
-    assert agrees(p.integrate_unit(var), sympy.Poly(integral, *sp.gens, domain="QQ"))
 
 
 def test_integral_fractions_become_ints():
@@ -216,8 +182,6 @@ def test_integral_fractions_become_ints():
         half_x * Fraction(4, 2),
         half_x + half_x,
         half_x * Poly.const(NVARS, 4),
-        Poly.monomial(NVARS, (2, 0, 0), Fraction(1, 2)).partial(0),
-        Poly.monomial(NVARS, (0, 0, 2), 1).integrate_unit(2) * 3,
     ):
         assert_normal_form(p)
         assert p.terms and all(type(c) is int for c in p.terms.values())
