@@ -55,10 +55,7 @@ def e0_complex_structure() -> Endomorphism:
 
 
 def e0prime_to_e0_matrix() -> list[list[Poly]]:
-    """Bundle map E0prime -> E0: Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2.
-
-    Rows are E0 generators and columns images of E0prime generators.
-    """
+    """Bundle map E0prime -> E0, columns the images: Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2."""
     doc = corpus_document("E0")
     e0 = document_algebroid(doc)
     columns = [e0.unit_section(0), e0.unit_section(3), doc.section("Xs1").value, doc.section("Xs2").value]

@@ -8,12 +8,10 @@ explicit homotopy: the two connections are joined along an extra interval
 variable, and an integration operator H peels the interval off, splitting the
 difference of characteristic forms into an exact part and an ideal part.
 
-Every form here is built straight as a ``forms`` term dict: the connection
-and curvature matrices from the term dicts of the gamma and curvature
-sections, matrix products by adding each entry's wedge terms into one dict,
-and the interval operators (inclusion, restriction to an endpoint, H) as one
-loop over a form's terms.  Results are wrapped through the trusted
-``forms._form``/``_finish``, never re-checked key by key.
+Forms are built straight as ``forms`` term dicts: the connection and
+curvature matrices from the gamma and curvature sections' term dicts, matrix
+products and the interval operators (inclusion, restriction, H) as loops
+over terms.  Results are wrapped through ``forms._form``, not re-checked.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ class FormMatrix:
             out.append([])
             for j in range(other.size):
                 total: dict = {}
-                for f, g in zip(row, other.entries):
-                    _wedge_into(total, f.terms, g[j].terms)
+                for f, other_row in zip(row, other.entries):
+                    _wedge_into(total, f.terms, other_row[j].terms)
                 out[-1].append(_finish(self.algebroid, degree, total))
         return FormMatrix(self.algebroid, degree, out)
 

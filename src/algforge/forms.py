@@ -1,13 +1,14 @@
 """Exterior forms on an algebroid's dual generator basis.
 
 A k-form is one flat dict {(index tuple, exponents): coefficient} over
-strictly increasing k-tuples of generator indices, in the ``poly`` normal
-form, as a section is; ``comps`` reads it back as one Poly per tuple.  The
-dict is also the form's witness column, so the searches below hand it to
-``witness`` and read their solutions back as forms without a conversion.
-Only the public constructor, which takes outside input, checks keys; wedge,
-sums, scaling, the differential and the interval operators of ``charclass``
-build their results already valid and wrap them through ``_form``.
+strictly increasing k-tuples of generator indices, with coefficients in the
+``poly`` normal form, as a section is; ``comps`` reads it back as one Poly
+per tuple.  The dict is also the form's witness column: the searches below
+hand it to ``witness`` as it is and read solutions back as forms.  Only the
+public constructor, which takes outside input, checks keys; wedge, sums,
+scaling, the differential, cofactors and the interval operators of
+``charclass`` wrap their already valid dicts through ``_form``.
+
 The differential is the derivation fixed by two rules:
 df = Σ_b ρ(e_b)(f) θ^b on functions, read from the stored anchor rows, and
 dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
@@ -80,11 +81,8 @@ def _poly_det(rows: list[list[Poly]]) -> Poly:
 class Form:
     """Alternating polynomial form of fixed degree on the generator basis.
 
-    Stored as one flat dict ``terms = {(index tuple, exponents): coefficient}``
-    with strictly increasing index tuples and coefficients in the ``poly``
-    normal form; this dict is also the form's witness column.  The public
-    constructor checks every key of its one-Poly-per-tuple input; internal
-    results are wrapped already valid by ``_form``.
+    ``terms`` is the only copy of the coefficients; the constructor takes one
+    Poly per index tuple and checks every key.
     """
 
     __slots__ = ("algebroid", "degree", "terms")
@@ -138,9 +136,6 @@ class Form:
     def component(self, key: tuple[int, ...]) -> Poly:
         key = tuple(key)
         return _trusted(self.algebroid.nvars, {exps: c for (u, exps), c in self.terms.items() if u == key})
-
-    def sorted_comps(self):
-        return sorted(self.comps.items())
 
     def __add__(self, other: Form) -> Form:
         self._check_compatible(other)
@@ -204,7 +199,7 @@ class Form:
         names = self.algebroid.gen_names
         vnames = self.algebroid.base.var_names
         pieces = []
-        for key, coeff in self.sorted_comps():
+        for key, coeff in sorted(self.comps.items()):
             basis = "^".join(f"w({names[i]})" for i in key)
             text = coeff.to_text(vnames)
             if not key:
