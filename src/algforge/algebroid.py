@@ -2,19 +2,19 @@
 
 An algebroid here is a rank-m bundle over a polynomial base, given by
 
-* an anchor: one base vector field per generator (m×n polynomial matrix), and
+* an anchor: the image rho(e_a) of every generator, a base vector field, and
 * a structure table: the bracket [e_i, e_j] for i < j, skew-extended.
 
 A section is one flat dict {(generator, exponents): coefficient}; its
-``coeffs`` reads it back as one Poly per generator.  Brackets of arbitrary
-polynomial sections are produced from the table by the Leibniz expansion,
-written once for every generator-pair table (structure, bracket modifier,
-connection gamma) as loops that add straight into one output dict: the
-pair-table sum ``pair_sum`` and the anchored derivative
-``Algebroid.derivative``.  Each algebroid stores its anchor rows as
-(j, [(exponents, coefficient)]) lists, and ``apply_row`` is the one loop that
-applies such a row to polynomial terms, for D_X here, for df in ``forms``
-and for ``VectorField.apply``.  The two axioms that
+``coeffs`` reads it back as one Poly per generator.  A vector field is a
+section of the base's tangent bundle (slot j is d/dx_j), so the anchor
+images are sections too, and ``map_section`` applies any bundle map given by
+its images.  Brackets of arbitrary polynomial sections are produced from the
+table by the Leibniz expansion, written once for every generator-pair table
+(structure, bracket modifier, connection gamma) as loops that add straight
+into one output dict: the pair-table sum ``pair_sum`` and the anchored
+derivative ``Algebroid.derivative``.  ``apply_row`` is the one loop that
+applies a vector field to polynomial terms.  The two axioms that
 make such a bundle an almost Lie algebroid — the Leibniz rule (true by
 construction) and anchor compatibility rho([X,Y]) = [rho X, rho Y] — reduce to
 polynomial identities on generator pairs, which is what check_axioms sweeps.
@@ -62,39 +62,103 @@ class BaseSpace:
         return f"BaseSpace({', '.join(self.var_names)})"
 
 
-class VectorField:
-    """A polynomial vector field sum_j comps[j] * d/dx_j on the base."""
+class Section:
+    """A bundle section as one flat term dict {(generator, exponents): coefficient}.
 
-    __slots__ = ("base", "comps")
+    Coefficients are in the ``poly`` normal form: nonzero, an int where
+    integral and a Fraction otherwise.  The dict is the only copy of the
+    coefficients; ``coeffs`` reads them back as one Poly per generator.
+    Sums, differences, negation and ``scale`` return the operand's own kind
+    through ``_like``.
+    """
+
+    __slots__ = ("terms", "rank", "nvars")
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        self.rank = len(coeffs)
+        self.nvars = coeffs[0].nvars if coeffs else 0
+        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in p.terms.items()}
+
+    @staticmethod
+    def zero(rank: int, nvars: int) -> Section:
+        return _section(rank, nvars, {})
+
+    def _like(self, terms: dict) -> Section:
+        """A section of the same bundle with the given normal-form term dict."""
+        return _section(self.rank, self.nvars, terms)
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The coefficient of every generator as a Poly (read-only, built on each read)."""
+        split = [{} for _ in range(self.rank)]
+        for (a, exps), c in self.terms.items():
+            split[a][exps] = c
+        return tuple(_trusted(self.nvars, terms) for terms in split)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: Section) -> Section:
+        return self._like(_merge(self.terms, other.terms))
+
+    def __sub__(self, other: Section) -> Section:
+        return self._like(_merge(self.terms, other.terms, negate=True))
+
+    def __neg__(self) -> Section:
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, f: Poly | int | Fraction) -> Section:
+        if not isinstance(f, Poly):
+            f = Poly.const(self.nvars, f)
+        out: dict = {}
+        for (a, exps), c in self.terms.items():
+            _add_shifted(out, a, exps, c, f.terms.items())
+        return self._like(_clean(out))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Section)
+            and (self.rank, self.nvars) == (other.rank, other.nvars)
+            and self.terms == other.terms
+        )
+
+    def min_degree(self) -> int:
+        """Smallest total degree over all nonzero coefficient terms (-1 if zero)."""
+        return min((sum(exps) for _, exps in self.terms), default=-1)
+
+    def __repr__(self):
+        return f"Section({list(self.coeffs)!r})"
+
+
+class VectorField(Section):
+    """A polynomial vector field sum_j comps[j] * d/dx_j on the base.
+
+    It is a section of the base's tangent bundle: rank and nvars are the
+    base dimension, and slot j is d/dx_j.
+    """
+
+    __slots__ = ("base",)
 
     def __init__(self, base: BaseSpace, comps):
         comps = tuple(comps)
         if len(comps) != base.dim:
             raise AlgebroidError("vector field has the wrong number of components")
+        super().__init__(comps)
         self.base = base
-        self.comps = comps
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+    def _like(self, terms: dict) -> VectorField:
+        return _vector_field(self.base, terms)
+
+    comps = Section.coeffs
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a coefficient function."""
-        row = [(j, comp.terms.items()) for j, comp in enumerate(self.comps) if comp.terms]
-        out = apply_row({}, row, (((None, exps), c) for exps, c in f.terms.items()))
+        out = apply_row({}, self, (((None, exps), c) for exps, c in f.terms.items()))
         return Poly(self.base.dim, {exps: c for (_, exps), c in out.items()})
 
-    def __add__(self, other: VectorField) -> VectorField:
-        return VectorField(self.base, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: VectorField) -> VectorField:
-        return VectorField(self.base, [a - b for a, b in zip(self.comps, other.comps)])
-
     def __eq__(self, other):
-        return (
-            isinstance(other, VectorField)
-            and self.base == other.base
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
+        return isinstance(other, VectorField) and self.base == other.base and self.terms == other.terms
 
     def to_text(self) -> str:
         names = self.base.var_names
@@ -118,70 +182,8 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket of base vector fields: components v(w_k) - w(v_k)."""
     if v.base != w.base:
         raise AlgebroidError("vector fields live over different bases")
-    return VectorField(v.base, [v.apply(wk) - w.apply(vk) for vk, wk in zip(v.comps, w.comps)])
-
-
-class Section:
-    """A bundle section as one flat term dict {(generator, exponents): coefficient}.
-
-    Coefficients are in the ``poly`` normal form: nonzero, an int where
-    integral and a Fraction otherwise.  The dict is the only copy of the
-    coefficients; ``coeffs`` reads them back as one Poly per generator.
-    """
-
-    __slots__ = ("terms", "rank", "nvars")
-
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        self.rank = len(coeffs)
-        self.nvars = coeffs[0].nvars if coeffs else 0
-        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in p.terms.items()}
-
-    @staticmethod
-    def zero(rank: int, nvars: int) -> Section:
-        return _section(rank, nvars, {})
-
-    @property
-    def coeffs(self) -> tuple[Poly, ...]:
-        """The coefficient of every generator as a Poly (read-only, built on each read)."""
-        split = [{} for _ in range(self.rank)]
-        for (a, exps), c in self.terms.items():
-            split[a][exps] = c
-        return tuple(_trusted(self.nvars, terms) for terms in split)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: Section) -> Section:
-        return _section(self.rank, self.nvars, _merge(self.terms, other.terms))
-
-    def __sub__(self, other: Section) -> Section:
-        return _section(self.rank, self.nvars, _merge(self.terms, other.terms, negate=True))
-
-    def __neg__(self) -> Section:
-        return _section(self.rank, self.nvars, {key: -c for key, c in self.terms.items()})
-
-    def scale(self, f: Poly | int | Fraction) -> Section:
-        if not isinstance(f, Poly):
-            f = Poly.const(self.nvars, f)
-        out: dict = {}
-        for (a, exps), c in self.terms.items():
-            _add_shifted(out, a, exps, c, f.terms.items())
-        return _finish(self.rank, self.nvars, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and (self.rank, self.nvars) == (other.rank, other.nvars)
-            and self.terms == other.terms
-        )
-
-    def min_degree(self) -> int:
-        """Smallest total degree over all nonzero coefficient terms (-1 if zero)."""
-        return min((sum(exps) for _, exps in self.terms), default=-1)
-
-    def __repr__(self):
-        return f"Section({list(self.coeffs)!r})"
+    # the terms of w on slot k are differentiated along v and stay on slot k
+    return _vector_field(v.base, _clean(apply_row(apply_row({}, v, w.terms.items()), w, v.terms.items(), -1)))
 
 
 def _section(rank: int, nvars: int, terms: dict) -> Section:
@@ -191,9 +193,17 @@ def _section(rank: int, nvars: int, terms: dict) -> Section:
     return s
 
 
-def _finish(rank: int, nvars: int, out: dict) -> Section:
-    """The section of an accumulated term dict: zero sums dropped, integral Fractions made ints."""
-    return _section(rank, nvars, _fold({key: c for key, c in out.items() if c}))
+def _vector_field(base: BaseSpace, terms: dict) -> VectorField:
+    """Wrap a term dict already in normal form as a vector field on the base."""
+    v = object.__new__(VectorField)
+    v.rank = v.nvars = base.dim
+    v.base, v.terms = base, terms
+    return v
+
+
+def _clean(out: dict) -> dict:
+    """An accumulated term dict in normal form: zero sums dropped, integral Fractions made ints."""
+    return _fold({key: c for key, c in out.items() if c})
 
 
 def _add_shifted(out: dict, slot, shift: tuple[int, ...], weight, terms) -> None:
@@ -203,20 +213,25 @@ def _add_shifted(out: dict, slot, shift: tuple[int, ...], weight, terms) -> None
         out[key] = out.get(key, 0) + weight * c
 
 
-def apply_row(out: dict, row, items, weight=1, shift: tuple[int, ...] | None = None) -> dict:
+def apply_row(out: dict, v: VectorField, items, weight=1, shift: tuple[int, ...] | None = None) -> dict:
     """Add weight * x^shift * V(f) to ``out`` for a vector field V = sum_j V_j d/dx_j.
 
-    ``row`` lists (j, [(exponents, coefficient)]) for the nonzero V_j, as an
-    algebroid stores each anchor row; ``items`` yields ((slot, exponents),
+    ``v``'s term dict is read as stored; ``items`` yields ((slot, exponents),
     coefficient) for the terms of f, and every result term lands on
     (slot, exponents).  This is the one derivative loop of the package.
     """
+    # a term c x^e d/dx_j of V takes x^f to f_j c x^(f + e + shift - 1_j)
+    moves = []
+    for (j, exps), c in v.terms.items():
+        delta = list(map(add, exps, shift)) if shift else list(exps)
+        delta[j] -= 1
+        moves.append((j, tuple(delta), c))
     for (slot, exps), c in items:
-        for j, comp in row:
+        for j, delta, vc in moves:
             k = exps[j]
             if k:
-                lowered = exps[:j] + (k - 1,) + exps[j + 1 :]
-                _add_shifted(out, slot, tuple(map(add, lowered, shift)) if shift else lowered, weight * k * c, comp)
+                key = (slot, tuple(map(add, exps, delta)))
+                out[key] = out.get(key, 0) + weight * k * c * vc
     return out
 
 
@@ -286,7 +301,7 @@ def pair_sum(out: dict, x: Section, y: Section, entry) -> Section:
                 for (a, exps), c in value.terms.items():
                     key = (a, tuple(map(add, shift, exps)))
                     out[key] = out.get(key, 0) + weight * c
-    return _finish(y.rank, y.nvars, out)
+    return y._like(_clean(out))
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +323,13 @@ class Algebroid:
         self.base = base
         self.gen_names = tuple(gen_names)
         self.rank = len(self.gen_names)
+        if not self.rank:
+            raise AlgebroidError("an algebroid needs at least one generator")
         if len(set(self.gen_names)) != self.rank:
             raise AlgebroidError("generator names must be unique")
         if len(anchor) != self.rank:
             raise AlgebroidError("anchor needs one vector field per generator")
         self.anchor = list(anchor)
-        # the anchor rows as the derivative loop reads them: (j, [(exponents, coefficient)])
-        self.rows = [[(j, list(c.terms.items())) for j, c in enumerate(row.comps) if c.terms] for row in self.anchor]
         if any(value.rank != self.rank for value in (structure or {}).values()):
             raise AlgebroidError("structure section has the wrong rank")
         self.structure = _skew_table(structure or {}, "bracket")
@@ -340,11 +355,7 @@ class Algebroid:
     def anchor_of(self, s: Section) -> VectorField:
         if s.rank != self.rank:
             raise AlgebroidError("section has the wrong rank")
-        return VectorField(self.base, map_section(self.anchor_matrix(), s).coeffs)
-
-    def anchor_matrix(self) -> list[list[Poly]]:
-        """The anchor as an n×m matrix: column a holds the components of rho(e_a)."""
-        return [[row.comps[j] for row in self.anchor] for j in range(self.nvars)]
+        return map_section(self.anchor, s)
 
     def anchor_rank_at(self, point) -> int:
         rows = [[comp.eval_at(point) for comp in row.comps] for row in self.anchor]
@@ -362,14 +373,15 @@ class Algebroid:
     def derivative(self, out: dict, x: Section, s: Section, sign: int = 1) -> dict:
         """Add sign * D_X s = sign * sum_a rho(X)(s_a) e_a to the term dict ``out``.
 
-        rho(X) is never formed: each term of X weights the stored anchor row
-        of its generator, so a generator direction reads its row as stored.
+        rho(X) is never formed: each term of X weights the stored anchor image
+        of its generator, so a generator direction reads its image as stored.
         ``s`` may be a section of any bundle over the base.
         """
         items = s.terms.items()
         for (i, exps), c in x.terms.items():
-            if self.rows[i]:
-                apply_row(out, self.rows[i], items, sign * c, exps if any(exps) else None)
+            rho = self.anchor[i]
+            if rho.terms:
+                apply_row(out, rho, items, sign * c, exps if any(exps) else None)
         return out
 
     def bracket(self, x: Section, y: Section) -> Section:
@@ -536,13 +548,14 @@ class MorphismReport:
         return "; ".join(parts)
 
 
-def map_section(matrix: list[list[Poly]], s: Section) -> Section:
-    """Apply a polynomial bundle map (column b is the image of generator b) to a section."""
+def map_section(images: list[Section], s: Section) -> Section:
+    """Apply the bundle map e_b -> images[b] (a nonempty list) to a section, as a section of the images' kind."""
     out: dict = {}
     for (b, exps), c in s.terms.items():
-        for a, row in enumerate(matrix):
-            _add_shifted(out, a, exps, c, row[b].terms.items())
-    return _finish(len(matrix), s.nvars, out)
+        for (a, image_exps), ic in images[b].terms.items():
+            key = (a, tuple(map(add, exps, image_exps)))
+            out[key] = out.get(key, 0) + c * ic
+    return images[0]._like(_clean(out))
 
 
 def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> MorphismReport:
@@ -551,7 +564,7 @@ def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> 
         raise AlgebroidError("morphisms here require the same base")
     if len(matrix) != dst.rank or any(len(row) != src.rank for row in matrix):
         raise AlgebroidError("bundle map matrix must be rank(dst) x rank(src)")
-    images = [map_section(matrix, src.unit_section(i)) for i in range(src.rank)]
+    images = [Section(column) for column in zip(*matrix)]
     anchor_failures = []
     for i, image in enumerate(images):
         defect = dst.anchor_of(image) - src.anchor[i]
@@ -559,7 +572,7 @@ def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> 
             anchor_failures.append((i, defect))
     bracket_failures = []
     for i, j in combinations(range(src.rank), 2):
-        lhs = map_section(matrix, src.bracket_gen(i, j))
+        lhs = map_section(images, src.bracket_gen(i, j))
         rhs = dst.bracket(images[i], images[j])
         defect = lhs - rhs
         if not defect.is_zero():
@@ -632,7 +645,7 @@ def subalgebroid_restrict(
         x = witness.solve(columns, target.terms)
         if x is None:
             return ClosureFailure((i, j), target, max_degree)
-        structure[(i, j)] = _finish(k, nvars, x)
+        structure[(i, j)] = _section(k, nvars, _clean(x))
 
     anchor = [algebroid.anchor_of(g) for g in gens]
     return Algebroid(algebroid.base, names, anchor, structure, name="restriction")
@@ -644,25 +657,26 @@ def subalgebroid_restrict(
 
 
 class Endomorphism:
-    """A bundle endomorphism as an m×m polynomial matrix (column = image)."""
+    """A bundle endomorphism, stored as the images of the generators.
+
+    The constructor takes an m×m polynomial matrix whose column b is the
+    image of e_b.
+    """
 
     def __init__(self, matrix: list[list[Poly]]):
-        self.matrix = [list(row) for row in matrix]
         self.rank = len(matrix)
-        if any(len(row) != self.rank for row in self.matrix):
-            raise AlgebroidError("endomorphism matrix must be square")
+        if not matrix or any(len(row) != self.rank for row in matrix):
+            raise AlgebroidError("endomorphism matrix must be square and nonempty")
+        self.images = [Section(column) for column in zip(*matrix)]
 
     def apply(self, s: Section) -> Section:
-        return map_section(self.matrix, s)
+        return map_section(self.images, s)
 
     def is_almost_complex(self) -> bool:
         """Check J(J e_b) = -e_b on every generator as a polynomial identity."""
-        nvars = self.matrix[0][0].nvars
-        for b in range(self.rank):
-            image = self.apply(Section([row[b] for row in self.matrix]))
-            if image.terms != {(b, (0,) * nvars): -1}:
-                return False
-        return True
+        return all(
+            self.apply(image).terms == {(b, (0,) * image.nvars): -1} for b, image in enumerate(self.images)
+        )
 
 
 def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> Section:
@@ -694,10 +708,9 @@ def courant_defect(algebroid: Algebroid, g: list[list[Poly]]) -> list[list[Poly]
         for b in range(a + 1, m):
             if g[a][b] != g[b][a]:
                 raise AlgebroidError("cometric matrix must be symmetric")
-    # column j of rho·G·rho^T is rho applied to G applied to row j of rho
-    rho = algebroid.anchor_matrix()
-    columns = [map_section(rho, map_section(g, Section(rho[j]))).coeffs for j in range(n)]
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
+    # rho·G·rho^T = sum_b rho(G e_b) rho(e_b)^T, and G e_b is row b of the symmetric G
+    pairs = [(algebroid.anchor_of(Section(row)).comps, rho.comps) for row, rho in zip(g, algebroid.anchor)]
+    return [[sum((v[i] * w[j] for v, w in pairs), Poly.zero(n)) for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -783,10 +796,10 @@ def courant_solution_space(
         # the cell's defect at mu = 1; mu only shifts its exponents
         product: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
         for a, b in _positions_for(cell, block):
-            for i, pa in enumerate(algebroid.anchor[a].comps):
-                for j, pb in enumerate(algebroid.anchor[b].comps):
-                    for exps, v in (pa * pb).terms.items():
-                        product[(i, j, exps)] = product.get((i, j, exps), 0) + v
+            for (i, ea), va in algebroid.anchor[a].terms.items():
+                for (j, eb), vb in algebroid.anchor[b].terms.items():
+                    key = (i, j, tuple(map(add, ea, eb)))
+                    product[key] = product.get(key, 0) + va * vb
         for mu in monos:
             columns[(cell, mu)] = {
                 (i, j, tuple(e + f for e, f in zip(exps, mu))): v for (i, j, exps), v in product.items()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .algebroid import Algebroid, AlgebroidError, BaseSpace, Endomorphism, Section, VectorField
+from .algebroid import Algebroid, AlgebroidError, BaseSpace, Endomorphism, Section, _vector_field
 from .dsl import Document, document_algebroid, parse
 from .poly import Poly
 
@@ -67,11 +67,7 @@ def make_tangent(n: int) -> Algebroid:
     if n < 1:
         raise AlgebroidError("tangent bundle needs a positive dimension")
     base = BaseSpace(tuple(f"x{i + 1}" for i in range(n)))
-    anchor = []
-    for i in range(n):
-        comps = [Poly.zero(n) for _ in range(n)]
-        comps[i] = Poly.const(n, 1)
-        anchor.append(VectorField(base, comps))
+    anchor = [_vector_field(base, {(i, (0,) * n): 1}) for i in range(n)]
     return Algebroid(base, tuple(f"T{i + 1}" for i in range(n)), anchor, {}, f"tangent{n}")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, VectorField
+from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _section, _vector_field
 from .connection import EConnection
 from .forms import (
     Form,
@@ -204,7 +204,7 @@ class ProductAlgebroid:
 
     def include_form(self, omega: Form) -> Form:
         """View a form on the base algebroid as a t-independent extended form."""
-        return _form(self.extended, omega.degree, {(key, exps + (0,)): c for (key, exps), c in omega.terms.items()})
+        return _form(self.extended, omega.degree, _t_free(omega.terms))
 
     def restrict_form(self, omega: Form, u) -> Form:
         """Substitute t = u and delete interval components."""
@@ -237,20 +237,18 @@ class ProductAlgebroid:
         return _finish(self.base, omega.degree - 1, out)
 
 
+def _t_free(terms: dict) -> dict:
+    """A term dict {(slot, exponents): coefficient} re-keyed to the base extended by t, t-free."""
+    return {(slot, exps + (0,)): c for (slot, exps), c in terms.items()}
+
+
 def product_algebroid(e: Algebroid) -> ProductAlgebroid:
     """Extend the base by an interval variable t and one generator for d/dt."""
     n = e.nvars
-    base_names = tuple(e.base.var_names) + ("t",)
-    ext_base = BaseSpace(base_names)
-    anchor = []
-    for row in e.anchor:
-        comps = [c.extend(1) for c in row.comps] + [Poly.zero(n + 1)]
-        anchor.append(VectorField(ext_base, comps))
-    dt = [Poly.zero(n + 1)] * n + [Poly.const(n + 1, 1)]
-    anchor.append(VectorField(ext_base, dt))
-    structure = {}
-    for (i, j), value in e.structure.items():
-        structure[(i, j)] = Section([c.extend(1) for c in value.coeffs] + [Poly.zero(n + 1)])
+    ext_base = BaseSpace(tuple(e.base.var_names) + ("t",))
+    anchor = [_vector_field(ext_base, _t_free(rho.terms)) for rho in e.anchor]
+    anchor.append(_vector_field(ext_base, {(n, (0,) * (n + 1)): 1}))
+    structure = {pair: _section(e.rank + 1, n + 1, _t_free(value.terms)) for pair, value in e.structure.items()}
     gen_names = tuple(e.gen_names) + ("et",)
     extended = Algebroid(ext_base, gen_names, anchor, structure, name=(e.name or "E") + "_x_interval")
     return ProductAlgebroid(e, extended, n, e.rank)
@@ -271,13 +269,8 @@ def interpolate_connections(
     gamma: dict[tuple[int, int], Section] = {}
     for beta in range(p.base.rank):
         for b in range(r):
-            v1 = first.gamma_entry(beta, b)
-            v2 = second.gamma_entry(beta, b)
-            coeffs = [
-                c1.extend(1) * one_minus_t + c2.extend(1) * t
-                for c1, c2 in zip(v1.coeffs, v2.coeffs)
-            ]
-            value = Section(coeffs)
+            v1, v2 = (_section(r, n + 1, _t_free(c.gamma_entry(beta, b).terms)) for c in (first, second))
+            value = v1.scale(one_minus_t) + v2.scale(t)
             if not value.is_zero():
                 gamma[(beta, b)] = value
     return EConnection(p.extended, gamma, target_gens=first.target_gens, name="interpolated")

@@ -183,12 +183,12 @@ def induced_connection(
     gens = tuple(target_gens) if target_gens is not None else algebroid.gen_names
     if len(gens) != rank:
         raise AlgebroidError("target generator names must match the Christoffel rank")
-    # gamma(beta, b) = the matrix (christoffels[j][a][b])_{a, j} applied to rho(e_beta)
-    matrices = [[[christoffels[j][a][b] for j in range(n)] for a in range(rank)] for b in range(rank)]
+    # gamma(beta, b) = rho(e_beta) under the bundle map d/dx_j -> sum_a christoffels[j][a][b] e_a
+    maps = [[Section([christoffels[j][a][b] for a in range(rank)]) for j in range(n)] for b in range(rank)]
     gamma = {}
     for beta, rho in enumerate(algebroid.anchor):
-        for b, matrix in enumerate(matrices):
-            value = map_section(matrix, Section(rho.comps))
+        for b, images in enumerate(maps):
+            value = map_section(images, rho)
             if not value.is_zero():
                 gamma[(beta, b)] = value
     return EConnection(algebroid, gamma, target_gens=gens, name=name)

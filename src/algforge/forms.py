@@ -10,7 +10,7 @@ scaling, the differential, cofactors and the interval operators of
 ``charclass`` wrap their already valid dicts through ``_form``.
 
 The differential is the derivation fixed by two rules:
-df = Σ_b ρ(e_b)(f) θ^b on functions, read from the stored anchor rows, and
+df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor images, and
 dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
 table.  When the bracket fails the Jacobi identity the square of d is not
 zero; its failure on dual generators spans an exterior ideal, and the
@@ -257,6 +257,8 @@ def differential(omega: Form) -> Form:
     the first component it cannot divide.
     """
     a = omega.algebroid
+    if not omega.terms:
+        return _form(a, omega.degree + 1, {})
     # dθ^c read from the structure table: c -> {(i, j): terms of c^c_ij}
     dtheta: dict[int, dict] = {}
     for pair, value in a.structure.items():
@@ -267,11 +269,11 @@ def differential(omega: Form) -> Form:
         by_key.setdefault(u, []).append((exps, c))
     out: dict = {}
     for u, f in by_key.items():
-        for b, row in enumerate(a.rows):
-            if row:
+        for b, rho in enumerate(a.anchor):
+            if rho.terms:
                 sign, key = _merge_sign((b,), u)
                 if sign:
-                    apply_row(out, row, (((key, exps), c) for exps, c in f), sign)
+                    apply_row(out, rho, (((key, exps), c) for exps, c in f), sign)
         for t, c in enumerate(u):
             rest = u[:t] + u[t + 1 :]
             for pair, terms in dtheta.get(c, {}).items():
@@ -298,9 +300,9 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
     """
     if base_form.algebroid.rank != algebroid.nvars:
         raise AlgebroidError("base form rank must equal the number of base variables")
-    images = [Section(row.comps) for row in algebroid.anchor]
     k = base_form.degree
-    comps = {u: base_form.eval_sections(*(images[g] for g in u)) for u in combinations(range(algebroid.rank), k)}
+    rho = algebroid.anchor
+    comps = {u: base_form.eval_sections(*(rho[g] for g in u)) for u in combinations(range(algebroid.rank), k)}
     return Form(algebroid, k, comps)
 
 

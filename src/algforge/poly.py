@@ -230,15 +230,6 @@ class Poly:
             total += term
         return Fraction(total)
 
-    # ---- variable plumbing ----
-
-    def extend(self, extra: int) -> Poly:
-        """Append ``extra`` fresh variables (exponent 0 everywhere)."""
-        if extra == 0:
-            return self
-        pad = (0,) * extra
-        return _trusted(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
-
     # ---- canonical text ----
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:

@@ -4,6 +4,7 @@ import pytest
 
 from algforge import catalog
 from algforge.algebroid import (
+    Algebroid,
     AlgebroidError,
     BracketModifier,
     Endomorphism,
@@ -153,6 +154,14 @@ def test_matrices_whose_square_is_not_minus_one_are_refused():
         assert not j.is_almost_complex()
         with pytest.raises(AlgebroidError):
             nijenhuis(E0, j, UNITS[0], UNITS[1])
+
+
+def test_bundles_and_bundle_maps_without_generators_are_refused():
+    # a bundle map is applied through the images of the generators, so it needs one
+    with pytest.raises(AlgebroidError):
+        Algebroid(E0.base, [], [])
+    with pytest.raises(AlgebroidError):
+        Endomorphism([])
 
 
 def test_courant_defect_of_identity():

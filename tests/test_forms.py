@@ -37,6 +37,11 @@ def w(*idx):
     return out
 
 
+def test_d_of_a_zero_form_is_the_zero_form_one_degree_up():
+    for k in range(E0.rank + 1):
+        assert differential(Form.zero(E0, k)) == Form.zero(E0, k + 1)
+
+
 def test_wedge_is_graded_antisymmetric():
     a, b = Form.dual(E0, 0), Form.dual(E0, 1)
     assert a.wedge(b) == -(b.wedge(a))

@@ -38,7 +38,7 @@ def test_degrees():
     assert Poly.zero(2).total_degree() == -1
 
 
-def test_eval_and_substitute():
+def test_eval_at():
     p = X * X + Y * 3
     assert p.eval_at([2, 1]) == 7
 
@@ -48,13 +48,6 @@ def test_eval_of_the_zero_polynomial():
     assert value == 0 and type(value) is Fraction
     with pytest.raises(ValueError):
         Poly.zero(2).eval_at([1])
-
-
-def test_extend_and_drop_var():
-    p = X * Y + X
-    ext = p.extend(1)
-    assert ext.nvars == 3
-    assert ext.terms == {(1, 1, 0): 1, (1, 0, 0): 1}
 
 
 def test_to_text_is_canonical():
@@ -146,7 +139,7 @@ def test_ring_operations_match_sympy(p, q, c):
 
 @settings(max_examples=60, deadline=None)
 @given(polys3, st.integers(0, 4))
-def test_powers_and_partials_match_sympy(p, k):
+def test_powers_match_sympy(p, k):
     sp = sympy_poly(p)
     assert agrees(p**k, sp**k)
 
@@ -162,7 +155,7 @@ def sympy_value(c):
 
 @settings(max_examples=60, deadline=None)
 @given(polys3, points)
-def test_evaluation_substitution_and_integration_match_sympy(p, point):
+def test_evaluation_matches_sympy(p, point):
     sympy = pytest.importorskip("sympy")
     sp = sympy_poly(p)
     value = p.eval_at(point)

@@ -4,15 +4,17 @@ A stored coefficient is never zero, and it is an ``int`` where integral and
 a ``Fraction`` only where its denominator is not 1 (never a bool, a float or
 an integral Fraction), the form ``poly`` keeps and the reports rely on.  The
 derived bundle's lifted connection is the interesting input: its ½-wedge
-terms cancel back to integers in the bracket and the curvature.
+terms cancel back to integers in the bracket and the curvature.  Vector
+fields are sections of the base's tangent bundle and keep the same form,
+and every operation on them returns a vector field on the same base.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from algforge.algebroid import Section
-from algforge.catalog import builtin, e0_kernel_sections, torsionfree_gamma
+from algforge.algebroid import Endomorphism, Section, VectorField, vf_bracket
+from algforge.catalog import builtin, e0_complex_structure, e0_kernel_sections, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle
 from algforge.poly import Poly
 from algforge.sampling import Sampler
@@ -27,7 +29,16 @@ def assert_canonical(s: Section) -> None:
         for c in coeff.terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
             assert c != 0
-    assert Section(s.coeffs) == s
+    if isinstance(s, VectorField):
+        assert VectorField(s.base, s.comps) == s
+    else:
+        assert Section(s.coeffs) == s
+
+
+def assert_field_on(v, a) -> None:
+    """A canonical vector field on the algebroid's base."""
+    assert type(v) is VectorField and v.base == a.base
+    assert_canonical(v)
 
 
 def sections(a, seed):
@@ -81,3 +92,23 @@ def test_the_poly_constructor_round_trip_drops_zeros_and_folds():
     assert_canonical(s)
     assert s.rank == 3 and s.coeffs[1].is_zero()
     assert (s - s).is_zero() and (s - s) == Section.zero(3, 2)
+
+
+@pytest.mark.parametrize("a", [E0, builtin("E0_itemized"), DERIVED.derived], ids=lambda a: a.name)
+def test_anchor_outputs_are_canonical_vector_fields(a):
+    fields = [a.anchor_of(x) for x in sections(a, seed=5)]
+    for v in fields:
+        assert_field_on(v, a)
+        for w in fields:
+            assert_field_on(vf_bracket(v, w), a)
+            assert_field_on(v - w, a)
+
+
+def test_endomorphism_images_are_canonical_sections():
+    half = Poly.const(2, Fraction(1, 2))
+    halving = Endomorphism([[half if i == j else Poly.zero(2) for j in range(4)] for i in range(4)])
+    for endo in (e0_complex_structure(), halving):
+        for x in sections(E0, seed=11):
+            for s in (endo.apply(x), endo.apply(x + x)):
+                assert type(s) is Section
+                assert_canonical(s)
