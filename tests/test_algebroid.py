@@ -164,6 +164,17 @@ def test_bundles_and_bundle_maps_without_generators_are_refused():
         Endomorphism([])
 
 
+def test_bundle_maps_of_the_wrong_shape_are_refused():
+    z = Poly.zero(2)
+    morphism = e0prime_to_e0_matrix()
+    for bad in (morphism[:3], [row[:3] for row in morphism]):
+        with pytest.raises(AlgebroidError):
+            check_morphism(builtin("E0prime"), E0, bad)
+    for bad in ([[z] * 4] * 3, [[z] * 3] * 4):
+        with pytest.raises(AlgebroidError):
+            Endomorphism(bad)
+
+
 def test_courant_defect_of_identity():
     identity = [[Poly.const(2, 1 if i == j else 0) for j in range(4)] for i in range(4)]
     defect = courant_defect(E0, identity)

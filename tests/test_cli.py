@@ -215,6 +215,29 @@ def test_courant_reports_spaces_and_defect(capsys):
     assert "x1^4 + x2^4" in out
 
 
+PLANE_COMETRIC = "cometric G_zero = [\n  [0, 0],\n  [0, 0]\n]\n"
+
+
+def test_courant_refuses_a_cometric_that_is_not_symmetric(tmp_path, capsys):
+    text = (resources.files("algforge") / "corpus" / "plane_forms.alg").read_text()
+    assert text.endswith(PLANE_COMETRIC)
+    doc = tmp_path / "skew_cometric.alg"
+    doc.write_text(text.replace(PLANE_COMETRIC, "cometric G = [\n  [0, x],\n  [0, 0]\n]\n"))
+    code, out, err = run(capsys, "courant", str(doc), "--max-degree", "0")
+    assert (code, out) == (2, "")
+    assert "cometric matrix must be symmetric" in err
+
+
+def test_courant_skips_a_cometric_whose_size_is_not_the_rank(tmp_path, capsys):
+    text = (resources.files("algforge") / "corpus" / "plane_forms.alg").read_text()
+    doc = tmp_path / "small_cometric.alg"
+    doc.write_text(text.replace(PLANE_COMETRIC, "cometric G = [\n  [x]\n]\n"))
+    code, out, _ = run(capsys, "courant", str(doc), "--max-degree", "0", "--json")
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "defect:G")
+    assert check["note"] == "skipped: size 1 != rank 2"
+
+
 def test_nijenhuis(capsys):
     code, out, _ = run(capsys, "nijenhuis", "E0", "--endo", "J0")
     assert code == 0
