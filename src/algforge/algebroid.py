@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from . import linsolve, witness
-from .poly import Poly, _fold, _merge, _trusted
+from .poly import Poly, _coeff, _fold, _merge, _trusted
 
 
 class AlgebroidError(ValueError):
@@ -341,6 +341,18 @@ class Algebroid:
     def nvars(self) -> int:
         return self.base.dim
 
+    @cached_property
+    def structure_by_target(self) -> dict[int, dict[tuple[int, int], dict]]:
+        """The structure table by target generator: c -> {(i, j): terms of c^c_ij}, i < j.
+
+        Built on first use and kept: an algebroid is not changed after construction.
+        """
+        table: dict = {}
+        for pair, value in self.structure.items():
+            for (c, exps), v in value.terms.items():
+                table.setdefault(c, {}).setdefault(pair, {})[exps] = v
+        return table
+
     def zero_section(self) -> Section:
         return Section.zero(self.rank, self.nvars)
 
@@ -558,13 +570,12 @@ def map_section(images: list[Section], s: Section) -> Section:
     return images[0]._like(_clean(out))
 
 
-def check_morphism(src: Algebroid, dst: Algebroid, matrix: list[list[Poly]]) -> MorphismReport:
-    """Verify a bundle map over the identity base map is an algebroid morphism."""
+def check_morphism(src: Algebroid, dst: Algebroid, images: list[Section]) -> MorphismReport:
+    """Verify the bundle map e_b -> images[b] over the identity base map is an algebroid morphism."""
     if src.base != dst.base:
         raise AlgebroidError("morphisms here require the same base")
-    if len(matrix) != dst.rank or any(len(row) != src.rank for row in matrix):
-        raise AlgebroidError("bundle map matrix must be rank(dst) x rank(src)")
-    images = [Section(column) for column in zip(*matrix)]
+    if len(images) != src.rank or any(image.rank != dst.rank for image in images):
+        raise AlgebroidError("bundle map needs one section of dst per generator of src")
     anchor_failures = []
     for i, image in enumerate(images):
         defect = dst.anchor_of(image) - src.anchor[i]
@@ -657,17 +668,13 @@ def subalgebroid_restrict(
 
 
 class Endomorphism:
-    """A bundle endomorphism, stored as the images of the generators.
+    """A bundle endomorphism, given by the images of the generators: e_b -> images[b]."""
 
-    The constructor takes an m×m polynomial matrix whose column b is the
-    image of e_b.
-    """
-
-    def __init__(self, matrix: list[list[Poly]]):
-        self.rank = len(matrix)
-        if not matrix or any(len(row) != self.rank for row in matrix):
-            raise AlgebroidError("endomorphism matrix must be square and nonempty")
-        self.images = [Section(column) for column in zip(*matrix)]
+    def __init__(self, images: list[Section]):
+        self.images = list(images)
+        self.rank = len(self.images)
+        if not self.images or any(image.rank != self.rank for image in self.images):
+            raise AlgebroidError("endomorphism needs one image of its own rank per generator")
 
     def apply(self, s: Section) -> Section:
         return map_section(self.images, s)
@@ -699,25 +706,27 @@ def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> 
 # ---------------------------------------------------------------------------
 
 
-def courant_defect(algebroid: Algebroid, g: list[list[Poly]]) -> list[list[Poly]]:
-    """The n×n matrix rho·G·rho^T; zero iff the Courant condition holds for G."""
-    m, n = algebroid.rank, algebroid.nvars
-    if len(g) != m or any(len(row) != m for row in g):
+def courant_defect(algebroid: Algebroid, g: list[Section]) -> list[VectorField]:
+    """The n rows of rho·G·rho^T for the cometric G e_b = g[b]; all zero iff the Courant condition holds."""
+    m = algebroid.rank
+    if len(g) != m or any(image.rank != m for image in g):
         raise AlgebroidError("cometric must be rank x rank")
-    for a in range(m):
-        for b in range(a + 1, m):
-            if g[a][b] != g[b][a]:
-                raise AlgebroidError("cometric matrix must be symmetric")
-    # rho·G·rho^T = sum_b rho(G e_b) rho(e_b)^T, and G e_b is row b of the symmetric G
-    pairs = [(algebroid.anchor_of(Section(row)).comps, rho.comps) for row, rho in zip(g, algebroid.anchor)]
-    return [[sum((v[i] * w[j] for v, w in pairs), Poly.zero(n)) for j in range(n)] for i in range(n)]
+    if any(g[a].terms.get((b, exps)) != c for b, image in enumerate(g) for (a, exps), c in image.terms.items()):
+        raise AlgebroidError("cometric matrix must be symmetric")
+    # row i of rho·G·rho^T = sum_b rho(G e_b)_i rho(e_b) is the anchor of
+    # s_i = sum_b rho(G e_b)_i e_b
+    split = [{} for _ in range(algebroid.nvars)]
+    for b, image in enumerate(g):
+        for (i, exps), c in algebroid.anchor_of(image).terms.items():
+            split[i][(b, exps)] = c
+    return [algebroid.anchor_of(_section(m, algebroid.nvars, terms)) for terms in split]
 
 
 @dataclass
 class CourantSpace:
-    """Solution space of rho·G·rho^T = 0 at a degree bound."""
+    """Solution space of rho·G·rho^T = 0 at a degree bound; each basis element is the images G e_b."""
 
-    basis: list[list[list[Poly]]]
+    basis: list[list[Section]]
 
     @property
     def dim(self) -> int:
@@ -725,14 +734,16 @@ class CourantSpace:
 
     def all_zero_at_point(self) -> bool:
         """True when every basis element vanishes at the origin."""
-        return all(entry.constant_value() == 0 for g in self.basis for row in g for entry in row)
+        return all(any(exps) for g in self.basis for image in g for _, exps in image.terms)
 
     def invertible_at_point(self) -> list[int]:
         """Indices of basis elements whose value at the origin is an invertible matrix."""
+        # row b is the image G e_b at the origin: G(0) transposed, of the same rank
         return [
             idx
             for idx, g in enumerate(self.basis)
-            if linsolve.rank([[entry.constant_value() for entry in row] for row in g]) == len(g)
+            if linsolve.rank([[image.terms.get((a, (0,) * image.nvars), 0) for a in range(len(g))] for image in g])
+            == len(g)
         ]
 
 
@@ -806,11 +817,13 @@ def courant_solution_space(
             }
     basis = []
     for vec in witness.nullspace(columns):
-        g = [[Poly.zero(n) for _ in range(m)] for _ in range(m)]
-        for cell, p in witness.polys(vec, n).items():
+        # each position holds one cell, so every value lands on its own term
+        images = [{} for _ in range(m)]
+        for (cell, mu), v in vec.items():
+            v = _coeff(v)
             for a, b in _positions_for(cell, block):
-                g[a][b] = g[a][b] + p
-        basis.append(g)
+                images[b][(a, mu)] = v
+        basis.append([_section(m, n, terms) for terms in images])
     return CourantSpace(basis)
 
 

@@ -24,7 +24,6 @@ from importlib import resources
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Endomorphism, Section, _vector_field
 from .dsl import Document, document_algebroid, parse
-from .poly import Poly
 
 _BUNDLED = ("E0", "E00", "E0_itemized", "E0doubleprime", "E0prime", "E0prime_lie")
 
@@ -50,16 +49,15 @@ def e0_kernel_sections() -> dict[str, Section]:
 
 def e0_complex_structure() -> Endomorphism:
     """The almost complex J with J(X11) = -X21, J(X21) = X11, and likewise
-    on the second pair.  Columns are images of generators."""
-    return Endomorphism([list(row) for row in corpus_document("E0").endo("J0").matrix])
+    on the second pair."""
+    return Endomorphism(corpus_document("E0").endo("J0").images)
 
 
-def e0prime_to_e0_matrix() -> list[list[Poly]]:
-    """Bundle map E0prime -> E0, columns the images: Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2."""
+def e0prime_to_e0_images() -> list[Section]:
+    """Bundle map E0prime -> E0 as images: Y11 -> X11, Y22 -> X22, Ys1 -> Xs1, Ys2 -> Xs2."""
     doc = corpus_document("E0")
     e0 = document_algebroid(doc)
-    columns = [e0.unit_section(0), e0.unit_section(3), doc.section("Xs1").value, doc.section("Xs2").value]
-    return [list(row) for row in zip(*(c.coeffs for c in columns))]
+    return [e0.unit_section(0), e0.unit_section(3), doc.section("Xs1").value, doc.section("Xs2").value]
 
 
 def make_tangent(n: int) -> Algebroid:

@@ -407,11 +407,9 @@ def cmd_courant(args) -> Report:
         if len(decl.rows) != a.rank:
             report.add(f"defect:{decl.name}", True, note=f"skipped: size {len(decl.rows)} != rank {a.rank}")
             continue
-        defect = courant_defect(a, [list(row) for row in decl.rows])
-        lines = []
-        for i, row in enumerate(defect):
-            lines.append("[" + ", ".join(p.to_text(a.base.var_names) for p in row) + "]")
-        zero = all(p.is_zero() for row in defect for p in row)
+        defect = courant_defect(a, decl.rows)
+        lines = ["[" + ", ".join(p.to_text(a.base.var_names) for p in row.comps) + "]" for row in defect]
+        zero = all(row.is_zero() for row in defect)
         report.add(
             f"defect:{decl.name}",
             zero,

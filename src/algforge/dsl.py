@@ -24,6 +24,7 @@ reads them all.  Anchor terms name exactly one coordinate field `d1..dn`,
 section terms (brackets, connection entries, endomorphism images) exactly one
 generator, and the literal 0 may stand alone.  Form terms name any number of
 generator duals `w(...)`, none in a 0-form, and `w(A)*w(B)` is `w(A)^w(B)`.
+A 0-form lives on the first bundle unless `form f on F = ...` names its bundle.
 Every sign and every '*' must be followed by a factor or a basis element.
 """
 
@@ -150,13 +151,13 @@ class ConnectionDecl:
 class EndoDecl:
     name: str
     bundle: str
-    matrix: tuple[tuple[Poly, ...], ...]  # [a][b] = e_a-coefficient of the image of e_b
+    images: tuple[Section, ...]  # [b] = the image of e_b
 
 
 @dataclass
 class CometricDecl:
     name: str
-    rows: tuple[tuple[Poly, ...], ...]
+    rows: tuple[Section, ...]
 
 
 @dataclass
@@ -302,6 +303,12 @@ class _Parser:
         if self.base_vars is None:
             self.semantic("a base statement must come first", tok)
 
+    def lookup_bundle(self, tok: Token) -> BundleDecl:
+        bundle = next((b for b in self.doc.bundles if b.name == tok.text), None)
+        if bundle is None:
+            self.semantic(f"undeclared bundle {tok.text!r}", tok)
+        return bundle
+
     def lookup_gen(self, tok: Token) -> tuple[BundleDecl, int]:
         hit = self.bundle_of_gen.get(tok.text)
         if hit is None:
@@ -421,10 +428,7 @@ class _Parser:
         self.need_base(kw)
         name_tok = self.expect_ident("connection name")
         self.expect("on")
-        bundle_tok = self.expect_ident("bundle name")
-        bundle = next((b for b in self.doc.bundles if b.name == bundle_tok.text), None)
-        if bundle is None:
-            self.semantic(f"undeclared bundle {bundle_tok.text!r}", bundle_tok)
+        bundle = self.lookup_bundle(self.expect_ident("bundle name"))
         self.expect("{")
         gamma: dict[tuple[int, int], Section] = {}
         while not self.at("}"):
@@ -471,14 +475,10 @@ class _Parser:
         close = self.expect("}")
         if bundle is None:
             self.semantic("endomorphism needs at least one image", close)
-        n = len(self.base_vars)
         m = len(bundle.gens)
-        zero = Poly.zero(n)
-        matrix = tuple(
-            tuple(images[b].coeffs[a] if b in images else zero for b in range(m)) for a in range(m)
-        )
+        zero = Section.zero(m, len(self.base_vars))
         name = self.declare(name_tok, "endo")
-        self.doc.endos.append(EndoDecl(name, bundle.name, matrix))
+        self.doc.endos.append(EndoDecl(name, bundle.name, tuple(images.get(b, zero) for b in range(m))))
 
     def stmt_cometric(self):
         kw = self.advance()
@@ -493,11 +493,11 @@ class _Parser:
             while self.accept(","):
                 row.append(self.parse_poly_expr())
             self.expect("]")
-            rows.append(tuple(row))
+            rows.append(Section(row))
             if not self.accept(","):
                 break
         close = self.expect("]")
-        if any(len(r) != len(rows) for r in rows):
+        if any(r.rank != len(rows) for r in rows):
             self.semantic("cometric matrix must be square", close)
         name = self.declare(name_tok, "cometric")
         self.doc.cometrics.append(CometricDecl(name, tuple(rows)))
@@ -506,8 +506,9 @@ class _Parser:
         kw = self.advance()
         self.need_base(kw)
         name_tok = self.expect_ident("form name")
+        bundle = self.lookup_bundle(self.expect_ident("bundle name")) if self.accept("on") else None
         self.expect("=")
-        bundle, degree, comps = self.parse_form_expr(name_tok)
+        bundle, degree, comps = self.parse_form_expr(name_tok, bundle)
         name = self.declare(name_tok, "form")
         self.doc.forms.append(FormDecl(name, bundle.name, degree, comps))
 
@@ -660,9 +661,12 @@ class _Parser:
             coeffs[idx] = coeffs[idx] + coeff
         return bundle, Section(coeffs)
 
-    def parse_form_expr(self, where: Token) -> tuple[BundleDecl, int, dict[tuple[int, ...], Poly]]:
+    def parse_form_expr(
+        self, where: Token, bundle: BundleDecl | None
+    ) -> tuple[BundleDecl, int, dict[tuple[int, ...], Poly]]:
+        """A form on `bundle`; given None, on the bundle of its duals, or the first bundle if it names none."""
         n = len(self.base_vars)
-        bundle = None
+        fixed = bundle is not None
 
         def read_duals() -> list[int] | None:
             """w(g)(^w(g))* as generator indices."""
@@ -677,6 +681,8 @@ class _Parser:
                 hit = self.bundle_of_gen.get(g_tok.text)
                 if hit is None:
                     self.semantic(f"undeclared generator {g_tok.text!r}", g_tok)
+                if fixed and hit[0] is not bundle:
+                    self.semantic(f"{g_tok.text!r} is not a generator of bundle {bundle.name!r}", g_tok)
                 bundle = bundle or hit[0]
                 if hit[0] is not bundle:
                     self.semantic("form mixes generators of different bundles", g_tok)
@@ -764,17 +770,17 @@ def serialize(doc: Document) -> str:
         b = doc.bundle(e.bundle)
         lines.append("")
         lines.append(f"endo {e.name} {{")
-        images = [(gen, [row[col] for row in e.matrix]) for col, gen in enumerate(b.gens)]
-        live = [(gen, column) for gen, column in images if any(not p.is_zero() for p in column)]
-        for gen, column in live or images[:1]:  # the zero endomorphism: `first -> 0`
-            lines.append(f"  {gen} -> {sum_text(column, b.gens, v)}")
+        images = list(zip(b.gens, e.images))
+        live = [(gen, image) for gen, image in images if not image.is_zero()]
+        for gen, image in live or images[:1]:  # the zero endomorphism: `first -> 0`
+            lines.append(f"  {gen} -> {sum_text(image.coeffs, b.gens, v)}")
         lines.append("}")
     for cm in doc.cometrics:
         lines.append("")
         lines.append(f"cometric {cm.name} = [")
         for r, row in enumerate(cm.rows):
             tail = "," if r + 1 < len(cm.rows) else ""
-            lines.append("  [" + ", ".join(p.to_text(v) for p in row) + "]" + tail)
+            lines.append("  [" + ", ".join(p.to_text(v) for p in row.coeffs) + "]" + tail)
         lines.append("]")
     for f in doc.forms:
         gens = doc.bundle(f.bundle).gens
@@ -787,8 +793,10 @@ def serialize(doc: Document) -> str:
             text = sum_text([f.comps[k] for k in keys], ["^".join(f"w({gens[i]})" for i in k) for k in keys], v)
             if f.degree:
                 text = _or_zero_on(text, "^".join(f"w({g})" for g in gens[: f.degree]))
+        # a 0-form names no generator, so one off the first bundle names its bundle
+        on = f" on {f.bundle}" if not f.degree and f.bundle != doc.bundles[0].name else ""
         lines.append("")
-        lines.append(f"form {f.name} = {text}")
+        lines.append(f"form {f.name}{on} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -813,7 +821,7 @@ def document_endo(doc: Document, algebroid: Algebroid, name: str) -> Endomorphis
     e = doc.endo(name)
     if doc.bundle(e.bundle).gens != algebroid.gen_names:
         raise KeyError(f"endomorphism {name!r} lives on bundle {e.bundle!r}")
-    return Endomorphism([list(row) for row in e.matrix])
+    return Endomorphism(e.images)
 
 
 def document_form(doc: Document, algebroid: Algebroid, name: str) -> Form:

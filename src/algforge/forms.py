@@ -259,11 +259,7 @@ def differential(omega: Form) -> Form:
     a = omega.algebroid
     if not omega.terms:
         return _form(a, omega.degree + 1, {})
-    # dθ^c read from the structure table: c -> {(i, j): terms of c^c_ij}
-    dtheta: dict[int, dict] = {}
-    for pair, value in a.structure.items():
-        for (c, exps), v in value.terms.items():
-            dtheta.setdefault(c, {}).setdefault(pair, {})[exps] = v
+    dtheta = a.structure_by_target  # dθ^c = −Σ_{i<j} c^c_ij θ^i ∧ θ^j
     by_key: dict = {}
     for (u, exps), c in omega.terms.items():
         by_key.setdefault(u, []).append((exps, c))

@@ -118,10 +118,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Coeff:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.nvars, 0)
-
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:

@@ -22,7 +22,7 @@ from .algebroid import (
     nijenhuis,
     subalgebroid_restrict,
 )
-from .catalog import builtin, corpus_document, e0prime_to_e0_matrix
+from .catalog import builtin, corpus_document, e0prime_to_e0_images
 from .charclass import (
     cartan_residual,
     char_form,
@@ -187,7 +187,7 @@ def c05_rank4_family_morphism(ctx: Context):
     lie = primed.check_lie()
     if not lie.is_lie:
         return False, f"primed variant is not Lie: {lie.describe()}"
-    rep = check_morphism(unprimed, _e0(), e0prime_to_e0_matrix())
+    rep = check_morphism(unprimed, _e0(), e0prime_to_e0_images())
     if not rep.ok:
         return False, "bundle map is not a morphism for the unprimed bracket"
     return True, "axioms, primed Jacobi sweep, and the bundle morphism all pass"
@@ -295,13 +295,12 @@ def c12_courant_instance(ctx: Context):
     if constant.dim != 0:
         return False, f"constant paired-block space has dimension {constant.dim}"
     n = 2
-    identity = [[Poly.const(n, 1 if i == j else 0) for j in range(4)] for i in range(4)]
-    defect = courant_defect(e0, identity)
+    defect = courant_defect(e0, [e0.unit_section(b) for b in range(4)])
     quartic = _x(0) ** 4 + _x(1) ** 4
     for i in range(n):
         for j in range(n):
             want = quartic if i == j else Poly.zero(n)
-            if defect[i][j] != want:
+            if defect[i].comps[j] != want:
                 return False, "identity cometric defect mismatch"
     full_const = courant_solution_space(e0, max_degree=0)
     return True, (

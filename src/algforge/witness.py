@@ -7,9 +7,8 @@ echelon form is unique for a given column order.  Tags are
 ``(slot, exponent)`` pairs (a cofactor, form component or matrix cell, times
 a monomial).  The columns become one sparse
 ``linsolve`` row per coordinate, keyed by column position; solutions and
-nullspace vectors come back as nonzero values in column order, and ``polys``
-reads them as one polynomial per slot.  A failed search means no witness up
-to the degree bound, never a refutation.
+nullspace vectors come back as nonzero values in column order.  A failed
+search means no witness up to the degree bound, never a refutation.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from itertools import combinations_with_replacement
 from typing import Callable, Hashable
 
 from . import linsolve
-from .poly import Poly
 
 Column = dict[Hashable, int | Fraction]
 
@@ -83,10 +81,3 @@ def reduce(columns: dict[Hashable, Column], target: Column, key: Callable) -> Co
             linsolve._subtract(vec, vec[piv], row)
     return {coords[i]: vec[i] for i in sorted(vec)}
 
-
-def polys(values: dict[tuple[Hashable, tuple[int, ...]], Fraction], nvars: int) -> dict[Hashable, Poly]:
-    """Group ``{(slot, exponent): value}`` into one polynomial per slot."""
-    terms: dict[Hashable, dict[tuple[int, ...], Fraction]] = {}
-    for (slot, exps), v in values.items():
-        terms.setdefault(slot, {})[exps] = v
-    return {slot: Poly(nvars, t) for slot, t in terms.items()}

@@ -21,7 +21,7 @@ from algforge.catalog import (
     builtin_names,
     e0_complex_structure,
     e0_kernel_sections,
-    e0prime_to_e0_matrix,
+    e0prime_to_e0_images,
     make_tangent,
 )
 from algforge.poly import Poly
@@ -115,10 +115,10 @@ def test_restriction_rejects_dependent_generators():
 
 
 def test_morphism_into_e0():
-    rep = check_morphism(builtin("E0prime"), E0, e0prime_to_e0_matrix())
+    rep = check_morphism(builtin("E0prime"), E0, e0prime_to_e0_images())
     assert rep.ok
-    # the same matrix is NOT a morphism for the primed (Lie) bracket
-    rep2 = check_morphism(builtin("E0prime_lie"), E0, e0prime_to_e0_matrix())
+    # the same bundle map is NOT a morphism for the primed (Lie) bracket
+    rep2 = check_morphism(builtin("E0prime_lie"), E0, e0prime_to_e0_images())
     assert not rep2.ok
 
 
@@ -146,10 +146,9 @@ def test_nijenhuis_of_the_catalog_complex_structure():
 
 
 def test_matrices_whose_square_is_not_minus_one_are_refused():
-    z, one, x1 = Poly.zero(2), Poly.const(2, 1), Poly.variable(2, 0)
-    identity = Endomorphism([[one if a == b else z for b in range(4)] for a in range(4)])
+    identity = Endomorphism(UNITS)
     # squares to -1 except for an x1 left in one off-diagonal entry
-    almost = Endomorphism([[z, one, z, z], [-one, z, z, z], [x1, z, z, one], [z, z, -one, z]])
+    almost = Endomorphism([-UNITS[1] + UNITS[2].scale(X1), UNITS[0], -UNITS[3], UNITS[2]])
     for j in (identity, almost):
         assert not j.is_almost_complex()
         with pytest.raises(AlgebroidError):
@@ -165,24 +164,22 @@ def test_bundles_and_bundle_maps_without_generators_are_refused():
 
 
 def test_bundle_maps_of_the_wrong_shape_are_refused():
-    z = Poly.zero(2)
-    morphism = e0prime_to_e0_matrix()
-    for bad in (morphism[:3], [row[:3] for row in morphism]):
+    morphism = e0prime_to_e0_images()
+    for bad in (morphism[:3], [Section(image.coeffs[:3]) for image in morphism]):
         with pytest.raises(AlgebroidError):
             check_morphism(builtin("E0prime"), E0, bad)
-    for bad in ([[z] * 4] * 3, [[z] * 3] * 4):
+    for bad in (UNITS[:3], [Section.zero(3, 2)] * 4):
         with pytest.raises(AlgebroidError):
             Endomorphism(bad)
 
 
 def test_courant_defect_of_identity():
-    identity = [[Poly.const(2, 1 if i == j else 0) for j in range(4)] for i in range(4)]
-    defect = courant_defect(E0, identity)
+    defect = courant_defect(E0, UNITS)
     quartic = X1**4 + X2**4
-    assert defect[0][0] == quartic
-    assert defect[1][1] == quartic
-    assert defect[0][1].is_zero()
-    assert defect[1][0].is_zero()
+    assert defect[0].comps[0] == quartic
+    assert defect[1].comps[1] == quartic
+    assert defect[0].comps[1].is_zero()
+    assert defect[1].comps[0].is_zero()
 
 
 def test_courant_paired_space_vanishes_at_origin():
@@ -199,7 +196,7 @@ def test_courant_full_space_has_an_invertible_constant_solution():
     # built-in anti-diagonal solution: check it really solves the equation
     g = space.basis[0]
     defect = courant_defect(E0, g)
-    assert all(p.is_zero() for row in defect for p in row)
+    assert all(row.is_zero() for row in defect)
 
 
 def test_courant_block_size_must_divide_rank():

@@ -27,8 +27,8 @@ BUNDLES = [
 
 
 def _entries(g):
-    """Row a, column b of a basis cometric as polynomials."""
-    return [list(row) for row in g]
+    """Row a, column b of a basis cometric as polynomials: the e_a-coefficient of the image g[b]."""
+    return [list(row) for row in zip(*(image.coeffs for image in g))]
 
 
 @pytest.mark.parametrize("max_degree", [0, 1, 2])

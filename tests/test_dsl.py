@@ -22,6 +22,7 @@ from algforge.dsl import (
     parse,
     serialize,
 )
+from algforge.poly import Poly
 
 CORPUS = resources.files("algforge") / "corpus"
 
@@ -213,6 +214,8 @@ def test_error_kinds_and_positions():
         (T + "form f =\nform g = 1\n", ("syntax", 5, 1, "expected a generator dual or polynomial, found 'form'")),
         (T + "form f = x^40*y^40*w(A)\n", ("semantic", 4, 15, "product of degree 80 exceeds the degree cap of 64")),
         ("base 1 (x)\nform f = 1\n", ("semantic", 2, 6, "a scalar form needs a bundle to live on; declare one first")),
+        (T + "form f on G = 1\n", ("semantic", 4, 11, "undeclared bundle 'G'")),
+        (T + "form f on F = w(A)\n", ("semantic", 4, 17, "'A' is not a generator of bundle 'F'")),
         # cometrics
         (T + "cometric G = [[1, 0], [0]]\n", ("semantic", 4, 26, "cometric matrix must be square")),
     ]
@@ -235,19 +238,30 @@ ZERO_HEAD = "base 1 (x)\nbundle E rank 1 gens (A)\nbundle F rank 2 gens (B, C)\n
 ZERO_F = Section.zero(2, 1)
 ZEROS = [
     (SectionDecl("s", "F", ZERO_F), "section s = 0*B"),
-    (EndoDecl("J", "F", (ZERO_F.coeffs, ZERO_F.coeffs)), "endo J {\n  B -> 0\n}"),
+    (EndoDecl("J", "F", (ZERO_F, ZERO_F)), "endo J {\n  B -> 0\n}"),
     (FormDecl("f", "F", 1), "form f = 0*w(B)"),
     (FormDecl("g", "F", 2), "form g = 0*w(B)^w(C)"),
+    (FormDecl("h", "F", 0), "form h on F = 0"),
 ]
 
 
-@pytest.mark.parametrize("decl, text", ZEROS, ids=["section", "endo", "1-form", "2-form"])
+@pytest.mark.parametrize("decl, text", ZEROS, ids=["section", "endo", "1-form", "2-form", "0-form"])
 def test_zero_objects_round_trip_on_the_second_bundle(decl, text):
     doc = parse(ZERO_HEAD)
     {SectionDecl: doc.sections, EndoDecl: doc.endos, FormDecl: doc.forms}[type(decl)].append(decl)
     written = serialize(doc)
     assert written.endswith(f"\n{text}\n")
     assert parse(written) == doc
+
+
+def test_a_0_form_on_the_second_bundle_round_trips():
+    doc = parse(ZERO_HEAD)
+    doc.forms.append(FormDecl("f", "F", 0, {(): Poly.variable(1, 0)}))
+    written = serialize(doc)
+    assert written.endswith("\nform f on F = x\n")
+    assert parse(written) == doc
+    # a 0-form on the first bundle is written as before
+    assert serialize(parse(ZERO_HEAD + "form g on E = -x\n")).endswith("\nform g = (-x)\n")
 
 
 def test_a_repeated_dual_keeps_its_degree_on_the_second_bundle():
@@ -278,7 +292,7 @@ def test_rational_coefficients_round_trip():
     )
     doc = parse(text)
     f = doc.form("half")
-    assert f.comps[(0,)].constant_value() == Fraction(1, 2)
+    assert f.comps[(0,)].terms == {(0,): Fraction(1, 2)}
     assert parse(serialize(doc)) == doc
 
 

@@ -14,8 +14,8 @@ import hashlib
 import pytest
 
 from algforge import cli
-from algforge.algebroid import Endomorphism, check_morphism, nijenhuis
-from algforge.catalog import builtin, e0_kernel_sections, e0prime_to_e0_matrix
+from algforge.algebroid import Endomorphism, Section, check_morphism, nijenhuis
+from algforge.catalog import builtin, e0_kernel_sections, e0prime_to_e0_images
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -24,7 +24,7 @@ E0 = builtin("E0")
 
 def test_morphism_failure_from_the_lie_variant():
     src = builtin("E0prime_lie")
-    rep = check_morphism(src, E0, e0prime_to_e0_matrix())
+    rep = check_morphism(src, E0, e0prime_to_e0_images())
     defect = "-2*x1^2*x2^3*X11 - 2*x1*x2^4*X21 + 2*x1^4*x2*X12 + 2*x1^3*x2^2*X22"
     assert not rep.ok
     assert rep.anchor_failures == []
@@ -36,14 +36,13 @@ def test_morphism_failure_from_the_lie_variant():
 # [[x1, 1], [-(1 + x1^2), -x1]] on (X11, X21) and the constant rotation on
 # (X12, X22).
 X1, ZERO, ONE = Poly.variable(2, 0), Poly.zero(2), Poly.const(2, 1)
-J1 = Endomorphism(
-    [
-        [X1, ONE, ZERO, ZERO],
-        [-(ONE + X1 * X1), -X1, ZERO, ZERO],
-        [ZERO, ZERO, ZERO, ONE],
-        [ZERO, ZERO, -ONE, ZERO],
-    ]
-)
+J1_MATRIX = [
+    [X1, ONE, ZERO, ZERO],
+    [-(ONE + X1 * X1), -X1, ZERO, ZERO],
+    [ZERO, ZERO, ZERO, ONE],
+    [ZERO, ZERO, -ONE, ZERO],
+]
+J1 = Endomorphism([Section(column) for column in zip(*J1_MATRIX)])
 
 NIJENHUIS_J1 = {
     (0, 2): "(2*x1^3*x2 - x1*x2^2 + 2*x1*x2)*X11 + (-2*x1^4*x2 + x1^2*x2^2 - 2*x1^2*x2 - x2^2)*X21"

@@ -179,4 +179,4 @@ def test_integral_fractions_become_ints():
         assert_normal_form(p)
         assert p.terms and all(type(c) is int for c in p.terms.values())
     assert (half_x * 2).terms == {(1, 0, 0): 1}
-    assert Poly.const(NVARS, Fraction(4, 2)).constant_value() == 2
+    assert Poly.const(NVARS, Fraction(4, 2)).terms == {(0,) * NVARS: 2}

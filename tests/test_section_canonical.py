@@ -106,7 +106,7 @@ def test_anchor_outputs_are_canonical_vector_fields(a):
 
 def test_endomorphism_images_are_canonical_sections():
     half = Poly.const(2, Fraction(1, 2))
-    halving = Endomorphism([[half if i == j else Poly.zero(2) for j in range(4)] for i in range(4)])
+    halving = Endomorphism([E0.unit_section(b).scale(half) for b in range(4)])
     for endo in (e0_complex_structure(), halving):
         for x in sections(E0, seed=11):
             for s in (endo.apply(x), endo.apply(x + x)):

@@ -136,7 +136,11 @@ def test_fast_path_cofactors_and_normal_forms():
 
 def _basis_text(space):
     names = E0.base.var_names
-    return [";".join(",".join(p.to_text(names) for p in row) for row in g) for g in space.basis]
+    # row a of a basis cometric holds the e_a-coefficients of the images g[b]
+    return [
+        ";".join(",".join(g[b].coeffs[a].to_text(names) for b in range(len(g))) for a in range(len(g)))
+        for g in space.basis
+    ]
 
 
 def test_courant_full_basis_at_degree_two():
