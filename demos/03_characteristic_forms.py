@@ -9,7 +9,7 @@ an interval construction with an explicit integration operator), and they
 agree with classical base-manifold data under the anchor's pullback.
 """
 
-from algforge import EConnection, flat_connection, torsionfree_gamma
+from algforge import EConnection, flat_connection, make_tangent, torsionfree_gamma
 from algforge.catalog import builtin
 from algforge.charclass import char_form, connection_forms, pullback_consistency, transgression_check
 from algforge.forms import Lambda2Ideal, strong_closed, weak_closed
@@ -40,10 +40,10 @@ for k in (1, 2):
     print(f"    primary witness = {rep.primary_witness.to_text()}")
 
 print("\nagreement with base-manifold curvature through the anchor:")
+t2 = make_tangent(2)
 x1 = Poly.variable(2, 0)
-z = Poly.zero(2)
-christoffels = [[[z, z], [z, z]], [[x1 * x1, z], [z, z]]]  # one curved direction
-rep = pullback_consistency(e0, christoffels, 1, ideal=ideal)
+curved = EConnection(t2, {(1, 0): t2.unit_section(0).scale(x1**2)})  # one curved direction
+rep = pullback_consistency(e0, curved, 1, ideal=ideal)
 print(f"  base-side trace form pulled back: {rep.base_side.to_text()}")
 print(f"  bundle-side trace form:           {rep.algebroid_side.to_text()}")
 print(f"  residual normal form:             {rep.residual_normal_form.to_text()}  (consistent: {rep.ok})")

@@ -369,10 +369,6 @@ class Algebroid:
             raise AlgebroidError("section has the wrong rank")
         return map_section(self.anchor, s)
 
-    def anchor_rank_at(self, point) -> int:
-        rows = [[comp.eval_at(point) for comp in row.comps] for row in self.anchor]
-        return linsolve.rank(rows)
-
     # ---- bracket ----
 
     def bracket_gen(self, i: int, j: int) -> Section:

@@ -10,8 +10,8 @@ difference of characteristic forms into an exact part and an ideal part.
 
 Forms are built straight as ``forms`` term dicts: the connection and
 curvature matrices from the gamma and curvature sections' term dicts, matrix
-products and the interval operators (inclusion, restriction, H) as loops
-over terms.  Results are wrapped through ``forms._form``, not re-checked.
+products and the interval operators (restriction, H) as loops over terms.
+Results are wrapped through ``forms._form``, not re-checked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _section, _vector_field
-from .connection import EConnection
+from .connection import EConnection, induced_connection
 from .forms import (
     Form,
     IdealDecision,
@@ -30,6 +30,7 @@ from .forms import (
     _wedge_into,
     d_squared,
     differential,
+    pullback,
 )
 from .poly import Poly
 
@@ -172,22 +173,6 @@ def dR_identity_residual(conn: EConnection) -> FormMatrix:
     return r.d() - theta.d2() - r.wedge_mul(theta) + theta.wedge_mul(r)
 
 
-def trace_commutator_residual(conn: EConnection, k: int) -> Form:
-    """Tr(R^k∧theta - theta∧R^k); zero by trace cyclicity."""
-    theta = connection_forms(conn)
-    rk = curvature_matrix(conn).wedge_power(k)
-    return rk.wedge_mul(theta).trace() - theta.wedge_mul(rk).trace()
-
-
-def d_trace_power_residual(conn: EConnection, k: int) -> Form:
-    """d Tr(R^k) - k Tr(d²theta ∧ R^{k-1}); zero for every k >= 1."""
-    theta = connection_forms(conn)
-    r = curvature_matrix(conn)
-    lhs = differential(r.wedge_power(k).trace())
-    rhs = theta.d2().wedge_mul(r.wedge_power(k - 1)).trace()
-    return lhs - rhs.scale(k)
-
-
 # ---------------------------------------------------------------------------
 # the interval product and the homotopy operator
 # ---------------------------------------------------------------------------
@@ -201,10 +186,6 @@ class ProductAlgebroid:
     extended: Algebroid
     t_index: int  # index of the interval variable in the extended base
     et_index: int  # index of the interval generator
-
-    def include_form(self, omega: Form) -> Form:
-        """View a form on the base algebroid as a t-independent extended form."""
-        return _form(self.extended, omega.degree, _t_free(omega.terms))
 
     def restrict_form(self, omega: Form, u) -> Form:
         """Substitute t = u and delete interval components."""
@@ -361,28 +342,23 @@ class PullbackReport:
 
 def pullback_consistency(
     algebroid: Algebroid,
-    christoffels,
+    base: EConnection,
     k: int,
     ideal: Lambda2Ideal | None = None,
     max_degree: int = 4,
 ) -> PullbackReport:
     """Induced-connection characteristic form vs anchored pullback of the base one.
 
-    The base-side form is produced by the same Cartan machinery on the
-    tangent builtin of matching dimension, then pulled back through the
-    anchor; equality is asked modulo the ideal via normal forms.
+    ``base`` is a connection along the tangent bundle of the algebroid's base
+    on any target bundle (V = E when its target generators are the
+    algebroid's).  The algebroid side is the order-k form of
+    ``induced_connection(algebroid, base)``, the base side that of ``base``
+    pulled back through the anchor; equality is asked modulo the ideal via
+    normal forms.
     """
-    from .catalog import make_tangent
-    from .connection import induced_connection
-    from .forms import pullback
-
     if ideal is None:
         ideal = Lambda2Ideal(algebroid)
-    tangent = make_tangent(algebroid.nvars)
-    conn = induced_connection(algebroid, christoffels, target_gens=tangent.gen_names)
-    lhs = char_form(conn, k)
-    base_conn = induced_connection(tangent, christoffels)
-    base_form = char_form(base_conn, k)
-    rhs = pullback(algebroid, base_form)
+    lhs = char_form(induced_connection(algebroid, base), k)
+    rhs = pullback(algebroid, char_form(base, k))
     residual = ideal.normal_form(lhs - rhs, max_degree)
     return PullbackReport(k, lhs, rhs, residual)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from .algebroid import Algebroid, AlgebroidError, Section, _section, map_section, pair_sum, vf_bracket
-from .poly import Poly
+from .algebroid import Algebroid, AlgebroidError, Section, _section, _signed, map_section, pair_sum, vf_bracket
 
 
 class EConnection:
@@ -166,32 +166,24 @@ def flat_connection(algebroid: Algebroid, name: str = "flat") -> EConnection:
     return EConnection(algebroid, {}, name=name)
 
 
-def induced_connection(
-    algebroid: Algebroid, christoffels, target_gens=None, name: str = "induced"
-) -> EConnection:
-    """Pull a base-coordinate linear connection back through the anchor.
+def induced_connection(algebroid: Algebroid, base: EConnection, name: str = "induced") -> EConnection:
+    """Pull a connection on the base's tangent bundle back through the anchor.
 
-    ``christoffels[j][a][b]`` is the e_a-coefficient of the derivative of the
-    b-th target generator along the j-th coordinate field; the algebroid
-    connection differentiates along the anchor image, so
-    gamma[(beta, b)][a] = sum_j anchor(e_beta)_j * christoffels[j][a][b].
+    ``base`` is a connection along the tangent bundle of the algebroid's base
+    (``make_tangent``: generator j is d/dx_j) on any target bundle.  The
+    algebroid connection differentiates along the anchor image, so
+    gamma(beta, b) is rho(e_beta) under the bundle map
+    d/dx_j -> base.gamma(j, b), on the same target.
     """
-    n = algebroid.nvars
-    if len(christoffels) != n:
-        raise AlgebroidError("need one Christoffel matrix per base variable")
-    rank = len(christoffels[0])
-    gens = tuple(target_gens) if target_gens is not None else algebroid.gen_names
-    if len(gens) != rank:
-        raise AlgebroidError("target generator names must match the Christoffel rank")
-    # gamma(beta, b) = rho(e_beta) under the bundle map d/dx_j -> sum_a christoffels[j][a][b] e_a
-    maps = [[Section([christoffels[j][a][b] for a in range(rank)]) for j in range(n)] for b in range(rank)]
-    gamma = {}
-    for beta, rho in enumerate(algebroid.anchor):
-        for b, images in enumerate(maps):
-            value = map_section(images, rho)
-            if not value.is_zero():
-                gamma[(beta, b)] = value
-    return EConnection(algebroid, gamma, target_gens=gens, name=name)
+    tangent, n = base.algebroid, algebroid.nvars
+    identity = [{(j, (0,) * n): 1} for j in range(n)]
+    if tangent.base != algebroid.base or [rho.terms for rho in tangent.anchor] != identity or tangent.structure:
+        raise AlgebroidError("the base connection must be along the tangent bundle of the algebroid's base")
+    maps = [[base.gamma_entry(j, b) for j in range(n)] for b in range(base.target_rank)]
+    gamma = {
+        (beta, b): map_section(images, rho) for beta, rho in enumerate(algebroid.anchor) for b, images in enumerate(maps)
+    }
+    return EConnection(algebroid, gamma, target_gens=base.target_gens, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +199,15 @@ class DerivedBundle:
     derived: Algebroid
     lifted: EConnection
     plain_ext: EConnection
-    wedge_pairs: list[tuple[int, int]]
+    wedge: dict[tuple[int, int], Section]  # (i, j), i < j -> the derived generator e_i∧e_j
 
     @property
     def m(self) -> int:
         return self.base_algebroid.rank
+
+    @property
+    def wedge_pairs(self) -> list[tuple[int, int]]:
+        return list(self.wedge)
 
     def e_part(self, s: Section) -> Section:
         return _section(self.m, s.nvars, {key: c for key, c in s.terms.items() if key[0] < self.m})
@@ -221,13 +217,7 @@ class DerivedBundle:
 
     def wedge_of(self, u: Section, v: Section) -> Section:
         """Derived section u∧v of two E-sections."""
-        return Section([Poly.zero(self.base_algebroid.nvars)] * self.m + _wedge(self.wedge_pairs, u, v))
-
-
-def _wedge(pairs: list[tuple[int, int]], u: Section, v: Section) -> list[Poly]:
-    """The coefficients of u∧v on the wedge generators e_i∧e_j, (i, j) in pairs."""
-    u, v = u.coeffs, v.coeffs
-    return [u[i] * v[j] - u[j] * v[i] for i, j in pairs]
+        return pair_sum({}, u, _section(self.derived.rank, v.nvars, v.terms), partial(_signed, self.wedge))
 
 
 def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> DerivedBundle:
@@ -243,8 +233,9 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
     generators and to each wedge by the Leibniz rule,
     A_p(e_k∧e_l) = A_p e_k ∧ e_l + e_k ∧ A_p e_l.  The lifted connection is the
     plain one plus ½ e_α∧e_b on (E, E) pairs, and the bracket is its
-    antisymmetrization.  ``include_half_correction=False`` drops the half-wedge
-    term, so the lifted connection equals the plain extension.
+    antisymmetrization.  Every wedge is a ``pair_sum`` over the skew table
+    e_i, e_j -> e_i∧e_j.  ``include_half_correction=False`` drops the
+    half-wedge term, so the lifted connection equals the plain extension.
     """
     if not conn.is_endomorphism_valued:
         raise AlgebroidError("derive_bundle needs a connection on the algebroid itself")
@@ -257,8 +248,14 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
     gen_names = list(e.gen_names) + [
         f"{e.gen_names[i]}^{e.gen_names[j]}" for i, j in pairs
     ]
-    units = [e.unit_section(i) for i in range(m)]
-    no_e, no_wedge = [Poly.zero(nvars)] * m, [Poly.zero(nvars)] * len(pairs)
+
+    def lift(s: Section) -> Section:
+        """An E-section as a derived section."""
+        return _section(total, nvars, s.terms)
+
+    units = [lift(e.unit_section(i)) for i in range(m)]
+    table = {pair: _section(total, nvars, {(w, (0,) * nvars): 1}) for w, pair in enumerate(pairs, start=m)}
+    wedge = partial(_signed, table)
 
     anchor = list(e.anchor) + [
         vf_bracket(e.anchor[i], e.anchor[j]) - e.anchor_of(e.bracket_gen(i, j)) for i, j in pairs
@@ -268,19 +265,19 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
     actions = [[conn.gamma_entry(p, b) for b in range(m)] for p in range(m)]
     actions += [[conn.curvature_gen(i, j, b) for b in range(m)] for i, j in pairs]
     plain: dict[tuple[int, int], Section] = {}
-    for p, image in enumerate(actions):
+    for p, action in enumerate(actions):
+        image = [lift(s) for s in action]
         for b in range(m):
-            plain[p, b] = Section(list(image[b].coeffs) + no_wedge)
+            plain[p, b] = image[b]
         for w, (k, l) in enumerate(pairs, start=m):
-            leibniz = zip(_wedge(pairs, image[k], units[l]), _wedge(pairs, units[k], image[l]))
-            plain[p, w] = Section(no_e + [a + b for a, b in leibniz])
+            plain[p, w] = pair_sum({}, image[k], units[l], wedge) + pair_sum({}, units[k], image[l], wedge)
 
     lifted = dict(plain)
     if include_half_correction:
         half = Fraction(1, 2)
         for a in range(m):
             for b in range(m):
-                lifted[a, b] = plain[a, b] + Section(no_e + [c * half for c in _wedge(pairs, units[a], units[b])])
+                lifted[a, b] = plain[a, b] + pair_sum({}, units[a], units[b], wedge).scale(half)
 
     structure = {(p, q): lifted[p, q] - lifted[q, p] for p, q in combinations(range(total), 2)}
     derived = Algebroid(e.base, gen_names, anchor, structure, name=(e.name or "E") + "_derived")
@@ -289,7 +286,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         derived,
         EConnection(derived, lifted, name="lifted"),
         EConnection(derived, plain, name="plain-extension"),
-        pairs,
+        table,
     )
 
 

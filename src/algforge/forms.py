@@ -231,9 +231,13 @@ def _finish(algebroid: Algebroid, degree: int, out: dict) -> Form:
 
 def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
     """Add the wedge product of two forms' term dicts into ``out``, unfinished."""
+    signs: dict = {}  # one merge per pair of index tuples, not per pair of terms
     for (s, ea), a in alpha.items():
         for (t, eb), b in beta.items():
-            sign, key = _merge_sign(s, t)
+            found = signs.get((s, t))
+            if found is None:
+                found = signs[s, t] = _merge_sign(s, t)
+            sign, key = found
             if sign:
                 key = (key, tuple(map(add, ea, eb)))
                 out[key] = out.get(key, 0) + (a * b if sign > 0 else -(a * b))

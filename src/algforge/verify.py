@@ -22,7 +22,7 @@ from .algebroid import (
     nijenhuis,
     subalgebroid_restrict,
 )
-from .catalog import builtin, corpus_document, e0prime_to_e0_images
+from .catalog import builtin, corpus_document, e0prime_to_e0_images, make_tangent
 from .charclass import (
     cartan_residual,
     char_form,
@@ -33,7 +33,7 @@ from .charclass import (
     pullback_consistency,
     transgression_check,
 )
-from .connection import derive_bundle, flat_connection, verify_prhelp
+from .connection import EConnection, derive_bundle, flat_connection, verify_prhelp
 from .dsl import document_algebroid, document_connection, document_endo
 from .forms import Form, Lambda2Ideal, d_squared, differential, strong_closed, weak_closed
 from .poly import Poly
@@ -452,15 +452,11 @@ def c17_transgression(ctx: Context):
 
 def c18_pullback_consistency(ctx: Context):
     e0 = _e0()
-    n = 2
-    zero_mat = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-    flat_ch = [zero_mat, [[Poly.zero(n) for _ in range(n)] for _ in range(n)]]
-    rep = pullback_consistency(e0, flat_ch, 1, ideal=_ideal(), max_degree=ctx.max_degree)
+    t2 = make_tangent(2)
+    rep = pullback_consistency(e0, flat_connection(t2), 1, ideal=_ideal(), max_degree=ctx.max_degree)
     if not (rep.ok and rep.algebroid_side.is_zero() and rep.base_side.is_zero()):
         return False, "flat base connection: sides are not both zero"
-    x1 = _x(0)
-    z = Poly.zero(n)
-    curved = [[[z, z], [z, z]], [[x1 * x1, z], [z, z]]]
+    curved = EConnection(t2, {(1, 0): t2.unit_section(0).scale(_x(0) ** 2)})
     rep2 = pullback_consistency(e0, curved, 1, ideal=_ideal(), max_degree=ctx.max_degree)
     if rep2.base_side.is_zero():
         return False, "curved base connection degenerated to zero trace"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from algforge import catalog
+from algforge import catalog, linsolve
 from algforge.algebroid import (
     Algebroid,
     AlgebroidError,
@@ -30,6 +30,11 @@ E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 UNITS = [E0.unit_section(i) for i in range(4)]
+
+
+def anchor_rank_at(algebroid, point) -> int:
+    """Rank of the anchor images evaluated at a base point."""
+    return linsolve.rank([[comp.eval_at(point) for comp in row.comps] for row in algebroid.anchor])
 
 
 def test_anchor_table():
@@ -220,12 +225,12 @@ def test_tangent_bundle_is_lie():
     t3 = make_tangent(3)
     assert t3.check_axioms().ok
     assert t3.check_lie().is_lie
-    assert t3.anchor_rank_at((1, 1, 1)) == 3
+    assert anchor_rank_at(t3, (1, 1, 1)) == 3
 
 
 def test_anchor_rank_drops_at_origin():
-    assert E0.anchor_rank_at((0, 0)) == 0
-    assert E0.anchor_rank_at((1, 1)) == 2
+    assert anchor_rank_at(E0, (0, 0)) == 0
+    assert anchor_rank_at(E0, (1, 1)) == 2
 
 
 def test_builtin_names_cover_the_catalog():

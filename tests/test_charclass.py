@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from algforge.catalog import builtin, torsionfree_gamma
+from algforge.catalog import builtin, make_tangent, torsionfree_gamma
 from algforge.charclass import (
     FormMatrix,
     cartan_residual,
@@ -10,9 +10,7 @@ from algforge.charclass import (
     connection_forms,
     curvature_matrix,
     dR_identity_residual,
-    d_trace_power_residual,
     pullback_consistency,
-    trace_commutator_residual,
     transgression_check,
 )
 from algforge.connection import EConnection, flat_connection
@@ -26,6 +24,23 @@ X2 = Poly.variable(2, 1)
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
 FLAT = flat_connection(E0)
 IDEAL = Lambda2Ideal(E0)
+T2 = make_tangent(2)
+
+
+def trace_commutator_residual(conn, k):
+    """Tr(R^k∧theta - theta∧R^k); zero by trace cyclicity."""
+    theta = connection_forms(conn)
+    rk = curvature_matrix(conn).wedge_power(k)
+    return rk.wedge_mul(theta).trace() - theta.wedge_mul(rk).trace()
+
+
+def d_trace_power_residual(conn, k):
+    """d Tr(R^k) - k Tr(d²theta ∧ R^{k-1}); zero for every k >= 1."""
+    theta = connection_forms(conn)
+    r = curvature_matrix(conn)
+    lhs = differential(r.wedge_power(k).trace())
+    rhs = theta.d2().wedge_mul(r.wedge_power(k - 1)).trace()
+    return lhs - rhs.scale(k)
 
 
 def w(*idx):
@@ -129,18 +144,15 @@ def test_transgression_between_seeded_connections():
 
 
 def test_pullback_consistency_flat_base():
-    z = Poly.zero(2)
-    christoffels = [[[z, z], [z, z]], [[z, z], [z, z]]]
-    rep = pullback_consistency(E0, christoffels, 1, ideal=IDEAL)
+    rep = pullback_consistency(E0, flat_connection(T2), 1, ideal=IDEAL)
     assert rep.ok
     assert rep.algebroid_side.is_zero()
     assert rep.base_side.is_zero()
 
 
 def test_pullback_consistency_curved_base_frozen_value():
-    z = Poly.zero(2)
-    christoffels = [[[z, z], [z, z]], [[X1 * X1, z], [z, z]]]
-    rep = pullback_consistency(E0, christoffels, 1, ideal=IDEAL)
+    curved = EConnection(T2, {(1, 0): T2.unit_section(0).scale(X1 * X1)})
+    rep = pullback_consistency(E0, curved, 1, ideal=IDEAL)
     assert rep.ok
     want = (
         w(0, 1).scale(2 * X1**5)
@@ -151,3 +163,20 @@ def test_pullback_consistency_curved_base_frozen_value():
     assert rep.base_side == want
     assert rep.algebroid_side == want
     assert rep.residual_normal_form.is_zero()
+
+
+def test_pullback_consistency_with_e_as_target():
+    # V = E: a seeded connection along d/dx_1, d/dx_2 on E0's generators; the
+    # order-2 form is a 4-form pulled back from a rank-2 bundle, so only order 1
+    # has a nonzero side
+    for seed in (1, 3, 4):
+        sampler = Sampler(seed)
+        gamma = {
+            (j, b): sampler.section(E0, max_degree=1) for j in range(2) for b in range(4) if sampler.rng.random() < 0.4
+        }
+        base = EConnection(T2, gamma, target_gens=E0.gen_names)
+        for k in (1, 2):
+            rep = pullback_consistency(E0, base, k, ideal=IDEAL)
+            assert rep.base_side.is_zero() == (k == 2)
+            assert rep.algebroid_side == rep.base_side
+            assert rep.residual_normal_form.is_zero()

@@ -99,31 +99,38 @@ def test_bianchi_defect_vanishes_for_seeded_connections():
 
 def test_induced_connection_from_base_christoffels():
     t2 = make_tangent(2)
-    z = Poly.zero(2)
-    christoffels = [
-        [[z, z], [z, z]],
-        [[X1 * X1, z], [z, z]],
-    ]
-    conn = induced_connection(t2, christoffels)
     units = [t2.unit_section(i) for i in range(2)]
+    conn = induced_connection(t2, EConnection(t2, {(1, 0): units[0].scale(X1 * X1)}))
     # nabla_{T2} T1 = x1^2 T1 per the table above
     assert conn.covariant_derivative(units[1], units[0]) == units[0].scale(X1 * X1)
     assert conn.covariant_derivative(units[0], units[0]).is_zero()
 
 
 def test_induced_connection_reads_christoffels_by_target_then_source():
-    # christoffels[j][a][b]: nonzero only for (a, b) = (2, 1) and (0, 3), so a
-    # transposed read of (a, b) gives a different table
+    # entries[j, a, b] is the e_a-coefficient of the derivative of e_b along
+    # d/dx_j: nonzero only for (a, b) = (2, 1) and (0, 3), so a transposed
+    # read of (a, b) gives a different table
     z = Poly.zero(2)
     entries = {(0, 2, 1): X1, (1, 0, 3): X2 * X2}
-    christoffels = [[[entries.get((j, a, b), z) for b in range(4)] for a in range(4)] for j in range(2)]
-    conn = induced_connection(E0, christoffels)
+    base = EConnection(
+        make_tangent(2),
+        {(j, b): UNITS[a].scale(f) for (j, a, b), f in entries.items()},
+        target_gens=E0.gen_names,
+    )
+    conn = induced_connection(E0, base)
     # rho(X11), rho(X12) have a d1 part and rho(X21), rho(X22) a d2 part
     assert set(conn.gamma) == {(0, 1), (2, 1), (1, 3), (3, 3)}
     for beta, b in product(range(4), repeat=2):
         rho = E0.anchor[beta].comps
-        want = [sum((rho[j] * christoffels[j][a][b] for j in range(2)), z) for a in range(4)]
+        want = [sum((rho[j] * entries.get((j, a, b), z) for j in range(2)), z) for a in range(4)]
         assert list(conn.gamma_entry(beta, b).coeffs) == want
+
+
+def test_induced_connection_refuses_a_base_off_the_tangent_bundle():
+    # E0's own connection is not along d/dx_j, and tangent3 lives over another base
+    for base in (flat_connection(E0), flat_connection(make_tangent(3))):
+        with pytest.raises(AlgebroidError):
+            induced_connection(E0, base)
 
 
 def test_gamma_rejects_bad_indices():

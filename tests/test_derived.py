@@ -2,6 +2,7 @@
 
 from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, verify_prhelp
+from algforge.sampling import Sampler
 
 E0 = builtin("E0")
 TF = EConnection(E0, torsionfree_gamma(E0), name="torsionfree")
@@ -14,6 +15,20 @@ def test_shape_and_names():
     assert d.gen_names[:4] == E0.gen_names
     assert d.gen_names[4] == "X11^X21"
     assert DERIVED.wedge_pairs[0] == (0, 1)
+
+
+def test_wedge_of_matches_the_pairwise_formula():
+    # oracle: u∧v has u_i v_j - u_j v_i on e_i∧e_j and nothing on E
+    m = E0.rank
+    sampler = Sampler(3)
+    for _ in range(4):
+        u, v = sampler.section(E0), sampler.section(E0)
+        w = DERIVED.wedge_of(u, v)
+        assert w.rank == DERIVED.derived.rank
+        assert DERIVED.e_part(w).is_zero()
+        uc, vc = u.coeffs, v.coeffs
+        for t, (i, j) in enumerate(DERIVED.wedge_pairs, start=m):
+            assert w.coeffs[t] == uc[i] * vc[j] - uc[j] * vc[i]
 
 
 def test_anchor_of_wedge_generators_vanishes():
