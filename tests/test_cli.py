@@ -347,6 +347,16 @@ def test_degree_from_the_environment(capsys, monkeypatch):
     assert "dimension 12 at coefficient degree <= 2" in out
 
 
+def test_the_environment_degree_is_read_on_every_call(capsys, monkeypatch):
+    # several calls in one process: none may keep the value an earlier one saw
+    for value, dim in (("2", 12), ("3", 28)):
+        monkeypatch.setenv("ALGFORGE_MAX_DEGREE", value)
+        _, out, _ = run(capsys, "courant", "E0")
+        assert f"dimension {dim} at coefficient degree <= {value}" in out
+    _, out, _ = run(capsys, "courant", "E0", "--max-degree", "1")
+    assert "dimension 3 at coefficient degree <= 1" in out
+
+
 def test_weak_closed_note_on_a_1_form(capsys):
     code, out, _ = run(capsys, "cohomology", "E0", "--form", "omega21")
     assert code == 1

@@ -4,6 +4,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algforge.algebroid import Section
 from algforge.catalog import builtin, e0_kernel_sections, make_tangent
@@ -21,6 +23,7 @@ from algforge.dsl import (
     document_form,
     parse,
     serialize,
+    tokenize,
 )
 from algforge.poly import Poly
 
@@ -338,3 +341,86 @@ def test_algebroid_to_document_sanitizes_wedge_names():
 def test_default_zero_brackets_are_not_serialized():
     doc = parse(corpus_text("E0.alg"))
     assert "bracket [X11, X22]" not in serialize(doc)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against a character-loop reference
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text: str):
+    """The tokenizer as a plain loop over characters: `(kind, text, line, col)`
+    tuples, or `("error", message, line, col)` for the first bad character.
+
+    A comment does not advance the column, so after a trailing comment the
+    end-of-input token sits at the column of its `#`.
+    """
+    symbols, digits = set("()[]{},^*+-=/"), set("0123456789")
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch in " \t\r":
+            i, col = i + 1, col + 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch == "-" and text[i + 1 : i + 2] == ">":
+            tokens.append(("arrow", "->", line, col))
+            i, col = i + 2, col + 2
+        elif ch in symbols:
+            tokens.append(("sym", ch, line, col))
+            i, col = i + 1, col + 1
+        elif ch in digits or ch.isalpha() or ch == "_":
+            start = i
+            if ch in digits:
+                kind = "int"
+                while i < n and text[i] in digits:
+                    i += 1
+            else:
+                kind = "ident"
+                while i < n and (text[i].isalnum() or text[i] == "_"):
+                    i += 1
+            tokens.append((kind, text[start:i], line, col))
+            col += i - start
+        else:
+            return ("error", f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def engine_tokenize(text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except DslError as err:
+        assert (err.kind, str(err)) == ("syntax", f"line {err.line}, col {err.col}: {err.message}")
+        return ("error", err.message, err.line, err.col)
+
+
+@pytest.mark.parametrize("name", VALID + INVALID)
+def test_tokenizer_matches_the_reference_on_the_corpus(name):
+    text = corpus_text(name)
+    assert engine_tokenize(text) == reference_tokenize(text)
+    assert engine_tokenize(text + "  # trailing") == reference_tokenize(text + "  # trailing")
+
+
+# the document alphabet, a few characters that are digits or letters to
+# str methods but not to the language, and whole words and comments
+PIECES = st.one_of(
+    st.sampled_from(list("abxyzdwXE_019 \n()[]{},^*+-=/#>") + ["\u00b2", "\u0663", "\u00e9", "\r", "\t", "!"]),
+    st.sampled_from(["->", "x1", "d2", "w(A)", "12", "anchor", "  ", "# note\n", "# note"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PIECES, max_size=40).map("".join))
+def test_tokenizer_matches_the_reference_on_random_text(text):
+    assert engine_tokenize(text) == reference_tokenize(text)
+
+
+def test_a_trailing_comment_leaves_the_end_at_its_hash():
+    end = tokenize("base  # note")[-1]
+    assert (end.kind, end.line, end.col) == ("eof", 1, 7)
