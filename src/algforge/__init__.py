@@ -27,7 +27,7 @@ from .algebroid import (
     subalgebroid_restrict,
     vf_bracket,
 )
-from .catalog import builtin, builtin_names, make_tangent, torsionfree_gamma
+from .catalog import builtin, builtin_names, make_tangent, tangent_bundle, torsionfree_gamma
 from .charclass import (
     FormMatrix,
     char_form,
@@ -77,6 +77,7 @@ __all__ = [
     "pullback_consistency",
     "strong_closed",
     "subalgebroid_restrict",
+    "tangent_bundle",
     "torsionfree_gamma",
     "transgression_check",
     "vf_bracket",

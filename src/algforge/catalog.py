@@ -60,13 +60,18 @@ def e0prime_to_e0_images() -> list[Section]:
     return [e0.unit_section(0), e0.unit_section(3), doc.section("Xs1").value, doc.section("Xs2").value]
 
 
-def make_tangent(n: int) -> Algebroid:
-    """The tangent bundle of R^n: identity anchor, zero structure table."""
-    if n < 1:
-        raise AlgebroidError("tangent bundle needs a positive dimension")
-    base = BaseSpace(tuple(f"x{i + 1}" for i in range(n)))
+def tangent_bundle(base: BaseSpace) -> Algebroid:
+    """The tangent bundle of `base`: generator T_j is d/dx_j, identity anchor, zero structure table."""
+    n = base.dim
     anchor = [_vector_field(base, {(i, (0,) * n): 1}) for i in range(n)]
     return Algebroid(base, tuple(f"T{i + 1}" for i in range(n)), anchor, {}, f"tangent{n}")
+
+
+def make_tangent(n: int) -> Algebroid:
+    """The tangent bundle of R^n over x1..xn."""
+    if n < 1:
+        raise AlgebroidError("tangent bundle needs a positive dimension")
+    return tangent_bundle(BaseSpace(tuple(f"x{i + 1}" for i in range(n))))
 
 
 def builtin_names() -> list[str]:

@@ -29,6 +29,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -110,11 +111,7 @@ def _load(args) -> tuple[Document, Report]:
 
 
 def _status_of(decision_status: str) -> str:
-    if decision_status == "yes" or decision_status == "member":
-        return PASS
-    if decision_status == "no-witness":
-        return INCONCLUSIVE
-    return FAIL
+    return {"yes": PASS, "member": PASS, "no-witness": INCONCLUSIVE}.get(decision_status, FAIL)
 
 
 def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
@@ -469,11 +466,7 @@ def cmd_obstruction(args) -> Report:
     )
 
     cert = lie_infeasibility_certificate(a, triple, kernel, max_degree=args.max_degree)
-    status = {
-        "infeasible": PASS,
-        "trivially-feasible": PASS,
-        "inconclusive": INCONCLUSIVE,
-    }[cert.status]
+    status = INCONCLUSIVE if cert.status == "inconclusive" else PASS  # infeasible or trivially feasible
     report.add_status("kernel-modification-certificate", status, note=cert.describe(a.gen_names))
     return report
 
@@ -495,15 +488,15 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The argument parser, built once per process on first use, and its
+    --max-degree option, whose default `main` sets on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed recorded in the report and used by any sampling")
-    common.add_argument(
+    max_degree = common.add_argument(
         "--max-degree",
         type=_non_negative,
-        # a string default goes through the type, so a bad environment value
-        # is a usage error like a bad option
-        default=os.environ.get("ALGFORGE_MAX_DEGREE", "4"),
         help="coefficient degree bound for the bounded searches (default 4, env ALGFORGE_MAX_DEGREE)",
     )
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -511,69 +504,69 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, *, file: bool = True):
+    def add(name: str, help_text: str, *, file: bool = True):
         p = sub.add_parser(name, parents=[common], help=help_text)
         if file:
             p.add_argument("file", metavar="FILE", help="document path or bundled document name")
-        p.set_defaults(handler=handler)
         return p
 
-    add("check", cmd_check, "verify the anchor axioms of every declared bundle")
+    add("check", "verify the anchor axioms of every declared bundle")
 
-    p = add("jacobiator", cmd_jacobiator, "print Jacobi defects per generator triple")
+    p = add("jacobiator", "print Jacobi defects per generator triple")
     p.add_argument("--triples", default="all", help="'all' or one 1-based triple like 1,2,3")
 
-    add("lie", cmd_lie, "assert the bracket satisfies the Jacobi identity")
+    add("lie", "assert the bracket satisfies the Jacobi identity")
 
-    p = add("connection-report", cmd_connection_report, "torsion and curvature of a declared connection")
+    p = add("connection-report", "torsion and curvature of a declared connection")
     p.add_argument("--connection", required=True, help="name of a declared connection")
 
-    p = add("derive", cmd_derive, "extend the bundle by its wedge square and write the result")
+    p = add("derive", "extend the bundle by its wedge square and write the result")
     p.add_argument("--connection", required=True, help="connection used to correct the extension")
     p.add_argument("-o", "--output", required=True, help="path for the derived document")
 
-    p = add("cohomology", cmd_cohomology, "closedness and exactness of a declared form")
+    p = add("cohomology", "closedness and exactness of a declared form")
     p.add_argument("--form", required=True, help="name of a declared form")
 
-    p = add("charclass", cmd_charclass, "trace powers of the curvature of a connection")
+    p = add("charclass", "trace powers of the curvature of a connection")
     p.add_argument("--connection", required=True, help="name of a declared connection")
     p.add_argument("--max-k", type=_non_negative, default=2, help="highest trace power to compute (default 2)")
 
-    p = add("transgression", cmd_transgression, "compare trace forms of two declared connections")
+    p = add("transgression", "compare trace forms of two declared connections")
     p.add_argument("--c1", required=True, help="first connection name")
     p.add_argument("--c2", required=True, help="second connection name")
     p.add_argument("--k", type=int, default=1, help="trace power to compare (default 1)")
 
-    add("courant", cmd_courant, "bounded cometric solution spaces and declared defects")
+    add("courant", "bounded cometric solution spaces and declared defects")
 
-    p = add("nijenhuis", cmd_nijenhuis, "integrability of a declared endomorphism")
+    p = add("nijenhuis", "integrability of a declared endomorphism")
     p.add_argument("--endo", required=True, help="name of a declared endomorphism")
 
-    p = add("obstruction", cmd_obstruction, "degree certificate that one Jacobi defect cannot be cancelled")
+    p = add("obstruction", "degree certificate that one Jacobi defect cannot be cancelled")
     p.add_argument("--triple", required=True, help="1-based generator triple like 1,2,3")
 
-    add("verify-paper", cmd_verify_paper, "run the built-in verification suite", file=False)
+    add("verify-paper", "run the built-in verification suite", file=False)
 
-    return parser
+    return parser, max_degree
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, max_degree = _parser()
+    # a string default goes through the type, so a bad environment value is a
+    # usage error like a bad option
+    max_degree.default = os.environ.get("ALGFORGE_MAX_DEGREE", "4")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
+    # looked up on each call, not stored in the parser that outlives it
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.handler(args)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = command(args)
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (CliError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    except (AlgebroidError, OSError) as exc:
+    except (CliError, DslError, AlgebroidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

@@ -170,7 +170,7 @@ def induced_connection(algebroid: Algebroid, base: EConnection, name: str = "ind
     """Pull a connection on the base's tangent bundle back through the anchor.
 
     ``base`` is a connection along the tangent bundle of the algebroid's base
-    (``make_tangent``: generator j is d/dx_j) on any target bundle.  The
+    (``tangent_bundle(algebroid.base)``: generator j is d/dx_j) on any target bundle.  The
     algebroid connection differentiates along the anchor image, so
     gamma(beta, b) is rho(e_beta) under the bundle map
     d/dx_j -> base.gamma(j, b), on the same target.

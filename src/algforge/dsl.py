@@ -30,8 +30,11 @@ Every sign and every '*' must be followed by a factor or a basis element.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple
 
 from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, sum_text
 from .connection import EConnection
@@ -59,64 +62,40 @@ class DslError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = set("()[]{},^*+-=/")
-_DIGITS = set("0123456789")  # str.isdigit() also admits superscripts such as "²"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "sym" | "arrow" | "eof"
     text: str
     line: int
     col: int
 
 
+# One alternative per token kind; unnamed ones are skipped.  Only ASCII digits
+# start an integer ("²" is a digit to str.isdigit), and a word must start with
+# a letter or "_", which `\w` alone does not ensure.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|\#[^\n]*|(?P<arrow>->)|(?P<sym>[()\[\]{},^*+\-=/])"
+    r"|(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<bad>.)"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        word, col = m.group(), m.start() - start + 1
+        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            raise DslError(f"unexpected character {word[0]!r}", line, col)
+        tokens.append(Token(kind, word, line, col))
+    # a comment takes no columns, so input that ends in one ends at its "#"
+    end = text.find("#", start)
+    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return tokens
 
 
@@ -185,10 +164,7 @@ class Document:
             if not self.bundles:
                 raise KeyError("document declares no bundle")
             return self.bundles[0]
-        for b in self.bundles:
-            if b.name == name:
-                return b
-        raise KeyError(f"no bundle named {name!r}")
+        return self._find(self.bundles, "bundle", name)
 
     def _find(self, decls, kind: str, name: str):
         for d in decls:
@@ -286,6 +262,15 @@ class _Parser:
         except ValueError:
             self.semantic(f"integer literal of {len(tok.text)} digits is too long", tok)
 
+    def name_list(self, what: str) -> list[Token]:
+        """A parenthesised, comma-separated list of at least one name."""
+        self.expect("(")
+        toks = [self.expect_ident(what)]
+        while self.accept(","):
+            toks.append(self.expect_ident(what))
+        self.expect(")")
+        return toks
+
     def semantic(self, message: str, tok: Token):
         raise DslError(message, tok.line, tok.col, kind="semantic")
 
@@ -298,10 +283,6 @@ class _Parser:
             self.semantic(f"name {tok.text!r} already names a base variable", tok)
         self.names[tok.text] = kind
         return tok.text
-
-    def need_base(self, tok: Token):
-        if self.base_vars is None:
-            self.semantic("a base statement must come first", tok)
 
     def lookup_bundle(self, tok: Token) -> BundleDecl:
         bundle = next((b for b in self.doc.bundles if b.name == tok.text), None)
@@ -319,14 +300,16 @@ class _Parser:
 
     def parse_document(self) -> Document:
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "ident" or tok.text not in _KEYWORDS:
+            kw = self.advance()
+            if kw.kind != "ident" or kw.text not in _KEYWORDS:
                 raise DslError(
-                    f"expected a statement keyword ({', '.join(sorted(_KEYWORDS))}), found {tok.text!r}",
-                    tok.line,
-                    tok.col,
+                    f"expected a statement keyword ({', '.join(sorted(_KEYWORDS))}), found {kw.text!r}",
+                    kw.line,
+                    kw.col,
                 )
-            getattr(self, "stmt_" + tok.text)()
+            if self.base_vars is None and kw.text != "base":
+                self.semantic("a base statement must come first", kw)
+            getattr(self, "stmt_" + kw.text)(kw)
         if self.base_vars is None:
             last = self.peek()
             raise DslError("document has no base statement", last.line, last.col, kind="semantic")
@@ -335,16 +318,11 @@ class _Parser:
 
     # ---- statements ----
 
-    def stmt_base(self):
-        kw = self.advance()
+    def stmt_base(self, kw: Token):
         if self.base_vars is not None:
             self.semantic("only one base statement is allowed", kw)
         dim = self.expect_int()
-        self.expect("(")
-        names = [self.expect_ident("variable name").text]
-        while self.accept(","):
-            names.append(self.expect_ident("variable name").text)
-        self.expect(")")
+        names = [tok.text for tok in self.name_list("variable name")]
         if len(set(names)) != len(names):
             self.semantic("base variable names must be unique", kw)
         if dim != len(names):
@@ -352,18 +330,12 @@ class _Parser:
         self.base_vars = tuple(names)
         self.var_index = {name: i for i, name in enumerate(names)}
 
-    def stmt_bundle(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_bundle(self, kw: Token):
         name_tok = self.expect_ident("bundle name")
         self.expect("rank")
         rank = self.expect_int()
         self.expect("gens")
-        self.expect("(")
-        gen_toks = [self.expect_ident("generator name")]
-        while self.accept(","):
-            gen_toks.append(self.expect_ident("generator name"))
-        self.expect(")")
+        gen_toks = self.name_list("generator name")
         if rank != len(gen_toks):
             self.semantic(f"bundle declares rank {rank} but lists {len(gen_toks)} generators", kw)
         name = self.declare(name_tok, "bundle")
@@ -374,9 +346,7 @@ class _Parser:
         for idx, g in enumerate(gens):
             self.bundle_of_gen[g] = (decl, idx)
 
-    def stmt_anchor(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_anchor(self, kw: Token):
         gen_tok = self.expect_ident("generator name")
         decl, idx = self.lookup_gen(gen_tok)
         self.expect("->")
@@ -388,9 +358,7 @@ class _Parser:
         anchors[idx] = vf
         decl.anchors = tuple(anchors)
 
-    def stmt_bracket(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_bracket(self, kw: Token):
         self.expect("[")
         a_tok = self.expect_ident("generator name")
         self.expect(",")
@@ -414,18 +382,14 @@ class _Parser:
         if not value.is_zero():
             decl_a.brackets[key] = value
 
-    def stmt_section(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_section(self, kw: Token):
         name_tok = self.expect_ident("section name")
         self.expect("=")
         bundle, value = self.parse_section_expr(None, name_tok)
         name = self.declare(name_tok, "section")
         self.doc.sections.append(SectionDecl(name, bundle.name, value))
 
-    def stmt_connection(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_connection(self, kw: Token):
         name_tok = self.expect_ident("connection name")
         self.expect("on")
         bundle = self.lookup_bundle(self.expect_ident("bundle name"))
@@ -453,9 +417,7 @@ class _Parser:
         name = self.declare(name_tok, "connection")
         self.doc.connections.append(ConnectionDecl(name, bundle.name, gamma))
 
-    def stmt_endo(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_endo(self, kw: Token):
         name_tok = self.expect_ident("endomorphism name")
         self.expect("{")
         bundle = None
@@ -480,9 +442,7 @@ class _Parser:
         name = self.declare(name_tok, "endo")
         self.doc.endos.append(EndoDecl(name, bundle.name, tuple(images.get(b, zero) for b in range(m))))
 
-    def stmt_cometric(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_cometric(self, kw: Token):
         name_tok = self.expect_ident("cometric name")
         self.expect("=")
         self.expect("[")
@@ -502,9 +462,7 @@ class _Parser:
         name = self.declare(name_tok, "cometric")
         self.doc.cometrics.append(CometricDecl(name, tuple(rows)))
 
-    def stmt_form(self):
-        kw = self.advance()
-        self.need_base(kw)
+    def stmt_form(self, kw: Token):
         name_tok = self.expect_ident("form name")
         bundle = self.lookup_bundle(self.expect_ident("bundle name")) if self.accept("on") else None
         self.expect("=")
@@ -691,9 +649,9 @@ class _Parser:
                 if not self.accept("^"):
                     return indices
 
-        # fold terms: sort indices with parity, drop repeats and zeros, but
-        # keep the degree of a zero term (0*w(A) is a zero 1-form);
-        # w(A)*w(B) is w(A)^w(B)
+        # fold terms: sort indices (an odd number of inversions negates the term),
+        # drop repeats and zeros, but keep the degree of a zero term (0*w(A) is
+        # a zero 1-form); w(A)*w(B) is w(A)^w(B)
         degrees = set()
         comps: dict[tuple[int, ...], Poly] = {}
         for coeff, duals in self.parse_terms(read_duals, "generator dual"):
@@ -703,8 +661,9 @@ class _Parser:
                 continue
             if coeff.is_zero():
                 continue
-            key, parity = _sort_with_parity(indices)
-            comps[key] = comps.get(key, Poly.zero(n)) + (coeff if parity > 0 else -coeff)
+            key = tuple(sorted(indices))
+            odd = sum(a > b for a, b in combinations(indices, 2)) % 2
+            comps[key] = comps.get(key, Poly.zero(n)) + (-coeff if odd else coeff)
         comps = {k: v for k, v in comps.items() if not v.is_zero()}
         live_degrees = {len(k) for k in comps} or (degrees or {0})
         if len(live_degrees) > 1:
@@ -714,18 +673,6 @@ class _Parser:
                 self.semantic("a scalar form needs a bundle to live on; declare one first", where)
             bundle = self.doc.bundles[0]
         return bundle, next(iter(live_degrees)), comps
-
-
-def _sort_with_parity(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    order = list(indices)
-    parity = 1
-    for i in range(1, len(order)):
-        j = i
-        while j > 0 and order[j - 1] > order[j]:
-            order[j - 1], order[j] = order[j], order[j - 1]
-            parity = -parity
-            j -= 1
-    return tuple(order), parity
 
 
 def parse(text: str) -> Document:
@@ -811,31 +758,29 @@ def document_algebroid(doc: Document, bundle_name: str | None = None) -> Algebro
     return Algebroid(base, b.gens, list(b.anchors), dict(b.brackets), name=b.name)
 
 
+def _on_bundle(doc: Document, algebroid: Algebroid, kind: str, decl):
+    """`decl`, refused unless it lives on the bundle of `algebroid`."""
+    if doc.bundle(decl.bundle).gens != algebroid.gen_names:
+        raise KeyError(f"{kind} {decl.name!r} lives on bundle {decl.bundle!r}")
+    return decl
+
+
 def document_connection(doc: Document, algebroid: Algebroid, name: str) -> EConnection:
-    c = doc.connection(name)
-    if doc.bundle(c.bundle).gens != algebroid.gen_names:
-        raise KeyError(f"connection {name!r} lives on bundle {c.bundle!r}")
+    c = _on_bundle(doc, algebroid, "connection", doc.connection(name))
     return EConnection(algebroid, dict(c.gamma), name=name)
 
+
 def document_endo(doc: Document, algebroid: Algebroid, name: str) -> Endomorphism:
-    e = doc.endo(name)
-    if doc.bundle(e.bundle).gens != algebroid.gen_names:
-        raise KeyError(f"endomorphism {name!r} lives on bundle {e.bundle!r}")
-    return Endomorphism(e.images)
+    return Endomorphism(_on_bundle(doc, algebroid, "endomorphism", doc.endo(name)).images)
 
 
 def document_form(doc: Document, algebroid: Algebroid, name: str) -> Form:
-    f = doc.form(name)
-    if doc.bundle(f.bundle).gens != algebroid.gen_names:
-        raise KeyError(f"form {name!r} lives on bundle {f.bundle!r}")
+    f = _on_bundle(doc, algebroid, "form", doc.form(name))
     return Form(algebroid, f.degree, dict(f.comps))
 
 
 def _safe_ident(name: str, taken: set[str]) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if (ch.isalnum() or ch == "_") else "_")
-    ident = "".join(out)
+    ident = re.sub(r"\W", "_", name)
     if not ident or not (ident[0].isalpha() or ident[0] == "_"):
         ident = "g_" + ident
     candidate = ident

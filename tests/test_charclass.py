@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from algforge.catalog import builtin, make_tangent, torsionfree_gamma
+from algforge.catalog import builtin, corpus_document, make_tangent, tangent_bundle, torsionfree_gamma
 from algforge.charclass import (
     FormMatrix,
     cartan_residual,
@@ -14,6 +14,7 @@ from algforge.charclass import (
     transgression_check,
 )
 from algforge.connection import EConnection, flat_connection
+from algforge.dsl import document_algebroid
 from algforge.forms import Form, Lambda2Ideal, d_squared, differential, strong_closed, weak_closed
 from algforge.poly import Poly
 from algforge.sampling import Sampler
@@ -163,6 +164,21 @@ def test_pullback_consistency_curved_base_frozen_value():
     assert rep.base_side == want
     assert rep.algebroid_side == want
     assert rep.residual_normal_form.is_zero()
+
+
+def test_pullback_consistency_over_a_named_base():
+    # plane_forms lives over (x, y), so its base connections live on that
+    # base's tangent bundle, not on make_tangent(2)'s x1, x2
+    plane = document_algebroid(corpus_document("plane_forms"))
+    tangent = tangent_bundle(plane.base)
+    x = Poly.variable(2, 0)
+    curved = EConnection(tangent, {(1, 0): tangent.unit_section(0).scale(x * x)})
+    for base in (flat_connection(tangent), curved):
+        rep = pullback_consistency(plane, base, 1)
+        assert rep.ok
+        assert rep.algebroid_side == rep.base_side
+    # the anchor is the identity, so the pullback of Tr R = 2x dx^dy is 2x w(U)^w(V)
+    assert rep.base_side == Form(plane, 2, {(0, 1): 2 * x})
 
 
 def test_pullback_consistency_with_e_as_target():
