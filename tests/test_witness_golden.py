@@ -9,10 +9,13 @@ E0_itemized is the bundled bundle whose d²-ideal is not monomial, so its
 membership, normal-form and weak-exact queries take the bounded path.
 """
 
+import hashlib
+
 import pytest
 
 from algforge.algebroid import courant_solution_space, subalgebroid_restrict
-from algforge.catalog import builtin
+from algforge.catalog import builtin, corpus_document
+from algforge.dsl import document_algebroid
 from algforge.forms import Form, Lambda2Ideal, differential, strong_closed, weak_exact
 from algforge.poly import Poly
 
@@ -169,6 +172,40 @@ def test_courant_paired_basis_at_degree_two():
         "0,0,0,-1/2*x2^2;0,0,-1/2*x2^2,0;0,-1/2*x2^2,0,x1^2;-1/2*x2^2,0,x1^2,0",
         "0,0,0,0;0,0,0,-1/2*x2^2;0,0,0,0;0,-1/2*x2^2,0,x1^2",
     ]
+
+
+
+def _basis_digest(space):
+    """sha256 prefix of every basis element's images, each image's terms sorted."""
+    text = "\n".join(
+        "|".join(",".join(f"{a}:{exps}:{c}" for (a, exps), c in sorted(image.terms.items())) for image in g)
+        for g in space.basis
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "name,bound,blocks,dim,digest",
+    [
+        ("derived_e0", 0, 1, 46, "02be39865f952063"),
+        ("derived_e0", 0, 2, 45, "83efd00d2a9ab05b"),
+        ("derived_e0", 0, 5, 46, "640952ea56dd3941"),
+        ("derived_e0", 0, 10, 46, "02be39865f952063"),
+        ("derived_e0", 1, 1, 138, "479dde058b5ada66"),
+        ("derived_e0", 1, 2, 135, "97fcfacf57c0aff1"),
+        ("derived_e0", 1, 5, 138, "8e41de55d6afb806"),
+        ("derived_e0", 1, 10, 138, "479dde058b5ada66"),
+        ("E0prime", 2, 1, 42, "a9aa722c7dc9427a"),
+        ("E0prime", 2, 2, 42, "64c063650f10c687"),
+        ("E0prime", 2, 4, 42, "a9aa722c7dc9427a"),
+    ],
+)
+def test_courant_basis_digests(name, bound, blocks, dim, digest):
+    # one-by-one blocks pair every off-diagonal cell with its transpose, the
+    # full symmetric space again, so they share the rank-sized digests
+    space = courant_solution_space(document_algebroid(corpus_document(name)), max_degree=bound, paired_blocks=blocks)
+    assert space.dim == dim
+    assert _basis_digest(space) == digest
 
 
 UNITS = [E0.unit_section(i) for i in range(4)]
