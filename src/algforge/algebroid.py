@@ -641,11 +641,7 @@ def subalgebroid_restrict(
 
     nvars = algebroid.nvars
     # one column per (generator g, monomial mu): the terms of the section mu * g
-    columns = {
-        (g, mu): gen.scale(Poly.monomial(nvars, mu)).terms
-        for g, gen in enumerate(gens)
-        for mu in witness.monomials_up_to(nvars, max_degree)
-    }
+    columns = witness.monomial_multiples({g: gen.terms for g, gen in enumerate(gens)}, nvars, max_degree)
     structure: dict[tuple[int, int], Section] = {}
     for i, j in combinations(range(k), 2):
         target = algebroid.bracket(gens[i], gens[j])
@@ -743,37 +739,26 @@ class CourantSpace:
         ]
 
 
-def _paired_block_unknowns(m: int, block: int) -> list[tuple[int, int]]:
-    """Unknown positions for the paired-block parametrization.
+def _cells(m: int, block: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The unknown cells of the paired-block parametrization and the positions each fills.
 
     The matrix is split into (m/block)² blocks; one unknown block is shared
     UNtransposed by the (I,J) and (J,I) positions, diagonal blocks are
     symmetric.  With block = m this is the upper triangle of one symmetric
     matrix, the full space; see courant_solution_space.
     """
-    cells = []
-    nb = m // block
-    for bi in range(nb):
-        for bj in range(bi, nb):
+    cells = {}
+    for bi in range(0, m, block):
+        for bj in range(bi, m, block):
             for r in range(block):
-                for c in range(block):
-                    a, b = bi * block + r, bj * block + c
-                    if bi == bj and c < r:
-                        continue  # diagonal blocks: keep upper triangle
-                    cells.append((a, b))
+                # diagonal blocks: keep the upper triangle
+                for c in range(r if bi == bj else 0, block):
+                    a, b = bi + r, bj + c
+                    # an off-diagonal entry (r,c) sits at the same in-block
+                    # offset in both the (I,J) and (J,I) positions
+                    mirror = (b, a) if bi == bj else (bj + r, bi + c)
+                    cells[a, b] = [(a, b)] if mirror == (a, b) else [(a, b), mirror]
     return cells
-
-
-def _positions_for(cell: tuple[int, int], block: int) -> list[tuple[int, int]]:
-    a, b = cell
-    bi, r = divmod(a, block)
-    bj, c = divmod(b, block)
-    if bi == bj:
-        return [(a, b)] if a == b else [(a, b), (b, a)]
-    # shared block, untransposed: entry (r,c) of the block appears at the
-    # same in-block offset in both the (I,J) and (J,I) positions
-    mirror = (bj * block + r, bi * block + c)
-    return [(a, b), mirror]
 
 
 def courant_solution_space(
@@ -793,31 +778,28 @@ def courant_solution_space(
     """
     m, n = algebroid.rank, algebroid.nvars
     block = m if paired_blocks is None else paired_blocks
+    if block < 1:
+        raise AlgebroidError("block size must be at least 1")
     if m % block:
         raise AlgebroidError("block size must divide the rank")
-    monos = witness.monomials_up_to(n, max_degree)
-    # one column per (cell, monomial mu): the defect matrix rho·G·rho^T of
-    # the G with mu at the cell's positions, entries keyed (i, j, exponent)
-    columns = {}
-    for cell in _paired_block_unknowns(m, block):
-        # the cell's defect at mu = 1; mu only shifts its exponents
-        product: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-        for a, b in _positions_for(cell, block):
+    cells = _cells(m, block)
+    # one column per (cell, monomial mu): the defect rho·G·rho^T of the G with
+    # mu at the cell's positions, which is the defect at mu = 1 shifted by mu
+    products = {}
+    for cell, positions in cells.items():
+        product = products[cell] = {}
+        for a, b in positions:
             for (i, ea), va in algebroid.anchor[a].terms.items():
                 for (j, eb), vb in algebroid.anchor[b].terms.items():
-                    key = (i, j, tuple(map(add, ea, eb)))
+                    key = ((i, j), tuple(map(add, ea, eb)))
                     product[key] = product.get(key, 0) + va * vb
-        for mu in monos:
-            columns[(cell, mu)] = {
-                (i, j, tuple(e + f for e, f in zip(exps, mu))): v for (i, j, exps), v in product.items()
-            }
     basis = []
-    for vec in witness.nullspace(columns):
+    for vec in witness.nullspace(witness.monomial_multiples(products, n, max_degree)):
         # each position holds one cell, so every value lands on its own term
         images = [{} for _ in range(m)]
         for (cell, mu), v in vec.items():
             v = _coeff(v)
-            for a, b in _positions_for(cell, block):
+            for a, b in cells[cell]:
                 images[b][(a, mu)] = v
         basis.append([_section(m, n, terms) for terms in images])
     return CourantSpace(basis)

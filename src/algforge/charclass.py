@@ -133,24 +133,24 @@ class FormMatrix:
 # ---------------------------------------------------------------------------
 
 
-def connection_forms(conn: EConnection) -> FormMatrix:
-    """theta[a][b] = sum over directions of gamma[a, direction, b] omega^direction."""
+def _form_matrix(conn: EConnection, degree: int, table: dict) -> FormMatrix:
+    """Entry [a][b] on the index tuple u from the a-coefficient of table[(*u, b)]."""
     r = conn.target_rank
     terms: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
-    for (beta, b), value in conn.gamma.items():
+    for (*u, b), value in table.items():
         for (idx, exps), c in value.terms.items():
-            terms[idx][b][((beta,), exps)] = c
-    return FormMatrix(conn.algebroid, 1, [[_form(conn.algebroid, 1, t) for t in row] for row in terms])
+            terms[idx][b][(tuple(u), exps)] = c
+    return FormMatrix(conn.algebroid, degree, [[_form(conn.algebroid, degree, t) for t in row] for row in terms])
+
+
+def connection_forms(conn: EConnection) -> FormMatrix:
+    """theta[a][b] = sum over directions of gamma[a, direction, b] omega^direction."""
+    return _form_matrix(conn, 1, conn.gamma)
 
 
 def curvature_matrix(conn: EConnection) -> FormMatrix:
     """2-form matrix of curvature values on generator pairs."""
-    r = conn.target_rank
-    terms: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
-    for (alpha, beta, b), value in conn.curvature_table().items():
-        for (idx, exps), c in value.terms.items():
-            terms[idx][b][((alpha, beta), exps)] = c
-    return FormMatrix(conn.algebroid, 2, [[_form(conn.algebroid, 2, t) for t in row] for row in terms])
+    return _form_matrix(conn, 2, conn.curvature_table())
 
 
 def cartan_residual(conn: EConnection) -> FormMatrix:

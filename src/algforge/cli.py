@@ -501,11 +501,13 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     )
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0])
+    # argparse wraps at COLUMNS; 78 is its width with no terminal attached
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
+    parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0], formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, file: bool = True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text, formatter_class=formatter)
         if file:
             p.add_argument("file", metavar="FILE", help="document path or bundled document name")
         return p

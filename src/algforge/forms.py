@@ -32,7 +32,7 @@ from itertools import combinations
 from operator import add
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, apply_row
+from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, _clean, apply_row
 from .poly import Poly, _fold, _merge, _trusted
 
 
@@ -58,24 +58,6 @@ def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]):
     out.extend(s[i:])
     out.extend(t[j:])
     return sign, tuple(out)
-
-
-def _poly_det(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    nvars = rows[0][0].nvars if n else 0
-    if n == 0:
-        return Poly.const(nvars, 1)
-    if n == 1:
-        return rows[0][0]
-    out = Poly.zero(nvars)
-    for col in range(n):
-        entry = rows[0][col]
-        if entry.is_zero():
-            continue
-        minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-        term = entry * _poly_det(minor)
-        out = out + term if col % 2 == 0 else out - term
-    return out
 
 
 class Form:
@@ -172,17 +154,14 @@ class Form:
     # ---- evaluation ----
 
     def eval_sections(self, *sections: Section) -> Poly:
-        """Full alternating evaluation on polynomial sections."""
+        """Full alternating evaluation on polynomial sections: the pullback
+        through e_i -> sections[i], read on its one index tuple (0, …, k−1)."""
         if len(sections) != self.degree:
             raise AlgebroidError("wrong number of arguments for this degree")
-        if self.degree == 0:
-            return self.component(())
-        out = Poly.zero(self.algebroid.nvars)
-        coeffs = [s.coeffs for s in sections]
-        for key, coeff in self.comps.items():
-            rows = [[c[i] for i in key] for c in coeffs]
-            out = out + coeff * _poly_det(rows)
-        return out
+        if any(s.rank != self.algebroid.rank for s in sections):
+            raise AlgebroidError("sections must have the rank of the form's algebroid")
+        terms = _clean(_pull(self.terms, sections))
+        return _trusted(self.algebroid.nvars, {exps: c for (_, exps), c in terms.items()})
 
     # ---- wedge ----
 
@@ -291,6 +270,28 @@ def d_squared(omega: Form) -> Form:
     return differential(differential(omega))
 
 
+def _pull(terms: dict, images: list[Section]) -> dict:
+    """The term dict of a form pulled back through e_b -> images[b], unfinished.
+
+    Pulling back is the wedge homomorphism taking θ^j to Σ_b images[b]_j θ^b,
+    so each component is the product of those 1-forms, in its index order.
+    """
+    theta: dict = {}
+    for b, image in enumerate(images):
+        for (j, exps), c in image.terms.items():
+            theta.setdefault(j, {})[((b,), exps)] = c
+    by_key: dict = {}
+    for (u, exps), c in terms.items():
+        by_key.setdefault(u, {})[((), exps)] = c
+    out: dict = {}
+    for u, product in by_key.items():
+        for j in u:
+            product = _wedge_into({}, product, theta.get(j, {}))
+        for key, c in product.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
 def pullback(algebroid: Algebroid, base_form: Form) -> Form:
     """Precompose a coordinate-frame form with the anchor.
 
@@ -300,10 +301,7 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
     """
     if base_form.algebroid.rank != algebroid.nvars:
         raise AlgebroidError("base form rank must equal the number of base variables")
-    k = base_form.degree
-    rho = algebroid.anchor
-    comps = {u: base_form.eval_sections(*(rho[g] for g in u)) for u in combinations(range(algebroid.rank), k)}
-    return Form(algebroid, k, comps)
+    return _finish(algebroid, base_form.degree, dict(sorted(_pull(base_form.terms, algebroid.anchor).items())))
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +400,14 @@ class Lambda2Ideal:
         """Columns (mu * eta) ^ g spanning the ideal's forms of a degree.
 
         Tagged ((g, s), mu): generator g, basis (degree-3)-form eta on the
-        index tuple s, monomial mu.  Empty below degree 3.
+        index tuple s, monomial mu; eta ^ g is shifted by mu.  Empty below degree 3.
         """
-        return {
-            ((g_idx, s), mu): column
+        columns = {
+            (g_idx, s): column
             for g_idx, g in self.nonzero_gens()
-            for (s, mu), column in _basis_columns(
-                self.algebroid, degree - 3, max_degree, lambda eta: eta.wedge(g)
-            ).items()
+            for (s, _), column in _basis_columns(self.algebroid, degree - 3, 0, lambda eta: eta.wedge(g)).items()
         }
+        return witness.monomial_multiples(columns, self.algebroid.nvars, max_degree)
 
     def _cofactors(self, degree: int, values: dict) -> dict[int, Form]:
         """Cofactor forms from the values of a solve over ``_columns``."""
@@ -472,6 +469,7 @@ def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict
     """Nonzero images under ``operator`` of the monomial basis forms of a degree.
 
     Tagged (s, mu): basis form on the index tuple s times the monomial mu.
+    Each multiple goes through the operator, as d(mu θ) = dmu ∧ θ + mu dθ.
     """
     if degree < 0:
         return {}

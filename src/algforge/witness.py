@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Callable, Hashable
 
 from . import linsolve
@@ -32,6 +33,20 @@ def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
                 exps[v] += 1
             out.append(tuple(exps))
     return out
+
+
+def monomial_multiples(columns: dict[Hashable, Column], nvars: int, max_degree: int) -> dict[Hashable, Column]:
+    """Every column times every monomial mu of degree <= max_degree, tagged (tag, mu).
+
+    Coordinates are (slot, exponents), so a multiple shifts each exponent
+    tuple by mu: the columns of a map that is linear over functions.
+    """
+    monos = monomials_up_to(nvars, max_degree)
+    return {
+        (tag, mu): {(slot, tuple(map(add, exps, mu))): v for (slot, exps), v in col.items()}
+        for tag, col in columns.items()
+        for mu in monos
+    }
 
 
 def _rows(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, linsolve.Row]:

@@ -205,8 +205,15 @@ def test_courant_full_space_has_an_invertible_constant_solution():
 
 
 def test_courant_block_size_must_divide_rank():
-    with pytest.raises(AlgebroidError):
+    with pytest.raises(AlgebroidError, match="block size must divide the rank"):
         courant_solution_space(E0, paired_blocks=3)
+
+
+@pytest.mark.parametrize("block", [0, -1, -2, -4])
+def test_courant_block_size_must_be_at_least_one(block):
+    # 0 used to divide by zero, and -1, -2 returned an empty space
+    with pytest.raises(AlgebroidError, match="block size must be at least 1"):
+        courant_solution_space(E0, paired_blocks=block)
 
 
 def test_infeasibility_certificate():

@@ -118,6 +118,31 @@ def test_missing_required_option_exits_2(capsys):
     assert run(capsys, "connection-report", "E0")[0] == 2
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [["courant", "E0", "--max-degree", "x"], ["--help"], ["courant", "--help"]],
+    ids=["usage-error", "help", "courant-help"],
+)
+def test_usage_and_help_text_do_not_depend_on_the_terminal_width(capsys, monkeypatch, argv):
+    outputs = []
+    for columns in (None, "40", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        outputs.append(run(capsys, *argv))
+    assert outputs[0] == outputs[1] == outputs[2]
+    code, out, err = outputs[0]
+    assert code == (2 if "x" in argv else 0)
+    if code == 2:
+        # wrapped at 78 columns, argparse's width when no terminal is attached
+        assert err.splitlines()[:2] == [
+            "usage: algforge courant [-h] [--seed SEED] [--max-degree MAX_DEGREE] [--json]",
+            "                        FILE",
+        ]
+
+
 def test_lie_reports_the_two_bad_triples(capsys):
     code, out, _ = run(capsys, "lie", "E0")
     assert code == 1

@@ -217,6 +217,13 @@ def test_eval_rejects_wrong_arity():
         w(0, 1).eval_sections(UNITS[0])
 
 
+def test_eval_rejects_sections_of_another_rank():
+    derived = document_algebroid(corpus_document("derived_e0"))
+    for section in (make_tangent(2).unit_section(0), derived.unit_section(0)):
+        with pytest.raises(AlgebroidError, match="rank of the form's algebroid"):
+            Form.dual(E0, 3).eval_sections(section)
+
+
 # ---- oracle: evaluation and pullback as sympy determinants ----
 #
 # omega(s_1, ..., s_k) = sum_u c_u det[s_i^{u_j}], and the pullback's component
