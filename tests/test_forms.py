@@ -234,10 +234,6 @@ def test_eval_rejects_sections_of_another_rank():
 ORACLE_BUNDLES = ["E0", "E0_itemized", "derived_e0", "plane_forms"]
 
 
-def _sympy():
-    return pytest.importorskip("sympy")
-
-
 def _expr(sympy, poly, xs):
     return sympy.Add(
         *(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
@@ -252,13 +248,9 @@ def _terms(sympy, expr, xs):
 
 def _alternating(sympy, comps, vectors):
     """sum_u c_u det[v_i[u_j]] for sympy components {u: c_u} and vectors of sympy entries."""
-    total = sympy.Integer(0)
-    for key, c in comps.items():
-        if key:
-            total += c * sympy.Matrix([[v[j] for j in key] for v in vectors]).det(method="berkowitz")
-        else:
-            total += c
-    return total
+    # the empty matrix of a 0-form has determinant 1
+    return sympy.Add(*(c * sympy.Matrix([[v[j] for j in key] for v in vectors]).det(method="berkowitz")
+                       for key, c in comps.items()))
 
 
 def _bundle(name):
@@ -267,7 +259,7 @@ def _bundle(name):
 
 @pytest.mark.parametrize("name", ORACLE_BUNDLES)
 def test_eval_sections_matches_sympy(name):
-    sympy = _sympy()
+    sympy = pytest.importorskip("sympy")
     a = _bundle(name)
     xs = sympy.symbols(f"x0:{a.nvars}")
     sampler = Sampler(11)
@@ -282,7 +274,7 @@ def test_eval_sections_matches_sympy(name):
 
 @pytest.mark.parametrize("name", ORACLE_BUNDLES)
 def test_pullback_matches_sympy(name):
-    sympy = _sympy()
+    sympy = pytest.importorskip("sympy")
     a = _bundle(name)
     base = tangent_bundle(a.base)
     xs = sympy.symbols(f"x0:{a.nvars}")
