@@ -1,0 +1,92 @@
+"""The obstruction certificate against the per-monomial expansion it replaces.
+
+``reference_certificate`` brackets every monomial multiple mu * G_p(X, Y) from
+scratch: the coefficient of c_p at mu is
+
+    sum_cyc ( [mu G_p(X,Y), Z] + mu G_p([X,Y], Z) ),
+
+and the coefficient of c_p c_q is read at mu_p = mu_q = 1.  The engine reads
+the same coefficients off the Leibniz rule in closed form, so both must agree
+in (status, jacobiator_min_degree, modifier_min_degree) on every case below:
+E0, six E0s changed by a seeded kernel modifier and E0prime with its kernel
+generators Ys1 and Ys2, on all four triples at D = 0..4.
+"""
+
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
+
+import pytest
+
+from algforge import witness
+from algforge.algebroid import BracketModifier, lie_infeasibility_certificate
+from algforge.catalog import builtin, e0_kernel_sections
+from algforge.poly import Poly
+from algforge.sampling import Sampler
+
+E0 = builtin("E0")
+E0PRIME = builtin("E0prime")
+KERN = list(e0_kernel_sections().values())
+TRIPLES = list(combinations(range(4), 3))
+BOUNDS = range(5)
+
+
+def reference_certificate(a, triple, kernel_gens, max_degree):
+    """(status, jacobiator_min_degree, modifier_min_degree), one bracket per monomial."""
+    x, y, z = (a.unit_section(t) for t in triple)
+    jac = a.jacobiator(x, y, z)
+    if jac.is_zero():
+        return ("trivially-feasible", None, None)
+    jac_min = jac.min_degree()
+    zero = a.zero_section()
+    cyclic = [(u, v, w, a.bracket(u, v)) for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
+    basis = [BracketModifier({pair: g}) for pair in combinations(range(a.rank), 2) for g in kernel_gens]
+    monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
+    linear = [
+        sum(
+            (a.bracket(g.apply(a, u, v).scale(mu), w) + g.apply(a, uv, w).scale(mu) for u, v, w, uv in cyclic),
+            zero,
+        )
+        for g in basis
+        for mu in monos
+    ]
+    quadratic = [
+        sum((h.apply(a, g.apply(a, u, v), w) + g.apply(a, h.apply(a, u, v), w) for u, v, w, _ in cyclic), zero)
+        for g, h in combinations_with_replacement(basis, 2)
+    ]
+    mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)
+    if mod_min is None or mod_min > jac_min:
+        return ("infeasible", jac_min, mod_min)
+    return ("inconclusive", jac_min, mod_min)
+
+
+def key(cert):
+    return (cert.status, cert.jacobiator_min_degree, cert.modifier_min_degree)
+
+
+def _cases():
+    yield "E0", E0, KERN
+    for seed in range(6):
+        yield f"E0-modified-{seed}", E0.modify_bracket(Sampler(seed).kernel_modifier(E0, KERN, max_degree=2)), KERN
+    yield "E0prime", E0PRIME, [E0PRIME.unit_section(2), E0PRIME.unit_section(3)]
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("label, algebroid, kernel", CASES, ids=[label for label, _, _ in CASES])
+def test_certificate_matches_the_per_monomial_expansion(label, algebroid, kernel):
+    for bound in BOUNDS:
+        for triple in TRIPLES:
+            want = reference_certificate(algebroid, triple, kernel, bound)
+            got = key(lie_infeasibility_certificate(algebroid, triple, kernel, max_degree=bound))
+            assert got == want, (triple, bound)
+
+
+def test_the_cases_cover_every_status():
+    seen = Counter(
+        reference_certificate(algebroid, triple, kernel, bound)[0]
+        for _, algebroid, kernel in CASES
+        for bound in BOUNDS
+        for triple in TRIPLES
+    )
+    assert seen == {"inconclusive": 60, "infeasible": 70, "trivially-feasible": 30}

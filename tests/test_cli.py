@@ -281,6 +281,35 @@ def test_nijenhuis_of_an_endomorphism_whose_square_is_not_minus_one(tmp_path, ca
     assert err == ""
 
 
+# J1 of tests/test_leibniz_golden.py, whose Nijenhuis tensor is nonzero on four pairs
+J1_ENDO = """
+endo J1 {
+  X11 -> x1*X11 + (-x1^2 - 1)*X21
+  X21 -> X11 - x1*X21
+  X12 -> -X22
+  X22 -> X12
+}
+"""
+
+NIJENHUIS_J1_TEXT = """[PASS] square-is-minus-identity
+[FAIL] integrability-tensor-vanishes  (6 generator pairs)
+         (X11, X12): (2*x1^3*x2 - x1*x2^2 + 2*x1*x2)*X11 + (-2*x1^4*x2 + x1^2*x2^2 - 2*x1^2*x2 - x2^2)*X21 - 2*x1^3*X12 - 2*x1^2*X22
+         (X11, X22): -x2^2*X11 + (-2*x1^3*x2 + 2*x1*x2^2 - 2*x1*x2)*X21 - 2*x1^2*X12 + 2*x1^3*X22
+         (X21, X12): (2*x1^2*x2 - x2^2)*X11 + (-2*x1^3*x2 + x1*x2^2 - 2*x1*x2)*X21 - 2*x1^2*X12
+         (X21, X22): -2*x1*x2*X11 + x2^2*X21 + 2*x1^2*X22
+nijenhuis E0_J1.alg: SOME CHECKS FAILED (2 checks)
+"""
+
+
+def test_nijenhuis_of_a_structure_that_is_not_integrable(tmp_path, capsys):
+    doc = tmp_path / "E0_J1.alg"
+    doc.write_text((resources.files("algforge") / "corpus" / "E0.alg").read_text() + J1_ENDO)
+    code, out, err = run(capsys, "nijenhuis", str(doc), "--endo", "J1")
+    assert code == 1
+    assert out == NIJENHUIS_J1_TEXT
+    assert err == ""
+
+
 def test_obstruction_infeasible_triple(capsys):
     code, out, _ = run(capsys, "obstruction", "E0", "--triple", "1,2,3", "--max-degree", "3")
     assert code == 0
