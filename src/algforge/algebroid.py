@@ -19,7 +19,8 @@ make such a bundle an almost Lie algebroid — the Leibniz rule (true by
 construction) and anchor compatibility rho([X,Y]) = [rho X, rho Y] — reduce to
 polynomial identities on generator pairs, which is what check_axioms sweeps.
 Vanishing of the Jacobiator (the Lie condition) is likewise tensorial once the
-axioms hold, so check_lie sweeps generator triples only.
+axioms hold, so check_lie sweeps generator triples only.  Every such check
+reads its values off one ``sweep`` over the increasing generator tuples.
 """
 
 from __future__ import annotations
@@ -260,6 +261,12 @@ def sum_text(coeffs, names, var_names) -> str:
     return out
 
 
+def sweep(rank: int, k: int, value) -> dict[tuple[int, ...], Section]:
+    """{t: value(*t)} over the increasing k-tuples t of generator indices, in
+    ``combinations`` order, with zero values left out."""
+    return {t: v for t in combinations(range(rank), k) if not (v := value(*t)).is_zero()}
+
+
 # ---------------------------------------------------------------------------
 # generator-pair tables and their Leibniz extension
 # ---------------------------------------------------------------------------
@@ -353,11 +360,16 @@ class Algebroid:
                 table.setdefault(c, {}).setdefault(pair, {})[exps] = v
         return table
 
+    @cached_property
+    def units(self) -> tuple[Section, ...]:
+        """The unit sections e_0 .. e_{m-1}, built on first use and shared: a section is never written."""
+        return tuple(_section(self.rank, self.nvars, {(i, (0,) * self.nvars): 1}) for i in range(self.rank))
+
     def zero_section(self) -> Section:
         return Section.zero(self.rank, self.nvars)
 
     def unit_section(self, i: int) -> Section:
-        return _section(self.rank, self.nvars, {(i, (0,) * self.nvars): 1})
+        return self.units[i]
 
     def section_text(self, s: Section) -> str:
         return sum_text(s.coeffs, self.gen_names, self.base.var_names)
@@ -413,14 +425,9 @@ class Algebroid:
     # ---- axiom and Lie sweeps ----
 
     def check_axioms(self) -> AxiomReport:
-        failures = []
-        for i, j in combinations(range(self.rank), 2):
-            defect = self.anchor_of(self.bracket_gen(i, j)) - vf_bracket(
-                self.anchor[i], self.anchor[j]
-            )
-            if not defect.is_zero():
-                failures.append((i, j, defect))
-        return AxiomReport(self, failures)
+        rho = self.anchor
+        defects = sweep(self.rank, 2, lambda i, j: self.anchor_of(self.bracket_gen(i, j)) - vf_bracket(rho[i], rho[j]))
+        return AxiomReport(self, [(i, j, defect) for (i, j), defect in defects.items()])
 
     def require_axioms(self) -> None:
         report = self.check_axioms()
@@ -434,12 +441,8 @@ class Algebroid:
     def check_lie(self) -> LieReport:
         """Decide vanishing of the Jacobiator on all generator triples."""
         self.require_axioms()
-        failures = []
-        for i, j, k in combinations(range(self.rank), 3):
-            jac = self.jacobiator(self.unit_section(i), self.unit_section(j), self.unit_section(k))
-            if not jac.is_zero():
-                failures.append(((i, j, k), jac))
-        return LieReport(self, failures)
+        u = self.units
+        return LieReport(self, list(sweep(self.rank, 3, lambda i, j, k: self.jacobiator(u[i], u[j], u[k])).items()))
 
     # ---- derived constructions ----
 
@@ -466,6 +469,8 @@ class AxiomReport:
     def describe(self) -> str:
         if self.ok:
             pairs = self.algebroid.rank * (self.algebroid.rank - 1) // 2
+            if pairs == 1:
+                return "anchor compatibility holds on the single generator pair"
             return f"anchor compatibility holds on all {pairs} generator pairs"
         i, j, defect = self.failures[0]
         names = self.algebroid.gen_names
@@ -572,19 +577,12 @@ def check_morphism(src: Algebroid, dst: Algebroid, images: list[Section]) -> Mor
         raise AlgebroidError("morphisms here require the same base")
     if len(images) != src.rank or any(image.rank != dst.rank for image in images):
         raise AlgebroidError("bundle map needs one section of dst per generator of src")
-    anchor_failures = []
-    for i, image in enumerate(images):
-        defect = dst.anchor_of(image) - src.anchor[i]
-        if not defect.is_zero():
-            anchor_failures.append((i, defect))
-    bracket_failures = []
-    for i, j in combinations(range(src.rank), 2):
-        lhs = map_section(images, src.bracket_gen(i, j))
-        rhs = dst.bracket(images[i], images[j])
-        defect = lhs - rhs
-        if not defect.is_zero():
-            bracket_failures.append(((i, j), defect))
-    return MorphismReport(not anchor_failures and not bracket_failures, anchor_failures, bracket_failures)
+    anchors = sweep(src.rank, 1, lambda i: dst.anchor_of(images[i]) - src.anchor[i])
+    brackets = sweep(
+        src.rank, 2, lambda i, j: map_section(images, src.bracket_gen(i, j)) - dst.bracket(images[i], images[j])
+    )
+    anchor_failures = [(i, defect) for (i,), defect in anchors.items()]
+    return MorphismReport(not anchors and not brackets, anchor_failures, list(brackets.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +689,12 @@ def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> 
         - j.apply(algebroid.bracket(jx, y))
         - algebroid.bracket(x, y)
     )
+
+
+def nijenhuis_table(algebroid: Algebroid, j: Endomorphism) -> dict[tuple[int, int], Section]:
+    """N(e_i, e_k) on generator pairs i < k; zero values omitted."""
+    u = algebroid.units
+    return sweep(algebroid.rank, 2, lambda i, k: nijenhuis(algebroid, j, u[i], u[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +830,12 @@ class Certificate:
         if self.status == "trivially-feasible":
             return f"Jacobiator vanishes on {label}; the zero modification works"
         if self.status == "infeasible":
+            low = self.modifier_min_degree
             return (
                 f"no kernel-valued modification with coefficient degree <= "
                 f"{self.max_degree} can cancel the Jacobiator on {label}: its lowest "
                 f"homogeneous part has degree {self.jacobiator_min_degree}, every "
-                f"modification term has degree >= {self.modifier_min_degree}"
+                f"modification term {'is zero' if low is None else f'has degree >= {low}'}"
             )
         return (
             f"inconclusive at degree bound {self.max_degree} on {label}: modification "
@@ -857,8 +862,12 @@ def lie_infeasibility_certificate(
     distinct parameter monomials cannot cancel one another, so the lowest
     base degree of 𝓑 is the least over its nonzero coefficients:
 
-    * on c_p: Σ_cyc ( [μ_p G_p(X,Y), Z] + μ_p G_p([X,Y], Z) ).  The bracket
-      differentiates μ_p along ρ(Z), so every monomial is tried;
+    * on c_p: Σ_cyc ( [μ_p G_p(X,Y), Z] + μ_p G_p([X,Y], Z) ).  For a unit
+      section Z the Leibniz rule gives [μS, Z] = μ[S, Z] − ρ(Z)(μ)·S, so this
+      is μ_p·C_p − Σ_cyc ρ(Z)(μ_p)·G_p(X,Y) with C_p its value at μ_p = 1.
+      G_p(X,Y) is computed once per basis element and rotation, C_p once per
+      basis element and ρ(Z)(μ) once per rotation and monomial, so no bracket
+      is taken per monomial;
     * on c_p c_q: μ_p μ_q Σ_cyc ( G_q(G_p(X,Y), Z) + G_p(G_q(X,Y), Z) ), half
       of it when p = q.  Each G is ℱ-bilinear, so no derivative falls on
       μ_p μ_q: it factors out and raises every degree by its own, and the
@@ -871,37 +880,43 @@ def lie_infeasibility_certificate(
     for g in kernel_gens:
         if not algebroid.anchor_of(g).is_zero():
             raise AlgebroidError("kernel generators must be anchor-killed")
-    a = algebroid
-    x, y, z = (a.unit_section(t) for t in triple)
-    jac = a.jacobiator(x, y, z)
+    a, e, (i, j, k) = algebroid, algebroid.units, triple
+    jac = a.jacobiator(e[i], e[j], e[k])
     if jac.is_zero():
         return Certificate("trivially-feasible", triple, max_degree)
     jac_min = jac.min_degree()
 
     zero = a.zero_section()
-    cyclic = [(u, v, w, a.bracket(u, v)) for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
+    # each rotation (u, v, w) of the triple as u, v, [u, v], w and rho(w)
+    cyclic = [
+        (e[p], e[q], a.bracket(e[p], e[q]), e[r], a.anchor[r])
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+    ]
     basis = [
         BracketModifier({pair: g}) for pair in combinations(range(a.rank), 2) for g in kernel_gens
     ]
+    # G_p(u, v) on every rotation, and C_p, the coefficient of c_p at mu = 1
+    values = [[g.apply(a, u, v) for u, v, *_ in cyclic] for g in basis]
+    constants = [
+        sum((a.bracket(guv, w) + g.apply(a, uv, w) for guv, (_, _, uv, w, _) in zip(gv, cyclic)), zero)
+        for g, gv in zip(basis, values)
+    ]
     monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
-    # the coefficient of c_p, for G_p = g and μ_p = mu
+    # -rho(w)(mu) on every rotation, for every monomial mu
+    slopes = [[-rho.apply(mu) for *_, rho in cyclic] for mu in monos]
+    # the coefficient of c_p at mu: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
     linear = [
-        sum(
-            (a.bracket(g.apply(a, u, v).scale(mu), w) + g.apply(a, uv, w).scale(mu) for u, v, w, uv in cyclic),
-            zero,
-        )
-        for g in basis
-        for mu in monos
+        sum((guv.scale(d) for guv, d in zip(gv, ds)), c.scale(mu))
+        for c, gv in zip(constants, values)
+        for mu, ds in zip(monos, slopes)
     ]
     # the coefficient of c_p c_q, for G_p = g, G_q = h and μ_p = μ_q = 1
     quadratic = [
-        sum((h.apply(a, g.apply(a, u, v), w) + g.apply(a, h.apply(a, u, v), w) for u, v, w, _ in cyclic), zero)
-        for g, h in combinations_with_replacement(basis, 2)
+        sum((h.apply(a, guv, w) + g.apply(a, huv, w) for guv, huv, (*_, w, _) in zip(gv, hv, cyclic)), zero)
+        for (g, gv), (h, hv) in combinations_with_replacement(zip(basis, values), 2)
     ]
     mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)
-    if mod_min is None:
-        # The modification is identically zero; J alone decides and is nonzero.
-        return Certificate("infeasible", triple, max_degree, jac_min, None)
-    if mod_min > jac_min:
+    # with no nonzero coefficient the modification is zero, and J is nonzero
+    if mod_min is None or mod_min > jac_min:
         return Certificate("infeasible", triple, max_degree, jac_min, mod_min)
     return Certificate("inconclusive", triple, max_degree, jac_min, mod_min)

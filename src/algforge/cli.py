@@ -42,7 +42,7 @@ from .algebroid import (
     courant_defect,
     courant_solution_space,
     lie_infeasibility_certificate,
-    nijenhuis,
+    nijenhuis_table,
 )
 from .catalog import TANGENT, corpus_file, make_tangent
 from .charclass import (
@@ -127,6 +127,11 @@ def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
     return idx  # type: ignore[return-value]
 
 
+def _pairs(rank: int) -> str:
+    pairs = rank * (rank - 1) // 2
+    return f"{pairs} generator pair{'s' if pairs != 1 else ''}"
+
+
 def _connection_of(doc: Document, name: str) -> tuple[Algebroid, EConnection]:
     decl = doc.connection(name)
     a = document_algebroid(doc, decl.bundle)
@@ -147,11 +152,10 @@ def cmd_check(args) -> Report:
         a = document_algebroid(doc, b.name)
         axioms = a.check_axioms()
         if axioms.ok:
-            report.add(f"anchor-axioms:{b.name}", True, note=f"{a.rank * (a.rank - 1) // 2} generator pairs")
+            report.add(f"anchor-axioms:{b.name}", True, note=_pairs(a.rank))
         else:
-            lines = []
-            for i, j, defect in axioms.failures:
-                lines.append(f"({a.gen_names[i]}, {a.gen_names[j]}): defect {defect.to_text()}")
+            names = a.gen_names
+            lines = [f"({names[i]}, {names[j]}): defect {defect.to_text()}" for i, j, defect in axioms.failures]
             report.add(f"anchor-axioms:{b.name}", False, witness="\n".join(lines))
     return report
 
@@ -163,7 +167,7 @@ def cmd_jacobiator(args) -> Report:
         triples = list(combinations(range(a.rank), 3))
     else:
         triples = [_parse_triple(args.triples, a.rank)]
-    units = [a.unit_section(i) for i in range(a.rank)]
+    units = a.units
     anchored = True
     for i, j, k in triples:
         value = a.jacobiator(units[i], units[j], units[k])
@@ -186,8 +190,7 @@ def cmd_lie(args) -> Report:
     a = document_algebroid(doc)
     lie = a.check_lie()
     if lie.is_lie:
-        total = len(list(combinations(range(a.rank), 3)))
-        report.add("jacobi-identity", True, note=f"all {total} generator triples")
+        report.add("jacobi-identity", True, note=lie.describe().removeprefix("Jacobiator vanishes on "))
     else:
         for (i, j, k), value in lie.failures:
             label = f"({a.gen_names[i]},{a.gen_names[j]},{a.gen_names[k]})"
@@ -198,13 +201,9 @@ def cmd_lie(args) -> Report:
 def cmd_connection_report(args) -> Report:
     doc, report = _load(args)
     a, conn = _connection_of(doc, args.connection)
-    units = [a.unit_section(i) for i in range(a.rank)]
+    names = a.gen_names
 
-    torsion_lines = []
-    for i, j in combinations(range(a.rank), 2):
-        t = conn.torsion(units[i], units[j])
-        if not t.is_zero():
-            torsion_lines.append(f"T({a.gen_names[i]}, {a.gen_names[j]}) = {a.section_text(t)}")
+    torsion_lines = [f"T({names[i]}, {names[j]}) = {a.section_text(t)}" for (i, j), t in conn.torsion_table().items()]
     report.add(
         "torsion",
         True,
@@ -228,20 +227,15 @@ def cmd_connection_report(args) -> Report:
         ),
     )
 
-    bad = None
-    for i, j, k in combinations(range(a.rank), 3):
-        defect = conn.bianchi_defect(units[i], units[j], units[k])
-        if not defect.is_zero():
-            bad = (i, j, k, defect)
-            break
-    if bad is None:
+    bad = conn.bianchi_table()
+    if not bad:
         report.add("curvature-identity", True, note="cyclic curvature sum matches the Jacobi defect on all triples")
     else:
-        i, j, k, defect = bad
+        (i, j, k), defect = next(iter(bad.items()))
         report.add(
             "curvature-identity",
             False,
-            witness=f"triple ({a.gen_names[i]},{a.gen_names[j]},{a.gen_names[k]}): {a.section_text(defect)}",
+            witness=f"triple ({names[i]},{names[j]},{names[k]}): {a.section_text(defect)}",
         )
     return report
 
@@ -426,18 +420,9 @@ def cmd_nijenhuis(args) -> Report:
     if not almost_complex:
         # the integrability tensor is defined only for an almost complex J
         return report
-    units = [a.unit_section(i) for i in range(a.rank)]
-    bad = []
-    for i, k in combinations(range(a.rank), 2):
-        value = nijenhuis(a, j, units[i], units[k])
-        if not value.is_zero():
-            bad.append(f"({a.gen_names[i]}, {a.gen_names[k]}): {a.section_text(value)}")
-    report.add(
-        "integrability-tensor-vanishes",
-        not bad,
-        witness="\n".join(bad) or None,
-        note=f"{a.rank * (a.rank - 1) // 2} generator pair{'s' if a.rank != 2 else ''}",
-    )
+    names = a.gen_names
+    bad = [f"({names[i]}, {names[k]}): {a.section_text(value)}" for (i, k), value in nijenhuis_table(a, j).items()]
+    report.add("integrability-tensor-vanishes", not bad, witness="\n".join(bad) or None, note=_pairs(a.rank))
     return report
 
 

@@ -10,8 +10,10 @@ adding into one term dict.
 
 Curvature on generators is computed once per connection (``curvature_table``,
 read for any ordered pair by ``curvature_gen``), and every generator sweep
-reads it.  ``curvature`` on arbitrary sections is not expanded over the table:
-curvature is a tensor only when the anchor axioms hold, and E0_itemized fails them.
+reads it.  Torsion on generator pairs (``torsion_table``) and the Bianchi
+defect on generator triples (``bianchi_table``) are one ``sweep`` each.
+``curvature`` on arbitrary sections is not expanded over the table: curvature
+is a tensor only when the anchor axioms hold, and E0_itemized fails them.
 
 The derived bundle construction glues E and E∧E into one algebroid whose
 bracket is the antisymmetrization of a lifted connection.  One rule builds
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .algebroid import Algebroid, AlgebroidError, Section, _section, _signed, map_section, pair_sum, vf_bracket
+from .algebroid import Algebroid, AlgebroidError, Section, _section, _signed, map_section, pair_sum, sweep, vf_bracket
 
 
 class EConnection:
@@ -93,13 +95,14 @@ class EConnection:
             - self.algebroid.bracket(x, y)
         )
 
-    def is_torsion_free(self) -> bool:
+    def torsion_table(self) -> dict[tuple[int, int], Section]:
+        """T(e_i, e_j) on generator pairs i < j; zero values omitted."""
         self._require_endo()
-        m = self.algebroid.rank
-        units = [self.algebroid.unit_section(i) for i in range(m)]
-        return all(
-            self.torsion(units[i], units[j]).is_zero() for i, j in combinations(range(m), 2)
-        )
+        u = self.algebroid.units
+        return sweep(self.algebroid.rank, 2, lambda i, j: self.torsion(u[i], u[j]))
+
+    def is_torsion_free(self) -> bool:
+        return not self.torsion_table()
 
     # ---- curvature ----
 
@@ -118,8 +121,7 @@ class EConnection:
         algebroid are never changed after construction.
         """
         if self._curvature_table is None:
-            a_ = self.algebroid
-            units = [a_.unit_section(i) for i in range(a_.rank)]
+            a_, units = self.algebroid, self.algebroid.units
             targets = [_section(self.target_rank, a_.nvars, {(b, (0,) * a_.nvars): 1}) for b in range(self.target_rank)]
             self._curvature_table = {}
             for i, j in combinations(range(a_.rank), 2):
@@ -159,6 +161,12 @@ class EConnection:
             lhs = lhs + self.curvature(a, b, c)
             rhs = rhs + nabla_t(a, b, c) + self.torsion(self.torsion(a, b), c)
         return lhs - rhs
+
+    def bianchi_table(self) -> dict[tuple[int, int, int], Section]:
+        """The Bianchi defect on generator triples i < j < k; zero values omitted."""
+        self._require_endo()
+        u = self.algebroid.units
+        return sweep(self.algebroid.rank, 3, lambda i, j, k: self.bianchi_defect(u[i], u[j], u[k]))
 
 
 def flat_connection(algebroid: Algebroid, name: str = "flat") -> EConnection:
@@ -253,7 +261,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         """An E-section as a derived section."""
         return _section(total, nvars, s.terms)
 
-    units = [lift(e.unit_section(i)) for i in range(m)]
+    units = [lift(u) for u in e.units]
     table = {pair: _section(total, nvars, {(w, (0,) * nvars): 1}) for w, pair in enumerate(pairs, start=m)}
     wedge = partial(_signed, table)
 
@@ -333,8 +341,7 @@ def verify_prhelp(d: DerivedBundle) -> PrhelpReport:
     e = d.base_algebroid
     m, total = e.rank, d.derived.rank
     names = d.derived.gen_names
-    units = [d.derived.unit_section(t) for t in range(total)]
-    e_units = [e.unit_section(i) for i in range(m)]
+    units, e_units = d.derived.units, e.units
     r1 = d.lifted.curvature_gen
     plain_d = d.plain_ext.covariant_derivative
 

@@ -178,9 +178,6 @@ class Document:
     def endo(self, name: str) -> EndoDecl:
         return self._find(self.endos, "endo", name)
 
-    def cometric(self, name: str) -> CometricDecl:
-        return self._find(self.cometrics, "cometric", name)
-
     def form(self, name: str) -> FormDecl:
         return self._find(self.forms, "form", name)
 

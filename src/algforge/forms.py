@@ -115,10 +115,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def component(self, key: tuple[int, ...]) -> Poly:
-        key = tuple(key)
-        return _trusted(self.algebroid.nvars, {exps: c for (u, exps), c in self.terms.items() if u == key})
-
     def __add__(self, other: Form) -> Form:
         self._check_compatible(other)
         return _form(self.algebroid, self.degree, _merge(self.terms, other.terms))

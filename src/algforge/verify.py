@@ -19,7 +19,7 @@ from .algebroid import (
     courant_defect,
     courant_solution_space,
     lie_infeasibility_certificate,
-    nijenhuis,
+    nijenhuis_table,
     subalgebroid_restrict,
 )
 from .catalog import builtin, corpus_document, e0prime_to_e0_images, make_tangent
@@ -112,7 +112,7 @@ def c01_axioms(ctx: Context):
 def c02_jacobiator_table(ctx: Context):
     e0 = _e0()
     kern = _kernel()
-    units = [e0.unit_section(i) for i in range(4)]
+    units = e0.units
     expected = {
         (0, 1, 3): e0.zero_section(),
         (0, 2, 3): e0.zero_section(),
@@ -138,7 +138,7 @@ def c03_kernel_brackets(ctx: Context):
     kern = _kernel()
     x1, x2 = _x(0), _x(1)
     xs1, xs2 = kern["Xs1"], kern["Xs2"]
-    units = {name: e0.unit_section(i) for i, name in enumerate(e0.gen_names)}
+    units = dict(zip(e0.gen_names, e0.units))
     table = [
         ("[Xs1,X11]", xs1, units["X11"], e0.zero_section()),
         ("[Xs1,X12]", xs1, units["X12"], e0.zero_section()),
@@ -230,18 +230,12 @@ def c07_torsionfree_connection(ctx: Context):
 
 def c08_bianchi(ctx: Context):
     e0 = _e0()
-    tf = _torsionfree()
-    units = [e0.unit_section(i) for i in range(4)]
-    triples = list(combinations(range(4), 3))
-    for i, j, k in triples:
-        if not tf.bianchi_defect(units[i], units[j], units[k]).is_zero():
-            return False, f"torsion-free connection fails on triple ({i},{j},{k})"
+    for i, j, k in _torsionfree().bianchi_table():
+        return False, f"torsion-free connection fails on triple ({i},{j},{k})"
     sampler = Sampler(ctx.seed)
     for trial in range(20):
-        conn = sampler.connection(e0, max_degree=1)
-        for i, j, k in triples:
-            if not conn.bianchi_defect(units[i], units[j], units[k]).is_zero():
-                return False, f"random connection {trial} fails on triple ({i},{j},{k})"
+        for i, j, k in sampler.connection(e0, max_degree=1).bianchi_table():
+            return False, f"random connection {trial} fails on triple ({i},{j},{k})"
     return True, "defect identically zero: torsion-free and 20 seeded random connections, 4 triples each"
 
 
@@ -295,7 +289,7 @@ def c12_courant_instance(ctx: Context):
     if constant.dim != 0:
         return False, f"constant paired-block space has dimension {constant.dim}"
     n = 2
-    defect = courant_defect(e0, [e0.unit_section(b) for b in range(4)])
+    defect = courant_defect(e0, e0.units)
     quartic = _x(0) ** 4 + _x(1) ** 4
     for i in range(n):
         for j in range(n):
@@ -316,11 +310,8 @@ def c13_complex_structure(ctx: Context):
     j0 = document_endo(_e0_document(), e0, "J0")
     if not j0.is_almost_complex():
         return False, "matrix square is not minus the identity"
-    units = [e0.unit_section(i) for i in range(4)]
-    for i, j in combinations(range(4), 2):
-        value = nijenhuis(e0, j0, units[i], units[j])
-        if not value.is_zero():
-            return False, f"tensor nonzero on pair ({i},{j}): {e0.section_text(value)}"
+    for (i, j), value in nijenhuis_table(e0, j0).items():
+        return False, f"tensor nonzero on pair ({i},{j}): {e0.section_text(value)}"
     return True, "J^2 = -id and the integrability tensor vanishes on all 6 pairs"
 
 
@@ -331,16 +322,15 @@ def c14_d_squared(ctx: Context):
         f = Form.function(e0, sampler.poly(2, max_degree=3))
         if not d_squared(f).is_zero():
             return False, "d^2 of a function is nonzero"
-    units = [e0.unit_section(i) for i in range(4)]
-    triples = list(combinations(range(4), 3))
+    units = e0.units
+    # pairing convention: the cyclic sum starts with the bracket, i.e., sum
+    # of [[a,b],c] over rotations = minus the Jacobiator
+    cyclic = {t: -e0.jacobiator(*(units[n] for n in t)) for t in combinations(range(4), 3)}
     for trial in range(20):
         omega = sampler.form(e0, 1, max_degree=2)
         dd = d_squared(omega)
-        for i, j, k in triples:
-            # pairing convention: the cyclic sum starts with the bracket,
-            # i.e., sum of [[a,b],c] over rotations = minus the Jacobiator
-            jac = e0.jacobiator(units[i], units[j], units[k])
-            want = omega.eval_sections(-jac)
+        for (i, j, k), minus_jac in cyclic.items():
+            want = omega.eval_sections(minus_jac)
             got = dd.eval_sections(units[i], units[j], units[k])
             if got != want:
                 return False, f"pairing fails on 1-form {trial}, triple ({i},{j},{k})"

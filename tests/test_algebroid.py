@@ -15,6 +15,7 @@ from algforge.algebroid import (
     lie_infeasibility_certificate,
     nijenhuis,
     subalgebroid_restrict,
+    sweep,
 )
 from algforge.catalog import (
     builtin,
@@ -87,6 +88,13 @@ def test_check_lie_reports_the_two_bad_triples():
     rep = E0.check_lie()
     assert not rep.is_lie
     assert sorted(t for t, _ in rep.failures) == [(0, 1, 2), (1, 2, 3)]
+
+
+def test_sweep_keeps_the_nonzero_values_in_combinations_order():
+    assert list(sweep(4, 2, E0.bracket_gen)) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert sweep(4, 3, lambda i, j, k: E0.jacobiator(*(E0.units[t] for t in (i, j, k)))) == dict(E0.check_lie().failures)
+    assert E0.unit_section(2) is E0.units[2]
+    assert [u.terms for u in E0.units] == [{(i, (0, 0)): 1} for i in range(4)]
 
 
 def test_kernel_sections_are_anchor_killed_but_not_central():

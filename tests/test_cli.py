@@ -317,6 +317,34 @@ def test_obstruction_infeasible_triple(capsys):
     assert "no kernel-valued modification" in out
 
 
+def test_obstruction_with_no_kernel_section_says_the_modification_is_zero(capsys):
+    # E0_itemized has no kernel section, so the only kernel-valued modification is zero
+    code, out, _ = run(capsys, "obstruction", "E0_itemized", "--triple", "1,2,3", "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "[PASS] kernel-sections  (none declared or apparent)",
+        "[PASS] kernel-modification-certificate  (no kernel-valued modification with coefficient degree <= 2 "
+        "can cancel the Jacobiator on (X11, X21, X12): its lowest homogeneous part has degree 2, every "
+        "modification term is zero)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, document, note",
+    [
+        ("check", "tangent2", "1 generator pair"),
+        ("check", "tangent3", "3 generator pairs"),
+        ("lie", "tangent2", "no generator triples to check (rank below 3)"),
+        ("lie", "tangent3", "the single generator triple"),
+        ("lie", "tangent4", "all 4 generator triples"),
+    ],
+)
+def test_counts_in_notes_agree_in_number(capsys, command, document, note):
+    code, out, _ = run(capsys, command, document, "--json")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["note"] == note
+
+
 def test_obstruction_trivial_triple(capsys):
     code, out, _ = run(capsys, "obstruction", "E0", "--triple", "1,2,4")
     assert code == 0

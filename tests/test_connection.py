@@ -52,6 +52,20 @@ def test_flat_connection_has_torsion_here():
     assert fl.curvature(UNITS[0], UNITS[2], UNITS[1]).is_zero()
 
 
+def test_torsion_and_bianchi_tables_keep_the_nonzero_values():
+    # a flat connection differentiates no unit section, so its torsion is minus the bracket
+    table = flat_connection(E0).torsion_table()
+    assert list(table) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert all(value == -E0.bracket_gen(i, j) for (i, j), value in table.items())
+    assert TF.torsion_table() == {}
+    assert TF.bianchi_table() == {}
+    assert flat_connection(E0).bianchi_table() == {}
+    other = EConnection(E0, {}, target_gens=("A",))
+    for table_of in (other.torsion_table, other.bianchi_table):
+        with pytest.raises(AlgebroidError):
+            table_of()
+
+
 def test_curvature_against_hand_values():
     kern = e0_kernel_sections()
     expect = {

@@ -178,7 +178,7 @@ def test_pullback_commutes_with_d_on_the_plane():
 
 def test_form_text_and_component_access():
     omega = w(0, 2).scale(Fraction(1, 2))
-    assert omega.component((0, 2)) == Fraction(1, 2) * Poly.const(2, 1)
+    assert omega.comps.get((0, 2), Poly.zero(2)) == Fraction(1, 2) * Poly.const(2, 1)
     assert "w(X11)^w(X12)" in omega.to_text()
 
 
@@ -288,4 +288,4 @@ def test_pullback_matches_sympy(name):
             assert lifted.degree == degree
             for u in combinations(range(a.rank), degree):
                 want = _terms(sympy, _alternating(sympy, comps, [anchor[g] for g in u]), xs)
-                assert lifted.component(u).terms == want
+                assert lifted.comps.get(u, Poly.zero(a.nvars)).terms == want
