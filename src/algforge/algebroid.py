@@ -25,11 +25,11 @@ reads its values off one ``sweep`` over the increasing generator tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, combinations_with_replacement
 from operator import add
+from typing import NamedTuple
 
 from . import linsolve, witness
 from .poly import Poly, _coeff, _fold, _merge, _trusted
@@ -455,8 +455,7 @@ class Algebroid:
         return Algebroid(self.base, self.gen_names, self.anchor, structure, name or self.name)
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Anchor-compatibility sweep over generator pairs."""
 
     algebroid: Algebroid
@@ -480,8 +479,7 @@ class AxiomReport:
         )
 
 
-@dataclass
-class LieReport:
+class LieReport(NamedTuple):
     """Jacobiator sweep over generator triples."""
 
     algebroid: Algebroid
@@ -539,8 +537,7 @@ class BracketModifier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     anchor_failures: list  # (gen index, defect VectorField)
     bracket_failures: list  # ((i, j), defect Section in the target)
@@ -590,8 +587,7 @@ def check_morphism(src: Algebroid, dst: Algebroid, images: list[Section]) -> Mor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClosureFailure:
+class ClosureFailure(NamedTuple):
     pair: tuple[int, int]
     bracket_value: Section
     max_degree: int
@@ -676,12 +672,14 @@ class Endomorphism:
         )
 
 
-def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> Section:
-    """N(X,Y) = [JX,JY] - J[X,JY] - J[JX,Y] - [X,Y] for an almost complex J."""
+def _require_almost_complex(algebroid: Algebroid, j: Endomorphism) -> None:
     if j.rank != algebroid.rank:
         raise AlgebroidError("endomorphism rank mismatch")
     if not j.is_almost_complex():
         raise AlgebroidError("endomorphism is not almost complex (J² ≠ -id)")
+
+
+def _nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> Section:
     jx, jy = j.apply(x), j.apply(y)
     return (
         algebroid.bracket(jx, jy)
@@ -691,10 +689,17 @@ def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> 
     )
 
 
+def nijenhuis(algebroid: Algebroid, j: Endomorphism, x: Section, y: Section) -> Section:
+    """N(X,Y) = [JX,JY] - J[X,JY] - J[JX,Y] - [X,Y] for an almost complex J."""
+    _require_almost_complex(algebroid, j)
+    return _nijenhuis(algebroid, j, x, y)
+
+
 def nijenhuis_table(algebroid: Algebroid, j: Endomorphism) -> dict[tuple[int, int], Section]:
-    """N(e_i, e_k) on generator pairs i < k; zero values omitted."""
+    """N(e_i, e_k) on generator pairs i < k; zero values omitted.  J is checked once, not per pair."""
+    _require_almost_complex(algebroid, j)
     u = algebroid.units
-    return sweep(algebroid.rank, 2, lambda i, k: nijenhuis(algebroid, j, u[i], u[k]))
+    return sweep(algebroid.rank, 2, lambda i, k: _nijenhuis(algebroid, j, u[i], u[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +723,7 @@ def courant_defect(algebroid: Algebroid, g: list[Section]) -> list[VectorField]:
     return [algebroid.anchor_of(_section(m, algebroid.nvars, terms)) for terms in split]
 
 
-@dataclass
-class CourantSpace:
+class CourantSpace(NamedTuple):
     """Solution space of rho·G·rho^T = 0 at a degree bound; each basis element is the images G e_b."""
 
     basis: list[list[Section]]
@@ -814,8 +818,7 @@ def courant_solution_space(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of the degree-bookkeeping obstruction for one triple."""
 
     status: str  # "infeasible" | "inconclusive" | "trivially-feasible"

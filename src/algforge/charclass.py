@@ -16,8 +16,8 @@ Results are wrapped through ``forms._form``, not re-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _section, _vector_field
 from .connection import EConnection, induced_connection
@@ -178,8 +178,7 @@ def dR_identity_residual(conn: EConnection) -> FormMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProductAlgebroid:
+class ProductAlgebroid(NamedTuple):
     """An algebroid crossed with the tangent line of an interval variable."""
 
     base: Algebroid
@@ -257,8 +256,7 @@ def interpolate_connections(
     return EConnection(p.extended, gamma, target_gens=first.target_gens, name="interpolated")
 
 
-@dataclass
-class HomotopyReport:
+class HomotopyReport(NamedTuple):
     prism_residual: Form  # H(d omega) + d(H omega) - (restrict_1 - restrict_0)
     square_residual: Form  # H(d² omega) - d²(H omega)
 
@@ -280,8 +278,7 @@ def homotopy_identity_report(p: ProductAlgebroid, omega: Form) -> HomotopyReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TransgressionReport:
+class TransgressionReport(NamedTuple):
     k: int
     difference: Form  # char_form(second, k) - char_form(first, k)
     primary_witness: Form  # H(Tr R~^k)
@@ -328,8 +325,7 @@ def transgression_check(
     return TransgressionReport(k, diff, primary, ideal_part, identity_ok, restriction_ok, membership)
 
 
-@dataclass
-class PullbackReport:
+class PullbackReport(NamedTuple):
     k: int
     algebroid_side: Form
     base_side: Form

@@ -35,6 +35,7 @@ import re
 import sys
 from itertools import combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebroid import (
     Algebroid,
@@ -45,13 +46,6 @@ from .algebroid import (
     nijenhuis_table,
 )
 from .catalog import TANGENT, corpus_file, make_tangent
-from .charclass import (
-    cartan_residual,
-    char_form,
-    dR_identity_residual,
-    transgression_check,
-)
-from .connection import EConnection, derive_bundle, flat_connection
 from .dsl import (
     Document,
     DslError,
@@ -63,8 +57,12 @@ from .dsl import (
     parse,
     serialize,
 )
-from .forms import Lambda2Ideal, d_squared, strong_closed, weak_closed, weak_exact
 from .reports import FAIL, INCONCLUSIVE, PASS, Report, input_digest
+
+# each command imports the layers only it runs, so that a process compiles
+# no module its command does not use
+if TYPE_CHECKING:
+    from .connection import EConnection
 
 
 class CliError(Exception):
@@ -97,6 +95,8 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
             return res.read_text(encoding="utf-8"), f"{file_arg}.alg"
         m = TANGENT.fullmatch(file_arg)
         if m:
+            from .connection import flat_connection
+
             a = make_tangent(int(m.group(1)))
             doc = algebroid_to_document(a, connections={"flat": flat_connection(a)})
             return serialize(doc), f"{file_arg} (generated)"
@@ -106,7 +106,7 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
 def _load(args) -> tuple[Document, Report]:
     text, label = _resolve_source(args.file)
     doc = parse(text)
-    report = Report(f"{args.command} {label}", input_digest(text), args.seed)
+    report = Report(f"{args.command} {label}", input_digest(text), args.seed, [])
     return doc, report
 
 
@@ -241,6 +241,8 @@ def cmd_connection_report(args) -> Report:
 
 
 def cmd_derive(args) -> Report:
+    from .connection import derive_bundle
+
     doc, report = _load(args)
     a, conn = _connection_of(doc, args.connection)
     d = derive_bundle(conn)
@@ -265,6 +267,8 @@ def cmd_derive(args) -> Report:
 
 
 def cmd_cohomology(args) -> Report:
+    from .forms import Lambda2Ideal, d_squared, strong_closed, weak_closed, weak_exact
+
     doc, report = _load(args)
     decl = doc.form(args.form)
     a = document_algebroid(doc, decl.bundle)
@@ -302,6 +306,9 @@ def cmd_cohomology(args) -> Report:
 
 
 def cmd_charclass(args) -> Report:
+    from .charclass import cartan_residual, char_form, dR_identity_residual
+    from .forms import Lambda2Ideal, strong_closed, weak_closed
+
     doc, report = _load(args)
     a, conn = _connection_of(doc, args.connection)
     ideal = Lambda2Ideal(a)
@@ -341,6 +348,9 @@ def cmd_charclass(args) -> Report:
 
 
 def cmd_transgression(args) -> Report:
+    from .charclass import transgression_check
+    from .forms import Lambda2Ideal
+
     doc, report = _load(args)
     a1, first = _connection_of(doc, args.c1)
     a2, second = _connection_of(doc, args.c2)

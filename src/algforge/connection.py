@@ -26,10 +26,10 @@ rank-10 example built from E0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebroid import Algebroid, AlgebroidError, Section, _section, _signed, map_section, pair_sum, sweep, vf_bracket
 
@@ -199,8 +199,7 @@ def induced_connection(algebroid: Algebroid, base: EConnection, name: str = "ind
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DerivedBundle:
+class DerivedBundle(NamedTuple):
     """E extended by its own wedge square, bracketed by a lifted connection."""
 
     base_algebroid: Algebroid
@@ -303,8 +302,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrhelpItem:
+class PrhelpItem(NamedTuple):
     number: int
     label: str
     checked: int
@@ -315,8 +313,7 @@ class PrhelpItem:
         return not self.failures
 
 
-@dataclass
-class PrhelpReport:
+class PrhelpReport(NamedTuple):
     items: list[PrhelpItem]
 
     @property

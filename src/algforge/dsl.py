@@ -31,15 +31,19 @@ Every sign and every '*' must be followed by a factor or a basis element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, sum_text
-from .connection import EConnection
-from .forms import Form
 from .poly import Poly
+
+# connections and forms are imported where a document is elaborated into
+# them, so that parsing loads neither layer
+if TYPE_CHECKING:
+    from .connection import EConnection
+    from .forms import Form
 
 # Largest exponent, and largest total degree of a product, that a document may
 # write.  The bundled corpus never goes above 4; without a cap a short line
@@ -104,58 +108,53 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BundleDecl:
+class BundleDecl(NamedTuple):
     name: str
     gens: tuple[str, ...]
     anchors: tuple[VectorField, ...]
-    brackets: dict[tuple[int, int], Section] = field(default_factory=dict)
+    brackets: dict[tuple[int, int], Section] = MappingProxyType({})  # shared by every default, so read-only
 
 
-@dataclass
-class SectionDecl:
+class SectionDecl(NamedTuple):
     name: str
     bundle: str
     value: Section
 
 
-@dataclass
-class ConnectionDecl:
+class ConnectionDecl(NamedTuple):
     name: str
     bundle: str
-    gamma: dict[tuple[int, int], Section] = field(default_factory=dict)
+    gamma: dict[tuple[int, int], Section] = MappingProxyType({})
 
 
-@dataclass
-class EndoDecl:
+class EndoDecl(NamedTuple):
     name: str
     bundle: str
     images: tuple[Section, ...]  # [b] = the image of e_b
 
 
-@dataclass
-class CometricDecl:
+class CometricDecl(NamedTuple):
     name: str
     rows: tuple[Section, ...]
 
 
-@dataclass
-class FormDecl:
+class FormDecl(NamedTuple):
     name: str
     bundle: str
     degree: int
-    comps: dict[tuple[int, ...], Poly] = field(default_factory=dict)
+    comps: dict[tuple[int, ...], Poly] = MappingProxyType({})
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
+    """The base variables and each kind of declaration, in document order."""
+
     base_vars: tuple[str, ...]
-    bundles: list[BundleDecl] = field(default_factory=list)
-    sections: list[SectionDecl] = field(default_factory=list)
-    connections: list[ConnectionDecl] = field(default_factory=list)
-    endos: list[EndoDecl] = field(default_factory=list)
-    cometrics: list[CometricDecl] = field(default_factory=list)
-    forms: list[FormDecl] = field(default_factory=list)
+    bundles: list[BundleDecl]
+    sections: list[SectionDecl]
+    connections: list[ConnectionDecl]
+    endos: list[EndoDecl]
+    cometrics: list[CometricDecl]
+    forms: list[FormDecl]
 
     # ---- lookups ----
 
@@ -211,7 +210,7 @@ class _Parser:
         self.names: dict[str, str] = {}  # declared name -> kind
         self.bundle_of_gen: dict[str, tuple[BundleDecl, int]] = {}
         self.anchored: set[str] = set()
-        self.doc = Document(base_vars=())
+        self.doc = Document((), [], [], [], [], [], [])
 
     # ---- token plumbing ----
 
@@ -310,8 +309,8 @@ class _Parser:
         if self.base_vars is None:
             last = self.peek()
             raise DslError("document has no base statement", last.line, last.col, kind="semantic")
-        self.doc.base_vars = self.base_vars
-        return self.doc
+        bundles = [b._replace(anchors=tuple(b.anchors)) for b in self.doc.bundles]
+        return self.doc._replace(base_vars=self.base_vars, bundles=bundles)
 
     # ---- statements ----
 
@@ -338,7 +337,8 @@ class _Parser:
         name = self.declare(name_tok, "bundle")
         gens = tuple(self.declare(tok, "generator") for tok in gen_toks)
         n = len(self.base_vars)
-        decl = BundleDecl(name, gens, tuple(VectorField(BaseSpace(self.base_vars), [Poly.zero(n)] * n) for _ in gens))
+        # the anchors are a list while anchor statements fill it, a tuple once parsed
+        decl = BundleDecl(name, gens, [VectorField(BaseSpace(self.base_vars), [Poly.zero(n)] * n) for _ in gens], {})
         self.doc.bundles.append(decl)
         for idx, g in enumerate(gens):
             self.bundle_of_gen[g] = (decl, idx)
@@ -351,9 +351,7 @@ class _Parser:
         if gen_tok.text in self.anchored:
             self.semantic(f"anchor of {gen_tok.text!r} declared twice", gen_tok)
         self.anchored.add(gen_tok.text)
-        anchors = list(decl.anchors)
-        anchors[idx] = vf
-        decl.anchors = tuple(anchors)
+        decl.anchors[idx] = vf
 
     def stmt_bracket(self, kw: Token):
         self.expect("[")
@@ -763,6 +761,8 @@ def _on_bundle(doc: Document, algebroid: Algebroid, kind: str, decl):
 
 
 def document_connection(doc: Document, algebroid: Algebroid, name: str) -> EConnection:
+    from .connection import EConnection
+
     c = _on_bundle(doc, algebroid, "connection", doc.connection(name))
     return EConnection(algebroid, dict(c.gamma), name=name)
 
@@ -772,6 +772,8 @@ def document_endo(doc: Document, algebroid: Algebroid, name: str) -> Endomorphis
 
 
 def document_form(doc: Document, algebroid: Algebroid, name: str) -> Form:
+    from .forms import Form
+
     f = _on_bundle(doc, algebroid, "form", doc.form(name))
     return Form(algebroid, f.degree, dict(f.comps))
 
@@ -801,8 +803,8 @@ def algebroid_to_document(algebroid: Algebroid, *, connections: dict[str, EConne
     gens = tuple(_safe_ident(g, taken) for g in algebroid.gen_names)
     brackets = {k: s for k, s in algebroid.structure.items() if not s.is_zero()}
     decl = BundleDecl(bundle_name, gens, tuple(algebroid.anchor), brackets)
-    doc = Document(base_vars=tuple(algebroid.base.var_names), bundles=[decl])
+    conn_decls = []
     for name, conn in (connections or {}).items():
         gamma = {k: s for k, s in conn.gamma.items() if not s.is_zero()}
-        doc.connections.append(ConnectionDecl(_safe_ident(name, taken), bundle_name, gamma))
-    return doc
+        conn_decls.append(ConnectionDecl(_safe_ident(name, taken), bundle_name, gamma))
+    return Document(tuple(algebroid.base.var_names), [decl], [], conn_decls, [], [], [])

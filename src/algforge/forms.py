@@ -26,10 +26,11 @@ refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import add
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import witness
 from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, _clean, apply_row
@@ -310,10 +311,9 @@ NOT_MEMBER = "not-member"
 NO_WITNESS = "no-witness"
 
 
-@dataclass
-class IdealDecision:
+class IdealDecision(NamedTuple):
     status: str
-    cofactors: dict[int, Form] = field(default_factory=dict)
+    cofactors: dict[int, Form] = MappingProxyType({})  # shared by every default, so read-only
     note: str = ""
 
     @property
@@ -449,8 +449,7 @@ def _coordinate_key(coord):
 YES = "yes"
 
 
-@dataclass
-class ClosednessDecision:
+class ClosednessDecision(NamedTuple):
     status: str  # "yes" | "not-member"/"no" | "no-witness"
     witness: Form | None = None
     ideal_cofactors: dict[int, Form] | None = None

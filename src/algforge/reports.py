@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 
@@ -27,8 +27,7 @@ def input_digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     witness: str | None = None
@@ -47,12 +46,11 @@ class Check:
         return out
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     input_digest: str
     seed: int
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]  # appended to by add and add_status
 
     def add(self, name: str, ok: bool, witness: str | None = None, note: str | None = None) -> Check:
         check = Check(name, PASS if ok else FAIL, witness, note)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebroid import (
     check_morphism,
@@ -40,8 +40,7 @@ from .poly import Poly
 from .sampling import Sampler
 
 
-@dataclass
-class Context:
+class Context(NamedTuple):
     seed: int = 0
     max_degree: int = 4
 
@@ -556,7 +555,7 @@ def build_report(seed: int = 0, max_degree: int = 4):
 
     ctx = Context(seed=seed, max_degree=max_degree)
     digest = input_digest(",".join(name for name, _ in CRITERIA))
-    report = Report("verify-paper", digest, seed)
+    report = Report("verify-paper", digest, seed, [])
     for name, ok, note in run_all(ctx):
         report.add(name, ok, note=note)
     return report

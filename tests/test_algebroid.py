@@ -14,6 +14,7 @@ from algforge.algebroid import (
     courant_solution_space,
     lie_infeasibility_certificate,
     nijenhuis,
+    nijenhuis_table,
     subalgebroid_restrict,
     sweep,
 )
@@ -166,6 +167,23 @@ def test_matrices_whose_square_is_not_minus_one_are_refused():
         assert not j.is_almost_complex()
         with pytest.raises(AlgebroidError):
             nijenhuis(E0, j, UNITS[0], UNITS[1])
+
+
+def test_nijenhuis_table_checks_the_structure_once(monkeypatch):
+    calls = []
+    check = Endomorphism.is_almost_complex
+    monkeypatch.setattr(Endomorphism, "is_almost_complex", lambda self: calls.append(self) or check(self))
+    j = e0_complex_structure()
+    assert nijenhuis_table(E0, j) == {}
+    assert len(calls) == 1
+    # the pairwise function checks on every call
+    nijenhuis(E0, j, UNITS[0], UNITS[1])
+    assert len(calls) == 2
+
+
+def test_nijenhuis_table_refuses_a_matrix_whose_square_is_not_minus_one():
+    with pytest.raises(AlgebroidError, match="not almost complex"):
+        nijenhuis_table(E0, Endomorphism(UNITS))
 
 
 def test_bundles_and_bundle_maps_without_generators_are_refused():
