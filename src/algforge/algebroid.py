@@ -8,19 +8,21 @@ An algebroid here is a rank-m bundle over a polynomial base, given by
 A section is one flat dict {(generator, exponents): coefficient}; its
 ``coeffs`` reads it back as one Poly per generator.  A vector field is a
 section of the base's tangent bundle (slot j is d/dx_j), so the anchor
-images are sections too, and ``map_section`` applies any bundle map given by
-its images.  Brackets of arbitrary polynomial sections are produced from the
-table by the Leibniz expansion, written once for every generator-pair table
-(structure, bracket modifier, connection gamma) as loops that add straight
-into one output dict: the pair-table sum ``pair_sum`` and the anchored
-derivative ``Algebroid.derivative``.  ``apply_row`` is the one loop that
-applies a vector field to polynomial terms.  The two axioms that
-make such a bundle an almost Lie algebroid — the Leibniz rule (true by
-construction) and anchor compatibility rho([X,Y]) = [rho X, rho Y] — reduce to
-polynomial identities on generator pairs, which is what check_axioms sweeps.
-Vanishing of the Jacobiator (the Lie condition) is likewise tensorial once the
-axioms hold, so check_lie sweeps generator triples only.  Every such check
-reads its values off one ``sweep`` over the increasing generator tuples.
+images are sections too, and a k-form (``forms.Form``) is a section of
+Λ^k E*; all three share one arithmetic, ``_Terms``.  ``map_section``
+applies any bundle map given by its images.  Brackets of arbitrary
+polynomial sections are produced from the table by the Leibniz expansion,
+written once for every generator-pair table (structure, bracket modifier,
+connection gamma) as loops that add straight into one output dict: the
+pair-table sum ``pair_sum`` and the anchored derivative
+``Algebroid.derivative``.  ``apply_row`` is the one loop that applies a
+vector field to polynomial terms.  The two axioms that make such a bundle
+an almost Lie algebroid — the Leibniz rule (true by construction) and anchor
+compatibility rho([X,Y]) = [rho X, rho Y] — reduce to polynomial identities
+on generator pairs, which is what check_axioms sweeps.  Vanishing of the
+Jacobiator (the Lie condition) is likewise tensorial once the axioms hold,
+so check_lie sweeps generator triples only.  Every such check reads its
+values off one ``sweep`` over the increasing generator tuples.
 """
 
 from __future__ import annotations
@@ -63,17 +65,48 @@ class BaseSpace:
         return f"BaseSpace({', '.join(self.var_names)})"
 
 
-class Section:
+class _Terms:
+    """The arithmetic of sections of any bundle: E, TM (``VectorField``) or
+    Λ^k E* (``forms.Form``).  A subclass gives ``nvars``, ``_like`` and
+    ``_check_sum``, which refuses a summand that is not a section of its bundle.
+    """
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_sum(other)
+        return self._like(_merge(self.terms, other.terms))
+
+    def __sub__(self, other):
+        self._check_sum(other)
+        return self._like(_merge(self.terms, other.terms, negate=True))
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, f: Poly | int | Fraction):
+        if not isinstance(f, Poly):
+            f = Poly.const(self.nvars, f)
+        out: dict = {}
+        for (slot, exps), c in self.terms.items():
+            _add_shifted(out, slot, exps, c, f.terms.items())
+        return self._like(_clean(out))
+
+
+class Section(_Terms):
     """A bundle section as one flat term dict {(generator, exponents): coefficient}.
 
     Coefficients are in the ``poly`` normal form: nonzero, an int where
     integral and a Fraction otherwise.  The dict is the only copy of the
     coefficients; ``coeffs`` reads them back as one Poly per generator.
-    Sums, differences, negation and ``scale`` return the operand's own kind
-    through ``_like``.
+    Sums, negation and ``scale`` are the ``_Terms`` arithmetic, shared with
+    vector fields (sections of TM) and forms (sections of Λ^k E*).
     """
 
-    __slots__ = ("terms", "rank", "nvars")
+    __slots__ = ("rank", "nvars")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -89,6 +122,10 @@ class Section:
         """A section of the same bundle with the given normal-form term dict."""
         return _section(self.rank, self.nvars, terms)
 
+    def _check_sum(self, other: Section) -> None:
+        if not isinstance(other, Section) or (self.rank, self.nvars) != (other.rank, other.nvars):
+            raise AlgebroidError("sections of bundles of different rank or over different bases")
+
     @property
     def coeffs(self) -> tuple[Poly, ...]:
         """The coefficient of every generator as a Poly (read-only, built on each read)."""
@@ -96,26 +133,6 @@ class Section:
         for (a, exps), c in self.terms.items():
             split[a][exps] = c
         return tuple(_trusted(self.nvars, terms) for terms in split)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: Section) -> Section:
-        return self._like(_merge(self.terms, other.terms))
-
-    def __sub__(self, other: Section) -> Section:
-        return self._like(_merge(self.terms, other.terms, negate=True))
-
-    def __neg__(self) -> Section:
-        return self._like({key: -c for key, c in self.terms.items()})
-
-    def scale(self, f: Poly | int | Fraction) -> Section:
-        if not isinstance(f, Poly):
-            f = Poly.const(self.nvars, f)
-        out: dict = {}
-        for (a, exps), c in self.terms.items():
-            _add_shifted(out, a, exps, c, f.terms.items())
-        return self._like(_clean(out))
 
     def __eq__(self, other):
         return (

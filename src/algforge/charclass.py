@@ -19,13 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _section, _vector_field
+from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _vector_field
 from .connection import EConnection, induced_connection
 from .forms import (
     Form,
     IdealDecision,
     Lambda2Ideal,
-    _finish,
     _form,
     _wedge_into,
     d_squared,
@@ -94,7 +93,7 @@ class FormMatrix:
                 total: dict = {}
                 for f, other_row in zip(row, other.entries):
                     _wedge_into(total, f.terms, other_row[j].terms)
-                out[-1].append(_finish(self.algebroid, degree, total))
+                out[-1].append(_form(self.algebroid, degree, _clean(total)))
         return FormMatrix(self.algebroid, degree, out)
 
     def wedge_power(self, k: int) -> FormMatrix:
@@ -194,7 +193,7 @@ class ProductAlgebroid(NamedTuple):
             if self.et_index not in key:
                 k = (key, exps[:t] + exps[t + 1 :])
                 out[k] = out.get(k, 0) + (c * u ** exps[t] if exps[t] else c)
-        return _finish(self.base, omega.degree, out)
+        return _form(self.base, omega.degree, _clean(out))
 
     def homotopy(self, omega: Form) -> Form:
         """Integrate the interval component away; degree drops by one.
@@ -214,7 +213,7 @@ class ProductAlgebroid(NamedTuple):
                 k = (s, exps[:t] + exps[t + 1 :])
                 value = Fraction(c, exps[t] + 1) if exps[t] else c
                 out[k] = out.get(k, 0) + (-value if len(s) % 2 else value)
-        return _finish(self.base, omega.degree - 1, out)
+        return _form(self.base, omega.degree - 1, _clean(out))
 
 
 def _t_free(terms: dict) -> dict:

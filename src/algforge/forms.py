@@ -1,13 +1,13 @@
 """Exterior forms on an algebroid's dual generator basis.
 
-A k-form is one flat dict {(index tuple, exponents): coefficient} over
-strictly increasing k-tuples of generator indices, with coefficients in the
-``poly`` normal form, as a section is; ``comps`` reads it back as one Poly
-per tuple.  The dict is also the form's witness column: the searches below
-hand it to ``witness`` as it is and read solutions back as forms.  Only the
-public constructor, which takes outside input, checks keys; wedge, sums,
-scaling, the differential, cofactors and the interval operators of
-``charclass`` wrap their already valid dicts through ``_form``.
+A k-form is a section of Λ^k E*: one flat dict {(index tuple, exponents):
+coefficient} over strictly increasing k-tuples of generator indices, with the
+section arithmetic; ``comps`` reads it back as one Poly per tuple.  The dict
+is also the form's witness column: the searches below hand it to ``witness``
+as it is and read solutions back as forms.  Only the public constructor,
+which takes outside input, checks keys; wedge, the differential, cofactors
+and the interval operators of ``charclass`` wrap their ``_clean`` dicts
+through ``_form``.
 
 The differential is the derivation fixed by two rules:
 df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor images, and
@@ -33,8 +33,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, _clean, apply_row
-from .poly import Poly, _fold, _merge, _trusted
+from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, _clean, _Terms, apply_row
+from .poly import Poly, _trusted
 
 
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]):
@@ -61,14 +61,15 @@ def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]):
     return sign, tuple(out)
 
 
-class Form:
+class Form(_Terms):
     """Alternating polynomial form of fixed degree on the generator basis.
 
-    ``terms`` is the only copy of the coefficients; the constructor takes one
-    Poly per index tuple and checks every key.
+    A section of Λ^k E* with the ``_Terms`` arithmetic: ``terms`` is the only
+    copy of the coefficients; the constructor takes one Poly per index tuple
+    and checks every key.
     """
 
-    __slots__ = ("algebroid", "degree", "terms")
+    __slots__ = ("algebroid", "degree")
 
     def __init__(self, algebroid: Algebroid, degree: int, comps: dict[tuple[int, ...], Poly]):
         if degree < 0:
@@ -113,27 +114,23 @@ class Form:
             split.setdefault(key, {})[exps] = c
         return {key: _trusted(self.algebroid.nvars, terms) for key, terms in split.items()}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def nvars(self) -> int:
+        return self.algebroid.nvars
 
-    def __add__(self, other: Form) -> Form:
-        self._check_compatible(other)
-        return _form(self.algebroid, self.degree, _merge(self.terms, other.terms))
+    def _like(self, terms: dict) -> Form:
+        return _form(self.algebroid, self.degree, terms)
 
-    def __sub__(self, other: Form) -> Form:
-        self._check_compatible(other)
-        return _form(self.algebroid, self.degree, _merge(self.terms, other.terms, negate=True))
+    def _check_bundle(self, other: Form) -> None:
+        """Raise unless ``other`` is a form on the same generators and base: the test of sums and wedges."""
+        bundle = (self.algebroid.gen_names, self.nvars)
+        if not isinstance(other, Form) or bundle != (other.algebroid.gen_names, other.nvars):
+            raise AlgebroidError("forms live on different algebroids")
 
-    def __neg__(self) -> Form:
-        return _form(self.algebroid, self.degree, {key: -c for key, c in self.terms.items()})
-
-    def scale(self, f: Poly | int | Fraction) -> Form:
-        if not isinstance(f, Poly):
-            f = Poly.const(self.algebroid.nvars, f)
-        out: dict = {}
-        for (key, exps), c in self.terms.items():
-            _add_shifted(out, key, exps, c, f.terms.items())
-        return _finish(self.algebroid, self.degree, out)
+    def _check_sum(self, other: Form) -> None:
+        self._check_bundle(other)
+        if self.degree != other.degree:
+            raise AlgebroidError("forms have different degrees")
 
     def __eq__(self, other):
         return (
@@ -141,12 +138,6 @@ class Form:
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def _check_compatible(self, other: Form) -> None:
-        if self.algebroid is not other.algebroid and self.algebroid.gen_names != other.algebroid.gen_names:
-            raise AlgebroidError("forms live on different algebroids")
-        if self.degree != other.degree:
-            raise AlgebroidError("forms have different degrees")
 
     # ---- evaluation ----
 
@@ -163,9 +154,8 @@ class Form:
     # ---- wedge ----
 
     def wedge(self, other: Form) -> Form:
-        if self.algebroid is not other.algebroid and self.algebroid.gen_names != other.algebroid.gen_names:
-            raise AlgebroidError("forms live on different algebroids")
-        return _finish(self.algebroid, self.degree + other.degree, _wedge_into({}, self.terms, other.terms))
+        self._check_bundle(other)
+        return _form(self.algebroid, self.degree + other.degree, _clean(_wedge_into({}, self.terms, other.terms)))
 
     # ---- text ----
 
@@ -198,11 +188,6 @@ def _form(algebroid: Algebroid, degree: int, terms: dict) -> Form:
     f = object.__new__(Form)
     f.algebroid, f.degree, f.terms = algebroid, degree, terms
     return f
-
-
-def _finish(algebroid: Algebroid, degree: int, out: dict) -> Form:
-    """The form of an accumulated term dict: zero sums dropped, integral Fractions made ints."""
-    return _form(algebroid, degree, _fold({key: c for key, c in out.items() if c}))
 
 
 def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
@@ -260,7 +245,7 @@ def differential(omega: Form) -> Form:
                     weight = sign if t % 2 else -sign
                     for exps, fc in f:
                         _add_shifted(out, key, exps, weight * fc, terms.items())
-    return _finish(a, omega.degree + 1, dict(sorted(out.items())))
+    return _form(a, omega.degree + 1, _clean(dict(sorted(out.items()))))
 
 
 def d_squared(omega: Form) -> Form:
@@ -298,7 +283,7 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
     """
     if base_form.algebroid.rank != algebroid.nvars:
         raise AlgebroidError("base form rank must equal the number of base variables")
-    return _finish(algebroid, base_form.degree, dict(sorted(_pull(base_form.terms, algebroid.anchor).items())))
+    return _form(algebroid, base_form.degree, _clean(dict(sorted(_pull(base_form.terms, algebroid.anchor).items()))))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +395,7 @@ class Lambda2Ideal:
         terms: dict[int, dict] = {}
         for ((g_idx, s), mu), v in values.items():
             terms.setdefault(g_idx, {})[(s, mu)] = v
-        return {g_idx: _finish(self.algebroid, degree - 3, t) for g_idx, t in terms.items()}
+        return {g_idx: _form(self.algebroid, degree - 3, _clean(t)) for g_idx, t in terms.items()}
 
     def check_cofactors(self, omega: Form, decision: IdealDecision) -> bool:
         """Recombine cofactors against the generators; must reproduce omega."""
@@ -432,7 +417,7 @@ class Lambda2Ideal:
         else:
             columns = self._columns(omega.degree, max_degree)
             remainder = witness.reduce(columns, omega.terms, key=_coordinate_key)
-        return _finish(self.algebroid, omega.degree, remainder)
+        return _form(self.algebroid, omega.degree, _clean(remainder))
 
 
 def _coordinate_key(coord):
@@ -489,7 +474,7 @@ def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
         return ClosednessDecision(
             NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}"
         )
-    return ClosednessDecision(YES, _finish(a, omega.degree - 1, x))
+    return ClosednessDecision(YES, _form(a, omega.degree - 1, _clean(x)))
 
 
 def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
@@ -514,6 +499,6 @@ def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Closedn
         return ClosednessDecision(
             NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}"
         )
-    theta = _finish(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
+    theta = _form(a, omega.degree - 1, _clean({t: v for t, v in x.items() if t in d_columns}))
     cofactors = ideal._cofactors(omega.degree, {t: v for t, v in x.items() if t in ideal_columns})
     return ClosednessDecision(YES, theta, cofactors)

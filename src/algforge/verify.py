@@ -22,7 +22,7 @@ from .algebroid import (
     nijenhuis_table,
     subalgebroid_restrict,
 )
-from .catalog import builtin, corpus_document, e0prime_to_e0_images, make_tangent
+from .catalog import builtin, corpus_document, corpus_file, e0prime_to_e0_images, make_tangent
 from .charclass import (
     cartan_residual,
     char_form,
@@ -483,14 +483,11 @@ def _run_cli(args: list[str]) -> int:
 
 
 def c19_dsl_contract(ctx: Context):
-    from importlib import resources
-
     from . import dsl
 
-    corpus = resources.files("algforge") / "corpus"
     seen = 0
     for name, (kind, want_exit) in sorted(CORPUS_EXPECT.items()):
-        res = corpus / name
+        res = corpus_file(name.removesuffix(".alg"))
         if not res.is_file():
             return False, f"corpus file {name} is missing"
         text = res.read_text()

@@ -27,3 +27,8 @@ def test_report_runs_clean():
     assert report.ok
     assert report.exit_code == 0
     assert len(report.checks) == len(verify.CRITERIA)
+
+
+def test_dsl_contract_finds_the_corpus_through_the_catalog(monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "corpus_file", lambda name: tmp_path / f"{name}.alg")
+    assert verify.c19_dsl_contract(_CTX) == (False, "corpus file E0.alg is missing")

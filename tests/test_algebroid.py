@@ -204,6 +204,22 @@ def test_bundle_maps_of_the_wrong_shape_are_refused():
             Endomorphism(bad)
 
 
+def test_sums_of_sections_of_different_shapes_are_refused():
+    # rank 4 against rank 2 over the plane, rank 3 over R^3, and rank 4 over R^3
+    over_r3 = Section([Poly.const(3, 1)] * 4)
+    for other in (make_tangent(2).units[0], make_tangent(3).units[0], over_r3):
+        for value in (UNITS[3], E0.zero_section()):
+            with pytest.raises(AlgebroidError, match="different rank or over different bases"):
+                value + other
+            with pytest.raises(AlgebroidError, match="different rank or over different bases"):
+                value - other
+    # vector fields on the plane and on R^3
+    with pytest.raises(AlgebroidError, match="different rank or over different bases"):
+        E0.anchor[0] + make_tangent(3).anchor[0]
+    with pytest.raises(AlgebroidError, match="different rank or over different bases"):
+        E0.anchor[0] - make_tangent(3).anchor[0]
+
+
 def test_courant_defect_of_identity():
     defect = courant_defect(E0, UNITS)
     quartic = X1**4 + X2**4

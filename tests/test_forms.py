@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from algforge.algebroid import AlgebroidError
+from algforge.algebroid import Algebroid, AlgebroidError, BaseSpace
 from algforge.catalog import builtin, corpus_document, make_tangent, tangent_bundle
 from algforge.dsl import document_algebroid, document_form
 from algforge.forms import (
@@ -222,6 +222,49 @@ def test_eval_rejects_sections_of_another_rank():
     for section in (make_tangent(2).unit_section(0), derived.unit_section(0)):
         with pytest.raises(AlgebroidError, match="rank of the form's algebroid"):
             Form.dual(E0, 3).eval_sections(section)
+
+
+def test_sums_and_wedges_of_forms_on_different_bundles_are_refused():
+    derived = document_algebroid(corpus_document("derived_e0"))
+    # E0's generators over R^3 instead of the plane
+    lifted = Algebroid(BaseSpace(("x1", "x2", "x3")), E0.gen_names, make_tangent(3).anchor[:1] * 4)
+    with pytest.raises(AlgebroidError, match="different degrees"):
+        w(0) + w(0, 1)
+    with pytest.raises(AlgebroidError, match="different degrees"):
+        Form.zero(E0, 2) - Form.zero(E0, 3)
+    for other in (Form.dual(derived, 0), Form.dual(lifted, 0), UNITS[0]):
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            w(0) + other
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            w(0) - other
+        with pytest.raises(AlgebroidError, match="different algebroids"):
+            w(0).wedge(other)
+    with pytest.raises(AlgebroidError, match="different rank or over different bases"):
+        UNITS[0] + w(0)
+
+
+# ---- oracle: the shared section arithmetic against the wedge ----
+#
+# A form's sums, negation and scale are the section arithmetic of
+# algebroid._Terms; scaling by f is checked against f ∧ omega, which is
+# computed by _wedge_into and shares no loop with it.
+
+
+@pytest.mark.parametrize("name", ["E0", "derived_e0"])
+def test_shared_arithmetic_on_forms_agrees_with_the_wedge(name):
+    a = document_algebroid(corpus_document(name))
+    sampler = Sampler(21)
+    for degree in range(5):
+        for _ in range(3):
+            omega, eta = sampler.form(a, degree), sampler.form(a, degree)
+            for f in (3, Fraction(-2, 5), sampler.poly(a.nvars)):
+                assert omega.scale(f) == Form.function(a, f).wedge(omega)
+            for value in (omega.scale(2), omega + eta, omega - eta, -omega):
+                assert (type(value), value.degree, value.algebroid) == (Form, degree, a)
+            assert (omega + eta) - eta == omega
+            assert (-omega + omega).is_zero()
+            # a section of Λ^k E* has no integer generator slots to read
+            assert not hasattr(omega, "coeffs") and not hasattr(omega, "rank")
 
 
 # ---- oracle: evaluation and pullback as sympy determinants ----
