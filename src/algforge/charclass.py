@@ -70,7 +70,16 @@ class FormMatrix:
             algebroid, 0, [[one if i == j else zero for j in range(size)] for i in range(size)]
         )
 
+    def _shape(self) -> tuple:
+        return self.size, self.degree, self.algebroid.gen_names, self.algebroid.nvars
+
+    def _check_sum(self, other: FormMatrix) -> None:
+        """Raise unless ``other`` has the same size and degree, on the same generators and base."""
+        if not isinstance(other, FormMatrix) or self._shape() != other._shape():
+            raise AlgebroidError("form matrices of different sizes, degrees or algebroids")
+
     def __add__(self, other: FormMatrix) -> FormMatrix:
+        self._check_sum(other)
         return FormMatrix(
             self.algebroid,
             self.degree,
@@ -78,6 +87,7 @@ class FormMatrix:
         )
 
     def __sub__(self, other: FormMatrix) -> FormMatrix:
+        self._check_sum(other)
         return FormMatrix(
             self.algebroid,
             self.degree,

@@ -8,12 +8,27 @@ the one Leibniz kernel in ``algebroid``: nabla_X s is the anchored derivative
 D_X s (``Algebroid.derivative``) plus ``pair_sum`` over the gamma table, both
 adding into one term dict.
 
-Curvature on generators is computed once per connection (``curvature_table``,
-read for any ordered pair by ``curvature_gen``), and every generator sweep
-reads it.  Torsion on generator pairs (``torsion_table``) and the Bianchi
-defect on generator triples (``bianchi_table``) are one ``sweep`` each.
-``curvature`` on arbitrary sections is not expanded over the table: curvature
-is a tensor only when the anchor axioms hold, and E0_itemized fails them.
+Every generator-level table is read off the gamma and structure tables in
+closed form, each value one term dict finished once, with no section-level
+call nested in another:
+
+* curvature (``curvature_table``, computed once per connection and read for
+  any ordered pair by ``curvature_gen``):
+  R(e_i, e_j)e_b = nabla_{e_i} gamma(j, b) - nabla_{e_j} gamma(i, b) - sum_c c^c_ij gamma(c, b),
+  where nabla_{e_i} of a polynomial section is the anchored derivative along
+  rho(e_i) plus the gamma(i, .) rows shifted by each of its terms;
+* torsion on generator pairs (``torsion_table``):
+  T(e_i, e_j) = gamma(i, j) - gamma(j, i) - c_ij;
+* the Bianchi defect on generator triples (``bianchi_table``): R from the
+  curvature table, the Jacobiator from ``Algebroid.jacobiator_table``, and T
+  of any section as a ``pair_sum`` over the torsion table.  T is F-linear in
+  each slot whatever the anchor, because the bracket and nabla are both
+  Leibniz extensions, so no axiom check is needed first.
+
+``curvature`` and ``torsion`` on arbitrary sections stay the Leibniz
+expansion, not a read of the tables: curvature is a tensor only when the
+anchor axioms hold, and E0_itemized fails them.  The tests check each closed
+form against that expansion on unit sections.
 
 The derived bundle construction glues E and E∧E into one algebroid whose
 bracket is the antisymmetrization of a lifted connection.  One rule builds
@@ -31,7 +46,25 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebroid import Algebroid, AlgebroidError, Section, _section, _signed, map_section, pair_sum, sweep, vf_bracket
+from .algebroid import (
+    Algebroid,
+    AlgebroidError,
+    Section,
+    _clean,
+    _pair_add,
+    _section,
+    _signed,
+    map_section,
+    pair_sum,
+    sweep,
+    vf_bracket,
+)
+
+
+def _add_terms(out: dict, terms: dict, sign: int = 1) -> None:
+    """Add sign * terms to the term dict ``out``."""
+    for key, c in terms.items():
+        out[key] = out.get(key, 0) + sign * c
 
 
 class EConnection:
@@ -72,14 +105,22 @@ class EConnection:
 
     # ---- the two extension rules ----
 
+    def _gamma_at(self, alpha: int, b: int) -> tuple[Section, int] | None:
+        """The gamma table as a ``pair_sum`` entry: every value enters with sign +1."""
+        value = self.gamma.get((alpha, b))
+        return None if value is None else (value, 1)
+
+    def _nabla(self, out: dict, x: Section, s: Section, sign: int = 1) -> dict:
+        """Add sign * nabla_X s = sign * (D_X s + sum_{alpha, b} X_alpha s_b gamma(alpha, b)) to ``out``."""
+        return _pair_add(self.algebroid.derivative(out, x, s, sign), x, s, self._gamma_at, sign)
+
     def covariant_derivative(self, x: Section, s: Section) -> Section:
         """nabla_X s = D_X s + sum_{alpha, b} X_alpha s_b gamma(alpha, b)."""
         if x.rank != self.algebroid.rank:
             raise AlgebroidError("direction section has the wrong rank")
         if s.rank != self.target_rank:
             raise AlgebroidError("target section has the wrong rank")
-        g = self.gamma  # every entry enters with sign +1
-        return pair_sum(self.algebroid.derivative({}, x, s), x, s, lambda a, b: (g[a, b], 1) if (a, b) in g else None)
+        return s._like(_clean(self._nabla({}, x, s)))
 
     # ---- torsion (target = algebroid only) ----
 
@@ -96,10 +137,18 @@ class EConnection:
         )
 
     def torsion_table(self) -> dict[tuple[int, int], Section]:
-        """T(e_i, e_j) on generator pairs i < j; zero values omitted."""
+        """T(e_i, e_j) = gamma(i, j) - gamma(j, i) - c_ij on generator pairs i < j; zero values omitted."""
         self._require_endo()
-        u = self.algebroid.units
-        return sweep(self.algebroid.rank, 2, lambda i, j: self.torsion(u[i], u[j]))
+        a = self.algebroid
+
+        def value(i: int, j: int) -> Section:
+            out: dict = {}
+            _add_terms(out, self.gamma_entry(i, j).terms)
+            _add_terms(out, self.gamma_entry(j, i).terms, -1)
+            _add_terms(out, a.bracket_gen(i, j).terms, -1)
+            return _section(a.rank, a.nvars, _clean(out))
+
+        return sweep(a.rank, 2, value)
 
     def is_torsion_free(self) -> bool:
         return not self.torsion_table()
@@ -117,18 +166,27 @@ class EConnection:
     def curvature_table(self) -> dict[tuple[int, int, int], Section]:
         """All R(e_i, e_j)e_b on generator pairs i<j; zero values omitted.
 
-        Computed on the first call and kept: a connection, its gamma and its
-        algebroid are never changed after construction.
+        Read off the gamma and structure tables in closed form:
+        R(e_i, e_j)e_b = nabla_{e_i} gamma(j, b) - nabla_{e_j} gamma(i, b) - sum_c c^c_ij gamma(c, b),
+        one term dict per value.  Computed on the first call and kept: a
+        connection, its gamma and its algebroid are never changed after
+        construction.
         """
         if self._curvature_table is None:
-            a_, units = self.algebroid, self.algebroid.units
+            a_, g, units = self.algebroid, self.gamma, self.algebroid.units
             targets = [_section(self.target_rank, a_.nvars, {(b, (0,) * a_.nvars): 1}) for b in range(self.target_rank)]
             self._curvature_table = {}
             for i, j in combinations(range(a_.rank), 2):
+                bracket = a_.bracket_gen(i, j)
                 for b in range(self.target_rank):
-                    value = self.curvature(units[i], units[j], targets[b])
-                    if not value.is_zero():
-                        self._curvature_table[(i, j, b)] = value
+                    out: dict = {}
+                    if (j, b) in g:
+                        self._nabla(out, units[i], g[j, b])
+                    if (i, b) in g:
+                        self._nabla(out, units[j], g[i, b], -1)
+                    terms = _clean(_pair_add(out, bracket, targets[b], self._gamma_at, -1))
+                    if terms:
+                        self._curvature_table[(i, j, b)] = _section(self.target_rank, a_.nvars, terms)
         return self._curvature_table
 
     def curvature_gen(self, i: int, j: int, b: int) -> Section:
@@ -139,34 +197,40 @@ class EConnection:
             return self.curvature_table().get((i, j, b), self.zero_target())
         return -self.curvature_table().get((j, i, b), self.zero_target())
 
-    def bianchi_defect(self, x: Section, y: Section, z: Section) -> Section:
-        """Cyclic curvature sum minus its torsion expansion; identically zero.
+    def bianchi_table(self) -> dict[tuple[int, int, int], Section]:
+        """The Bianchi defect on generator triples i < j < k; zero values omitted.
 
-        LHS: sum_cyc R(X,Y)Z.  RHS: sum_cyc (nabla_X T)(Y,Z)
-             + sum_cyc T(T(X,Y),Z) + Jacobiator(X,Y,Z), where
-        (nabla_X T)(Y,Z) = nabla_X(T(Y,Z)) - T(nabla_X Y, Z) - T(Y, nabla_X Z).
+        The defect is sum_cyc R(X,Y)Z minus the sum of sum_cyc (nabla_X T)(Y,Z),
+        sum_cyc T(T(X,Y),Z) and Jacobiator(X,Y,Z), where
+        (nabla_X T)(Y,Z) = nabla_X(T(Y,Z)) - T(nabla_X Y, Z) - T(Y, nabla_X Z);
+        it is identically zero.  T is F-linear in each slot, so on generators
+        R is read off the curvature table, the Jacobiator off
+        ``Algebroid.jacobiator_table``, and every T of a section is a pair sum
+        over the torsion table.  Each triple's defect is one term dict.
         """
         self._require_endo()
+        a = self.algebroid
+        u, jacobiators = a.units, a.jacobiator_table
+        torsion = partial(_signed, self.torsion_table())
 
-        def nabla_t(a: Section, b: Section, c: Section) -> Section:
-            return (
-                self.covariant_derivative(a, self.torsion(b, c))
-                - self.torsion(self.covariant_derivative(a, b), c)
-                - self.torsion(b, self.covariant_derivative(a, c))
-            )
+        def defect(i: int, j: int, k: int) -> Section:
+            out: dict = {}
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                _add_terms(out, self.curvature_gen(p, q, r).terms)
+                # - nabla_p T(q, r) + T(nabla_p e_q, e_r) + T(e_q, nabla_p e_r)
+                found = torsion(q, r)
+                if found is not None:
+                    self._nabla(out, u[p], found[0], -found[1])
+                _pair_add(out, self.gamma_entry(p, q), u[r], torsion)
+                _pair_add(out, u[q], self.gamma_entry(p, r), torsion)
+                # - T(T(e_p, e_q), e_r)
+                found = torsion(p, q)
+                if found is not None:
+                    _pair_add(out, found[0], u[r], torsion, -found[1])
+            _add_terms(out, jacobiators.get((i, j, k), a.zero_section()).terms, -1)
+            return _section(a.rank, a.nvars, _clean(out))
 
-        lhs = self.algebroid.zero_section()
-        rhs = self.algebroid.jacobiator(x, y, z)
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            lhs = lhs + self.curvature(a, b, c)
-            rhs = rhs + nabla_t(a, b, c) + self.torsion(self.torsion(a, b), c)
-        return lhs - rhs
-
-    def bianchi_table(self) -> dict[tuple[int, int, int], Section]:
-        """The Bianchi defect on generator triples i < j < k; zero values omitted."""
-        self._require_endo()
-        u = self.algebroid.units
-        return sweep(self.algebroid.rank, 3, lambda i, j, k: self.bianchi_defect(u[i], u[j], u[k]))
+        return sweep(a.rank, 3, defect)
 
 
 def flat_connection(algebroid: Algebroid, name: str = "flat") -> EConnection:

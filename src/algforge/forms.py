@@ -121,10 +121,14 @@ class Form(_Terms):
     def _like(self, terms: dict) -> Form:
         return _form(self.algebroid, self.degree, terms)
 
+    @property
+    def _bundle(self) -> tuple[tuple[str, ...], int]:
+        """The generators and base dimension: forms are comparable and combine only on the same pair."""
+        return self.algebroid.gen_names, self.nvars
+
     def _check_bundle(self, other: Form) -> None:
         """Raise unless ``other`` is a form on the same generators and base: the test of sums and wedges."""
-        bundle = (self.algebroid.gen_names, self.nvars)
-        if not isinstance(other, Form) or bundle != (other.algebroid.gen_names, other.nvars):
+        if not isinstance(other, Form) or self._bundle != other._bundle:
             raise AlgebroidError("forms live on different algebroids")
 
     def _check_sum(self, other: Form) -> None:
@@ -135,6 +139,7 @@ class Form(_Terms):
     def __eq__(self, other):
         return (
             isinstance(other, Form)
+            and self._bundle == other._bundle
             and self.degree == other.degree
             and self.terms == other.terms
         )

@@ -220,6 +220,12 @@ def c07_torsionfree_connection(ctx: Context):
     e0 = _e0()
     if not tf.is_torsion_free():
         return False, "torsion does not vanish on generator pairs"
+    # the closed-form table against the Leibniz expansion of R on unit sections
+    units = e0.units
+    for i, j in combinations(range(4), 2):
+        for b in range(4):
+            if tf.curvature_gen(i, j, b) != tf.curvature(units[i], units[j], units[b]):
+                return False, f"curvature table disagrees with the Leibniz expansion on ({i},{j},{b})"
     table = tf.curvature_table()
     for (i, j, b), value in table.items():
         if not e0.anchor_of(value).is_zero():

@@ -21,17 +21,25 @@ from algforge.algebroid import (
 from algforge.catalog import (
     builtin,
     builtin_names,
+    corpus_document,
     e0_complex_structure,
     e0_kernel_sections,
     e0prime_to_e0_images,
     make_tangent,
+    torsionfree_gamma,
 )
+from algforge.connection import EConnection, derive_bundle
+from algforge.dsl import document_algebroid
 from algforge.poly import Poly
+from algforge.sampling import Sampler
 
 E0 = builtin("E0")
 X1 = Poly.variable(2, 0)
 X2 = Poly.variable(2, 1)
 UNITS = [E0.unit_section(i) for i in range(4)]
+CORPUS = (
+    "E0", "E00", "E0_itemized", "E0doubleprime", "E0prime", "E0prime_lie", "derived_e0", "plane_forms", "tangent2",
+)
 
 
 def anchor_rank_at(algebroid, point) -> int:
@@ -89,6 +97,23 @@ def test_check_lie_reports_the_two_bad_triples():
     rep = E0.check_lie()
     assert not rep.is_lie
     assert sorted(t for t, _ in rep.failures) == [(0, 1, 2), (1, 2, 3)]
+
+
+def test_jacobiator_table_matches_the_nested_brackets():
+    # the closed form against [X,[Y,Z]] + cyclic through the Leibniz bracket:
+    # every corpus bundle (E0_itemized fails the anchor axioms), the rank-10
+    # derived bundle and E0 with seeded kernel-valued bracket modifications
+    bundles = [document_algebroid(corpus_document(name)) for name in CORPUS]
+    bundles.append(derive_bundle(EConnection(E0, torsionfree_gamma(E0))).derived)
+    sampler = Sampler(5)
+    kernel = list(e0_kernel_sections().values())
+    bundles += [E0.modify_bracket(sampler.kernel_modifier(E0, kernel, max_degree=2)) for _ in range(3)]
+    for a in bundles:
+        u = a.units
+        table = a.jacobiator_table
+        assert a.jacobiator_table is table
+        assert table == sweep(a.rank, 3, lambda i, j, k: a.jacobiator(u[i], u[j], u[k])), a.name
+    assert all(a.jacobiator_table for a in bundles[-3:])
 
 
 def test_sweep_keeps_the_nonzero_values_in_combinations_order():

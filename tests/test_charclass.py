@@ -2,6 +2,9 @@
 
 from itertools import combinations
 
+import pytest
+
+from algforge.algebroid import AlgebroidError
 from algforge.catalog import builtin, corpus_document, make_tangent, tangent_bundle, torsionfree_gamma
 from algforge.charclass import (
     FormMatrix,
@@ -58,6 +61,25 @@ def test_form_matrix_algebra():
     assert theta.wedge_mul(ident).degree == theta.degree + 0
     assert theta.wedge_power(0).entries[0][0] == Form.function(E0, 1)
     assert theta.wedge_power(2).degree == 2
+
+
+def test_form_matrix_sums_refuse_another_size_degree_or_algebroid():
+    derived = document_algebroid(corpus_document("derived_e0"))
+    for other in (
+        FormMatrix.identity(E0, 3),
+        FormMatrix.zero(E0, 2, 1),
+        FormMatrix.identity(derived, 2),
+        FormMatrix.identity(T2, 2),
+    ):
+        with pytest.raises(AlgebroidError, match="different sizes, degrees or algebroids"):
+            FormMatrix.identity(E0, 2) + other
+        with pytest.raises(AlgebroidError, match="different sizes, degrees or algebroids"):
+            FormMatrix.identity(E0, 2) - other
+    # with no entries only the shape can tell the degrees apart
+    with pytest.raises(AlgebroidError):
+        FormMatrix.zero(E0, 0, 1) + FormMatrix.zero(E0, 0, 2)
+    # the same generators and base built twice still combine
+    assert (FormMatrix.identity(E0, 2) - FormMatrix.identity(builtin("E0"), 2)).trace().is_zero()
 
 
 def test_connection_form_entries():

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from algforge.algebroid import AlgebroidError
+from algforge.algebroid import AlgebroidError, Section, sweep
 from algforge.catalog import builtin, e0_kernel_sections, make_tangent, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle, flat_connection, induced_connection
 from algforge.poly import Poly
@@ -84,17 +84,37 @@ def test_curvature_against_hand_values():
 
 
 def test_curvature_table_matches_pointwise_calls():
-    for conn in (TF, Sampler(3).connection(E0, max_degree=1), derive_bundle(TF).lifted):
-        a = conn.algebroid
+    # the closed-form table against R expanded through the Leibniz rule on unit
+    # sections: E0_itemized fails the anchor axioms, the induced connection has
+    # a rank-3 target, and the derived connections have rank 10
+    tangent = make_tangent(2)
+    to_rank3 = EConnection(
+        tangent,
+        {(0, 1): Section([X1 * X2, Poly.zero(2), X2]), (1, 2): Section([Poly.zero(2), X1 * X1, Poly.const(2, 3)])},
+        target_gens=("A", "B", "C"),
+    )
+    derived = derive_bundle(TF)
+    connections = (
+        TF,
+        Sampler(3).connection(E0, max_degree=1),
+        Sampler(4).connection(builtin("E0_itemized"), max_degree=2, density=0.5),
+        Sampler(5).connection(builtin("E0prime"), max_degree=2, density=0.5),
+        induced_connection(E0, to_rank3),
+        derived.lifted,
+        derived.plain_ext,
+    )
+    for conn in connections:
+        a, r = conn.algebroid, conn.target_rank
         units = [a.unit_section(i) for i in range(a.rank)]
+        targets = [Section([Poly.const(a.nvars, int(c == b)) for c in range(r)]) for b in range(r)]
         table = conn.curvature_table()
         assert conn.curvature_table() is table
         for (i, j, b), value in table.items():
             assert i < j
-            assert value == conn.curvature(units[i], units[j], units[b])
+            assert value == conn.curvature(units[i], units[j], targets[b])
             assert not value.is_zero()
-        for i, j, b in product(range(a.rank), repeat=3):
-            assert conn.curvature_gen(i, j, b) == conn.curvature(units[i], units[j], units[b]), (conn.name, i, j, b)
+        for i, j, b in product(range(a.rank), range(a.rank), range(r)):
+            assert conn.curvature_gen(i, j, b) == conn.curvature(units[i], units[j], targets[b]), (conn.name, i, j, b)
 
 
 def test_curvature_is_tensorial_in_the_directions():
@@ -103,12 +123,52 @@ def test_curvature_is_tensorial_in_the_directions():
     assert lhs == TF.curvature(UNITS[0], UNITS[2], UNITS[1]).scale(f)
 
 
+def reference_bianchi_defect(conn: EConnection, x: Section, y: Section, z: Section) -> Section:
+    """Cyclic curvature sum minus its torsion expansion, every term expanded
+    through the Leibniz rule on the given sections; identically zero.
+
+    LHS: sum_cyc R(X,Y)Z.  RHS: sum_cyc (nabla_X T)(Y,Z)
+         + sum_cyc T(T(X,Y),Z) + Jacobiator(X,Y,Z), where
+    (nabla_X T)(Y,Z) = nabla_X(T(Y,Z)) - T(nabla_X Y, Z) - T(Y, nabla_X Z).
+    """
+
+    def nabla_t(a: Section, b: Section, c: Section) -> Section:
+        return (
+            conn.covariant_derivative(a, conn.torsion(b, c))
+            - conn.torsion(conn.covariant_derivative(a, b), c)
+            - conn.torsion(b, conn.covariant_derivative(a, c))
+        )
+
+    lhs = conn.algebroid.zero_section()
+    rhs = conn.algebroid.jacobiator(x, y, z)
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        lhs = lhs + conn.curvature(a, b, c)
+        rhs = rhs + nabla_t(a, b, c) + conn.torsion(conn.torsion(a, b), c)
+    return lhs - rhs
+
+
 def test_bianchi_defect_vanishes_for_seeded_connections():
     sampler = Sampler(7)
     for _ in range(5):
         conn = sampler.connection(E0, max_degree=1)
         for i, j, k in combinations(range(4), 3):
-            assert conn.bianchi_defect(UNITS[i], UNITS[j], UNITS[k]).is_zero()
+            assert reference_bianchi_defect(conn, UNITS[i], UNITS[j], UNITS[k]).is_zero()
+        assert conn.bianchi_table() == {}
+
+
+@pytest.mark.parametrize("name", ["E0", "E0_itemized", "E0prime", "E0prime_lie"])
+def test_closed_form_torsion_and_bianchi_tables_match_the_leibniz_expansion(name):
+    # seeded degree-<=2 connections carry torsion, so every term of the
+    # identity is exercised, T(T(X,Y),Z) included
+    a = builtin(name)
+    u = a.units
+    sampler = Sampler(11)
+    for _ in range(3):
+        conn = sampler.connection(a, max_degree=2, density=0.5)
+        assert conn.torsion_table() == sweep(a.rank, 2, lambda i, j: conn.torsion(u[i], u[j]))
+        assert conn.torsion_table()
+        want = sweep(a.rank, 3, lambda i, j, k: reference_bianchi_defect(conn, u[i], u[j], u[k]))
+        assert conn.bianchi_table() == want
 
 
 def test_induced_connection_from_base_christoffels():

@@ -243,6 +243,18 @@ def test_sums_and_wedges_of_forms_on_different_bundles_are_refused():
         UNITS[0] + w(0)
 
 
+def test_forms_on_different_bundles_are_not_equal():
+    derived = document_algebroid(corpus_document("derived_e0"))
+    # E0's generators over R^3 instead of the plane
+    lifted = Algebroid(BaseSpace(("x1", "x2", "x3")), E0.gen_names, make_tangent(3).anchor[:1] * 4)
+    for other in (derived, lifted):
+        assert Form.dual(E0, 0) != Form.dual(other, 0)
+        assert Form.zero(E0, 1) != Form.zero(other, 1)
+    # the bundle is its generators and base, not the Python object
+    assert Form.dual(E0, 0) == Form.dual(builtin("E0"), 0)
+    assert Form.dual(E0, 0) != UNITS[0]
+
+
 # ---- oracle: the shared section arithmetic against the wedge ----
 #
 # A form's sums, negation and scale are the section arithmetic of
