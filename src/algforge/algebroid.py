@@ -27,8 +27,9 @@ Jacobiator on generator triples (``Algebroid.jacobiator_table``, built once
 per algebroid) is read off the structure table in closed form: along a unit
 direction [e_p, c_qr] = rho(e_p)(c_qr) + sum_c c^c_qr [e_p, e_c], one anchored
 derivative and one pair-table sum per rotation, all three added into one
-term dict; ``jacobiator`` on arbitrary sections stays the nested Leibniz
-bracket, and the tests check the table against it.
+term dict, and ``jacobiator_gen`` reads any ordered triple off it with the
+sign of the order.  ``jacobiator`` on arbitrary sections stays the nested
+Leibniz bracket, and the tests check the table against it.
 """
 
 from __future__ import annotations
@@ -491,6 +492,12 @@ class Algebroid:
 
         return sweep(self.rank, 3, value)
 
+    def jacobiator_gen(self, i: int, j: int, k: int) -> Section:
+        """The Jacobiator on any generator triple, read off ``jacobiator_table``:
+        it is alternating, so the sorted triple's value, negated for an odd order."""
+        value = self.jacobiator_table.get(tuple(sorted((i, j, k))), self.zero_section())
+        return -value if ((i > j) + (i > k) + (j > k)) % 2 else value
+
     def check_lie(self) -> LieReport:
         """Decide vanishing of the Jacobiator on all generator triples."""
         self.require_axioms()
@@ -936,7 +943,7 @@ def lie_infeasibility_certificate(
         if not algebroid.anchor_of(g).is_zero():
             raise AlgebroidError("kernel generators must be anchor-killed")
     a, e, (i, j, k) = algebroid, algebroid.units, triple
-    jac = a.jacobiator(e[i], e[j], e[k])
+    jac = a.jacobiator_gen(i, j, k)
     if jac.is_zero():
         return Certificate("trivially-feasible", triple, max_degree)
     jac_min = jac.min_degree()
@@ -944,7 +951,7 @@ def lie_infeasibility_certificate(
     zero = a.zero_section()
     # each rotation (u, v, w) of the triple as u, v, [u, v], w and rho(w)
     cyclic = [
-        (e[p], e[q], a.bracket(e[p], e[q]), e[r], a.anchor[r])
+        (e[p], e[q], a.bracket_gen(p, q), e[r], a.anchor[r])
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
     ]
     basis = [

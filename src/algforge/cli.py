@@ -119,9 +119,9 @@ def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise CliError(f"triple must be three comma-separated indices, got {text!r}")
     try:
-        idx = tuple(int(p) - 1 for p in parts)
-    except ValueError:
-        raise CliError(f"triple indices must be integers, got {text!r}") from None
+        idx = tuple(_non_negative(p.strip()) - 1 for p in parts)
+    except argparse.ArgumentTypeError:
+        raise CliError(f"triple indices must be positive integers, got {text!r}") from None
     if len(set(idx)) != 3 or not all(0 <= i < rank for i in idx):
         raise CliError(f"triple needs three distinct indices in 1..{rank}, got {text!r}")
     return idx  # type: ignore[return-value]
@@ -167,10 +167,9 @@ def cmd_jacobiator(args) -> Report:
         triples = list(combinations(range(a.rank), 3))
     else:
         triples = [_parse_triple(args.triples, a.rank)]
-    units = a.units
     anchored = True
     for i, j, k in triples:
-        value = a.jacobiator(units[i], units[j], units[k])
+        value = a.jacobiator_gen(i, j, k)
         label = f"({a.gen_names[i]},{a.gen_names[j]},{a.gen_names[k]})"
         witness = a.section_text(value)
         report.add(f"jacobiator:{label}", value.is_zero(), witness=witness)

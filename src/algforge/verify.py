@@ -330,7 +330,7 @@ def c14_d_squared(ctx: Context):
     units = e0.units
     # pairing convention: the cyclic sum starts with the bracket, i.e., sum
     # of [[a,b],c] over rotations = minus the Jacobiator
-    cyclic = {t: -e0.jacobiator(*(units[n] for n in t)) for t in combinations(range(4), 3)}
+    cyclic = {t: -e0.jacobiator_gen(*t) for t in combinations(range(4), 3)}
     for trial in range(20):
         omega = sampler.form(e0, 1, max_degree=2)
         dd = d_squared(omega)

@@ -1,5 +1,7 @@
 """The anchored-bundle engine on the rank-4 example and its relatives."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from algforge import catalog, linsolve
@@ -113,6 +115,11 @@ def test_jacobiator_table_matches_the_nested_brackets():
         table = a.jacobiator_table
         assert a.jacobiator_table is table
         assert table == sweep(a.rank, 3, lambda i, j, k: a.jacobiator(u[i], u[j], u[k])), a.name
+        # the signed read: every order of every triple, and a repeated index
+        for triple in combinations(range(a.rank), 3):
+            for t in permutations(triple):
+                assert a.jacobiator_gen(*t) == a.jacobiator(*(u[n] for n in t)), (a.name, t)
+        assert a.jacobiator_gen(1, 0, 1) == a.jacobiator(u[1], u[0], u[1]) == a.zero_section()
     assert all(a.jacobiator_table for a in bundles[-3:])
 
 

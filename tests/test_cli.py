@@ -169,6 +169,12 @@ def test_jacobiator_rejects_bad_triples(capsys):
     assert run(capsys, "jacobiator", "E0", "--triples", "1,2")[0] == 2
     assert run(capsys, "jacobiator", "E0", "--triples", "1,2,9")[0] == 2
     assert run(capsys, "jacobiator", "E0", "--triples", "1,1,2")[0] == 2
+    # indices follow the --max-degree rule, ASCII digits only: int() would
+    # read the Arabic-Indic one and 1_0, and let a sign through
+    for triple in ("\u0661,2,3", "1_0,2,3", "+1,2,3", "-1,2,3"):
+        for command in (("jacobiator", "E0", "--triples=" + triple), ("obstruction", "E0", "--triple=" + triple)):
+            error = f"error: triple indices must be positive integers, got {triple!r}\n"
+            assert run(capsys, *command) == (2, "", error)
 
 
 def test_connection_report(capsys):

@@ -123,3 +123,38 @@ def test_derived_gamma_tables_are_pinned(conn, half):
     doc = algebroid_to_document(d.derived, connections={"lifted": d.lifted, "plain": d.plain_ext})
     digest = hashlib.sha256(serialize(doc).encode()).hexdigest()
     assert digest == DERIVED_DOCUMENT_SHA256[conn.name, half]
+
+
+def reference_commutator(d, w: int, y: int, z: int):
+    """The D-commutator D_W D_Y Z − D_Y D_W Z − D_{D_W Y} Z + D_{D_Y W} Z on
+    unit sections, D the plain extension, every term a covariant derivative."""
+    nabla, u = d.plain_ext.covariant_derivative, d.derived.units
+    wu, yu, zu = u[w], u[y], u[z]
+    return (
+        nabla(wu, nabla(yu, zu))
+        - nabla(yu, nabla(wu, zu))
+        - nabla(nabla(wu, yu), zu)
+        + nabla(nabla(yu, wu), zu)
+    )
+
+
+@pytest.mark.parametrize("half", [True, False])
+@pytest.mark.parametrize("conn", [TF, PERTURBED], ids=["torsionfree", "perturbed"])
+def test_commutator_form_is_the_plain_extension_curvature(conn, half):
+    # items 2 and 4 compare the lifted curvature with the plain extension's
+    # table; on wedge directions that table is the D-commutator
+    d = derive_bundle(conn, include_half_correction=half)
+    m, total = d.m, d.derived.rank
+    for w in range(m, total):
+        for y in range(total):
+            for z in range(m):
+                assert d.plain_ext.curvature_gen(w, y, z) == reference_commutator(d, w, y, z), (w, y, z)
+
+
+def test_commutator_form_fails_when_the_lifted_connection_changes():
+    # one (wedge, E) gamma entry of the lifted connection moved off the plain one
+    d = derive_bundle(TF)
+    gamma = dict(d.lifted.gamma)
+    gamma[d.m, 0] = d.lifted.gamma_entry(d.m, 0) + d.derived.units[1]
+    items = verify_prhelp(d._replace(lifted=EConnection(d.derived, gamma, name="lifted"))).items
+    assert (len(items[1].failures), len(items[3].failures)) == (6, 8)
