@@ -393,6 +393,15 @@ class Algebroid:
         return table
 
     @cached_property
+    def coframe_d(self) -> dict[tuple[int, ...], tuple[list, list]]:
+        """The derivative of each coframe monomial θ^u, by index tuple u.
+
+        Filled by ``forms.differential``, one u on its first use, and kept:
+        an algebroid is not changed after construction.
+        """
+        return {}
+
+    @cached_property
     def units(self) -> tuple[Section, ...]:
         """The unit sections e_0 .. e_{m-1}, built on first use and shared: a section is never written."""
         return tuple(_section(self.rank, self.nvars, {(i, (0,) * self.nvars): 1}) for i in range(self.rank))

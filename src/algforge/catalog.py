@@ -37,7 +37,7 @@ def corpus_file(name: str):
 
 
 def corpus_document(name: str) -> Document:
-    """A fresh parse of the bundled document ``<name>.alg``."""
+    """The bundled document ``<name>.alg``, parsed once per process; the caller owns its lists and dicts."""
     return parse(corpus_file(name).read_text(encoding="utf-8"))
 
 

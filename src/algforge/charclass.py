@@ -71,11 +71,11 @@ class FormMatrix:
         )
 
     def _shape(self) -> tuple:
-        return self.size, self.degree, self.algebroid.gen_names, self.algebroid.nvars
+        return self.size, self.algebroid.gen_names, self.algebroid.nvars
 
     def _check_sum(self, other: FormMatrix) -> None:
         """Raise unless ``other`` has the same size and degree, on the same generators and base."""
-        if not isinstance(other, FormMatrix) or self._shape() != other._shape():
+        if not isinstance(other, FormMatrix) or (self._shape(), self.degree) != (other._shape(), other.degree):
             raise AlgebroidError("form matrices of different sizes, degrees or algebroids")
 
     def __add__(self, other: FormMatrix) -> FormMatrix:
@@ -95,6 +95,8 @@ class FormMatrix:
         )
 
     def wedge_mul(self, other: FormMatrix) -> FormMatrix:
+        if not isinstance(other, FormMatrix) or self._shape() != other._shape():
+            raise AlgebroidError("form matrices of different sizes or algebroids")
         degree = self.degree + other.degree
         out = []
         for row in self.entries:
@@ -169,10 +171,19 @@ def cartan_residual(conn: EConnection) -> FormMatrix:
 
 
 def char_form(conn: EConnection, k: int) -> Form:
-    """Trace of the k-th wedge power of the curvature matrix."""
+    """Trace of the k-th wedge power of the curvature matrix.
+
+    Only the diagonal of the last product is formed:
+    Tr R^k = Σ_{i,j} (R^{k−1})_ij ∧ R_ji.
+    """
     if k < 1:
         raise AlgebroidError("characteristic forms start at k = 1")
-    return curvature_matrix(conn).wedge_power(k).trace()
+    r = curvature_matrix(conn)
+    total: dict = {}
+    for i, row in enumerate(r.wedge_power(k - 1).entries):
+        for f, r_row in zip(row, r.entries):
+            _wedge_into(total, f.terms, r_row[i].terms)
+    return _form(conn.algebroid, 2 * k, _clean(total))
 
 
 def dR_identity_residual(conn: EConnection) -> FormMatrix:

@@ -16,7 +16,7 @@ Unspecified anchors, brackets, connection entries, and endomorphism images
 default to zero; explicit diagonal brackets must be zero.  `#` starts a
 comment.  Parsing elaborates straight into exact engine objects, so a parsed
 document is canonical: serialize() prints it back and parse(serialize(doc))
-is structurally equal to doc.
+is structurally equal to doc.  Each distinct text is parsed once per process.
 
 Every right-hand side is a sum of signed terms, and a term is a '*'-product
 of polynomial factors and basis elements; one loop, `_Parser.parse_terms`,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
@@ -670,8 +671,26 @@ class _Parser:
         return bundle, next(iter(live_degrees)), comps
 
 
-def parse(text: str) -> Document:
+@lru_cache(maxsize=64)
+def _parsed(text: str) -> Document:
+    """The parse of a text, kept per process; an error is raised again on every call, never kept."""
     return _Parser(text).parse_document()
+
+
+def _own(decl):
+    """A declaration with private copies of its dicts; the Poly and Section leaves are shared, never written."""
+    dicts = {field: dict(value) for field, value in zip(decl._fields, decl) if type(value) is dict}
+    return decl._replace(**dicts) if dicts else decl
+
+
+def parse(text: str) -> Document:
+    """The document a text declares, parsed once per distinct text.
+
+    Each call hands out its own lists and declaration dicts, so a caller
+    may change what it got without touching the next caller's document.
+    """
+    doc = _parsed(text)
+    return Document(doc.base_vars, *([_own(decl) for decl in decls] for decls in doc[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ through ``_form``.
 The differential is the derivation fixed by two rules:
 df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor images, and
 dθ^c = −Σ_{i<j} c^c_ij θ^i∧θ^j on dual generators, read from the structure
-table.  When the bracket fails the Jacobi identity the square of d is not
-zero; its failure on dual generators spans an exterior ideal, and the
-interesting closedness questions are posed modulo that ideal.
+table.  It reads both off a per-algebroid table kept on
+``Algebroid.coframe_d``: for each index tuple u, built on first use, the
+anchor moves onto θ^b∧θ^u and dθ^u as one term dict.  When the bracket fails
+the Jacobi identity the square of d is not zero; its failure on dual
+generators spans an exterior ideal, and the interesting closedness questions
+are posed modulo that ideal.
 
 Membership in the ideal is decided two ways.  When every ideal generator is a
 single monomial on a single index tuple — as happens for the rank-4 flagship
@@ -27,20 +30,24 @@ refutation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _add_shifted, _clean, _Terms, apply_row
+from .algebroid import Algebroid, AlgebroidError, Section, _clean, _Terms, apply_row
 from .poly import Poly, _trusted
 
 
+@cache
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]):
     """Sign and result of sorting the concatenation of two sorted tuples.
 
-    Returns (0, None) when the tuples share an index.
+    Returns (0, None) when the tuples share an index.  Kept per pair of
+    tuples: the wedge and the differential's table merge the same few pairs
+    over and over.
     """
     out = []
     i = j = 0
@@ -197,13 +204,9 @@ def _form(algebroid: Algebroid, degree: int, terms: dict) -> Form:
 
 def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
     """Add the wedge product of two forms' term dicts into ``out``, unfinished."""
-    signs: dict = {}  # one merge per pair of index tuples, not per pair of terms
     for (s, ea), a in alpha.items():
         for (t, eb), b in beta.items():
-            found = signs.get((s, t))
-            if found is None:
-                found = signs[s, t] = _merge_sign(s, t)
-            sign, key = found
+            sign, key = _merge_sign(s, t)
             if sign:
                 key = (key, tuple(map(add, ea, eb)))
                 out[key] = out.get(key, 0) + (a * b if sign > 0 else -(a * b))
@@ -215,41 +218,63 @@ def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _coframe_d(a: Algebroid, u: tuple[int, ...]) -> tuple[list, list]:
+    """The derivative of the coframe monomial θ^u, read from ``a.coframe_d``.
+
+    Two parts, built on the first use of u and kept: the anchor moves
+    (ρ(e_b), sign, key) that carry df ∧ θ^u onto θ^key = ±θ^b ∧ θ^u, and the
+    terms ((key, exponents), coefficient) of
+    dθ^u = Σ_t (−1)^t θ^{u_0} ∧ … ∧ dθ^{u_t} ∧ … ∧ θ^{u_{k−1}}.
+    """
+    found = a.coframe_d.get(u)
+    if found is None:
+        moves = []
+        for b, rho in enumerate(a.anchor):
+            if rho.terms:
+                sign, key = _merge_sign((b,), u)
+                if sign:
+                    moves.append((rho, sign, key))
+        dtheta: dict = {}
+        for t, c in enumerate(u):
+            rest = u[:t] + u[t + 1 :]
+            for pair, terms in a.structure_by_target.get(c, {}).items():
+                sign, key = _merge_sign(pair, rest)
+                if sign:
+                    # dθ^c has even degree, so it moves to the front unsigned:
+                    # the term is (−1)^(t+1) c^c_ij on θ^i ∧ θ^j ∧ θ^rest
+                    weight = sign if t % 2 else -sign
+                    for exps, v in terms.items():
+                        dtheta[key, exps] = dtheta.get((key, exps), 0) + weight * v
+        found = a.coframe_d[u] = moves, list(_clean(dtheta).items())
+    return found
+
+
 def differential(omega: Form) -> Form:
     """The derivation of degree one fixed by df and dθ^c.
 
-    d(f θ^u) = df ∧ θ^u + f Σ_t (−1)^t θ^{u_0} ∧ … ∧ dθ^{u_t} ∧ … ∧ θ^{u_{k−1}}
-    with df = Σ_b ρ(e_b)(f) θ^b and dθ^c = −Σ_{i<j} c^c_ij θ^i ∧ θ^j, where
-    [e_i, e_j] = Σ_c c^c_ij e_c, summed over the components of ω only.  For
-    any anchored skew bracket with the Leibniz rule, Jacobi or not, it equals
-    the alternating Cartan sum on generator tuples.  Components come out in
-    index order, the order in which the d²-ideal's monomial division names
-    the first component it cannot divide.
+    d(f θ^u) = df ∧ θ^u + f dθ^u with df = Σ_b ρ(e_b)(f) θ^b and
+    dθ^c = −Σ_{i<j} c^c_ij θ^i ∧ θ^j, where [e_i, e_j] = Σ_c c^c_ij e_c,
+    summed over the components of ω only; the two parts of each θ^u come
+    from ``_coframe_d``.  For any anchored skew bracket with the Leibniz
+    rule, Jacobi or not, it equals the alternating Cartan sum on generator
+    tuples.  Components come out in index order, the order in which the
+    d²-ideal's monomial division names the first component it cannot divide.
     """
     a = omega.algebroid
     if not omega.terms:
         return _form(a, omega.degree + 1, {})
-    dtheta = a.structure_by_target  # dθ^c = −Σ_{i<j} c^c_ij θ^i ∧ θ^j
     by_key: dict = {}
     for (u, exps), c in omega.terms.items():
         by_key.setdefault(u, []).append((exps, c))
     out: dict = {}
     for u, f in by_key.items():
-        for b, rho in enumerate(a.anchor):
-            if rho.terms:
-                sign, key = _merge_sign((b,), u)
-                if sign:
-                    apply_row(out, rho, (((key, exps), c) for exps, c in f), sign)
-        for t, c in enumerate(u):
-            rest = u[:t] + u[t + 1 :]
-            for pair, terms in dtheta.get(c, {}).items():
-                sign, key = _merge_sign(pair, rest)
-                if sign:
-                    # dθ^c has even degree, so it moves to the front unsigned:
-                    # the term is (−1)^(t+1) f c^c_ij on θ^i ∧ θ^j ∧ θ^rest
-                    weight = sign if t % 2 else -sign
-                    for exps, fc in f:
-                        _add_shifted(out, key, exps, weight * fc, terms.items())
+        moves, dtheta = _coframe_d(a, u)
+        for rho, sign, key in moves:
+            apply_row(out, rho, (((key, exps), c) for exps, c in f), sign)
+        for exps, fc in f:
+            for (key, e), v in dtheta:
+                k = (key, tuple(map(add, exps, e)))
+                out[k] = out.get(k, 0) + fc * v
     return _form(a, omega.degree + 1, _clean(dict(sorted(out.items()))))
 
 

@@ -22,7 +22,7 @@ from .algebroid import (
     nijenhuis_table,
     subalgebroid_restrict,
 )
-from .catalog import builtin, corpus_document, corpus_file, e0prime_to_e0_images, make_tangent
+from .catalog import builtin, corpus_document, corpus_file, e0_kernel_sections, e0prime_to_e0_images, make_tangent
 from .charclass import (
     cartan_residual,
     char_form,
@@ -51,26 +51,18 @@ class Context(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _e0_document():
-    """E0.alg, parsed once: E0, its kernel sections, the torsion-free
-    connection and J0 are all read from it.  Criteria only read it."""
-    return corpus_document("E0")
-
-
-@lru_cache(maxsize=None)
 def _e0():
-    return document_algebroid(_e0_document())
+    return document_algebroid(corpus_document("E0"))
 
 
 @lru_cache(maxsize=None)
 def _kernel():
-    doc = _e0_document()
-    return {name: doc.section(name).value for name in ("Xs1", "Xs2")}
+    return e0_kernel_sections()
 
 
 @lru_cache(maxsize=None)
 def _torsionfree():
-    return document_connection(_e0_document(), _e0(), "torsionfree")
+    return document_connection(corpus_document("E0"), _e0(), "torsionfree")
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +304,7 @@ def c12_courant_instance(ctx: Context):
 
 def c13_complex_structure(ctx: Context):
     e0 = _e0()
-    j0 = document_endo(_e0_document(), e0, "J0")
+    j0 = document_endo(corpus_document("E0"), e0, "J0")
     if not j0.is_almost_complex():
         return False, "matrix square is not minus the identity"
     for (i, j), value in nijenhuis_table(e0, j0).items():

@@ -13,6 +13,7 @@ from algforge.charclass import (
     connection_forms,
     curvature_matrix,
     dR_identity_residual,
+    product_algebroid,
     pullback_consistency,
     transgression_check,
 )
@@ -54,6 +55,21 @@ def w(*idx):
     return out
 
 
+def reference_char_form(conn, k):
+    """Tr R^k read off the whole k-th power: the reference for ``char_form``'s diagonal sum."""
+    return curvature_matrix(conn).wedge_power(k).trace()
+
+
+def mutated_char_form(conn, k):
+    """Σ_{i,j} (R^{k−1})_ij ∧ R_ij: the diagonal sum with the last factor's indices left unswapped."""
+    r = curvature_matrix(conn)
+    total = Form.zero(conn.algebroid, 2 * k)
+    for row, r_row in zip(r.wedge_power(k - 1).entries, r.entries):
+        for f, g in zip(row, r_row):
+            total = total + f.wedge(g)
+    return total
+
+
 def test_form_matrix_algebra():
     ident = FormMatrix.identity(E0, 4)
     theta = connection_forms(TF)
@@ -80,6 +96,18 @@ def test_form_matrix_sums_refuse_another_size_degree_or_algebroid():
         FormMatrix.zero(E0, 0, 1) + FormMatrix.zero(E0, 0, 2)
     # the same generators and base built twice still combine
     assert (FormMatrix.identity(E0, 2) - FormMatrix.identity(builtin("E0"), 2)).trace().is_zero()
+
+
+def test_form_matrix_products_refuse_another_size_or_algebroid():
+    for other in (
+        FormMatrix.identity(E0, 3),
+        FormMatrix.identity(product_algebroid(E0).extended, 2),
+        FormMatrix.identity(T2, 2),
+    ):
+        with pytest.raises(AlgebroidError, match="different sizes or algebroids"):
+            FormMatrix.identity(E0, 2).wedge_mul(other)
+    # degrees add, and the same generators and base built twice still multiply
+    assert FormMatrix.identity(E0, 2).wedge_mul(FormMatrix.zero(builtin("E0"), 2, 1)).degree == 1
 
 
 def test_connection_form_entries():
@@ -115,6 +143,16 @@ def test_first_trace_form_frozen_value():
 def test_second_trace_form_frozen_value():
     tr2 = char_form(TF, 2)
     assert tr2 == w(0, 1, 2, 3).scale(16 * X1 * X1 * X2 * X2)
+
+
+def test_char_form_is_the_trace_of_the_whole_power():
+    sampler = Sampler(5)
+    seeded = [sampler.connection(E0, max_degree=1) for _ in range(4)]
+    for conn in [TF, FLAT] + seeded:
+        for k in (1, 2, 3):
+            assert char_form(conn, k) == reference_char_form(conn, k)
+    # the reference tells the index order of the last factor apart
+    assert any(mutated_char_form(conn, 2) != reference_char_form(conn, 2) for conn in seeded)
 
 
 def test_trace_forms_of_flat_connection_vanish():

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from algforge.algebroid import Algebroid, Section
-from algforge.catalog import builtin, torsionfree_gamma
+from algforge.catalog import builtin, e0_kernel_sections, torsionfree_gamma
 from algforge.charclass import product_algebroid
 from algforge.connection import EConnection, derive_bundle
 from algforge.forms import Form, differential
@@ -90,3 +90,19 @@ def test_differential_matches_the_cartan_sum(name):
     assert any(not differential(omega).is_zero() for omega in checked)
     for omega in checked:
         assert differential(omega) == oracle_differential(omega)
+
+
+def test_bundles_built_from_e0_keep_their_own_coframe_table():
+    e0 = builtin("E0")
+    for omega in forms(e0, seed=1, sampled=2):
+        differential(omega)
+    assert e0.coframe_d
+    kernel = list(e0_kernel_sections().values())
+    modified = e0.modify_bracket(Sampler(2).kernel_modifier(e0, kernel, max_degree=2))
+    assert modified.structure != e0.structure
+    derived = derive_bundle(EConnection(e0, torsionfree_gamma(e0))).derived
+    for a in (modified, derived):
+        checked = forms(a, seed=3, sampled=2)
+        assert any(not differential(omega).is_zero() for omega in checked)
+        for omega in checked:
+            assert differential(omega) == oracle_differential(omega)

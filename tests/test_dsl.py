@@ -16,6 +16,7 @@ from algforge.dsl import (
     EndoDecl,
     FormDecl,
     SectionDecl,
+    _Parser,
     algebroid_to_document,
     document_algebroid,
     document_connection,
@@ -127,106 +128,135 @@ TWO_BUNDLES = "base 2 (x, y)\nbundle E rank 2 gens (A, B)\nbundle F rank 1 gens 
 KEYWORDS = "anchor, base, bracket, bundle, cometric, connection, endo, form, section"
 
 
+T = TWO_BUNDLES
+NO_FIELD = "term has no coordinate field d1..d2; only the literal 0 may stand alone"
+NO_GEN = "term has no generator; only the literal 0 may stand alone"
+# (text, (kind, line, col, message)) of the error each text raises
+ERROR_CASES = [
+    ("base 2 (x, y)\nbundle E rank 3 gens (A, B)\n",
+     ("semantic", 2, 1, "bundle declares rank 3 but lists 2 generators")),
+    ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nanchor A -> z*d1\n",
+     ("semantic", 3, 13, "expected a coordinate field d1..d2 or polynomial, found 'z'")),
+    ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nbracket [A, C] = 0\n",
+     ("semantic", 3, 13, "undeclared generator 'C'")),
+    ("base 2 (x, y)\nbundle E rank 2 gens (A, x)\n",
+     ("semantic", 2, 26, "name 'x' already names a base variable")),
+    ("base 2 (x, y)\nform junk = w(A)\n", ("semantic", 2, 15, "undeclared generator 'A'")),
+    ("base 2 (x y)\n", ("syntax", 1, 11, "expected ')', found 'y'")),
+    ("bundle E rank 2 gens (A, B)\n", ("semantic", 1, 1, "a base statement must come first")),
+    ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nform f = w(A) + w(A)^w(B)\n",
+     ("semantic", 3, 6, "form mixes components of different degrees")),
+    ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nsection s = A^-1\n",
+     ("syntax", 3, 14, f"expected a statement keyword ({KEYWORDS}), found '^'")),
+    ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> (x+1)^99999*d1\n",
+     ("semantic", 3, 19, "exponent 99999 would exceed the degree cap of 64")),
+    ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> x^99999999*d1\n",
+     ("semantic", 3, 15, "exponent 99999999 would exceed the degree cap of 64")),
+    ("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^40*y^40*d1\n",
+     ("semantic", 3, 18, "product of degree 80 exceeds the degree cap of 64")),
+    ("base 1 (x1)\nbundle E rank 1 gens (e)\nanchor e -> x1^²*d1\n",
+     ("syntax", 3, 16, "unexpected character '²'")),
+    ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> " + "9" * 5000 + "*x*d1\n",
+     ("semantic", 3, 13, "integer literal of 5000 digits is too long")),
+    # anchors
+    (T + "anchor A -> x*B\n", ("semantic", 4, 15, "'B' is not a coordinate field of this 2-variable base")),
+    (T + "anchor A -> d3\n", ("semantic", 4, 13, "'d3' is not a coordinate field of this 2-variable base")),
+    (T + "anchor A -> d1*d2\n", ("semantic", 4, 16, "term names two basis elements")),
+    (T + "anchor A -> x + d1\n", ("semantic", 4, 15, NO_FIELD)),
+    (T + "anchor A -> d1\nanchor A -> d2\n", ("semantic", 5, 8, "anchor of 'A' declared twice")),
+    (T + "anchor A -> (z + 1)*d1\n", ("semantic", 4, 14, "unknown variable 'z'")),
+    (T + "anchor A -> 1/0*d1\n", ("semantic", 4, 13, "zero denominator")),
+    (T + "anchor A -> (x +)*d1\n", ("syntax", 4, 17, "expected a polynomial, found ')'")),
+    (T + "anchor A -> x^y*d1\n", ("syntax", 4, 15, "expected integer, found 'y'")),
+    (T + "anchor A ->", ("syntax", 4, 12, "expected a coordinate field d1..d2 or polynomial, found ''")),
+    (T + "anchor A -> d1*", ("syntax", 4, 16, "expected a coordinate field d1..d2 or polynomial, found ''")),
+    (T + "anchor A -> d1 +", ("syntax", 4, 17, "expected a coordinate field d1..d2 or polynomial, found ''")),
+    # brackets
+    (T + "bracket [A, B] = C\n", ("semantic", 4, 18, "'C' is not a generator of bundle 'E'")),
+    (T + "bracket [A, C] = 0\n", ("semantic", 4, 10, "bracket entries must come from one bundle")),
+    (T + "bracket [A, A] = B\n", ("semantic", 4, 10, "diagonal bracket must be zero")),
+    (T + "bracket [A, B] = A\nbracket [B, A] = B\n", ("semantic", 5, 10, "bracket [B, A] declared twice")),
+    (T + "bracket [A, B] = x*A*B\n", ("semantic", 4, 22, "term names two basis elements")),
+    (T + "bracket [A, B] = 2\n", ("semantic", 5, 1, NO_GEN)),
+    (T + "bracket [A, B] =", ("syntax", 4, 17, "expected a generator or polynomial, found ''")),
+    # sections
+    (T + "section s = 0\n", ("semantic", 4, 9, "section expression names no generator")),
+    (T + "section s = A + C\n", ("semantic", 4, 17, "section mixes generators of different bundles")),
+    (T + "section s = Z\n", ("semantic", 4, 13, "expected a generator or polynomial, found 'Z'")),
+    (T + "section s = d1\n", ("semantic", 4, 13, "undeclared generator 'd1'")),
+    (T + "section s = A*B\n", ("semantic", 4, 15, "term names two basis elements")),
+    (T + "section s = x - A\n", ("semantic", 4, 15, NO_GEN)),
+    (T + "section s = x^40*y^40*A\n", ("semantic", 4, 18, "product of degree 80 exceeds the degree cap of 64")),
+    (T + "section s =", ("syntax", 4, 12, "expected a generator or polynomial, found ''")),
+    (T + "section s = A*", ("syntax", 4, 15, "expected a generator or polynomial, found ''")),
+    (T + "section s = A*-x\n", ("syntax", 4, 15, "expected a generator or polynomial, found '-'")),
+    (T + "section s =\nsection t = A\n", ("syntax", 5, 1, "expected a generator or polynomial, found 'section'")),
+    # connections
+    (T + "connection c on G { }\n", ("semantic", 4, 17, "undeclared bundle 'G'")),
+    (T + "connection c on E { A B -> C }\n", ("semantic", 4, 28, "'C' is not a generator of bundle 'E'")),
+    (T + "connection c on E { A C -> A }\n",
+     ("semantic", 4, 21, "connection entries must use the bundle's generators")),
+    (T + "connection c on E { default 1 }\n", ("semantic", 4, 29, "only 'default 0' is supported")),
+    (T + "connection c on E { A B -> A  A B -> B }\n",
+     ("semantic", 4, 31, "connection entry A B declared twice")),
+    (T + "connection c on E { A B -> x }\n", ("semantic", 4, 30, NO_GEN)),
+    # endomorphisms
+    (T + "endo J { A -> B  C -> C }\n", ("semantic", 4, 18, "endomorphism entries must use one bundle")),
+    (T + "endo J { }\n", ("semantic", 4, 10, "endomorphism needs at least one image")),
+    (T + "endo J { A -> B  A -> A }\n", ("semantic", 4, 18, "image of 'A' declared twice")),
+    (T + "endo J { A -> C }\n", ("semantic", 4, 15, "'C' is not a generator of bundle 'E'")),
+    # forms
+    (T + "form f = w(A)^x\n", ("syntax", 4, 15, "expected 'w', found 'x'")),
+    (T + "form f = w(1)\n", ("syntax", 4, 12, "expected generator name, found '1'")),
+    (T + "form f = w(A) + w(C)\n", ("semantic", 4, 19, "form mixes generators of different bundles")),
+    (T + "form f = w(A B)\n", ("syntax", 4, 14, "expected ')', found 'B'")),
+    (T + "form f = x*A\n", ("semantic", 4, 12, "expected a generator dual or polynomial, found 'A'")),
+    (T + "form f =", ("syntax", 4, 9, "expected a generator dual or polynomial, found ''")),
+    (T + "form f = -", ("syntax", 4, 11, "expected a generator dual or polynomial, found ''")),
+    (T + "form f = 2*", ("syntax", 4, 12, "expected a generator dual or polynomial, found ''")),
+    (T + "form f = w(A)*", ("syntax", 4, 15, "expected a generator dual or polynomial, found ''")),
+    (T + "form f =\nform g = 1\n", ("syntax", 5, 1, "expected a generator dual or polynomial, found 'form'")),
+    (T + "form f = x^40*y^40*w(A)\n", ("semantic", 4, 15, "product of degree 80 exceeds the degree cap of 64")),
+    ("base 1 (x)\nform f = 1\n", ("semantic", 2, 6, "a scalar form needs a bundle to live on; declare one first")),
+    (T + "form f on G = 1\n", ("semantic", 4, 11, "undeclared bundle 'G'")),
+    (T + "form f on F = w(A)\n", ("semantic", 4, 17, "'A' is not a generator of bundle 'F'")),
+    # cometrics
+    (T + "cometric G = [[1, 0], [0]]\n", ("semantic", 4, 26, "cometric matrix must be square")),
+]
+
+
 def test_error_kinds_and_positions():
-    T = TWO_BUNDLES
-    no_field = "term has no coordinate field d1..d2; only the literal 0 may stand alone"
-    no_gen = "term has no generator; only the literal 0 may stand alone"
-    cases = [
-        ("base 2 (x, y)\nbundle E rank 3 gens (A, B)\n",
-         ("semantic", 2, 1, "bundle declares rank 3 but lists 2 generators")),
-        ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nanchor A -> z*d1\n",
-         ("semantic", 3, 13, "expected a coordinate field d1..d2 or polynomial, found 'z'")),
-        ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nbracket [A, C] = 0\n",
-         ("semantic", 3, 13, "undeclared generator 'C'")),
-        ("base 2 (x, y)\nbundle E rank 2 gens (A, x)\n",
-         ("semantic", 2, 26, "name 'x' already names a base variable")),
-        ("base 2 (x, y)\nform junk = w(A)\n", ("semantic", 2, 15, "undeclared generator 'A'")),
-        ("base 2 (x y)\n", ("syntax", 1, 11, "expected ')', found 'y'")),
-        ("bundle E rank 2 gens (A, B)\n", ("semantic", 1, 1, "a base statement must come first")),
-        ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nform f = w(A) + w(A)^w(B)\n",
-         ("semantic", 3, 6, "form mixes components of different degrees")),
-        ("base 2 (x, y)\nbundle E rank 2 gens (A, B)\nsection s = A^-1\n",
-         ("syntax", 3, 14, f"expected a statement keyword ({KEYWORDS}), found '^'")),
-        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> (x+1)^99999*d1\n",
-         ("semantic", 3, 19, "exponent 99999 would exceed the degree cap of 64")),
-        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> x^99999999*d1\n",
-         ("semantic", 3, 15, "exponent 99999999 would exceed the degree cap of 64")),
-        ("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^40*y^40*d1\n",
-         ("semantic", 3, 18, "product of degree 80 exceeds the degree cap of 64")),
-        ("base 1 (x1)\nbundle E rank 1 gens (e)\nanchor e -> x1^²*d1\n",
-         ("syntax", 3, 16, "unexpected character '²'")),
-        ("base 1 (x)\nbundle E rank 1 gens (e)\nanchor e -> " + "9" * 5000 + "*x*d1\n",
-         ("semantic", 3, 13, "integer literal of 5000 digits is too long")),
-        # anchors
-        (T + "anchor A -> x*B\n", ("semantic", 4, 15, "'B' is not a coordinate field of this 2-variable base")),
-        (T + "anchor A -> d3\n", ("semantic", 4, 13, "'d3' is not a coordinate field of this 2-variable base")),
-        (T + "anchor A -> d1*d2\n", ("semantic", 4, 16, "term names two basis elements")),
-        (T + "anchor A -> x + d1\n", ("semantic", 4, 15, no_field)),
-        (T + "anchor A -> d1\nanchor A -> d2\n", ("semantic", 5, 8, "anchor of 'A' declared twice")),
-        (T + "anchor A -> (z + 1)*d1\n", ("semantic", 4, 14, "unknown variable 'z'")),
-        (T + "anchor A -> 1/0*d1\n", ("semantic", 4, 13, "zero denominator")),
-        (T + "anchor A -> (x +)*d1\n", ("syntax", 4, 17, "expected a polynomial, found ')'")),
-        (T + "anchor A -> x^y*d1\n", ("syntax", 4, 15, "expected integer, found 'y'")),
-        (T + "anchor A ->", ("syntax", 4, 12, "expected a coordinate field d1..d2 or polynomial, found ''")),
-        (T + "anchor A -> d1*", ("syntax", 4, 16, "expected a coordinate field d1..d2 or polynomial, found ''")),
-        (T + "anchor A -> d1 +", ("syntax", 4, 17, "expected a coordinate field d1..d2 or polynomial, found ''")),
-        # brackets
-        (T + "bracket [A, B] = C\n", ("semantic", 4, 18, "'C' is not a generator of bundle 'E'")),
-        (T + "bracket [A, C] = 0\n", ("semantic", 4, 10, "bracket entries must come from one bundle")),
-        (T + "bracket [A, A] = B\n", ("semantic", 4, 10, "diagonal bracket must be zero")),
-        (T + "bracket [A, B] = A\nbracket [B, A] = B\n", ("semantic", 5, 10, "bracket [B, A] declared twice")),
-        (T + "bracket [A, B] = x*A*B\n", ("semantic", 4, 22, "term names two basis elements")),
-        (T + "bracket [A, B] = 2\n", ("semantic", 5, 1, no_gen)),
-        (T + "bracket [A, B] =", ("syntax", 4, 17, "expected a generator or polynomial, found ''")),
-        # sections
-        (T + "section s = 0\n", ("semantic", 4, 9, "section expression names no generator")),
-        (T + "section s = A + C\n", ("semantic", 4, 17, "section mixes generators of different bundles")),
-        (T + "section s = Z\n", ("semantic", 4, 13, "expected a generator or polynomial, found 'Z'")),
-        (T + "section s = d1\n", ("semantic", 4, 13, "undeclared generator 'd1'")),
-        (T + "section s = A*B\n", ("semantic", 4, 15, "term names two basis elements")),
-        (T + "section s = x - A\n", ("semantic", 4, 15, no_gen)),
-        (T + "section s = x^40*y^40*A\n", ("semantic", 4, 18, "product of degree 80 exceeds the degree cap of 64")),
-        (T + "section s =", ("syntax", 4, 12, "expected a generator or polynomial, found ''")),
-        (T + "section s = A*", ("syntax", 4, 15, "expected a generator or polynomial, found ''")),
-        (T + "section s = A*-x\n", ("syntax", 4, 15, "expected a generator or polynomial, found '-'")),
-        (T + "section s =\nsection t = A\n", ("syntax", 5, 1, "expected a generator or polynomial, found 'section'")),
-        # connections
-        (T + "connection c on G { }\n", ("semantic", 4, 17, "undeclared bundle 'G'")),
-        (T + "connection c on E { A B -> C }\n", ("semantic", 4, 28, "'C' is not a generator of bundle 'E'")),
-        (T + "connection c on E { A C -> A }\n",
-         ("semantic", 4, 21, "connection entries must use the bundle's generators")),
-        (T + "connection c on E { default 1 }\n", ("semantic", 4, 29, "only 'default 0' is supported")),
-        (T + "connection c on E { A B -> A  A B -> B }\n",
-         ("semantic", 4, 31, "connection entry A B declared twice")),
-        (T + "connection c on E { A B -> x }\n", ("semantic", 4, 30, no_gen)),
-        # endomorphisms
-        (T + "endo J { A -> B  C -> C }\n", ("semantic", 4, 18, "endomorphism entries must use one bundle")),
-        (T + "endo J { }\n", ("semantic", 4, 10, "endomorphism needs at least one image")),
-        (T + "endo J { A -> B  A -> A }\n", ("semantic", 4, 18, "image of 'A' declared twice")),
-        (T + "endo J { A -> C }\n", ("semantic", 4, 15, "'C' is not a generator of bundle 'E'")),
-        # forms
-        (T + "form f = w(A)^x\n", ("syntax", 4, 15, "expected 'w', found 'x'")),
-        (T + "form f = w(1)\n", ("syntax", 4, 12, "expected generator name, found '1'")),
-        (T + "form f = w(A) + w(C)\n", ("semantic", 4, 19, "form mixes generators of different bundles")),
-        (T + "form f = w(A B)\n", ("syntax", 4, 14, "expected ')', found 'B'")),
-        (T + "form f = x*A\n", ("semantic", 4, 12, "expected a generator dual or polynomial, found 'A'")),
-        (T + "form f =", ("syntax", 4, 9, "expected a generator dual or polynomial, found ''")),
-        (T + "form f = -", ("syntax", 4, 11, "expected a generator dual or polynomial, found ''")),
-        (T + "form f = 2*", ("syntax", 4, 12, "expected a generator dual or polynomial, found ''")),
-        (T + "form f = w(A)*", ("syntax", 4, 15, "expected a generator dual or polynomial, found ''")),
-        (T + "form f =\nform g = 1\n", ("syntax", 5, 1, "expected a generator dual or polynomial, found 'form'")),
-        (T + "form f = x^40*y^40*w(A)\n", ("semantic", 4, 15, "product of degree 80 exceeds the degree cap of 64")),
-        ("base 1 (x)\nform f = 1\n", ("semantic", 2, 6, "a scalar form needs a bundle to live on; declare one first")),
-        (T + "form f on G = 1\n", ("semantic", 4, 11, "undeclared bundle 'G'")),
-        (T + "form f on F = w(A)\n", ("semantic", 4, 17, "'A' is not a generator of bundle 'F'")),
-        # cometrics
-        (T + "cometric G = [[1, 0], [0]]\n", ("semantic", 4, 26, "cometric matrix must be square")),
-    ]
-    for text, want in cases:
+    for text, want in ERROR_CASES:
         with pytest.raises(DslError) as exc:
             parse(text)
         err = exc.value
         assert (err.kind, err.line, err.col, err.message) == want, text
+
+
+def test_an_invalid_text_raises_its_positioned_error_on_every_parse():
+    # errors are never kept: each parse of the text raises the row's error anew
+    for text, want in ERROR_CASES:
+        for _ in range(2):
+            with pytest.raises(DslError) as exc:
+                parse(text)
+            err = exc.value
+            assert (err.kind, err.line, err.col, err.message) == want, text
+
+
+def test_each_parse_hands_out_its_own_document():
+    text = corpus_text("E0.alg")
+    reference = _Parser(text).parse_document()
+    doc = parse(text)
+    assert doc == reference
+    # write to every list and every kind of declaration dict of the handed-out document
+    doc.bundle().brackets[(0, 3)] = doc.section("Xs1").value
+    doc.connection("torsionfree").gamma.clear()
+    doc.form("omega21").comps[(1, 0)] = Poly.const(2, 1)
+    doc.forms.append(FormDecl("f", "E0", 0, {(): Poly.variable(2, 0)}))
+    doc.sections.clear()
+    again = parse(text)
+    assert again == reference
+    assert again.bundle().brackets is not doc.bundle().brackets
 
 
 def test_a_product_of_duals_is_their_wedge():

@@ -39,6 +39,13 @@ def test_verify_paper_json_bytes(capsys):
     assert capsys.readouterr().out == golden("verify_paper_seed0.json")
 
 
+def test_verify_paper_json_bytes_twice_in_one_process(capsys):
+    # the second run reads every per-process table and parse the first one kept
+    for _ in range(2):
+        assert cli.main(["verify-paper", "--seed", "0", "--json"]) == 0
+        assert capsys.readouterr().out == golden("verify_paper_seed0.json")
+
+
 @pytest.mark.parametrize("document", sorted(DOCUMENTS))
 def test_check_json_bytes(capsys, document):
     assert cli.main(["check", document, "--json"]) == DOCUMENTS[document][0]
