@@ -23,13 +23,14 @@ on generator pairs, which is what check_axioms sweeps.  Vanishing of the
 Jacobiator (the Lie condition) is likewise tensorial once the axioms hold,
 so check_lie sweeps generator triples only.  Every such check reads its
 values off one ``sweep`` over the increasing generator tuples.  The
-Jacobiator on generator triples (``Algebroid.jacobiator_table``, built once
-per algebroid) is read off the structure table in closed form: along a unit
-direction [e_p, c_qr] = rho(e_p)(c_qr) + sum_c c^c_qr [e_p, e_c], one anchored
+Jacobiator on a generator triple (``Algebroid.jacobiator_gen``) is read off
+the structure table in closed form: along a unit direction
+[e_p, c_qr] = rho(e_p)(c_qr) + sum_c c^c_qr [e_p, e_c], one anchored
 derivative and one pair-table sum per rotation, all three added into one
-term dict, and ``jacobiator_gen`` reads any ordered triple off it with the
-sign of the order.  ``jacobiator`` on arbitrary sections stays the nested
-Leibniz bracket, and the tests check the table against it.
+term dict; ``Algebroid.jacobiator_table`` keeps its values on the
+increasing triples, built once per algebroid.  ``jacobiator`` on arbitrary
+sections stays the nested Leibniz bracket, and the tests check the closed
+form against it.
 """
 
 from __future__ import annotations
@@ -483,29 +484,26 @@ class Algebroid:
     def jacobiator_table(self) -> dict[tuple[int, int, int], Section]:
         """The Jacobiator on generator triples i < j < k; zero values omitted.
 
-        Read off the structure table in closed form: along a unit direction
-        the Leibniz rule gives [e_p, c_qr] = rho(e_p)(c_qr) + sum_c c^c_qr [e_p, e_c],
-        one anchored derivative and one pair-table sum, and the three
-        rotations add into one term dict.  Built on first use and kept.
+        Built on first use and kept.
         """
-        u, entry = self.units, partial(_signed, self.structure)
-
-        def value(i: int, j: int, k: int) -> Section:
-            out: dict = {}
-            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                found = entry(q, r)
-                if found is not None:
-                    bracket, sign = found
-                    _pair_add(self.derivative(out, u[p], bracket, sign), u[p], bracket, entry, sign)
-            return _section(self.rank, self.nvars, _clean(out))
-
-        return sweep(self.rank, 3, value)
+        return sweep(self.rank, 3, self.jacobiator_gen)
 
     def jacobiator_gen(self, i: int, j: int, k: int) -> Section:
-        """The Jacobiator on any generator triple, read off ``jacobiator_table``:
-        it is alternating, so the sorted triple's value, negated for an odd order."""
-        value = self.jacobiator_table.get(tuple(sorted((i, j, k))), self.zero_section())
-        return -value if ((i > j) + (i > k) + (j > k)) % 2 else value
+        """The Jacobiator on any generator triple, in closed form.
+
+        Along a unit direction the Leibniz rule gives
+        [e_p, c_qr] = rho(e_p)(c_qr) + sum_c c^c_qr [e_p, e_c], one anchored
+        derivative and one pair-table sum, and the three rotations add into
+        one term dict.
+        """
+        u, entry = self.units, partial(_signed, self.structure)
+        out: dict = {}
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            found = entry(q, r)
+            if found is not None:
+                bracket, sign = found
+                _pair_add(self.derivative(out, u[p], bracket, sign), u[p], bracket, entry, sign)
+        return _section(self.rank, self.nvars, _clean(out))
 
     def check_lie(self) -> LieReport:
         """Decide vanishing of the Jacobiator on all generator triples."""
@@ -595,7 +593,7 @@ class BracketModifier:
                     f"modifier value on ({names[i]}, {names[j]}) is not anchor-killed"
                 )
 
-    def apply(self, algebroid: Algebroid, x: Section, y: Section) -> Section:
+    def apply(self, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
         return pair_sum({}, x, y, partial(_signed, self.values))
 
@@ -967,9 +965,9 @@ def lie_infeasibility_certificate(
         BracketModifier({pair: g}) for pair in combinations(range(a.rank), 2) for g in kernel_gens
     ]
     # G_p(u, v) on every rotation, and C_p, the coefficient of c_p at mu = 1
-    values = [[g.apply(a, u, v) for u, v, *_ in cyclic] for g in basis]
+    values = [[g.apply(u, v) for u, v, *_ in cyclic] for g in basis]
     constants = [
-        sum((a.bracket(guv, w) + g.apply(a, uv, w) for guv, (_, _, uv, w, _) in zip(gv, cyclic)), zero)
+        sum((a.bracket(guv, w) + g.apply(uv, w) for guv, (_, _, uv, w, _) in zip(gv, cyclic)), zero)
         for g, gv in zip(basis, values)
     ]
     monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
@@ -983,7 +981,7 @@ def lie_infeasibility_certificate(
     ]
     # the coefficient of c_p c_q, for G_p = g, G_q = h and μ_p = μ_q = 1
     quadratic = [
-        sum((h.apply(a, guv, w) + g.apply(a, huv, w) for guv, huv, (*_, w, _) in zip(gv, hv, cyclic)), zero)
+        sum((h.apply(guv, w) + g.apply(huv, w) for guv, huv, (*_, w, _) in zip(gv, hv, cyclic)), zero)
         for (g, gv), (h, hv) in combinations_with_replacement(zip(basis, values), 2)
     ]
     mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)

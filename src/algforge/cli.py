@@ -5,10 +5,10 @@ path first; failing that, as the name of a bundled document (``algforge
 check E0``), and names matching ``tangent<N>`` generate the rank-N tangent
 bundle on the spot.  Every command prints a report — one line per named
 check — and exits 0 when no check failed, 1 when one did, and 2 on usage,
-parse, or lookup errors.  ``--json`` switches the report to a fixed-key-order
-JSON rendering; identical inputs, seeds, and degree bounds give identical
-bytes.  Bounded searches that end without a verdict are reported as
-``inconclusive`` and do not fail the run.
+parse, or lookup errors and when the report cannot be written.  ``--json``
+switches the report to a fixed-key-order JSON rendering; identical inputs,
+seeds, and degree bounds give identical bytes.  Bounded searches that end
+without a verdict are reported as ``inconclusive`` and do not fail the run.
 
 Commands:
 
@@ -558,14 +558,18 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         report = command(args)
+        # flushed here, so a report that cannot be written is an error too
+        print(report.to_json() if args.json else report.to_text(), flush=True)
     except KeyError as exc:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     except (CliError, DslError, AlgebroidError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: send the flush at exit to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.json else report.to_text())
     return report.exit_code
 
 

@@ -1,14 +1,12 @@
-"""Exact linear algebra over the rationals on sparse rows.
+"""Exact elimination over the rationals on sparse rows.
 
 A row is a ``dict[int, int | Fraction]`` from column index to value; zero
 values are ignored on input and never returned, and returned values are
 Fractions.  The witness systems of this package are wide and well under 1%
 nonzero, so ``rref`` eliminates on these rows and its result is the unique
-RREF for the given column order.
-``solve``, ``nullspace`` and ``rank`` read off it, so a returned solution is
-checkable by substitution and a nullspace basis spans exactly.  ``rank``
-takes a small dense matrix; a square one is invertible exactly when its
-rank is its size.
+RREF for the given column order; ``witness`` lays those systems out and
+reads solutions and nullspaces off it.  ``rank`` takes a small dense
+matrix; a square one is invertible exactly when its rank is its size.
 """
 
 from __future__ import annotations
@@ -53,29 +51,6 @@ def rref(rows: Sequence[Row]) -> dict[int, Row]:
     return dict(sorted(basis.items()))
 
 
-def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction], ncols: int) -> Row | None:
-    """One solution of A·x = b with free variables 0, or None.
-
-    The solution is given by its nonzero entries, in column order.
-    """
-    red = rref([{**row, ncols: b} for row, b in zip(rows, rhs)])
-    if ncols in red:  # a pivot in the rhs column means 0 = 1 somewhere
-        return None
-    return {p: row[ncols] for p, row in red.items() if ncols in row}
-
-
-def nullspace(rows: Sequence[Row], ncols: int) -> list[Row]:
-    """Basis of the right nullspace of A, one vector per free column."""
-    red = rref(rows)
-    basis = {c: {c: _ONE} for c in range(ncols) if c not in red}
-    for p, row in red.items():
-        for c, v in row.items():
-            if c != p:
-                basis[c][p] = -v
-    return list(basis.values())
-
-
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of a dense matrix."""
     return len(rref([dict(enumerate(row)) for row in rows]))
-

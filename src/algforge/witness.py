@@ -5,10 +5,12 @@ come in a dict keyed by *tag*, whose order is the column order.  That order
 fixes every answer, since free unknowns are set to zero and the reduced row
 echelon form is unique for a given column order.  Tags are
 ``(slot, exponent)`` pairs (a cofactor, form component or matrix cell, times
-a monomial).  The columns become one sparse
-``linsolve`` row per coordinate, keyed by column position; solutions and
-nullspace vectors come back as nonzero values in column order.  A failed
-search means no witness up to the degree bound, never a refutation.
+a monomial).  This module owns each system from layout to answer: the
+columns become one sparse row per coordinate, keyed by column position
+(with a target's values in one more column), ``linsolve.rref`` reduces
+them once, and solutions and nullspace vectors are read off the pivot rows
+as nonzero Fractions in tag order.  A failed search means no witness up to
+the degree bound, never a refutation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import Callable, Hashable
 from . import linsolve
 
 Column = dict[Hashable, int | Fraction]
+
+_ONE = Fraction(1)
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -49,35 +53,46 @@ def monomial_multiples(columns: dict[Hashable, Column], nvars: int, max_degree: 
     }
 
 
-def _rows(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, linsolve.Row]:
-    """One sparse row per coordinate, its entries keyed by column position.
+def _rref(columns: dict[Hashable, Column], target: Column) -> dict[int, linsolve.Row]:
+    """RREF of one sparse row per coordinate, its entries keyed by column position.
 
-    The target's coordinates get a row too, empty if no column reaches them.
+    The target's values sit in column ``len(columns)``, so its coordinates
+    get a row even if no column reaches them.
     """
-    rows: dict[Hashable, linsolve.Row] = {c: {} for c in target}
+    n = len(columns)
+    rows: dict[Hashable, linsolve.Row] = {c: {n: v} for c, v in target.items()}
     for j, col in enumerate(columns.values()):
         for coord, value in col.items():
             rows.setdefault(coord, {})[j] = value
-    return rows
+    return linsolve.rref(list(rows.values()))
 
 
 def solve(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, Fraction] | None:
     """Nonzero values of a combination of the columns equal to target, or None."""
-    rows = _rows(columns, target)
-    x = linsolve.solve(list(rows.values()), [target.get(c, 0) for c in rows], len(columns))
-    if x is None:
+    n = len(columns)
+    red = _rref(columns, target)
+    if n in red:  # a pivot in the target column means 0 = 1 somewhere
         return None
     tags = list(columns)
-    return {tags[j]: v for j, v in x.items()}
+    return {tags[p]: row[n] for p, row in red.items() if n in row}
 
 
 def nullspace(columns: dict[Hashable, Column]) -> list[dict[Hashable, Fraction]]:
-    """Basis of the combinations of the columns that vanish, as nonzero values."""
+    """Basis of the combinations of the columns that vanish, as nonzero values.
+
+    One vector per free column, which is its last entry: a pivot row has
+    entries only at its pivot and at free columns after it.
+    """
     tags = list(columns)
-    return [
-        {tags[j]: vec[j] for j in sorted(vec)}
-        for vec in linsolve.nullspace(list(_rows(columns, {}).values()), len(tags))
-    ]
+    red = _rref(columns, {})
+    basis = {c: {} for c in range(len(tags)) if c not in red}
+    for p, row in red.items():
+        for c, v in row.items():
+            if c != p:
+                basis[c][tags[p]] = -v
+    for c, vec in basis.items():
+        vec[tags[c]] = _ONE
+    return list(basis.values())
 
 
 def reduce(columns: dict[Hashable, Column], target: Column, key: Callable) -> Column:

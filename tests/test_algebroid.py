@@ -115,12 +115,19 @@ def test_jacobiator_table_matches_the_nested_brackets():
         table = a.jacobiator_table
         assert a.jacobiator_table is table
         assert table == sweep(a.rank, 3, lambda i, j, k: a.jacobiator(u[i], u[j], u[k])), a.name
-        # the signed read: every order of every triple, and a repeated index
+        # the closed form: every order of every triple, and a repeated index
         for triple in combinations(range(a.rank), 3):
             for t in permutations(triple):
                 assert a.jacobiator_gen(*t) == a.jacobiator(*(u[n] for n in t)), (a.name, t)
         assert a.jacobiator_gen(1, 0, 1) == a.jacobiator(u[1], u[0], u[1]) == a.zero_section()
     assert all(a.jacobiator_table for a in bundles[-3:])
+
+
+def test_one_jacobiator_read_builds_no_table():
+    a = document_algebroid(corpus_document("derived_e0"))
+    u = a.units
+    assert a.jacobiator_gen(2, 0, 5) == a.jacobiator(u[2], u[0], u[5])
+    assert "jacobiator_table" not in a.__dict__
 
 
 def test_sweep_keeps_the_nonzero_values_in_combinations_order():

@@ -43,14 +43,14 @@ def reference_certificate(a, triple, kernel_gens, max_degree):
     monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
     linear = [
         sum(
-            (a.bracket(g.apply(a, u, v).scale(mu), w) + g.apply(a, uv, w).scale(mu) for u, v, w, uv in cyclic),
+            (a.bracket(g.apply(u, v).scale(mu), w) + g.apply(uv, w).scale(mu) for u, v, w, uv in cyclic),
             zero,
         )
         for g in basis
         for mu in monos
     ]
     quadratic = [
-        sum((h.apply(a, g.apply(a, u, v), w) + g.apply(a, h.apply(a, u, v), w) for u, v, w, _ in cyclic), zero)
+        sum((h.apply(g.apply(u, v), w) + g.apply(h.apply(u, v), w) for u, v, w, _ in cyclic), zero)
         for g, h in combinations_with_replacement(basis, 2)
     ]
     mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)

@@ -1,14 +1,20 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import algforge
 from algforge import cli
 from algforge.dsl import parse
+
+SRC = str(Path(algforge.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -449,3 +455,33 @@ def test_weak_closed_note_on_a_1_form(capsys):
     code, out, _ = run(capsys, "cohomology", "E0", "--form", "omega21")
     assert code == 1
     assert "[FAIL] weak-closed  (nonzero 2-form; the ideal starts in degree 3)" in out
+
+
+def _unwritable_report(stdout):
+    """Run ``check E0`` in a fresh interpreter whose stdout cannot be written."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-m", "algforge.cli", "check", "E0"], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
+    )
+    return run.returncode, run.stderr
+
+
+def test_a_report_into_a_closed_pipe_exits_2():
+    # Python ignores SIGPIPE, so the write fails with EPIPE every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _unwritable_report(write_end)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_report_onto_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        code, err = _unwritable_report(full)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -7,7 +7,8 @@ and read back through P⁻¹; so is the curvature table of the torsion-free
 connection; being Lie does not depend on the frame.  The number
 of failing generator triples does under a shear, but not under a permutation,
 which only relabels the triples; neither do the d²-ideal membership verdicts
-of forms carried along by a permutation.  The differential is built from the
+of forms carried along by a permutation.  Under the shear a member stays a
+member with cofactors that recombine, and a non-member never becomes one.  The differential is built from the
 anchor and the structure table alone, so it commutes with either change of
 frame, although the shear's d²-ideal is no longer monomial.
 """
@@ -19,7 +20,7 @@ import pytest
 from algforge.algebroid import Algebroid, Section
 from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection
-from algforge.forms import MEMBER, NOT_MEMBER, Form, Lambda2Ideal, d_squared, differential
+from algforge.forms import MEMBER, NO_WITNESS, NOT_MEMBER, Form, Lambda2Ideal, d_squared, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -159,10 +160,8 @@ def test_the_differential_commutes_with_the_change_of_frame(p, p_inverse):
             assert differential(reframe_form(omega, new, f)) == reframe_form(differential(omega), new, f)
 
 
-def test_a_permutation_keeps_the_ideal_membership_verdicts():
-    new = reframe(E0, PERMUTATION, PERMUTATION_INVERSE)
-    f = frame(E0, PERMUTATION)
-    ideal, new_ideal = Lambda2Ideal(E0), Lambda2Ideal(new)
+def membership_forms(new: Algebroid, f: list[Section]) -> list[Form]:
+    """Seeded degree-2 and degree-3 forms on E0, then four members of its d²-ideal."""
     sampler = Sampler(5)
     forms = [sampler.form(E0, 2) for _ in range(3)] + [sampler.form(E0, 3) for _ in range(4)]
     # d² of a 1-form lies in the ideal, and commutes with the change of frame
@@ -170,10 +169,39 @@ def test_a_permutation_keeps_the_ideal_membership_verdicts():
     for w in ones:
         assert d_squared(reframe_form(w, new, f)) == reframe_form(d_squared(w), new, f)
     members = [d_squared(w) for w in ones]
-    forms += members + [members[0] + ideal.gens3[0].scale(sampler.poly(E0.nvars))]
+    return forms + members + [members[0] + Lambda2Ideal(E0).gens3[0].scale(sampler.poly(E0.nvars))]
+
+
+def test_a_permutation_keeps_the_ideal_membership_verdicts():
+    new = reframe(E0, PERMUTATION, PERMUTATION_INVERSE)
+    f = frame(E0, PERMUTATION)
+    ideal, new_ideal = Lambda2Ideal(E0), Lambda2Ideal(new)
     verdicts = []
-    for omega in forms:
+    for omega in membership_forms(new, f):
         before = ideal.membership(omega).status
         assert new_ideal.membership(reframe_form(omega, new, f)).status == before
         verdicts.append((omega.degree, before))
     assert {(3, MEMBER), (3, NOT_MEMBER), (2, NOT_MEMBER)} <= set(verdicts)
+
+
+def test_a_shear_keeps_the_members_and_makes_none():
+    # the sheared ideal is not monomial, so its memberships are witness searches
+    new = reframe(E0, SHEAR, SHEAR_INVERSE)
+    f = frame(E0, SHEAR)
+    ideal, new_ideal = Lambda2Ideal(E0), Lambda2Ideal(new)
+    assert not new_ideal.fast_path
+    verdicts = []
+    for omega in membership_forms(new, f):
+        before = ideal.membership(omega).status
+        sheared = reframe_form(omega, new, f)
+        after = new_ideal.membership(sheared)
+        if before == MEMBER:
+            assert after.status == MEMBER
+            assert new_ideal.check_cofactors(sheared, after)
+        else:
+            assert before == NOT_MEMBER and after.status != MEMBER
+        verdicts.append((omega.degree, before, after.status))
+    # a bounded search cannot refute a degree-3 form, so those end without a witness
+    assert verdicts.count((3, MEMBER, MEMBER)) == 4
+    assert verdicts.count((2, NOT_MEMBER, NOT_MEMBER)) == 3
+    assert verdicts.count((3, NOT_MEMBER, NO_WITNESS)) == 4

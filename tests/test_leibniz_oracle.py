@@ -122,4 +122,4 @@ def test_modifier_matches_the_pair_loop():
             modifier.validate(a)
             for x in secs:
                 for y in secs:
-                    assert modifier.apply(a, x, y) == oracle_modifier(modifier, a, x, y)
+                    assert modifier.apply(x, y) == oracle_modifier(modifier, a, x, y)

@@ -1,4 +1,9 @@
-"""Exact linear algebra over rationals."""
+"""Exact linear algebra over rationals.
+
+``rref`` and ``rank`` are tested on ``linsolve``; solutions and nullspaces
+are read back by ``witness``, here on integer tags: column j has tag j and
+row r is coordinate r.
+"""
 
 from fractions import Fraction
 
@@ -6,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algforge import linsolve
+from algforge import linsolve, witness
 
 
 def _sparse(rows):
@@ -14,21 +19,34 @@ def _sparse(rows):
     return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
 
 
+def _columns(rows, ncols):
+    """Dense rows as witness columns: column j has tag j, row r is coordinate r."""
+    return {j: {r: Fraction(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(ncols)}
+
+
+def _solve(rows, rhs, ncols):
+    return witness.solve(_columns(rows, ncols), dict(enumerate(rhs)))
+
+
+def _nullspace(rows, ncols):
+    return witness.nullspace(_columns(rows, ncols))
+
+
 def _dot(row, x):
     return sum(row[c] * v for c, v in x.items())
 
 
 def test_solve_unique():
-    x = linsolve.solve(_sparse([[2, 1], [1, 3]]), [5, 10], 2)
+    x = _solve([[2, 1], [1, 3]], [5, 10], 2)
     assert x == {0: Fraction(1), 1: Fraction(3)}
 
 
 def test_solve_inconsistent_returns_none():
-    assert linsolve.solve(_sparse([[1, 1], [1, 1]]), [0, 1], 2) is None
+    assert _solve([[1, 1], [1, 1]], [0, 1], 2) is None
 
 
 def test_solve_underdetermined_picks_a_solution():
-    x = linsolve.solve(_sparse([[1, 1, 0]]), [2], 3)
+    x = _solve([[1, 1, 0]], [2], 3)
     assert x is not None
     assert _dot([1, 1, 0], x) == 2
 
@@ -36,7 +54,7 @@ def test_solve_underdetermined_picks_a_solution():
 def test_rank_and_nullspace_dimensions():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert linsolve.rank(rows) == 2
-    null = linsolve.nullspace(_sparse(rows), 3)
+    null = _nullspace(rows, 3)
     assert len(null) == 1
     vec = null[0]
     for row in rows:
@@ -44,7 +62,7 @@ def test_rank_and_nullspace_dimensions():
 
 
 def test_nullspace_of_empty_system_is_full():
-    assert linsolve.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert _nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 entries = st.integers(min_value=-5, max_value=5)
@@ -54,7 +72,7 @@ entries = st.integers(min_value=-5, max_value=5)
 @given(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=2, max_size=4), st.lists(entries, min_size=3, max_size=3))
 def test_solve_verifies_or_refuses(rows, x_true):
     rhs = [sum(a * b for a, b in zip(row, x_true)) for row in rows]
-    x = linsolve.solve(_sparse(rows), rhs, 3)
+    x = _solve(rows, rhs, 3)
     # the system is consistent by construction, so a solution must come back
     assert x is not None
     for row, r in zip(rows, rhs):
@@ -64,10 +82,10 @@ def test_solve_verifies_or_refuses(rows, x_true):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=2, max_size=3))
 def test_nullspace_vectors_annihilate(rows):
-    for vec in linsolve.nullspace(_sparse(rows), 4):
+    for vec in _nullspace(rows, 4):
         for row in rows:
             assert _dot(row, vec) == 0
-    assert linsolve.rank(rows) + len(linsolve.nullspace(_sparse(rows), 4)) == 4
+    assert linsolve.rank(rows) + len(_nullspace(rows, 4)) == 4
 
 
 # ---- oracle: sympy's exact rref, sharing no code with linsolve ----
@@ -122,14 +140,14 @@ def test_solve_matches_sympy(rows, data):
         want = None
     else:
         want = {c: row[ncols] for c, row in red.items() if ncols in row}
-    assert linsolve.solve(_sparse(rows), rhs, ncols) == want
+    assert _solve(rows, rhs, ncols) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_nullspace_matches_sympy(rows):
     want = [_sparse_vector(vec) for vec in _sympy(rows).nullspace()]
-    assert linsolve.nullspace(_sparse(rows), len(rows[0])) == want
+    assert _nullspace(rows, len(rows[0])) == want
     assert linsolve.rank(rows) == len(rows[0]) - len(want)
 
 

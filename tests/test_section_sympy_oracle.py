@@ -181,4 +181,4 @@ def test_modifier_matches_sympy():
             for x, x_list in zip(secs, lists):
                 for y, y_list in zip(secs, lists):
                     want = oracle.modifier(modifier.values, x_list, y_list)
-                    assert same(modifier.apply(a, x, y), want, oracle.xs)
+                    assert same(modifier.apply(x, y), want, oracle.xs)
