@@ -558,16 +558,20 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         report = command(args)
-        # flushed here, so a report that cannot be written is an error too
-        print(report.to_json() if args.json else report.to_text(), flush=True)
     except KeyError as exc:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     except (CliError, DslError, AlgebroidError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the reader is gone: send the flush at exit to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        # flushed here, so a report that cannot be written is an error too
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except OSError as exc:
+        # bytes left in the buffer are flushed again at exit: send them to
+        # devnull, whatever the error (closed pipe, full device)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return report.exit_code

@@ -457,11 +457,16 @@ def test_weak_closed_note_on_a_1_form(capsys):
     assert "[FAIL] weak-closed  (nonzero 2-form; the ideal starts in degree 3)" in out
 
 
-def _unwritable_report(stdout):
+def _unwritable_report(stdout, preexec_fn=None):
     """Run ``check E0`` in a fresh interpreter whose stdout cannot be written."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
-        [sys.executable, "-m", "algforge.cli", "check", "E0"], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
+        [sys.executable, "-m", "algforge.cli", "check", "E0"],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        preexec_fn=preexec_fn,
     )
     return run.returncode, run.stderr
 
@@ -485,3 +490,18 @@ def test_a_report_onto_a_full_device_exits_2():
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_report_past_the_file_size_limit_exits_2(tmp_path):
+    # a write error that is not EPIPE, on any POSIX host: Python ignores
+    # SIGXFSZ, so a write past RLIMIT_FSIZE fails with EFBIG
+    import resource
+
+    def no_file_bytes():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))
+
+    with open(tmp_path / "report.txt", "w") as out:
+        code, err = _unwritable_report(out, no_file_bytes)
+    assert code == 2
+    assert err.splitlines() == ["error: [Errno 27] File too large"]
+    assert (tmp_path / "report.txt").read_text() == ""
