@@ -31,9 +31,7 @@ def _entries(g):
     return [list(row) for row in zip(*(image.coeffs for image in g))]
 
 
-@pytest.mark.parametrize("max_degree", [0, 1, 2])
-@pytest.mark.parametrize("name", BUNDLES)
-def test_origin_readings_match_sympy(name, max_degree):
+def _check_origin_readings(name, max_degree):
     a = document_algebroid(corpus_document(name))
     origin = (0,) * a.nvars
     for blocks in (None, 2) if a.rank % 2 == 0 else (None,):
@@ -42,3 +40,16 @@ def test_origin_readings_match_sympy(name, max_degree):
         assert all(v.shape == (a.rank, a.rank) for v in values)
         assert space.invertible_at_point() == [i for i, v in enumerate(values) if v.rank() == a.rank]
         assert space.all_zero_at_point() == all(v.is_zero_matrix for v in values)
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+@pytest.mark.parametrize("name", BUNDLES)
+def test_origin_readings_match_sympy(name, max_degree):
+    _check_origin_readings(name, max_degree)
+
+
+@pytest.mark.parametrize("max_degree", [4, 7])
+def test_origin_readings_match_sympy_at_sweep_degrees(max_degree):
+    # the courant degrees of the sweeps workload: all basis cometrics but at
+    # most one have an image with no constant term
+    _check_origin_readings("E0", max_degree)

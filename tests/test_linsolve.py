@@ -2,7 +2,9 @@
 
 ``rref`` and ``rank`` are tested on ``linsolve``; solutions and nullspaces
 are read back by ``witness``, here on integer tags: column j has tag j and
-row r is coordinate r.
+row r is coordinate r.  ``reference_rref`` is an online elimination that
+keeps every pivot row fully reduced as it goes; ``linsolve.rref`` must give
+the same pivots and values.
 """
 
 from fractions import Fraction
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algforge import linsolve, witness
+from algforge.algebroid import courant_solution_space
+from algforge.catalog import builtin
 
 
 def _sparse(rows):
@@ -155,3 +159,57 @@ def test_nullspace_matches_sympy(rows):
 @given(matrices())
 def test_rank_matches_sympy(rows):
     assert linsolve.rank(rows) == _sympy(rows).rank()
+
+
+# ---- oracle: online elimination, every kept row reduced at each new pivot ----
+
+
+def _reference_subtract(row, f, other):
+    """row -= f * other on sparse rows, in place, keeping only nonzeros."""
+    for c, v in other.items():
+        w = row.get(c, Fraction(0)) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+
+
+def reference_rref(rows):
+    """The RREF as ``{pivot column: reduced row}`` in pivot order, in Fractions."""
+    basis = {}
+    for given in rows:
+        row = {c: v for c, v in given.items() if v}
+        for p in [c for c in row if c in basis]:
+            _reference_subtract(row, row[p], basis[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = Fraction(1) / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for other in basis.values():
+            if pivot in other:
+                _reference_subtract(other, other[pivot], row)
+        basis[pivot] = row
+    return dict(sorted(basis.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(rows):
+    assert list(linsolve.rref(_sparse(rows)).items()) == list(reference_rref(_sparse(rows)).items())
+
+
+@pytest.mark.parametrize("blocks", [None, 2])
+@pytest.mark.parametrize("max_degree", [4, 7, 10])
+def test_rref_matches_reference_on_courant_systems(monkeypatch, max_degree, blocks):
+    # the systems the courant sweep solves, captured where witness hands them over
+    rref, systems = linsolve.rref, []
+
+    def capture(rows):
+        systems.append([dict(row) for row in rows])
+        return rref(rows)
+
+    monkeypatch.setattr(linsolve, "rref", capture)
+    courant_solution_space(builtin("E0"), max_degree=max_degree, paired_blocks=blocks)
+    assert len(systems) == 1
+    assert list(rref(systems[0]).items()) == list(reference_rref(systems[0]).items())

@@ -198,6 +198,11 @@ def _basis_digest(space):
         ("E0prime", 2, 1, 42, "a9aa722c7dc9427a"),
         ("E0prime", 2, 2, 42, "64c063650f10c687"),
         ("E0prime", 2, 4, 42, "a9aa722c7dc9427a"),
+        # the largest systems the CLI is run on: full and paired, D = 10 and 30
+        ("E0", 10, 4, 336, "dd5a7568df523766"),
+        ("E0", 10, 2, 270, "dae1881876b23a93"),
+        ("E0", 30, 4, 3106, "ccd17492b63d8dc0"),
+        ("E0", 30, 2, 2610, "b9f7e3f0587181df"),
     ],
 )
 def test_courant_basis_digests(name, bound, blocks, dim, digest):
