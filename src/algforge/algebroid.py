@@ -42,7 +42,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import linsolve, witness
-from .poly import Poly, _coeff, _fold, _merge, _trusted
+from .poly import Poly, _fold, _merge, _trusted
 
 
 class AlgebroidError(ValueError):
@@ -708,7 +708,7 @@ def subalgebroid_restrict(
         x = witness.solve(columns, target.terms)
         if x is None:
             return ClosureFailure((i, j), target, max_degree)
-        structure[(i, j)] = _section(k, nvars, _clean(x))
+        structure[(i, j)] = _section(k, nvars, x)
 
     anchor = [algebroid.anchor_of(g) for g in gens]
     return Algebroid(algebroid.base, names, anchor, structure, name="restriction")
@@ -804,13 +804,11 @@ class CourantSpace(NamedTuple):
 
     def invertible_at_point(self) -> list[int]:
         """Indices of basis elements whose value at the origin is an invertible matrix."""
-        # row b is the image G e_b at the origin: G(0) transposed, of the same rank
-        return [
-            idx
-            for idx, g in enumerate(self.basis)
-            if linsolve.rank([[image.terms.get((a, (0,) * image.nvars), 0) for a in range(len(g))] for image in g])
-            == len(g)
-        ]
+        # row b is the constant term of the image G e_b, a sparse row of G(0)
+        # transposed; an image with no constant term is a zero row, so only a
+        # matrix without one has its rank taken
+        values = ([{a: c for (a, exps), c in image.terms.items() if not any(exps)} for image in g] for g in self.basis)
+        return [idx for idx, rows in enumerate(values) if all(rows) and len(linsolve.rref(rows)) == len(rows)]
 
 
 def _cells(m: int, block: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -872,7 +870,6 @@ def courant_solution_space(
         # each position holds one cell, so every value lands on its own term
         images = [{} for _ in range(m)]
         for (cell, mu), v in vec.items():
-            v = _coeff(v)
             for a, b in cells[cell]:
                 images[b][(a, mu)] = v
         basis.append([_section(m, n, terms) for terms in images])
@@ -970,15 +967,18 @@ def lie_infeasibility_certificate(
         sum((a.bracket(guv, w) + g.apply(uv, w) for guv, (_, _, uv, w, _) in zip(gv, cyclic)), zero)
         for g, gv in zip(basis, values)
     ]
-    monos = [Poly.monomial(a.nvars, mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
-    # -rho(w)(mu) on every rotation, for every monomial mu
-    slopes = [[-rho.apply(mu) for *_, rho in cyclic] for mu in monos]
-    # the coefficient of c_p at mu: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
-    linear = [
-        sum((guv.scale(d) for guv, d in zip(gv, ds)), c.scale(mu))
-        for c, gv in zip(constants, values)
-        for mu, ds in zip(monos, slopes)
-    ]
+    monos = witness.monomials_up_to(a.nvars, max_degree)
+    # the terms of -rho(w)(mu) on every rotation, for every monomial mu
+    slopes = [[(-rho.apply(Poly.monomial(a.nvars, mu))).terms.items() for *_, rho in cyclic] for mu in monos]
+    # the coefficient of c_p at mu, one term dict: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
+    linear = []
+    for c, gv in zip(constants, values):
+        for mu, ds in zip(monos, slopes):
+            out: dict = {}
+            for s, f in ((c, [(mu, 1)]), *zip(gv, ds)):
+                for (slot, exps), v in s.terms.items():
+                    _add_shifted(out, slot, exps, v, f)
+            linear.append(_section(a.rank, a.nvars, _clean(out)))
     # the coefficient of c_p c_q, for G_p = g, G_q = h and μ_p = μ_q = 1
     quadratic = [
         sum((h.apply(guv, w) + g.apply(huv, w) for guv, huv, (*_, w, _) in zip(gv, hv, cyclic)), zero)

@@ -504,7 +504,7 @@ def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
         return ClosednessDecision(
             NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}"
         )
-    return ClosednessDecision(YES, _form(a, omega.degree - 1, _clean(x)))
+    return ClosednessDecision(YES, _form(a, omega.degree - 1, x))
 
 
 def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
@@ -529,6 +529,6 @@ def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Closedn
         return ClosednessDecision(
             NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}"
         )
-    theta = _form(a, omega.degree - 1, _clean({t: v for t, v in x.items() if t in d_columns}))
+    theta = _form(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
     cofactors = ideal._cofactors(omega.degree, {t: v for t, v in x.items() if t in ideal_columns})
     return ClosednessDecision(YES, theta, cofactors)

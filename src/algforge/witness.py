@@ -9,7 +9,8 @@ a monomial).  This module owns each system from layout to answer: the
 columns become one sparse row per coordinate, keyed by column position
 (with a target's values in one more column), ``linsolve.rref`` reduces
 them once, and solutions and nullspace vectors are read off the pivot rows
-as nonzero Fractions in tag order.  A failed search means no witness up to
+as nonzero values in tag order, each an int where integral and a Fraction
+otherwise.  A failed search means no witness up to
 the degree bound, never a refutation.
 """
 
@@ -23,8 +24,6 @@ from typing import Callable, Hashable
 from . import linsolve
 
 Column = dict[Hashable, int | Fraction]
-
-_ONE = Fraction(1)
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -67,7 +66,7 @@ def _rref(columns: dict[Hashable, Column], target: Column) -> dict[int, linsolve
     return linsolve.rref(list(rows.values()))
 
 
-def solve(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, Fraction] | None:
+def solve(columns: dict[Hashable, Column], target: Column) -> Column | None:
     """Nonzero values of a combination of the columns equal to target, or None."""
     n = len(columns)
     red = _rref(columns, target)
@@ -77,7 +76,7 @@ def solve(columns: dict[Hashable, Column], target: Column) -> dict[Hashable, Fra
     return {tags[p]: row[n] for p, row in red.items() if n in row}
 
 
-def nullspace(columns: dict[Hashable, Column]) -> list[dict[Hashable, Fraction]]:
+def nullspace(columns: dict[Hashable, Column]) -> list[Column]:
     """Basis of the combinations of the columns that vanish, as nonzero values.
 
     One vector per free column, which is its last entry: a pivot row has
@@ -91,7 +90,7 @@ def nullspace(columns: dict[Hashable, Column]) -> list[dict[Hashable, Fraction]]
             if c != p:
                 basis[c][tags[p]] = -v
     for c, vec in basis.items():
-        vec[tags[c]] = _ONE
+        vec[tags[c]] = 1
     return list(basis.values())
 
 

@@ -9,7 +9,9 @@ and the coefficient of c_p c_q is read at mu_p = mu_q = 1.  The engine reads
 the same coefficients off the Leibniz rule in closed form, so both must agree
 in (status, jacobiator_min_degree, modifier_min_degree) on every case below:
 E0, six E0s changed by a seeded kernel modifier and E0prime with its kernel
-generators Ys1 and Ys2, on all four triples at D = 0..4.
+generators Ys1 and Ys2, on all four triples at D = 0..4, and three E0primes
+changed by a modifier valued in Ys1, where the anchor term of the closed
+form sets the lowest degree.
 """
 
 from collections import Counter
@@ -90,3 +92,24 @@ def test_the_cases_cover_every_status():
         for triple in TRIPLES
     )
     assert seen == {"inconclusive": 60, "infeasible": 70, "trivially-feasible": 30}
+
+
+# E0prime with its bracket changed by a modifier valued in Ys1 alone: on
+# (Y22, Ys1, Ys2) the lowest coefficient at D >= 1 is the anchor term
+# -sum_cyc rho(Z)(mu) * G_p(X, Y), which vanishes at mu = 1
+ANCHOR_TERM_CASES = [
+    (seed, E0PRIME.modify_bracket(Sampler(seed).kernel_modifier(E0PRIME, [E0PRIME.unit_section(2)], max_degree=0)))
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("seed, algebroid", ANCHOR_TERM_CASES, ids=[f"seed{seed}" for seed, _ in ANCHOR_TERM_CASES])
+def test_the_anchor_term_lowers_the_modifier_degree(seed, algebroid):
+    kernel = [E0PRIME.unit_section(2)]
+    for bound in range(4):
+        for triple in TRIPLES:
+            want = reference_certificate(algebroid, triple, kernel, bound)
+            got = key(lie_infeasibility_certificate(algebroid, triple, kernel, max_degree=bound))
+            assert got == want, (triple, bound)
+    lows = [lie_infeasibility_certificate(algebroid, (1, 2, 3), kernel, max_degree=d).modifier_min_degree for d in range(3)]
+    assert lows == [3, 2, 2]

@@ -193,10 +193,32 @@ def reference_rref(rows):
     return dict(sorted(basis.items()))
 
 
+def _normal_form(red):
+    """Every value an int where integral and a Fraction otherwise, as ``poly`` keeps them."""
+    return all(type(v) is int or v.denominator != 1 for row in red.values() for v in row.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rref_matches_reference(rows):
-    assert list(linsolve.rref(_sparse(rows)).items()) == list(reference_rref(_sparse(rows)).items())
+    red = linsolve.rref(_sparse(rows))
+    assert list(red.items()) == list(reference_rref(_sparse(rows)).items())
+    assert _normal_form(red)
+
+
+def test_integral_rows_with_unit_pivots_stay_ints():
+    # L·U for a unit lower triangular L and an echelon U led by 1, -1 and 1,
+    # then the sum of the first two rows, which reduces to zero
+    rows = [
+        {0: 1, 1: 2, 3: 3, 4: 1},
+        {0: 2, 1: 3, 2: 4, 3: 6, 4: 4},
+        {0: -3, 1: -7, 2: 4, 3: -8, 4: -4},
+        {0: 3, 1: 5, 2: 4, 3: 9, 4: 5},
+    ]
+    red = linsolve.rref(rows)
+    assert list(red) == [0, 1, 3]
+    assert list(red.items()) == list(reference_rref(rows).items())
+    assert all(type(v) is int for row in red.values() for v in row.values())
 
 
 @pytest.mark.parametrize("blocks", [None, 2])
@@ -212,4 +234,6 @@ def test_rref_matches_reference_on_courant_systems(monkeypatch, max_degree, bloc
     monkeypatch.setattr(linsolve, "rref", capture)
     courant_solution_space(builtin("E0"), max_degree=max_degree, paired_blocks=blocks)
     assert len(systems) == 1
-    assert list(rref(systems[0]).items()) == list(reference_rref(systems[0]).items())
+    red = rref(systems[0])
+    assert list(red.items()) == list(reference_rref(systems[0]).items())
+    assert _normal_form(red)
