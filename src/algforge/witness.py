@@ -10,8 +10,8 @@ columns become one sparse row per coordinate, keyed by column position
 (with a target's values in one more column), ``linsolve.rref`` reduces
 them once, and solutions and nullspace vectors are read off the pivot rows
 as nonzero values in tag order, each an int where integral and a Fraction
-otherwise.  A failed search means no witness up to
-the degree bound, never a refutation.
+otherwise.  A failed search means no witness up to the degree bound, never
+a refutation.
 """
 
 from __future__ import annotations
