@@ -36,7 +36,7 @@ form against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement
 from operator import add
 from typing import NamedTuple
@@ -790,25 +790,30 @@ def courant_defect(algebroid: Algebroid, g: list[Section]) -> list[VectorField]:
 
 
 class CourantSpace(NamedTuple):
-    """Solution space of rho·G·rho^T = 0 at a degree bound; each basis element is the images G e_b."""
+    """Solution space of rho·G·rho^T = 0 at a degree bound, kept as its nullspace vectors."""
 
-    basis: list[list[Section]]
+    vectors: list[dict]
+    cells: dict[tuple[int, int], list[tuple[int, int]]]
+    rank: int
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
     def all_zero_at_point(self) -> bool:
         """True when every basis element vanishes at the origin."""
-        return all(any(exps) for g in self.basis for image in g for _, exps in image.terms)
+        return all(any(mu) for vec in self.vectors for _, mu in vec)
 
     def invertible_at_point(self) -> list[int]:
         """Indices of basis elements whose value at the origin is an invertible matrix."""
-        # row b is the constant term of the image G e_b, a sparse row of G(0)
-        # transposed; an image with no constant term is a zero row, so only a
-        # matrix without one has its rank taken
-        values = ([{a: c for (a, exps), c in image.terms.items() if not any(exps)} for image in g] for g in self.basis)
-        return [idx for idx, rows in enumerate(values) if all(rows) and len(linsolve.rref(rows)) == len(rows)]
+        # row b of G(0) transposed holds the μ = 0 values on the image G e_b; a
+        # zero row makes G(0) singular, so only a matrix without one is ranked
+        values = [[{} for _ in range(self.rank)] for _ in self.vectors]
+        for rows, vec in zip(values, self.vectors):
+            for (cell, mu), v in vec.items():
+                for a, b in () if any(mu) else self.cells[cell]:
+                    rows[b][a] = v
+        return [idx for idx, rows in enumerate(values) if all(rows) and len(linsolve.rref(rows)) == self.rank]
 
 
 def _cells(m: int, block: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -838,7 +843,7 @@ def courant_solution_space(
     max_degree: int = 4,
     paired_blocks: int | None = None,
 ) -> CourantSpace:
-    """Basis of cometrics G with rho·G·rho^T = 0, coefficients of degree <= D.
+    """The cometrics G with rho·G·rho^T = 0, coefficients of degree <= D.
 
     The matrix is parametrized by shared s×s blocks (one unknown block serving
     both off-diagonal corners untransposed, diagonal blocks symmetric) with
@@ -846,7 +851,9 @@ def courant_solution_space(
     computation solves.  The default, all symmetric m×m polynomial matrices,
     is the one-block case s = m.  The two spaces genuinely differ — see the
     verify-paper courant check, which surfaces a full-space solution that the
-    paired-block space lacks.
+    paired-block space lacks.  A basis element is kept as the nullspace vector
+    {(cell, μ): value}, the cometric with value·μ at each position (a, b) of
+    the cell, the e_a-coefficient of G e_b; no basis cometric is built.
     """
     m, n = algebroid.rank, algebroid.nvars
     block = m if paired_blocks is None else paired_blocks
@@ -865,15 +872,7 @@ def courant_solution_space(
                 for (j, eb), vb in algebroid.anchor[b].terms.items():
                     key = ((i, j), tuple(map(add, ea, eb)))
                     product[key] = product.get(key, 0) + va * vb
-    basis = []
-    for vec in witness.nullspace(witness.monomial_multiples(products, n, max_degree)):
-        # each position holds one cell, so every value lands on its own term
-        images = [{} for _ in range(m)]
-        for (cell, mu), v in vec.items():
-            for a, b in cells[cell]:
-                images[b][(a, mu)] = v
-        basis.append([_section(m, n, terms) for terms in images])
-    return CourantSpace(basis)
+    return CourantSpace(witness.nullspace(witness.monomial_multiples(products, n, max_degree)), cells, m)
 
 
 # ---------------------------------------------------------------------------
@@ -928,16 +927,19 @@ def lie_infeasibility_certificate(
     distinct parameter monomials cannot cancel one another, so the lowest
     base degree of 𝓑 is the least over its nonzero coefficients:
 
-    * on c_p: Σ_cyc ( [μ_p G_p(X,Y), Z] + μ_p G_p([X,Y], Z) ).  For a unit
-      section Z the Leibniz rule gives [μS, Z] = μ[S, Z] − ρ(Z)(μ)·S, so this
-      is μ_p·C_p − Σ_cyc ρ(Z)(μ_p)·G_p(X,Y) with C_p its value at μ_p = 1.
-      G_p(X,Y) is computed once per basis element and rotation, C_p once per
-      basis element and ρ(Z)(μ) once per rotation and monomial, so no bracket
-      is taken per monomial;
     * on c_p c_q: μ_p μ_q Σ_cyc ( G_q(G_p(X,Y), Z) + G_p(G_q(X,Y), Z) ), half
       of it when p = q.  Each G is ℱ-bilinear, so no derivative falls on
       μ_p μ_q: it factors out and raises every degree by its own, and the
-      lowest degree is reached at μ_p = μ_q = 1 whatever D is.
+      lowest degree is reached at μ_p = μ_q = 1 whatever D is.  On units,
+      G_p(X,Y) needs {X, Y} to be p's pair and G_q(·, Z) needs Z in q's pair;
+    * on c_p: Σ_cyc ( [μ_p G_p(X,Y), Z] + μ_p G_p([X,Y], Z) ).  For a unit
+      section Z the Leibniz rule gives [μS, Z] = μ[S, Z] − ρ(Z)(μ)·S, so this
+      is μ_p·C_p − Σ_cyc ρ(Z)(μ_p)·G_p(X,Y) with C_p its value at μ_p = 1.
+      With r the least degree of an anchor term, it is zero or of degree
+      >= |μ_p| + m_p, m_p = min(lowdeg C_p, r − 1 + lowdeg G_p(X,Y)).  The
+      quadratic part is read first, then the monomials by increasing degree
+      until |μ_p| + m_p reaches the least degree found: the work is bounded
+      by the answer, not by D.
 
     If every coefficient has base degree strictly above the lowest nonzero
     homogeneous degree of J on the triple, that slice of J survives any
@@ -952,40 +954,38 @@ def lie_infeasibility_certificate(
         return Certificate("trivially-feasible", triple, max_degree)
     jac_min = jac.min_degree()
 
-    zero = a.zero_section()
-    # each rotation (u, v, w) of the triple as u, v, [u, v], w and rho(w)
-    cyclic = [
-        (e[p], e[q], a.bracket_gen(p, q), e[r], a.anchor[r])
-        for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+    zero, rotations = a.zero_section(), ((i, j, k), (j, k, i), (k, i, j))
+    basis = [(pair, BracketModifier({pair: g})) for pair in combinations(range(a.rank), 2) for g in kernel_gens]
+    # (G_p(u, v), w) on the rotation (u, v, w) whose {u, v} is p's pair, if any
+    tops = [[(g.apply(e[u], e[v]), w) for u, v, w in rotations if {u, v} == set(pair)] for pair, g in basis]
+    constants = [  # C_p = sum_cyc [G_p(u, v), w] + G_p([u, v], w)
+        sum([a.bracket(guv, e[w]) for guv, w in top]
+            + [g.apply(a.bracket_gen(u, v), e[w]) for u, v, w in rotations if w in pair], zero)
+        for (pair, g), top in zip(basis, tops)
     ]
-    basis = [
-        BracketModifier({pair: g}) for pair in combinations(range(a.rank), 2) for g in kernel_gens
-    ]
-    # G_p(u, v) on every rotation, and C_p, the coefficient of c_p at mu = 1
-    values = [[g.apply(u, v) for u, v, *_ in cyclic] for g in basis]
-    constants = [
-        sum((a.bracket(guv, w) + g.apply(uv, w) for guv, (_, _, uv, w, _) in zip(gv, cyclic)), zero)
-        for g, gv in zip(basis, values)
-    ]
-    monos = witness.monomials_up_to(a.nvars, max_degree)
-    # the terms of -rho(w)(mu) on every rotation, for every monomial mu
-    slopes = [[(-rho.apply(Poly.monomial(a.nvars, mu))).terms.items() for *_, rho in cyclic] for mu in monos]
-    # the coefficient of c_p at mu, one term dict: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
-    linear = []
-    for c, gv in zip(constants, values):
-        for mu, ds in zip(monos, slopes):
-            out: dict = {}
-            for s, f in ((c, [(mu, 1)]), *zip(gv, ds)):
-                for (slot, exps), v in s.terms.items():
-                    _add_shifted(out, slot, exps, v, f)
-            linear.append(_section(a.rank, a.nvars, _clean(out)))
     # the coefficient of c_p c_q, for G_p = g, G_q = h and μ_p = μ_q = 1
     quadratic = [
-        sum((h.apply(guv, w) + g.apply(huv, w) for guv, huv, (*_, w, _) in zip(gv, hv, cyclic)), zero)
-        for (g, gv), (h, hv) in combinations_with_replacement(zip(basis, values), 2)
+        sum([h.apply(guv, e[w]) for guv, w in gtop if w in hpair]
+            + [g.apply(huv, e[w]) for huv, w in htop if w in gpair], zero)
+        for ((gpair, g), gtop), ((hpair, h), htop) in combinations_with_replacement(zip(basis, tops), 2)
     ]
-    mod_min = min((c.min_degree() for c in linear + quadratic if not c.is_zero()), default=None)
+    low = min((c.min_degree() for c in quadratic if not c.is_zero()), default=None)
+    r = min((sum(exps) for rho in a.anchor for _, exps in rho.terms), default=None)
+    monos = witness.monomials_up_to(a.nvars, max_degree)
+    slope = cache(lambda w, mu: (-a.anchor[w].apply(Poly.monomial(a.nvars, mu))).terms.items())
+    for c, top in zip(constants, tops):
+        floors = [(c, 0)] + [(guv, r - 1) for guv, _ in top if r is not None]
+        m = min((s.min_degree() + d for s, d in floors if not s.is_zero()), default=None)
+        for mu in monos if m is not None else ():  # else C_p, every G_p(u, v) and coefficient is zero
+            if low is not None and sum(mu) + m >= low:
+                break
+            # the coefficient of c_p at mu, one term dict: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
+            out: dict = {}
+            for s, f in ((c, [(mu, 1)]), *((guv, slope(w, mu)) for guv, w in top)):
+                for (slot, exps), v in s.terms.items():
+                    _add_shifted(out, slot, exps, v, f)
+            found = min((sum(exps) for _, exps in _clean(out)), default=low)
+            low = found if low is None else min(low, found)
     # with no nonzero coefficient the modification is zero, and J is nonzero
-    if mod_min is None or mod_min > jac_min:
-        return Certificate("infeasible", triple, max_degree, jac_min, mod_min)
-    return Certificate("inconclusive", triple, max_degree, jac_min, mod_min)
+    status = "infeasible" if low is None or low > jac_min else "inconclusive"
+    return Certificate(status, triple, max_degree, jac_min, low)

@@ -264,9 +264,7 @@ def c11_obstruction_certificate(ctx: Context):
             return False, f"certificate at degree {bound}: {cert.status}"
     sampler = Sampler(ctx.seed)
     for trial in range(50):
-        modifier = sampler.kernel_modifier(e0, kern, max_degree=3)
-        modifier.validate(e0)
-        modified = e0.modify_bracket(modifier, name=f"modified-{trial}")
+        modified = e0.modify_bracket(sampler.kernel_modifier(e0, kern, max_degree=3), name=f"modified-{trial}")
         if modified.check_lie().is_lie:
             return False, f"random kernel modifier {trial} produced a Jacobi-flat bracket"
     return True, (

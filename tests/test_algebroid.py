@@ -3,7 +3,9 @@
 from itertools import combinations, permutations
 
 import pytest
+from courant_basis import basis_sections
 
+from algforge import algebroid as algebroid_module
 from algforge import catalog, linsolve
 from algforge.algebroid import (
     Algebroid,
@@ -280,9 +282,20 @@ def test_courant_full_space_has_an_invertible_constant_solution():
     assert space.dim == 1
     assert space.invertible_at_point()
     # built-in anti-diagonal solution: check it really solves the equation
-    g = space.basis[0]
+    g = basis_sections(space, E0.nvars)[0]
     defect = courant_defect(E0, g)
     assert all(row.is_zero() for row in defect)
+
+
+def test_courant_readings_build_no_section(monkeypatch):
+    # the space is kept as its nullspace vectors: the dimension and the
+    # origin readings come from their tags, and no basis image is wrapped
+    wrapped = []
+    section = algebroid_module._section
+    monkeypatch.setattr(algebroid_module, "_section", lambda *args: wrapped.append(args) or section(*args))
+    space = courant_solution_space(E0, max_degree=10)
+    assert (space.dim, space.all_zero_at_point(), space.invertible_at_point()) == (336, False, [90])
+    assert wrapped == []
 
 
 def test_courant_block_size_must_divide_rank():

@@ -9,9 +9,12 @@ and the coefficient of c_p c_q is read at mu_p = mu_q = 1.  The engine reads
 the same coefficients off the Leibniz rule in closed form, so both must agree
 in (status, jacobiator_min_degree, modifier_min_degree) on every case below:
 E0, six E0s changed by a seeded kernel modifier and E0prime with its kernel
-generators Ys1 and Ys2, on all four triples at D = 0..4, and three E0primes
+generators Ys1 and Ys2, on all four triples at D = 0..4, three E0primes
 changed by a modifier valued in Ys1, where the anchor term of the closed
-form sets the lowest degree.
+form sets the lowest degree, a bundle whose anchor has constant terms
+(where the degree bound that prunes the engine's monomial walk is weakest),
+and E0 past the shared bounds.  The engine stops its walk once no monomial
+can lower the answer, so its work at D = 30 is its work at D = 3.
 """
 
 from collections import Counter
@@ -19,9 +22,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from algforge import algebroid as algebroid_module
 from algforge import witness
 from algforge.algebroid import BracketModifier, lie_infeasibility_certificate
 from algforge.catalog import builtin, e0_kernel_sections
+from algforge.dsl import document_algebroid, parse
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -113,3 +118,49 @@ def test_the_anchor_term_lowers_the_modifier_degree(seed, algebroid):
             assert got == want, (triple, bound)
     lows = [lie_infeasibility_certificate(algebroid, (1, 2, 3), kernel, max_degree=d).modifier_min_degree for d in range(3)]
     assert lows == [3, 2, 2]
+
+
+# an anchor with constant terms (r = 0): rho(w)(mu) can sit one degree below
+# mu, so the walk over the monomials is pruned by the weakest bound
+CONSTANT_ANCHOR = document_algebroid(
+    parse("base 2 (x1, x2)\n\nbundle C rank 4 gens (A, B, K1, K2)\nanchor A -> d1\nanchor B -> d2\n")
+)
+CONSTANT_KERNEL = [CONSTANT_ANCHOR.unit_section(2), CONSTANT_ANCHOR.unit_section(3)]
+
+
+def test_an_anchor_with_a_constant_term():
+    seen = Counter()
+    for seed in range(4):
+        modifier = Sampler(seed).kernel_modifier(CONSTANT_ANCHOR, CONSTANT_KERNEL, max_degree=2)
+        algebroid = CONSTANT_ANCHOR.modify_bracket(modifier)
+        for bound in BOUNDS:
+            for triple in TRIPLES:
+                want = reference_certificate(algebroid, triple, CONSTANT_KERNEL, bound)
+                got = key(lie_infeasibility_certificate(algebroid, triple, CONSTANT_KERNEL, max_degree=bound))
+                assert got == want, (seed, triple, bound)
+                seen[want[0]] += 1
+    assert seen == {"inconclusive": 50, "trivially-feasible": 30}
+
+
+@pytest.mark.parametrize("triple", [(0, 1, 2), (1, 2, 3)])
+def test_e0_past_the_shared_bounds(triple):
+    for bound in range(5, 8):
+        want = reference_certificate(E0, triple, KERN, bound)
+        assert key(lie_infeasibility_certificate(E0, triple, KERN, max_degree=bound)) == want, bound
+
+
+def test_the_work_is_bounded_by_the_answer(monkeypatch):
+    # every coefficient term dict goes through one _clean, so their count is
+    # the work; on E0 the answer (3) is reached at mu = 1 whatever D is
+    calls = Counter()
+    clean = algebroid_module._clean
+
+    def counted(out):
+        calls[bound] += 1
+        return clean(out)
+
+    monkeypatch.setattr(algebroid_module, "_clean", counted)
+    for bound in (3, 30):
+        cert = lie_infeasibility_certificate(E0, (0, 1, 2), KERN, max_degree=bound)
+        assert key(cert) == ("infeasible", 2, 3)
+    assert calls[3] == calls[30] > 0

@@ -8,6 +8,7 @@ rank of the value, so the check shares no arithmetic with ``linsolve``.
 
 import pytest
 import sympy
+from courant_basis import basis_sections
 
 from algforge.algebroid import courant_solution_space
 from algforge.catalog import corpus_document
@@ -36,7 +37,7 @@ def _check_origin_readings(name, max_degree):
     origin = (0,) * a.nvars
     for blocks in (None, 2) if a.rank % 2 == 0 else (None,):
         space = courant_solution_space(a, max_degree=max_degree, paired_blocks=blocks)
-        values = [sympy.Matrix([[p.eval_at(origin) for p in row] for row in _entries(g)]) for g in space.basis]
+        values = [sympy.Matrix([[p.eval_at(origin) for p in row] for row in _entries(g)]) for g in basis_sections(space, a.nvars)]
         assert all(v.shape == (a.rank, a.rank) for v in values)
         assert space.invertible_at_point() == [i for i, v in enumerate(values) if v.rank() == a.rank]
         assert space.all_zero_at_point() == all(v.is_zero_matrix for v in values)
