@@ -976,7 +976,7 @@ def lie_infeasibility_certificate(
     for c, top in zip(constants, tops):
         floors = [(c, 0)] + [(guv, r - 1) for guv, _ in top if r is not None]
         m = min((s.min_degree() + d for s, d in floors if not s.is_zero()), default=None)
-        for mu in monos if m is not None else ():  # else C_p, every G_p(u, v) and coefficient is zero
+        for mu in monos if m is not None else ():  # with no m, every coefficient of c_p is zero
             if low is not None and sum(mu) + m >= low:
                 break
             # the coefficient of c_p at mu, one term dict: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
