@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -89,7 +88,7 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
             ) from None
         except OSError as exc:
             raise CliError(f"cannot read {file_arg!r}: {exc.strerror or exc}") from None
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", file_arg):
+    if file_arg.isascii() and file_arg.isidentifier():
         res = corpus_file(file_arg)
         if res.is_file():
             return res.read_text(encoding="utf-8"), f"{file_arg}.alg"
@@ -477,81 +476,82 @@ def cmd_verify_paper(args) -> Report:
 
 
 def _non_negative(text: str) -> int:
-    if not re.fullmatch(r"[0-9]+", text):
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
-    """The argument parser, built once per process on first use, and its
-    --max-degree option, whose default `main` sets on every call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in the report and used by any sampling")
-    max_degree = common.add_argument(
-        "--max-degree",
-        type=_non_negative,
-        help="coefficient degree bound for the bounded searches (default 4, env ALGFORGE_MAX_DEGREE)",
-    )
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
+# an argument is its flags, then its add_argument keywords; every command takes these first
+_COMMON = [
+    ("--seed", {"type": int, "default": 0, "help": "seed recorded in the report and used by any sampling"}),
+    ("--max-degree", {"type": _non_negative, "help": "coefficient degree bound for the bounded searches"
+                      " (default 4, env ALGFORGE_MAX_DEGREE)"}),
+    ("--json", {"action": "store_true", "help": "emit the report as JSON"}),
+]
+_FILE = ("file", {"metavar": "FILE", "help": "document path or bundled document name"})
+_CONNECTION = ("--connection", {"required": True, "help": "name of a declared connection"})
+# each command's help line and its own arguments
+_COMMANDS = {
+    "check": ("verify the anchor axioms of every declared bundle", [_FILE]),
+    "jacobiator": ("print Jacobi defects per generator triple", [
+        _FILE, ("--triples", {"default": "all", "help": "'all' or one 1-based triple like 1,2,3"})]),
+    "lie": ("assert the bracket satisfies the Jacobi identity", [_FILE]),
+    "connection-report": ("torsion and curvature of a declared connection", [_FILE, _CONNECTION]),
+    "derive": ("extend the bundle by its wedge square and write the result", [
+        _FILE, ("--connection", {"required": True, "help": "connection used to correct the extension"}),
+        ("-o", "--output", {"required": True, "help": "path for the derived document"})]),
+    "cohomology": ("closedness and exactness of a declared form", [
+        _FILE, ("--form", {"required": True, "help": "name of a declared form"})]),
+    "charclass": ("trace powers of the curvature of a connection", [
+        _FILE, _CONNECTION,
+        ("--max-k", {"type": _non_negative, "default": 2, "help": "highest trace power to compute (default 2)"})]),
+    "transgression": ("compare trace forms of two declared connections", [
+        _FILE, ("--c1", {"required": True, "help": "first connection name"}),
+        ("--c2", {"required": True, "help": "second connection name"}),
+        ("--k", {"type": int, "default": 1, "help": "trace power to compare (default 1)"})]),
+    "courant": ("bounded cometric solution spaces and declared defects", [_FILE]),
+    "nijenhuis": ("integrability of a declared endomorphism", [
+        _FILE, ("--endo", {"required": True, "help": "name of a declared endomorphism"})]),
+    "obstruction": ("degree certificate that one Jacobi defect cannot be cancelled", [
+        _FILE, ("--triple", {"required": True, "help": "1-based generator triple like 1,2,3"})]),
+    "verify-paper": ("run the built-in verification suite", []),
+}
 
+
+class _Commands(argparse._SubParsersAction):
+    """The command choice; a command's parser is built when argparse first dispatches to it, then kept."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._name_parser_map.update(dict.fromkeys(_COMMANDS))
+        self._choices_actions.extend(self._ChoicesPseudoAction(name, (), text) for name, (text, _) in _COMMANDS.items())
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if self._name_parser_map[name] is None:
+            command = self._parser_class(prog=f"{self._prog_prefix} {name}", formatter_class=parser.formatter_class)
+            for *flags, keywords in _COMMON + _COMMANDS[name][1]:
+                command.add_argument(*flags, **keywords)
+            self._name_parser_map[name] = command
+        # read on every call, as the parser is kept; a string default goes
+        # through the type, so a bad environment value is a usage error too
+        self._name_parser_map[name].set_defaults(max_degree=os.environ.get("ALGFORGE_MAX_DEGREE", "4"))
+        super().__call__(parser, namespace, values, option_string)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     # argparse wraps at COLUMNS; 78 is its width with no terminal attached
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0], formatter_class=formatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, file: bool = True):
-        p = sub.add_parser(name, parents=[common], help=help_text, formatter_class=formatter)
-        if file:
-            p.add_argument("file", metavar="FILE", help="document path or bundled document name")
-        return p
-
-    add("check", "verify the anchor axioms of every declared bundle")
-
-    p = add("jacobiator", "print Jacobi defects per generator triple")
-    p.add_argument("--triples", default="all", help="'all' or one 1-based triple like 1,2,3")
-
-    add("lie", "assert the bracket satisfies the Jacobi identity")
-
-    p = add("connection-report", "torsion and curvature of a declared connection")
-    p.add_argument("--connection", required=True, help="name of a declared connection")
-
-    p = add("derive", "extend the bundle by its wedge square and write the result")
-    p.add_argument("--connection", required=True, help="connection used to correct the extension")
-    p.add_argument("-o", "--output", required=True, help="path for the derived document")
-
-    p = add("cohomology", "closedness and exactness of a declared form")
-    p.add_argument("--form", required=True, help="name of a declared form")
-
-    p = add("charclass", "trace powers of the curvature of a connection")
-    p.add_argument("--connection", required=True, help="name of a declared connection")
-    p.add_argument("--max-k", type=_non_negative, default=2, help="highest trace power to compute (default 2)")
-
-    p = add("transgression", "compare trace forms of two declared connections")
-    p.add_argument("--c1", required=True, help="first connection name")
-    p.add_argument("--c2", required=True, help="second connection name")
-    p.add_argument("--k", type=int, default=1, help="trace power to compare (default 1)")
-
-    add("courant", "bounded cometric solution spaces and declared defects")
-
-    p = add("nijenhuis", "integrability of a declared endomorphism")
-    p.add_argument("--endo", required=True, help="name of a declared endomorphism")
-
-    p = add("obstruction", "degree certificate that one Jacobi defect cannot be cancelled")
-    p.add_argument("--triple", required=True, help="1-based generator triple like 1,2,3")
-
-    add("verify-paper", "run the built-in verification suite", file=False)
-
-    return parser, max_degree
+    parser.add_subparsers(dest="command", required=True, action=_Commands)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, max_degree = _parser()
-    # a string default goes through the type, so a bad environment value is a
-    # usage error like a bad option
-    max_degree.default = os.environ.get("ALGFORGE_MAX_DEGREE", "4")
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # looked up on each call, not stored in the parser that outlives it

@@ -215,7 +215,10 @@ class _Parser:
 
     # ---- token plumbing ----
 
+    # eof is the last token and advance stops at it, so self.pos is always in range
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
@@ -225,7 +228,8 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("sym", "arrow", "ident")
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind in ("sym", "arrow", "ident")
 
     def accept(self, text: str) -> bool:
         if self.at(text):

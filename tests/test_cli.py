@@ -1,14 +1,20 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import algforge
 from algforge import cli
@@ -449,6 +455,83 @@ def test_the_environment_degree_is_read_on_every_call(capsys, monkeypatch):
         assert f"dimension {dim} at coefficient degree <= {value}" in out
     _, out, _ = run(capsys, "courant", "E0", "--max-degree", "1")
     assert "dimension 3 at coefficient degree <= 1" in out
+
+
+def test_calls_in_one_process_build_each_command_parser_once_and_read_the_bound_each_time(capsys, monkeypatch):
+    # (argv, ALGFORGE_MAX_DEGREE); the unknown command is refused before any command parser runs
+    calls = [
+        (["check", "E0"], "2"),
+        (["lie", "E0"], "3"),
+        (["obstruction", "E0", "--triple", "1,2,3", "--json"], "5"),
+        (["courant", "E0", "--json"], "2"),
+        (["definitely-not-a-command"], "abc"),
+        (["check", "E0", "--json"], "1"),
+    ]
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[kwargs.get("prog")] += 1
+        init(self, *args, **kwargs)
+
+    bounds = []
+
+    def recorded(command):
+        def run_command(args):
+            bounds.append(args.max_degree)
+            return command(args)
+
+        return run_command
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name in ("check", "lie", "obstruction", "courant"):
+        monkeypatch.setattr(cli, f"cmd_{name}", recorded(getattr(cli, f"cmd_{name}")))
+    cli._parser.cache_clear()
+    try:
+        for argv, bound in calls:
+            monkeypatch.setenv("ALGFORGE_MAX_DEGREE", bound)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "algforge.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=SRC),
+                capture_output=True,
+                text=True,
+            )
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    finally:
+        cli._parser.cache_clear()
+    assert bounds == [2, 3, 5, 2, 1]
+    # the program's parser once, and one parser per command run, whatever the number of calls
+    assert built == Counter(["algforge"] + [f"algforge {name}" for name in ("check", "lie", "obstruction", "courant")])
+
+
+class _LookedUp(Exception):
+    pass
+
+
+@given(st.text())
+@example("²")
+@example("٣")
+@example("é")
+@example("_")
+@example("")
+@example("E0")
+@example("x1²")
+@example("0")
+@example("12")
+@example("１")
+@example("E0\n")
+def test_name_and_integer_tests_agree_with_ascii_patterns(text):
+    assume(not Path(text).is_file())
+    # a FILE that is not a file is looked up as a bundled name only when it is an ASCII identifier
+    with mock.patch.object(cli, "corpus_file", side_effect=_LookedUp):
+        with pytest.raises((_LookedUp, cli.CliError)) as raised:
+            cli._resolve_source(text)
+    assert (raised.type is _LookedUp) == bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    if re.fullmatch(r"[0-9]+", text):
+        assert cli._non_negative(text) == int(text)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._non_negative(text)
 
 
 def test_weak_closed_note_on_a_1_form(capsys):
