@@ -28,7 +28,7 @@ print("\nclosedness:")
 tr1 = char_form(tf, 1)
 dec = strong_closed(tr1)
 print(f"  Tr R   strong closed: {dec.status}; witness theta with d^2(theta) = d(Tr R):")
-print(f"         theta = {dec.witness.to_text()}")
+print(f"         theta = {dec.theta.to_text()}")
 print(f"         (the trace of the connection forms, {connection_forms(tf).trace().to_text()}, works too)")
 print(f"  Tr R^2 weak closed: {weak_closed(char_form(tf, 2), ideal).status} (differential falls into the obstruction ideal)")
 

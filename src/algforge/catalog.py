@@ -11,10 +11,11 @@ The remaining entries are supporting cast: quotient-shaped relatives of E0
 (``E0doubleprime``), its rank-4 extension by the kernel (``E00``), and
 tangent bundles for sanity checks.
 
-Every named bundle and E0's companions (kernel sections, complex structure,
-torsion-free connection) are read from the bundled documents in
+Every named bundle and E0's companions (kernel sections, the complex
+structure J0, torsion-free connection) are read from the bundled documents in
 ``corpus/<name>.alg``, their only source: a built-in bundle is changed by
-editing its document.  Only ``tangent<n>`` is built in code.
+editing its document; J0 is read with ``dsl.document_endo``.  Only
+``tangent<n>`` is built in code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .algebroid import Algebroid, AlgebroidError, BaseSpace, Endomorphism, Section, _vector_field
+from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _vector_field
 from .dsl import Document, document_algebroid, parse
 
 _BUNDLED = ("E0", "E00", "E0_itemized", "E0doubleprime", "E0prime", "E0prime_lie")
@@ -45,12 +46,6 @@ def e0_kernel_sections() -> dict[str, Section]:
     """The two anchor-killed sections spanning ker(rho) off the axes."""
     doc = corpus_document("E0")
     return {name: doc.section(name).value for name in ("Xs1", "Xs2")}
-
-
-def e0_complex_structure() -> Endomorphism:
-    """The almost complex J with J(X11) = -X21, J(X21) = X11, and likewise
-    on the second pair."""
-    return Endomorphism(corpus_document("E0").endo("J0").images)
 
 
 def e0prime_to_e0_images() -> list[Section]:

@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _vector_field
 from .connection import EConnection, induced_connection
 from .forms import (
+    Decision,
     Form,
-    IdealDecision,
     Lambda2Ideal,
     _form,
     _wedge_into,
@@ -305,11 +305,11 @@ class TransgressionReport(NamedTuple):
     ideal_part: Form  # H(d~ Tr R~^k)
     identity_ok: bool  # difference == d(primary) + ideal_part
     restriction_ok: bool  # interval endpoints reproduce the two curvatures
-    ideal_membership: IdealDecision
+    ideal_membership: Decision
 
     @property
     def ok(self) -> bool:
-        return self.identity_ok and self.restriction_ok and self.ideal_membership.is_member
+        return self.identity_ok and self.restriction_ok and self.ideal_membership.is_yes
 
     def describe(self) -> str:
         bits = [

@@ -9,21 +9,7 @@ parse, or lookup errors and when the report cannot be written.  ``--json``
 switches the report to a fixed-key-order JSON rendering; identical inputs,
 seeds, and degree bounds give identical bytes.  Bounded searches that end
 without a verdict are reported as ``inconclusive`` and do not fail the run.
-
-Commands:
-
-  check               elaborate the document and verify the anchor axioms
-  jacobiator          print Jacobi defects per generator triple
-  lie                 assert the bracket satisfies Jacobi on all triples
-  connection-report   torsion, curvature table, and the curvature identity
-  derive              build the wedge-extended bundle and write it out
-  cohomology          closedness/exactness report for a declared form
-  charclass           trace powers of the curvature and their closedness
-  transgression       compare trace forms of two connections
-  courant             bounded cometric solution spaces and declared defects
-  nijenhuis           integrability report for a declared endomorphism
-  obstruction         degree-bookkeeping certificate for one Jacobi defect
-  verify-paper        run the built-in verification suite
+``algforge --help`` lists the commands, read from the ``_COMMANDS`` table.
 """
 
 from __future__ import annotations
@@ -110,7 +96,7 @@ def _load(args) -> tuple[Document, Report]:
 
 
 def _status_of(decision_status: str) -> str:
-    return {"yes": PASS, "member": PASS, "no-witness": INCONCLUSIVE}.get(decision_status, FAIL)
+    return {"yes": PASS, "no-witness": INCONCLUSIVE}.get(decision_status, FAIL)
 
 
 def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
@@ -274,32 +260,18 @@ def cmd_cohomology(args) -> Report:
     ideal = Lambda2Ideal(a)
     D = args.max_degree
 
-    dd = d_squared(omega)
-    member = ideal.membership(dd, D)
-    report.add_status(
-        "d-squared-in-obstruction-ideal",
-        _status_of(member.status),
-        note=member.note or None,
-    )
-
-    strong = strong_closed(omega, D)
-    report.add_status(
-        "strong-closed",
-        _status_of(strong.status),
-        witness=None if strong.witness is None else f"theta = {strong.witness.to_text()}",
-        note=strong.note or None,
-    )
-
-    weak = weak_closed(omega, ideal, D)
-    report.add_status("weak-closed", _status_of(weak.status), note=weak.note or None)
-
-    exact = weak_exact(omega, ideal, D)
-    report.add_status(
-        "weak-exact",
-        _status_of(exact.status),
-        witness=None if exact.witness is None else f"theta = {exact.witness.to_text()}",
-        note=exact.note or None,
-    )
+    for name, decision in (
+        ("d-squared-in-obstruction-ideal", ideal.membership(d_squared(omega), D)),
+        ("strong-closed", strong_closed(omega, D)),
+        ("weak-closed", weak_closed(omega, ideal, D)),
+        ("weak-exact", weak_exact(omega, ideal, D)),
+    ):
+        report.add_status(
+            name,
+            _status_of(decision.status),
+            witness=None if decision.theta is None else f"theta = {decision.theta.to_text()}",
+            note=decision.note or None,
+        )
     return report
 
 

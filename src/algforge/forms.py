@@ -25,6 +25,11 @@ example — membership decouples tuple by tuple into monomial-ideal division,
 which is exact at every degree.  Otherwise a degree-bounded linear solve
 provides witnesses, and a failed search is reported as such rather than as a
 refutation.
+
+Membership, strong and weak closedness and weak exactness all answer in one
+record, ``Decision``: status ``yes``, ``no`` or ``no-witness``, and for a
+``yes`` its certificate, the lower form ``theta`` and the ideal ``cofactors``
+(generator index -> form) that the question calls for.
 """
 
 from __future__ import annotations
@@ -321,19 +326,28 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 
-MEMBER = "member"
-NOT_MEMBER = "not-member"
+YES = "yes"
+NO = "no"
 NO_WITNESS = "no-witness"
 
 
-class IdealDecision(NamedTuple):
+class Decision(NamedTuple):
+    """The answer of a membership, closedness or exactness search.
+
+    ``status`` is YES, NO (refuted exactly) or NO_WITNESS (the bounded search
+    found nothing, which refutes nothing).  A YES carries its certificate:
+    ``theta``, the lower form of a closedness or exactness split, and
+    ``cofactors``, generator index -> form, the ideal part as Σ cofactor ∧ g.
+    """
+
     status: str
+    theta: Form | None = None
     cofactors: dict[int, Form] = MappingProxyType({})  # shared by every default, so read-only
     note: str = ""
 
     @property
-    def is_member(self) -> bool:
-        return self.status == MEMBER
+    def is_yes(self) -> bool:
+        return self.status == YES
 
 
 class Lambda2Ideal:
@@ -357,15 +371,13 @@ class Lambda2Ideal:
 
     # ---- membership ----
 
-    def membership(self, omega: Form, max_degree: int = 4) -> IdealDecision:
+    def membership(self, omega: Form, max_degree: int = 4) -> Decision:
         if omega.is_zero():
-            return IdealDecision(MEMBER, {})
+            return Decision(YES)
         if omega.degree <= 2:
-            return IdealDecision(
-                NOT_MEMBER, note=f"nonzero {omega.degree}-form; the ideal starts in degree 3"
-            )
+            return Decision(NO, note=f"nonzero {omega.degree}-form; the ideal starts in degree 3")
         if self.is_trivial:
-            return IdealDecision(NOT_MEMBER, note="ideal is zero")
+            return Decision(NO, note="ideal is zero")
         if self.fast_path:
             remainder, values = self._divide(omega)
             if remainder:
@@ -373,14 +385,12 @@ class Lambda2Ideal:
                 left = {u for u, _ in remainder}
                 u = next(u for u, _ in omega.terms if u in left)
                 names = "^".join(f"w({self.algebroid.gen_names[i]})" for i in u)
-                return IdealDecision(
-                    NOT_MEMBER, note=f"component on {names} has terms outside the generator monomials"
-                )
+                return Decision(NO, note=f"component on {names} has terms outside the generator monomials")
         else:
             values = witness.solve(self._columns(omega.degree, max_degree), omega.terms)
             if values is None:
-                return IdealDecision(NO_WITNESS, note=f"no witness with coefficient degree <= {max_degree}")
-        return IdealDecision(MEMBER, self._cofactors(omega.degree, values))
+                return Decision(NO_WITNESS, note=f"no witness with coefficient degree <= {max_degree}")
+        return Decision(YES, cofactors=self._cofactors(omega.degree, values))
 
     def _divide(self, omega: Form) -> tuple[dict, dict]:
         """Fast-path division: (remainder column, cofactor values tagged as in ``_columns``).
@@ -427,9 +437,9 @@ class Lambda2Ideal:
             terms.setdefault(g_idx, {})[(s, mu)] = v
         return {g_idx: _form(self.algebroid, degree - 3, _clean(t)) for g_idx, t in terms.items()}
 
-    def check_cofactors(self, omega: Form, decision: IdealDecision) -> bool:
+    def check_cofactors(self, omega: Form, decision: Decision) -> bool:
         """Recombine cofactors against the generators; must reproduce omega."""
-        if not decision.is_member:
+        if not decision.is_yes:
             return False
         total = Form.zero(self.algebroid, omega.degree)
         for g_idx, eta in decision.cofactors.items():
@@ -461,20 +471,6 @@ def _coordinate_key(coord):
 # ---------------------------------------------------------------------------
 
 
-YES = "yes"
-
-
-class ClosednessDecision(NamedTuple):
-    status: str  # "yes" | "not-member"/"no" | "no-witness"
-    witness: Form | None = None
-    ideal_cofactors: dict[int, Form] | None = None
-    note: str = ""
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == YES
-
-
 def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict:
     """Nonzero images under ``operator`` of the monomial basis forms of a degree.
 
@@ -493,42 +489,35 @@ def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict
     return columns
 
 
-def strong_closed(omega: Form, max_degree: int = 4) -> ClosednessDecision:
+def strong_closed(omega: Form, max_degree: int = 4) -> Decision:
     """Is d omega the d-square of some lower form?  Bounded witness search."""
     a = omega.algebroid
     d_omega = differential(omega)
     if d_omega.is_zero():
-        return ClosednessDecision(YES, Form.zero(a, max(omega.degree - 1, 0)), note="d omega = 0")
+        return Decision(YES, Form.zero(a, max(omega.degree - 1, 0)), note="d omega = 0")
     x = witness.solve(_basis_columns(a, omega.degree - 1, max_degree, d_squared), d_omega.terms)
     if x is None:
-        return ClosednessDecision(
-            NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}"
-        )
-    return ClosednessDecision(YES, _form(a, omega.degree - 1, x))
+        return Decision(NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}")
+    return Decision(YES, _form(a, omega.degree - 1, x))
 
 
-def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
+def weak_closed(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Decision:
     """Is d omega in the ideal?"""
-    decision = ideal.membership(differential(omega), max_degree)
-    if decision.is_member:
-        return ClosednessDecision(YES, ideal_cofactors=decision.cofactors)
-    return ClosednessDecision(decision.status, note=decision.note)
+    return ideal.membership(differential(omega), max_degree)
 
 
-def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> ClosednessDecision:
+def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Decision:
     """Does omega split as d theta' plus an ideal element?  Joint solve."""
     a = omega.algebroid
     if omega.is_zero():
-        return ClosednessDecision(YES, Form.zero(a, max(omega.degree - 1, 0)), {})
+        return Decision(YES, Form.zero(a, max(omega.degree - 1, 0)))
     d_columns = _basis_columns(a, omega.degree - 1, max_degree, differential)
     # theta slots are index tuples, ideal slots (generator, index tuple): the
     # tags cannot collide
     ideal_columns = ideal._columns(omega.degree, max_degree)
     x = witness.solve({**d_columns, **ideal_columns}, omega.terms)
     if x is None:
-        return ClosednessDecision(
-            NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}"
-        )
+        return Decision(NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}")
     theta = _form(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})
     cofactors = ideal._cofactors(omega.degree, {t: v for t, v in x.items() if t in ideal_columns})
-    return ClosednessDecision(YES, theta, cofactors)
+    return Decision(YES, theta, cofactors)

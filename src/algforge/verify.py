@@ -362,9 +362,9 @@ def c15_cartan_suite(ctx: Context):
             return False, f"differentiated structure equation fails for {label}"
     tr1 = char_form(tf, 1)
     decision = strong_closed(tr1, max_degree=ctx.max_degree)
-    if not decision.is_yes or decision.witness is None:
+    if not decision.is_yes or decision.theta is None:
         return False, "first trace form is not certified strong closed"
-    if d_squared(decision.witness) != differential(tr1):
+    if d_squared(decision.theta) != differential(tr1):
         return False, "strong-closedness witness does not check out"
     theta_trace = connection_forms(tf).trace()
     if d_squared(theta_trace) != differential(tr1):
@@ -400,12 +400,12 @@ def c16_homotopy_suite(ctx: Context):
     ext_ideal = Lambda2Ideal(p.extended)
     checked = 0
     for _, gen in ext_ideal.nonzero_gens():
-        if not ideal.membership(p.homotopy(gen), ctx.max_degree).is_member:
+        if not ideal.membership(p.homotopy(gen), ctx.max_degree).is_yes:
             return False, "H of an ideal generator escapes the ideal"
         checked += 1
         for _ in range(3):
             mu = sampler.form(p.extended, 1, max_degree=2)
-            if not ideal.membership(p.homotopy(mu.wedge(gen)), ctx.max_degree).is_member:
+            if not ideal.membership(p.homotopy(mu.wedge(gen)), ctx.max_degree).is_yes:
                 return False, "H of an ideal multiple escapes the ideal"
             checked += 1
     return True, (

@@ -26,14 +26,13 @@ from algforge.catalog import (
     builtin,
     builtin_names,
     corpus_document,
-    e0_complex_structure,
     e0_kernel_sections,
     e0prime_to_e0_images,
     make_tangent,
     torsionfree_gamma,
 )
 from algforge.connection import EConnection, derive_bundle
-from algforge.dsl import document_algebroid
+from algforge.dsl import document_algebroid, document_endo
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -193,7 +192,7 @@ def test_modifier_rejects_non_kernel_values():
 
 
 def test_nijenhuis_of_the_catalog_complex_structure():
-    j = e0_complex_structure()
+    j = document_endo(corpus_document("E0"), E0, "J0")
     assert j.is_almost_complex()
     for i in range(4):
         for k in range(i + 1, 4):
@@ -214,7 +213,7 @@ def test_nijenhuis_table_checks_the_structure_once(monkeypatch):
     calls = []
     check = Endomorphism.is_almost_complex
     monkeypatch.setattr(Endomorphism, "is_almost_complex", lambda self: calls.append(self) or check(self))
-    j = e0_complex_structure()
+    j = document_endo(corpus_document("E0"), E0, "J0")
     assert nijenhuis_table(E0, j) == {}
     assert len(calls) == 1
     # the pairwise function checks on every call

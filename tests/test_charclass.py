@@ -188,7 +188,7 @@ def test_transgression_flat_to_torsionfree():
         rep = transgression_check(FLAT, TF, k, ideal=IDEAL)
         assert rep.identity_ok
         assert rep.restriction_ok
-        assert rep.ideal_membership.is_member
+        assert rep.ideal_membership.is_yes
         assert rep.ok
         assert rep.difference == char_form(TF, k) - char_form(FLAT, k)
     # order 1: the primary witness is exactly the trace of the connection forms

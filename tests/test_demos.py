@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STDOUT_SHA256 = {
     "01_bracket_anatomy.py": "c6f810a4a11790cb83953d40b2a539697b0ff7205823bdafdeec826458b728c5",
     "02_connection_and_curvature.py": "5dae11c8e923da432fca904a8dd8a8e3023d772f470313ee7447f7a36cba7923",
-    "03_characteristic_forms.py": "0baf14f25466f431e09dc09d9e55840c2e986be72c3c900e3d205517a4902a5d",
+    "03_characteristic_forms.py": "051712060c7c8bdf6ea62dd2dbc8f9059881e173ec2ad28de97e030cf50533aa",
     "04_document_language.py": "f03f68d1bb8102b82f332bf85547ee9037192b65f41deaf21ec6eb914aa6e835",
 }
 

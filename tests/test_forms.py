@@ -88,7 +88,7 @@ def test_ideal_membership_fast_path_with_cofactors():
     assert IDEAL.fast_path
     member = w(1, 2, 3).scale(4 * X2 * X2 * X1)
     decision = IDEAL.membership(member)
-    assert decision.is_member
+    assert decision.is_yes
     assert IDEAL.check_cofactors(member, decision)
 
 
@@ -100,7 +100,7 @@ def test_fast_path_cofactors_of_odd_coefficients_are_exact_halves():
     assert sorted(values.values()) == [-Fraction(1, 2)] * 2 + [Fraction(1, 2)] * 2
     assert all(type(v) is Fraction for v in values.values())
     decision = IDEAL.membership(target)
-    assert decision.is_member
+    assert decision.is_yes
     cofactors = {g: eta.comps[()].terms for g, eta in decision.cofactors.items()}
     assert cofactors == {
         0: {(0, 0): Fraction(-1, 2)},
@@ -114,10 +114,10 @@ def test_fast_path_cofactors_of_odd_coefficients_are_exact_halves():
 def test_ideal_membership_refuses_outsiders():
     outsider = w(1, 2, 3).scale(X1)  # coefficient not in <x1^2, x2^2>
     decision = IDEAL.membership(outsider)
-    assert decision.status == "not-member"
+    assert decision.status == "no"
     # degree-2 forms can only be members when zero
-    assert IDEAL.membership(w(0, 1)).status == "not-member"
-    assert IDEAL.membership(Form.zero(E0, 2)).is_member
+    assert IDEAL.membership(w(0, 1)).status == "no"
+    assert IDEAL.membership(Form.zero(E0, 2)).is_yes
 
 
 def test_normal_form_reduces_members_to_zero():
@@ -132,7 +132,7 @@ def test_strong_closed_with_checked_witness():
     top = w(0, 1, 2, 3)
     decision = strong_closed(top)
     assert decision.is_yes
-    assert d_squared(decision.witness) == differential(top)
+    assert d_squared(decision.theta) == differential(top)
 
 
 def test_weak_closed_distinguishes():
@@ -141,7 +141,7 @@ def test_weak_closed_distinguishes():
     omega = differential(Form.dual(E0, 0))
     assert differential(omega) == member_d
     assert weak_closed(omega, IDEAL).is_yes
-    assert weak_closed(Form.dual(E0, 1), IDEAL).status == "not-member"
+    assert weak_closed(Form.dual(E0, 1), IDEAL).status == "no"
 
 
 def test_weak_exact_finds_joint_split():
@@ -149,8 +149,8 @@ def test_weak_exact_finds_joint_split():
     target = differential(theta) + w(0, 1, 2).scale(X2 * X2 * 3)
     decision = weak_exact(target, IDEAL)
     assert decision.is_yes
-    residual = target - differential(decision.witness)
-    assert IDEAL.membership(residual).is_member
+    residual = target - differential(decision.theta)
+    assert IDEAL.membership(residual).is_yes
 
 
 def test_weak_exact_gives_up_honestly():

@@ -20,7 +20,7 @@ import pytest
 from algforge.algebroid import Algebroid, Section
 from algforge.catalog import builtin, torsionfree_gamma
 from algforge.connection import EConnection
-from algforge.forms import MEMBER, NO_WITNESS, NOT_MEMBER, Form, Lambda2Ideal, d_squared, differential
+from algforge.forms import NO, NO_WITNESS, YES, Form, Lambda2Ideal, d_squared, differential
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -181,7 +181,7 @@ def test_a_permutation_keeps_the_ideal_membership_verdicts():
         before = ideal.membership(omega).status
         assert new_ideal.membership(reframe_form(omega, new, f)).status == before
         verdicts.append((omega.degree, before))
-    assert {(3, MEMBER), (3, NOT_MEMBER), (2, NOT_MEMBER)} <= set(verdicts)
+    assert {(3, YES), (3, NO), (2, NO)} <= set(verdicts)
 
 
 def test_a_shear_keeps_the_members_and_makes_none():
@@ -195,13 +195,13 @@ def test_a_shear_keeps_the_members_and_makes_none():
         before = ideal.membership(omega).status
         sheared = reframe_form(omega, new, f)
         after = new_ideal.membership(sheared)
-        if before == MEMBER:
-            assert after.status == MEMBER
+        if before == YES:
+            assert after.status == YES
             assert new_ideal.check_cofactors(sheared, after)
         else:
-            assert before == NOT_MEMBER and after.status != MEMBER
+            assert before == NO and after.status != YES
         verdicts.append((omega.degree, before, after.status))
     # a bounded search cannot refute a degree-3 form, so those end without a witness
-    assert verdicts.count((3, MEMBER, MEMBER)) == 4
-    assert verdicts.count((2, NOT_MEMBER, NOT_MEMBER)) == 3
-    assert verdicts.count((3, NOT_MEMBER, NO_WITNESS)) == 4
+    assert verdicts.count((3, YES, YES)) == 4
+    assert verdicts.count((2, NO, NO)) == 3
+    assert verdicts.count((3, NO, NO_WITNESS)) == 4

@@ -76,7 +76,7 @@ def test_square_exchange_on_seeded_one_forms():
 def test_homotopy_maps_extended_ideal_into_base_ideal():
     ideal = Lambda2Ideal(E0)
     for _, gen in Lambda2Ideal(EXT).nonzero_gens():
-        assert ideal.membership(P.homotopy(gen)).is_member
+        assert ideal.membership(P.homotopy(gen)).is_yes
 
 
 def test_interpolation_restricts_to_endpoints():

@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from algforge.algebroid import Endomorphism, Section, VectorField, vf_bracket
-from algforge.catalog import builtin, e0_complex_structure, e0_kernel_sections, torsionfree_gamma
+from algforge.catalog import builtin, corpus_document, e0_kernel_sections, torsionfree_gamma
 from algforge.connection import EConnection, derive_bundle
+from algforge.dsl import document_endo
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -107,7 +108,7 @@ def test_anchor_outputs_are_canonical_vector_fields(a):
 def test_endomorphism_images_are_canonical_sections():
     half = Poly.const(2, Fraction(1, 2))
     halving = Endomorphism([E0.unit_section(b).scale(half) for b in range(4)])
-    for endo in (e0_complex_structure(), halving):
+    for endo in (document_endo(corpus_document("E0"), E0, "J0"), halving):
         for x in sections(E0, seed=11):
             for s in (endo.apply(x), endo.apply(x + x)):
                 assert type(s) is Section
