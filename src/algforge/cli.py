@@ -62,7 +62,8 @@ class CliError(Exception):
 def _resolve_source(file_arg: str) -> tuple[str, str]:
     """Return (document text, display label) for a FILE argument."""
     p = Path(file_arg)
-    if p.is_file():
+    # unlike Path.is_file, a name the system cannot stat (too long, say) is no file
+    if os.path.isfile(p):
         try:
             return p.read_text(encoding="utf-8"), p.name
         except UnicodeDecodeError as exc:
