@@ -5,16 +5,16 @@ An algebroid here is a rank-m bundle over a polynomial base, given by
 * an anchor: the image rho(e_a) of every generator, a base vector field, and
 * a structure table: the bracket [e_i, e_j] for i < j, skew-extended.
 
-A section is one flat dict {(generator, exponents): coefficient}; its
-``coeffs`` reads it back as one Poly per generator.  A vector field is a
-section of the base's tangent bundle (slot j is d/dx_j), so the anchor
-images are sections too, and a k-form (``forms.Form``) is a section of
-Λ^k E*; all three share one arithmetic, ``_Terms``.  ``map_section``
-applies any bundle map given by its images.  Brackets of arbitrary
-polynomial sections are produced from the table by the Leibniz expansion,
-written once for every generator-pair table (structure, bracket modifier,
-connection gamma) as loops that add straight into one output dict: the
-pair-table sum ``pair_sum`` and the anchored derivative
+A section is one flat dict {(generator, exponents): coefficient}.  A vector
+field is a section of the base's tangent bundle (slot j is d/dx_j), a k-form
+(``forms.Form``) one of Λ^k E*; all three share one arithmetic, ``_Terms``,
+whose sparse ``split`` (one Poly per nonzero slot) every text renderer reads;
+``Section.coeffs``, one Poly per generator, is kept for matrix rows.
+``map_section`` applies any bundle map given by its images.  Brackets of
+arbitrary polynomial sections are produced from the table by the Leibniz
+expansion, written once for every generator-pair table (structure, bracket
+modifier, connection gamma) as loops that add straight into one output
+dict: the pair-table sum ``pair_sum`` and the anchored derivative
 ``Algebroid.derivative``.  ``apply_row`` is the one loop that applies a
 vector field to polynomial terms.  The two axioms that make such a bundle
 an almost Lie algebroid — the Leibniz rule (true by construction) and anchor
@@ -74,15 +74,24 @@ class BaseSpace:
 
 
 class _Terms:
-    """The arithmetic of sections of any bundle: E, TM (``VectorField``) or
-    Λ^k E* (``forms.Form``).  A subclass gives ``nvars``, ``_like`` and
-    ``_check_sum``, which refuses a summand that is not a section of its bundle.
+    """The arithmetic of sections of any bundle: E, TM (``VectorField``),
+    Λ^k E* (``forms.Form``) or a matrix of forms (``charclass.FormMatrix``).
+    A subclass gives ``nvars``, ``_like`` and ``_check_sum``, which refuses a
+    summand that is not a section of its bundle.
     """
 
     __slots__ = ("terms",)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def split(self) -> dict:
+        """The nonzero coefficients as {slot: Poly}, in slot order (built on each read)."""
+        split: dict = {}
+        for (slot, exps), c in self.terms.items():
+            split.setdefault(slot, {})[exps] = c
+        return {slot: _trusted(self.nvars, split[slot]) for slot in sorted(split)}
 
     def __add__(self, other):
         self._check_sum(other)
@@ -109,7 +118,8 @@ class Section(_Terms):
 
     Coefficients are in the ``poly`` normal form: nonzero, an int where
     integral and a Fraction otherwise.  The dict is the only copy of the
-    coefficients; ``coeffs`` reads them back as one Poly per generator.
+    coefficients; ``split`` reads them back sparse, ``coeffs`` as one Poly
+    per generator.
     Sums, negation and ``scale`` are the ``_Terms`` arithmetic, shared with
     vector fields (sections of TM) and forms (sections of Λ^k E*).
     """
@@ -136,11 +146,9 @@ class Section(_Terms):
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
-        """The coefficient of every generator as a Poly (read-only, built on each read)."""
-        split = [{} for _ in range(self.rank)]
-        for (a, exps), c in self.terms.items():
-            split[a][exps] = c
-        return tuple(_trusted(self.nvars, terms) for terms in split)
+        """The coefficient of every generator as a Poly, zeros included: the dense view of matrix rows."""
+        split = self.split
+        return tuple(split[a] if a in split else _trusted(self.nvars, {}) for a in range(self.rank))
 
     def __eq__(self, other):
         return (
@@ -154,11 +162,11 @@ class Section(_Terms):
         return min((sum(exps) for _, exps in self.terms), default=-1)
 
     def __repr__(self):
-        return f"Section({list(self.coeffs)!r})"
+        return f"Section({self.split!r})"
 
 
 class VectorField(Section):
-    """A polynomial vector field sum_j comps[j] * d/dx_j on the base.
+    """A polynomial vector field sum_j coeffs[j] * d/dx_j on the base.
 
     It is a section of the base's tangent bundle: rank and nvars are the
     base dimension, and slot j is d/dx_j.
@@ -176,8 +184,6 @@ class VectorField(Section):
     def _like(self, terms: dict) -> VectorField:
         return _vector_field(self.base, terms)
 
-    comps = Section.coeffs
-
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a coefficient function."""
         out = apply_row({}, self, (((None, exps), c) for exps, c in f.terms.items()))
@@ -189,9 +195,7 @@ class VectorField(Section):
     def to_text(self) -> str:
         names = self.base.var_names
         pieces = []
-        for j, comp in enumerate(self.comps):
-            if comp.is_zero():
-                continue
+        for j, comp in self.split.items():
             text = comp.to_text(names)
             if text == "1":
                 pieces.append(f"d{j + 1}")
@@ -261,12 +265,12 @@ def apply_row(out: dict, v: VectorField, items, weight=1, shift: tuple[int, ...]
     return out
 
 
-def sum_text(coeffs, names, var_names) -> str:
-    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements."""
+def sum_text(split, names, var_names) -> str:
+    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements, from
+    its sparse split {slot: Poly} in slot order; ``names[slot]`` names a slot."""
     pieces = []
-    for name, coeff in zip(names, coeffs):
-        if coeff.is_zero():
-            continue
+    for slot, coeff in split.items():
+        name = names[slot]
         text = coeff.to_text(var_names)
         if text == "1":
             pieces.append(name)
@@ -414,7 +418,7 @@ class Algebroid:
         return self.units[i]
 
     def section_text(self, s: Section) -> str:
-        return sum_text(s.coeffs, self.gen_names, self.base.var_names)
+        return sum_text(s.split, self.gen_names, self.base.var_names)
 
     # ---- anchor ----
 

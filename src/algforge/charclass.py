@@ -8,25 +8,26 @@ explicit homotopy: the two connections are joined along an extra interval
 variable, and an integration operator H peels the interval off, splitting the
 difference of characteristic forms into an exact part and an ideal part.
 
-Forms are built straight as ``forms`` term dicts: the connection and
-curvature matrices from the gamma and curvature sections' term dicts, matrix
-products and the interval operators (restriction, H) as loops over terms.
-Results are wrapped through ``forms._form``, not re-checked.
+Forms and matrices of forms (``FormMatrix``, which never stores a zero entry)
+are built straight as term dicts from the gamma and curvature sections' term
+dicts; matrix products, traces and the interval operators (restriction, H)
+are loops over nonzero terms.  Results are wrapped, not re-checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
-from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _vector_field
+from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _Terms, _vector_field
 from .connection import EConnection, induced_connection
 from .forms import (
     Decision,
     Form,
     Lambda2Ideal,
     _form,
-    _wedge_into,
+    _merge_sign,
     d_squared,
     differential,
     pullback,
@@ -39,36 +40,31 @@ from .poly import Poly
 # ---------------------------------------------------------------------------
 
 
-class FormMatrix:
-    """Square matrix of forms of one common degree."""
+class FormMatrix(_Terms):
+    """Square matrix of forms of one common degree with the ``_Terms`` arithmetic:
+    one term dict {((a, b, u), exponents): coefficient} in normal form, entry
+    [a][b] on the index tuple u, so a zero entry is never stored."""
 
-    __slots__ = ("algebroid", "size", "degree", "entries")
+    __slots__ = ("algebroid", "size", "degree")
 
-    def __init__(self, algebroid: Algebroid, degree: int, entries: list[list[Form]]):
-        self.algebroid = algebroid
-        self.size = len(entries)
-        self.degree = degree
-        for row in entries:
-            if len(row) != self.size:
-                raise AlgebroidError("form matrix must be square")
-            for f in row:
-                if f.degree != degree:
-                    raise AlgebroidError("form matrix entries must share one degree")
-        self.entries = entries
+    def __init__(self, algebroid: Algebroid, size: int, degree: int, terms: dict):
+        self.algebroid, self.size, self.degree, self.terms = algebroid, size, degree, terms
 
     @staticmethod
     def zero(algebroid: Algebroid, size: int, degree: int) -> FormMatrix:
-        return FormMatrix(
-            algebroid, degree, [[Form.zero(algebroid, degree) for _ in range(size)] for _ in range(size)]
-        )
+        return FormMatrix(algebroid, size, degree, {})
 
     @staticmethod
     def identity(algebroid: Algebroid, size: int) -> FormMatrix:
-        one = Form.function(algebroid, 1)
-        zero = Form.zero(algebroid, 0)
-        return FormMatrix(
-            algebroid, 0, [[one if i == j else zero for j in range(size)] for i in range(size)]
-        )
+        one = (0,) * algebroid.nvars
+        return FormMatrix(algebroid, size, 0, {((i, i, ()), one): 1 for i in range(size)})
+
+    @property
+    def nvars(self) -> int:
+        return self.algebroid.nvars
+
+    def _like(self, terms: dict) -> FormMatrix:
+        return FormMatrix(self.algebroid, self.size, self.degree, terms)
 
     def _shape(self) -> tuple:
         return self.size, self.algebroid.gen_names, self.algebroid.nvars
@@ -78,35 +74,16 @@ class FormMatrix:
         if not isinstance(other, FormMatrix) or (self._shape(), self.degree) != (other._shape(), other.degree):
             raise AlgebroidError("form matrices of different sizes, degrees or algebroids")
 
-    def __add__(self, other: FormMatrix) -> FormMatrix:
-        self._check_sum(other)
-        return FormMatrix(
-            self.algebroid,
-            self.degree,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: FormMatrix) -> FormMatrix:
-        self._check_sum(other)
-        return FormMatrix(
-            self.algebroid,
-            self.degree,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+    def entry(self, a: int, b: int) -> Form:
+        """Entry [a][b] as a form."""
+        terms = {(u, exps): c for ((i, j, u), exps), c in self.terms.items() if (i, j) == (a, b)}
+        return _form(self.algebroid, self.degree, terms)
 
     def wedge_mul(self, other: FormMatrix) -> FormMatrix:
         if not isinstance(other, FormMatrix) or self._shape() != other._shape():
             raise AlgebroidError("form matrices of different sizes or algebroids")
-        degree = self.degree + other.degree
-        out = []
-        for row in self.entries:
-            out.append([])
-            for j in range(other.size):
-                total: dict = {}
-                for f, other_row in zip(row, other.entries):
-                    _wedge_into(total, f.terms, other_row[j].terms)
-                out[-1].append(_form(self.algebroid, degree, _clean(total)))
-        return FormMatrix(self.algebroid, degree, out)
+        out = _product(self.terms, other.terms, diagonal=False)
+        return FormMatrix(self.algebroid, self.size, self.degree + other.degree, _clean(out))
 
     def wedge_power(self, k: int) -> FormMatrix:
         if k < 0:
@@ -120,23 +97,43 @@ class FormMatrix:
         return out
 
     def trace(self) -> Form:
-        total = Form.zero(self.algebroid, self.degree)
-        for i in range(self.size):
-            total = total + self.entries[i][i]
-        return total
-
-    def map_entries(self, op) -> FormMatrix:
-        mapped = [[op(f) for f in row] for row in self.entries]
-        return FormMatrix(self.algebroid, mapped[0][0].degree if mapped else 0, mapped)
+        out: dict = {}
+        for ((a, b, u), exps), c in self.terms.items():
+            if a == b:
+                out[u, exps] = out.get((u, exps), 0) + c
+        return _form(self.algebroid, self.degree, _clean(out))
 
     def d(self) -> FormMatrix:
-        return self.map_entries(differential)
+        entries: dict = {}
+        for ((a, b, u), exps), c in self.terms.items():
+            entries.setdefault((a, b), {})[u, exps] = c
+        out = {}
+        for (a, b), terms in entries.items():
+            for (u, exps), c in differential(_form(self.algebroid, self.degree, terms)).terms.items():
+                out[(a, b, u), exps] = c
+        return FormMatrix(self.algebroid, self.size, self.degree + 1, out)
 
     def d2(self) -> FormMatrix:
-        return self.map_entries(d_squared)
+        return self.d().d()
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
+
+def _product(left: dict, right: dict, diagonal: bool) -> dict:
+    """The wedge product of two matrices' term dicts, unfinished: entry [a][b] is
+    Σ_c left[a][c] ∧ right[c][b], keyed ((a, b, u), exponents); with ``diagonal``
+    only the a == b entries, summed and keyed (u, exponents): the trace."""
+    rows: dict = {}
+    for ((c, b, t), eb), y in right.items():
+        rows.setdefault(c, []).append((b, t, eb, y))
+    out: dict = {}
+    for ((a, c, s), ea), x in left.items():
+        for b, t, eb, y in rows.get(c, ()):
+            if diagonal and a != b:
+                continue
+            sign, u = _merge_sign(s, t)
+            if sign:
+                key = (u if diagonal else (a, b, u), tuple(map(add, ea, eb)))
+                out[key] = out.get(key, 0) + (x * y if sign > 0 else -(x * y))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +143,10 @@ class FormMatrix:
 
 def _form_matrix(conn: EConnection, degree: int, table: dict) -> FormMatrix:
     """Entry [a][b] on the index tuple u from the a-coefficient of table[(*u, b)]."""
-    r = conn.target_rank
-    terms: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
-    for (*u, b), value in table.items():
-        for (idx, exps), c in value.terms.items():
-            terms[idx][b][(tuple(u), exps)] = c
-    return FormMatrix(conn.algebroid, degree, [[_form(conn.algebroid, degree, t) for t in row] for row in terms])
+    terms = {
+        ((a, b, tuple(u)), exps): c for (*u, b), value in table.items() for (a, exps), c in value.terms.items()
+    }
+    return FormMatrix(conn.algebroid, conn.target_rank, degree, terms)
 
 
 def connection_forms(conn: EConnection) -> FormMatrix:
@@ -179,11 +174,7 @@ def char_form(conn: EConnection, k: int) -> Form:
     if k < 1:
         raise AlgebroidError("characteristic forms start at k = 1")
     r = curvature_matrix(conn)
-    total: dict = {}
-    for i, row in enumerate(r.wedge_power(k - 1).entries):
-        for f, r_row in zip(row, r.entries):
-            _wedge_into(total, f.terms, r_row[i].terms)
-    return _form(conn.algebroid, 2 * k, _clean(total))
+    return _form(conn.algebroid, 2 * k, _clean(_product(r.wedge_power(k - 1).terms, r.terms, diagonal=True)))
 
 
 def dR_identity_residual(conn: EConnection) -> FormMatrix:

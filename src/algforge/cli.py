@@ -77,7 +77,11 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
             raise CliError(f"cannot read {file_arg!r}: {exc.strerror or exc}") from None
     if file_arg.isascii() and file_arg.isidentifier():
         res = corpus_file(file_arg)
-        if res.is_file():
+        try:
+            bundled = res.is_file()
+        except OSError:  # a name too long to stat names no bundled document either
+            bundled = False
+        if bundled:
             return res.read_text(encoding="utf-8"), f"{file_arg}.alg"
         m = TANGENT.fullmatch(file_arg)
         if m:
@@ -380,7 +384,7 @@ def cmd_courant(args) -> Report:
             report.add(f"defect:{decl.name}", True, note=f"skipped: size {len(decl.rows)} != rank {a.rank}")
             continue
         defect = courant_defect(a, decl.rows)
-        lines = ["[" + ", ".join(p.to_text(a.base.var_names) for p in row.comps) + "]" for row in defect]
+        lines = ["[" + ", ".join(p.to_text(a.base.var_names) for p in row.coeffs) + "]" for row in defect]
         zero = all(row.is_zero() for row in defect)
         report.add(
             f"defect:{decl.name}",

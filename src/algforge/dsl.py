@@ -716,19 +716,19 @@ def serialize(doc: Document) -> str:
         d_names = [f"d{j + 1}" for j in range(len(v))]
         for gen, vf in zip(b.gens, b.anchors):
             if not vf.is_zero():
-                lines.append(f"anchor {gen} -> {sum_text(vf.comps, d_names, v)}")
+                lines.append(f"anchor {gen} -> {sum_text(vf.split, d_names, v)}")
         for (i, j), value in sorted(b.brackets.items()):
-            lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {sum_text(value.coeffs, b.gens, v)}")
+            lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {sum_text(value.split, b.gens, v)}")
     for s in doc.sections:
         gens = doc.bundle(s.bundle).gens
         lines.append("")
-        lines.append(f"section {s.name} = {_or_zero_on(sum_text(s.value.coeffs, gens, v), gens[0])}")
+        lines.append(f"section {s.name} = {_or_zero_on(sum_text(s.value.split, gens, v), gens[0])}")
     for c in doc.connections:
         b = doc.bundle(c.bundle)
         lines.append("")
         lines.append(f"connection {c.name} on {b.name} {{")
         for (alpha, t_idx), value in sorted(c.gamma.items()):
-            lines.append(f"  {b.gens[alpha]} {b.gens[t_idx]} -> {sum_text(value.coeffs, b.gens, v)}")
+            lines.append(f"  {b.gens[alpha]} {b.gens[t_idx]} -> {sum_text(value.split, b.gens, v)}")
         lines.append("  default 0")
         lines.append("}")
     for e in doc.endos:
@@ -738,7 +738,7 @@ def serialize(doc: Document) -> str:
         images = list(zip(b.gens, e.images))
         live = [(gen, image) for gen, image in images if not image.is_zero()]
         for gen, image in live or images[:1]:  # the zero endomorphism: `first -> 0`
-            lines.append(f"  {gen} -> {sum_text(image.coeffs, b.gens, v)}")
+            lines.append(f"  {gen} -> {sum_text(image.split, b.gens, v)}")
         lines.append("}")
     for cm in doc.cometrics:
         lines.append("")
@@ -749,13 +749,13 @@ def serialize(doc: Document) -> str:
         lines.append("]")
     for f in doc.forms:
         gens = doc.bundle(f.bundle).gens
-        keys = sorted(f.comps)
-        if keys == [()]:
-            text = f.comps[()].to_text(v)
+        split = dict(sorted(f.comps.items()))
+        if list(split) == [()]:
+            text = split[()].to_text(v)
             if " " in text or text.startswith("-"):
                 text = f"({text})"
         else:
-            text = sum_text([f.comps[k] for k in keys], ["^".join(f"w({gens[i]})" for i in k) for k in keys], v)
+            text = sum_text(split, {k: "^".join(f"w({gens[i]})" for i in k) for k in split}, v)
             if f.degree:
                 text = _or_zero_on(text, "^".join(f"w({g})" for g in gens[: f.degree]))
         # a 0-form names no generator, so one off the first bundle names its bundle

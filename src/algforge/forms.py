@@ -2,7 +2,8 @@
 
 A k-form is a section of Λ^k E*: one flat dict {(index tuple, exponents):
 coefficient} over strictly increasing k-tuples of generator indices, with the
-section arithmetic; ``comps`` reads it back as one Poly per tuple.  The dict
+section arithmetic; ``comps`` is its sparse split (``_Terms.split``), one Poly
+per nonzero tuple in tuple order, which ``to_text`` renders.  The dict
 is also the form's witness column: the searches below hand it to ``witness``
 as it is and read solutions back as forms.  Only the public constructor,
 which takes outside input, checks keys; wedge, the differential, cofactors
@@ -118,13 +119,7 @@ class Form(_Terms):
 
     # ---- structure ----
 
-    @property
-    def comps(self) -> dict[tuple[int, ...], Poly]:
-        """The coefficient of every index tuple as a Poly (read-only, built on each read)."""
-        split: dict = {}
-        for (key, exps), c in self.terms.items():
-            split.setdefault(key, {})[exps] = c
-        return {key: _trusted(self.algebroid.nvars, terms) for key, terms in split.items()}
+    comps = _Terms.split
 
     @property
     def nvars(self) -> int:
@@ -182,7 +177,7 @@ class Form(_Terms):
         names = self.algebroid.gen_names
         vnames = self.algebroid.base.var_names
         pieces = []
-        for key, coeff in sorted(self.comps.items()):
+        for key, coeff in self.comps.items():
             basis = "^".join(f"w({names[i]})" for i in key)
             text = coeff.to_text(vnames)
             if not key:

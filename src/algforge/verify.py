@@ -289,7 +289,7 @@ def c12_courant_instance(ctx: Context):
     for i in range(n):
         for j in range(n):
             want = quartic if i == j else Poly.zero(n)
-            if defect[i].comps[j] != want:
+            if defect[i].coeffs[j] != want:
                 return False, "identity cometric defect mismatch"
     full_const = courant_solution_space(e0, max_degree=0)
     return True, (

@@ -47,7 +47,7 @@ CORPUS = (
 
 def anchor_rank_at(algebroid, point) -> int:
     """Rank of the anchor images evaluated at a base point."""
-    return linsolve.rank([[comp.eval_at(point) for comp in row.comps] for row in algebroid.anchor])
+    return linsolve.rank([[comp.eval_at(point) for comp in row.coeffs] for row in algebroid.anchor])
 
 
 def test_anchor_table():
@@ -263,10 +263,10 @@ def test_sums_of_sections_of_different_shapes_are_refused():
 def test_courant_defect_of_identity():
     defect = courant_defect(E0, UNITS)
     quartic = X1**4 + X2**4
-    assert defect[0].comps[0] == quartic
-    assert defect[1].comps[1] == quartic
-    assert defect[0].comps[1].is_zero()
-    assert defect[1].comps[0].is_zero()
+    assert defect[0].coeffs[0] == quartic
+    assert defect[1].coeffs[1] == quartic
+    assert defect[0].coeffs[1].is_zero()
+    assert defect[1].coeffs[0].is_zero()
 
 
 def test_courant_paired_space_vanishes_at_origin():

@@ -18,7 +18,7 @@ from algforge.charclass import (
     transgression_check,
 )
 from algforge.connection import EConnection, flat_connection
-from algforge.dsl import document_algebroid
+from algforge.dsl import document_algebroid, document_connection
 from algforge.forms import Form, Lambda2Ideal, d_squared, differential, strong_closed, weak_closed
 from algforge.poly import Poly
 from algforge.sampling import Sampler
@@ -63,11 +63,40 @@ def reference_char_form(conn, k):
 def mutated_char_form(conn, k):
     """Σ_{i,j} (R^{k−1})_ij ∧ R_ij: the diagonal sum with the last factor's indices left unswapped."""
     r = curvature_matrix(conn)
+    power = r.wedge_power(k - 1)
     total = Form.zero(conn.algebroid, 2 * k)
-    for row, r_row in zip(r.wedge_power(k - 1).entries, r.entries):
-        for f, g in zip(row, r_row):
-            total = total + f.wedge(g)
+    for i in range(r.size):
+        for j in range(r.size):
+            total = total + power.entry(i, j).wedge(r.entry(i, j))
     return total
+
+
+def entries_of(m):
+    """The matrix as rows of forms."""
+    return [[m.entry(a, b) for b in range(m.size)] for a in range(m.size)]
+
+
+def entrywise_product(left, right):
+    """Σ_c left[a][c] ∧ right[c][b] on matrices given as rows of forms, one
+    ``Form.wedge`` per pair: the reference for the sparse products."""
+    out = []
+    for row in left:
+        out.append([])
+        for b in range(len(right)):
+            total = row[0].wedge(right[0][b])
+            for f, right_row in zip(row[1:], right[1:]):
+                total = total + f.wedge(right_row[b])
+            out[-1].append(total)
+    return out
+
+
+def diagonal_sum(rows):
+    return sum((rows[i][i] for i in range(1, len(rows))), rows[0][0])
+
+
+def lifted_derived_e0():
+    doc = corpus_document("derived_e0")
+    return document_connection(doc, document_algebroid(doc), "lifted")
 
 
 def test_form_matrix_algebra():
@@ -75,7 +104,7 @@ def test_form_matrix_algebra():
     theta = connection_forms(TF)
     assert (theta - theta).is_zero()
     assert theta.wedge_mul(ident).degree == theta.degree + 0
-    assert theta.wedge_power(0).entries[0][0] == Form.function(E0, 1)
+    assert theta.wedge_power(0).entry(0, 0) == Form.function(E0, 1)
     assert theta.wedge_power(2).degree == 2
 
 
@@ -110,12 +139,39 @@ def test_form_matrix_products_refuse_another_size_or_algebroid():
     assert FormMatrix.identity(E0, 2).wedge_mul(FormMatrix.zero(builtin("E0"), 2, 1)).degree == 1
 
 
+def test_sparse_products_match_the_entrywise_product():
+    sampler = Sampler(5)
+    seeded = [sampler.connection(E0, max_degree=1) for _ in range(4)]
+    for conn in [TF, FLAT, *seeded, lifted_derived_e0()]:
+        theta, r = connection_forms(conn), curvature_matrix(conn)
+        for left, right in ((theta, r), (r, theta), (theta, theta)):
+            assert entries_of(left.wedge_mul(right)) == entrywise_product(entries_of(left), entries_of(right))
+        for m in (theta, r):
+            assert m.trace() == diagonal_sum(entries_of(m))
+        power = [[Form.function(conn.algebroid, int(a == b)) for b in range(r.size)] for a in range(r.size)]
+        for k in range(4):
+            got = r.wedge_power(k)
+            assert entries_of(got) == power
+            assert got.trace() == diagonal_sum(power)
+            power = entrywise_product(power, entries_of(r))
+
+
+def test_form_matrices_store_no_zero_entry():
+    assert FormMatrix.zero(E0, 136, 2).terms == {}
+    assert len(FormMatrix.identity(E0, 4).terms) == 4
+    # one term per nonzero curvature coefficient term: TF's are all on two
+    # generator pairs, and the lifted connection on the rank-10 bundle is flat
+    for conn, stored in ((TF, 8), (lifted_derived_e0(), 0)):
+        assert sum(len(value.terms) for value in conn.curvature_table().values()) == stored
+        assert len(curvature_matrix(conn).terms) == stored
+
+
 def test_connection_form_entries():
     theta = connection_forms(TF)
     # theta[a][b] collects the gamma coefficients: nabla_{e_beta} e_b = sum_a theta[a][b](e_beta) e_a
-    assert theta.entries[0][0] == Form.dual(E0, 0).scale(2 * X1)
-    assert theta.entries[0][2] == Form.dual(E0, 1).scale(2 * X2)
-    assert theta.entries[1][0].is_zero()
+    assert theta.entry(0, 0) == Form.dual(E0, 0).scale(2 * X1)
+    assert theta.entry(0, 2) == Form.dual(E0, 1).scale(2 * X2)
+    assert theta.entry(1, 0).is_zero()
 
 
 def test_structure_equation_both_fixed_connections():
@@ -132,7 +188,7 @@ def test_curvature_matrix_against_pointwise_curvature():
         for b in range(4):
             value = TF.curvature(units[i], units[j], units[b])
             for a in range(4):
-                assert r.entries[a][b].comps.get((i, j), Poly.zero(2)) == value.coeffs[a]
+                assert r.entry(a, b).comps.get((i, j), Poly.zero(2)) == value.coeffs[a]
 
 
 def test_first_trace_form_frozen_value():

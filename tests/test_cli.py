@@ -415,6 +415,15 @@ def test_corpus_check_exit_codes(capsys, name, expected):
     assert run(capsys, "check", name)[0] == expected
 
 
+def test_an_identifier_too_long_to_stat_is_no_bundled_name(capsys):
+    name = "a" * 300
+    code, out, err = run(capsys, "check", name)
+    assert code == 2
+    assert out == ""
+    assert f"{name!r} is neither a readable file nor a bundled document name" in err
+    assert "Errno" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -202,7 +202,7 @@ def test_induced_connection_reads_christoffels_by_target_then_source():
     # rho(X11), rho(X12) have a d1 part and rho(X21), rho(X22) a d2 part
     assert set(conn.gamma) == {(0, 1), (2, 1), (1, 3), (3, 3)}
     for beta, b in product(range(4), repeat=2):
-        rho = E0.anchor[beta].comps
+        rho = E0.anchor[beta].coeffs
         want = [sum((rho[j] * entries.get((j, a, b), z) for j in range(2)), z) for a in range(4)]
         assert list(conn.gamma_entry(beta, b).coeffs) == want
 

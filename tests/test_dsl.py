@@ -305,7 +305,7 @@ def test_a_repeated_dual_keeps_its_degree_on_the_second_bundle():
 
 def test_degree_cap_admits_its_bound():
     doc = parse("base 2 (x, y)\nbundle E rank 1 gens (e)\nanchor e -> x^32*(y^2)^16*d1\n")
-    assert doc.bundle().anchors[0].comps[0].total_degree() == DEGREE_CAP
+    assert doc.bundle().anchors[0].coeffs[0].total_degree() == DEGREE_CAP
     assert parse(serialize(doc)) == doc
 
 

@@ -46,7 +46,7 @@ class Oracle:
 
     def __init__(self, a):
         self.rank, self.xs = a.rank, sympy.symbols(f"x1:{a.nvars + 1}")
-        self.anchor = [[to_expr(c, self.xs) for c in row.comps] for row in a.anchor]
+        self.anchor = [[to_expr(c, self.xs) for c in row.coeffs] for row in a.anchor]
         self.structure = {}
         for (i, j), value in a.structure.items():
             column = [to_expr(c, self.xs) for c in value.coeffs]

@@ -333,7 +333,7 @@ def test_pullback_matches_sympy(name):
     a = _bundle(name)
     base = tangent_bundle(a.base)
     xs = sympy.symbols(f"x0:{a.nvars}")
-    anchor = [[_expr(sympy, c, xs) for c in rho.comps] for rho in a.anchor]
+    anchor = [[_expr(sympy, c, xs) for c in rho.coeffs] for rho in a.anchor]
     sampler = Sampler(12)
     for degree in range(base.rank + 1):
         for _ in range(3):

@@ -34,7 +34,7 @@ def test_product_shape():
     units = [EXT.unit_section(i) for i in range(5)]
     for i in range(4):
         assert EXT.bracket(units[4], units[i]).is_zero()
-    assert EXT.anchor[4].comps[2] == Poly.const(3, 1)
+    assert EXT.anchor[4].coeffs[2] == Poly.const(3, 1)
 
 
 def test_include_and_restrict_are_inverse():

@@ -31,7 +31,7 @@ def assert_canonical(s: Section) -> None:
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
             assert c != 0
     if isinstance(s, VectorField):
-        assert VectorField(s.base, s.comps) == s
+        assert VectorField(s.base, s.coeffs) == s
     else:
         assert Section(s.coeffs) == s
 

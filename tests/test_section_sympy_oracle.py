@@ -52,7 +52,7 @@ class Oracle:
 
     def __init__(self, a):
         self.rank, self.xs = a.rank, symbols(a.nvars)
-        self.anchor = [[to_expr(c, self.xs) for c in row.comps] for row in a.anchor]
+        self.anchor = [[to_expr(c, self.xs) for c in row.coeffs] for row in a.anchor]
         self.structure = [
             [skew_entry(a.structure, i, j, a.rank, self.xs) for j in range(a.rank)] for i in range(a.rank)
         ]
@@ -135,7 +135,7 @@ def test_anchor_and_bracket_match_sympy(name):
     secs = sections(a, seed=len(name), sampled=3)
     lists = [to_list(s, oracle.xs) for s in secs]
     for s, s_list in zip(secs, lists):
-        got = [to_expr(c, oracle.xs) for c in a.anchor_of(s).comps]
+        got = [to_expr(c, oracle.xs) for c in a.anchor_of(s).coeffs]
         assert all(sympy.expand(g - w) == 0 for g, w in zip(got, oracle.rho(s_list)))
     for x, x_list in zip(secs, lists):
         for y, y_list in zip(secs, lists):
