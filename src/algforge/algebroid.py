@@ -5,11 +5,12 @@ An algebroid here is a rank-m bundle over a polynomial base, given by
 * an anchor: the image rho(e_a) of every generator, a base vector field, and
 * a structure table: the bracket [e_i, e_j] for i < j, skew-extended.
 
-A section is one flat dict {(generator, exponents): coefficient}.  A vector
-field is a section of the base's tangent bundle (slot j is d/dx_j), a k-form
-(``forms.Form``) one of Λ^k E*; all three share one arithmetic, ``_Terms``,
-whose sparse ``split`` (one Poly per nonzero slot) every text renderer reads;
-``Section.coeffs``, one Poly per generator, is kept for matrix rows.
+A section is one flat dict {(generator, packed monomial): coefficient}
+(``poly._pack``).  A vector field is a section of the base's tangent bundle
+(slot j is d/dx_j), a k-form (``forms.Form``) one of Λ^k E*; all three share
+one arithmetic, ``_Terms``, whose sparse ``split`` (one unpacked Poly per
+nonzero slot) every text renderer reads; ``Section.coeffs``, one Poly per
+generator, is kept for matrix rows.
 ``map_section`` applies any bundle map given by its images.  Brackets of
 arbitrary polynomial sections are produced from the table by the Leibniz
 expansion, written once for every generator-pair table (structure, bracket
@@ -36,13 +37,12 @@ form against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
-from operator import add
 from typing import NamedTuple
 
 from . import linsolve, witness
-from .poly import Poly, _fold, _merge, _trusted
+from .poly import FIELD_BITS, Poly, _MASK, _degree, _fold, _merge, _pack, _trusted, _unpack, sum_text
 
 
 class AlgebroidError(ValueError):
@@ -75,7 +75,8 @@ class BaseSpace:
 
 class _Terms:
     """The arithmetic of sections of any bundle: E, TM (``VectorField``),
-    Λ^k E* (``forms.Form``) or a matrix of forms (``charclass.FormMatrix``).
+    Λ^k E* (``forms.Form``) or a matrix of forms (``charclass.FormMatrix``),
+    as one term dict {(slot, packed monomial): coefficient}.
     A subclass gives ``nvars``, ``_like`` and ``_check_sum``, which refuses a
     summand that is not a section of its bundle.
     """
@@ -89,9 +90,10 @@ class _Terms:
     def split(self) -> dict:
         """The nonzero coefficients as {slot: Poly}, in slot order (built on each read)."""
         split: dict = {}
+        n = self.nvars
         for (slot, exps), c in self.terms.items():
-            split.setdefault(slot, {})[exps] = c
-        return {slot: _trusted(self.nvars, split[slot]) for slot in sorted(split)}
+            split.setdefault(slot, {})[_unpack(exps, n)] = c
+        return {slot: _trusted(n, split[slot]) for slot in sorted(split)}
 
     def __add__(self, other):
         self._check_sum(other)
@@ -107,14 +109,14 @@ class _Terms:
     def scale(self, f: Poly | int | Fraction):
         if not isinstance(f, Poly):
             f = Poly.const(self.nvars, f)
-        out: dict = {}
+        out, f_items = {}, _packed(f).items()
         for (slot, exps), c in self.terms.items():
-            _add_shifted(out, slot, exps, c, f.terms.items())
+            _add_shifted(out, slot, exps, c, f_items)
         return self._like(_clean(out))
 
 
 class Section(_Terms):
-    """A bundle section as one flat term dict {(generator, exponents): coefficient}.
+    """A bundle section as one flat term dict {(generator, packed monomial): coefficient}.
 
     Coefficients are in the ``poly`` normal form: nonzero, an int where
     integral and a Fraction otherwise.  The dict is the only copy of the
@@ -130,7 +132,7 @@ class Section(_Terms):
         coeffs = tuple(coeffs)
         self.rank = len(coeffs)
         self.nvars = coeffs[0].nvars if coeffs else 0
-        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in p.terms.items()}
+        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in _packed(p).items()}
 
     @staticmethod
     def zero(rank: int, nvars: int) -> Section:
@@ -159,7 +161,7 @@ class Section(_Terms):
 
     def min_degree(self) -> int:
         """Smallest total degree over all nonzero coefficient terms (-1 if zero)."""
-        return min((sum(exps) for _, exps in self.terms), default=-1)
+        return min((_degree(exps) for _, exps in self.terms), default=-1)
 
     def __repr__(self):
         return f"Section({self.split!r})"
@@ -172,22 +174,31 @@ class VectorField(Section):
     base dimension, and slot j is d/dx_j.
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_moves")
 
     def __init__(self, base: BaseSpace, comps):
         comps = tuple(comps)
         if len(comps) != base.dim:
             raise AlgebroidError("vector field has the wrong number of components")
         super().__init__(comps)
-        self.base = base
+        self.base, self._moves = base, None
 
     def _like(self, terms: dict) -> VectorField:
         return _vector_field(self.base, terms)
 
+    @property
+    def moves(self) -> list[tuple[int, int, int | Fraction, None]]:
+        """The ``apply_row`` moves (field shift of x_j, packed x^e / x_j, c, None)
+        of the terms c x^e d/dx_j; built on first use and kept."""
+        if self._moves is None:
+            at = [FIELD_BITS * (self.nvars - 1 - j) for j in range(self.nvars)]
+            self._moves = [(at[j], e - (1 << at[j]), c, None) for (j, e), c in self.terms.items()]
+        return self._moves
+
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a coefficient function."""
-        out = apply_row({}, self, (((None, exps), c) for exps, c in f.terms.items()))
-        return Poly(self.base.dim, {exps: c for (_, exps), c in out.items()})
+        out = apply_row({}, self.moves, [((None, exps), c) for exps, c in _packed(f).items()])
+        return Poly(self.nvars, {_unpack(exps, self.nvars): c for (_, exps), c in out.items()})
 
     def __eq__(self, other):
         return isinstance(other, VectorField) and self.base == other.base and self.terms == other.terms
@@ -213,7 +224,8 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
     if v.base != w.base:
         raise AlgebroidError("vector fields live over different bases")
     # the terms of w on slot k are differentiated along v and stay on slot k
-    return _vector_field(v.base, _clean(apply_row(apply_row({}, v, w.terms.items()), w, v.terms.items(), -1)))
+    out = apply_row(apply_row({}, v.moves, w.terms.items()), w.moves, v.terms.items(), -1)
+    return _vector_field(v.base, _clean(out))
 
 
 def _section(rank: int, nvars: int, terms: dict) -> Section:
@@ -227,66 +239,48 @@ def _vector_field(base: BaseSpace, terms: dict) -> VectorField:
     """Wrap a term dict already in normal form as a vector field on the base."""
     v = object.__new__(VectorField)
     v.rank = v.nvars = base.dim
-    v.base, v.terms = base, terms
+    v.base, v.terms, v._moves = base, terms, None
     return v
 
 
 def _clean(out: dict) -> dict:
-    """An accumulated term dict in normal form: zero sums dropped, integral Fractions made ints."""
-    return _fold({key: c for key, c in out.items() if c})
+    """An accumulated term dict (the caller's own) in normal form: zero sums dropped, integral Fractions made ints."""
+    if 0 in out.values():
+        out = {key: c for key, c in out.items() if c}
+    return _fold(out)
 
 
-def _add_shifted(out: dict, slot, shift: tuple[int, ...], weight, terms) -> None:
-    """Add weight * x^shift * t to ``out`` at (slot, exponents) for every term t of ``terms``."""
+def _packed(p: Poly) -> dict:
+    """A Poly's terms keyed by packed monomials, behind the field-width guard of ``poly._pack``."""
+    try:
+        return {_pack(exps): c for exps, c in p.terms.items()}
+    except OverflowError as err:
+        raise AlgebroidError(str(err)) from None
+
+
+def _add_shifted(out: dict, slot, shift: int, weight, terms) -> None:
+    """Add weight * x^shift * t to ``out`` at (slot, monomial) for every term t of ``terms``."""
     for exps, c in terms:
-        key = (slot, tuple(map(add, shift, exps)))
+        key = (slot, shift + exps)
         out[key] = out.get(key, 0) + weight * c
 
 
-def apply_row(out: dict, v: VectorField, items, weight=1, shift: tuple[int, ...] | None = None) -> dict:
+def apply_row(out: dict, moves: list, items, weight=1, shift: int = 0) -> dict:
     """Add weight * x^shift * V(f) to ``out`` for a vector field V = sum_j V_j d/dx_j.
 
-    ``v``'s term dict is read as stored; ``items`` yields ((slot, exponents),
-    coefficient) for the terms of f, and every result term lands on
-    (slot, exponents).  This is the one derivative loop of the package.
+    ``moves`` are V's (``VectorField.moves``); ``items`` yields ((slot,
+    monomial), coefficient) for the terms of f, and every result term lands
+    on (slot, monomial), or on the slot a move names last (the differential's
+    θ^b ∧ θ^u).  This is the one derivative loop of the package.
     """
-    # a term c x^e d/dx_j of V takes x^f to f_j c x^(f + e + shift - 1_j)
-    moves = []
-    for (j, exps), c in v.terms.items():
-        delta = list(map(add, exps, shift)) if shift else list(exps)
-        delta[j] -= 1
-        moves.append((j, tuple(delta), c))
+    # a term c x^e d/dx_j of V takes x^f to f_j c x^(f + e + shift - 1_j); f_j >= 1, so no field borrows
     for (slot, exps), c in items:
-        for j, delta, vc in moves:
-            k = exps[j]
+        shifted, wc = exps + shift, weight * c
+        for at, delta, vc, to in moves:
+            k = exps >> at & _MASK
             if k:
-                key = (slot, tuple(map(add, exps, delta)))
-                out[key] = out.get(key, 0) + weight * k * c * vc
-    return out
-
-
-def sum_text(split, names, var_names) -> str:
-    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements, from
-    its sparse split {slot: Poly} in slot order; ``names[slot]`` names a slot."""
-    pieces = []
-    for slot, coeff in split.items():
-        name = names[slot]
-        text = coeff.to_text(var_names)
-        if text == "1":
-            pieces.append(name)
-        elif text == "-1":
-            pieces.append(f"-{name}")
-        else:
-            body = f"({text})" if " " in text else text
-            pieces.append(f"{body}*{name}")
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
+                key = (slot if to is None else to, shifted + delta)
+                out[key] = out.get(key, 0) + k * wc * vc
     return out
 
 
@@ -314,38 +308,41 @@ def _skew_table(values: dict[tuple[int, int], Section], what: str) -> dict[tuple
     return table
 
 
-def _signed(table: dict[tuple[int, int], Section], i: int, j: int) -> tuple[Section, int] | None:
-    """T(e_i, e_j) of a skew table stored on i < j as (stored value, sign); None when zero."""
-    value = table.get((i, j) if i < j else (j, i))  # the diagonal is never stored
-    return None if value is None else (value, 1 if i < j else -1)
+def _pair_table(values: dict[tuple[int, int], Section], skew: bool = True) -> dict:
+    """A pair table as {(i, j): (stored value, sign)}, the one dict ``_pair_add``
+    reads: a skew table stored on i < j in both index orders, (j, i) with sign -1."""
+    table = {pair: (value, 1) for pair, value in values.items()}
+    if skew:
+        table.update({(j, i): (value, -1) for (i, j), value in values.items()})
+    return table
 
 
-def _pair_add(out: dict, x: Section, y: Section, entry, sign: int = 1) -> dict:
+def _pair_add(out: dict, x: Section, y: Section, table: dict, sign: int = 1) -> dict:
     """Add sign * sum_{i, j} x_i y_j T(e_i, e_j) to the term dict ``out``.
 
-    ``entry(i, j)`` reads the pair table T: the stored value and the sign it
-    enters with, or None where T(e_i, e_j) is zero.
+    ``table`` is the pair table T as built by ``_pair_table``: the stored
+    value and the sign it enters with, no entry where T(e_i, e_j) is zero.
     """
     ys = y.terms.items()
     for (i, x_exps), xc in x.terms.items():
         for (j, y_exps), yc in ys:
-            found = entry(i, j)
+            found = table.get((i, j))
             if found is not None:
                 value, entry_sign = found
-                shift = tuple(map(add, x_exps, y_exps))
+                shift = x_exps + y_exps
                 weight = xc * yc if entry_sign == sign else -(xc * yc)
                 for (a, exps), c in value.terms.items():
-                    key = (a, tuple(map(add, shift, exps)))
+                    key = (a, shift + exps)
                     out[key] = out.get(key, 0) + weight * c
     return out
 
 
-def pair_sum(out: dict, x: Section, y: Section, entry) -> Section:
+def pair_sum(out: dict, x: Section, y: Section, table: dict) -> Section:
     """The term dict ``out`` plus sum_{i, j} x_i y_j T(e_i, e_j), as a section of y's bundle.
 
-    ``entry(i, j)`` reads the pair table T as in ``_pair_add``.
+    ``table`` is the pair table T as ``_pair_add`` reads it.
     """
-    return y._like(_clean(_pair_add(out, x, y, entry)))
+    return y._like(_clean(_pair_add(out, x, y, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +374,7 @@ class Algebroid:
         if any(value.rank != self.rank for value in (structure or {}).values()):
             raise AlgebroidError("structure section has the wrong rank")
         self.structure = _skew_table(structure or {}, "bracket")
+        self.pairs = _pair_table(self.structure)  # the structure table in both orders, for _pair_add
         self.name = name
 
     # ---- building blocks ----
@@ -409,7 +407,7 @@ class Algebroid:
     @cached_property
     def units(self) -> tuple[Section, ...]:
         """The unit sections e_0 .. e_{m-1}, built on first use and shared: a section is never written."""
-        return tuple(_section(self.rank, self.nvars, {(i, (0,) * self.nvars): 1}) for i in range(self.rank))
+        return tuple(_section(self.rank, self.nvars, {(i, 0): 1}) for i in range(self.rank))
 
     def zero_section(self) -> Section:
         return Section.zero(self.rank, self.nvars)
@@ -430,7 +428,7 @@ class Algebroid:
     # ---- bracket ----
 
     def bracket_gen(self, i: int, j: int) -> Section:
-        found = _signed(self.structure, i, j)
+        found = self.pairs.get((i, j))
         if found is None:
             return self.zero_section()
         value, sign = found
@@ -447,7 +445,7 @@ class Algebroid:
         for (i, exps), c in x.terms.items():
             rho = self.anchor[i]
             if rho.terms:
-                apply_row(out, rho, items, sign * c, exps if any(exps) else None)
+                apply_row(out, rho.moves, items, sign * c, exps)
         return out
 
     def bracket(self, x: Section, y: Section) -> Section:
@@ -458,7 +456,7 @@ class Algebroid:
         if x.rank != self.rank or y.rank != self.rank:
             raise AlgebroidError("bracket arguments have the wrong rank")
         out = self.derivative(self.derivative({}, x, y), y, x, -1)
-        return pair_sum(out, x, y, partial(_signed, self.structure))
+        return pair_sum(out, x, y, self.pairs)
 
     def jacobiator(self, x: Section, y: Section, z: Section) -> Section:
         """Cyclic sum [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
@@ -488,9 +486,11 @@ class Algebroid:
     def jacobiator_table(self) -> dict[tuple[int, int, int], Section]:
         """The Jacobiator on generator triples i < j < k; zero values omitted.
 
-        Built on first use and kept.
+        The closed form is zero where none of the three pair brackets is, so
+        only the other triples are computed.  Built on first use and kept.
         """
-        return sweep(self.rank, 3, self.jacobiator_gen)
+        live, zero = self.structure.keys(), self.zero_section()
+        return sweep(self.rank, 3, lambda *t: zero if live.isdisjoint(combinations(t, 2)) else self.jacobiator_gen(*t))
 
     def jacobiator_gen(self, i: int, j: int, k: int) -> Section:
         """The Jacobiator on any generator triple, in closed form.
@@ -500,13 +500,13 @@ class Algebroid:
         derivative and one pair-table sum, and the three rotations add into
         one term dict.
         """
-        u, entry = self.units, partial(_signed, self.structure)
+        u, pairs = self.units, self.pairs
         out: dict = {}
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            found = entry(q, r)
+            found = pairs.get((q, r))
             if found is not None:
                 bracket, sign = found
-                _pair_add(self.derivative(out, u[p], bracket, sign), u[p], bracket, entry, sign)
+                _pair_add(self.derivative(out, u[p], bracket, sign), u[p], bracket, pairs, sign)
         return _section(self.rank, self.nvars, _clean(out))
 
     def check_lie(self) -> LieReport:
@@ -586,6 +586,7 @@ class BracketModifier:
 
     def __init__(self, values: dict[tuple[int, int], Section]):
         self.values = _skew_table(values, "modifier")
+        self._table = _pair_table(self.values)
 
     def validate(self, algebroid: Algebroid) -> None:
         for (i, j), value in self.values.items():
@@ -599,7 +600,7 @@ class BracketModifier:
 
     def apply(self, x: Section, y: Section) -> Section:
         """ℱ-bilinear extension of the pair table to arbitrary sections."""
-        return pair_sum({}, x, y, partial(_signed, self.values))
+        return pair_sum({}, x, y, self._table)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +634,7 @@ def map_section(images: list[Section], s: Section) -> Section:
     out: dict = {}
     for (b, exps), c in s.terms.items():
         for (a, image_exps), ic in images[b].terms.items():
-            key = (a, tuple(map(add, exps, image_exps)))
+            key = (a, exps + image_exps)
             out[key] = out.get(key, 0) + c * ic
     return images[0]._like(_clean(out))
 
@@ -737,9 +738,7 @@ class Endomorphism:
 
     def is_almost_complex(self) -> bool:
         """Check J(J e_b) = -e_b on every generator as a polynomial identity."""
-        return all(
-            self.apply(image).terms == {(b, (0,) * image.nvars): -1} for b, image in enumerate(self.images)
-        )
+        return all(self.apply(image).terms == {(b, 0): -1} for b, image in enumerate(self.images))
 
 
 def _require_almost_complex(algebroid: Algebroid, j: Endomorphism) -> None:
@@ -806,7 +805,7 @@ class CourantSpace(NamedTuple):
 
     def all_zero_at_point(self) -> bool:
         """True when every basis element vanishes at the origin."""
-        return all(any(mu) for vec in self.vectors for _, mu in vec)
+        return all(mu for vec in self.vectors for _, mu in vec)
 
     def invertible_at_point(self) -> list[int]:
         """Indices of basis elements whose value at the origin is an invertible matrix."""
@@ -815,7 +814,7 @@ class CourantSpace(NamedTuple):
         values = [[{} for _ in range(self.rank)] for _ in self.vectors]
         for rows, vec in zip(values, self.vectors):
             for (cell, mu), v in vec.items():
-                for a, b in () if any(mu) else self.cells[cell]:
+                for a, b in () if mu else self.cells[cell]:
                     rows[b][a] = v
         return [idx for idx, rows in enumerate(values) if all(rows) and len(linsolve.rref(rows)) == self.rank]
 
@@ -856,8 +855,8 @@ def courant_solution_space(
     is the one-block case s = m.  The two spaces genuinely differ — see the
     verify-paper courant check, which surfaces a full-space solution that the
     paired-block space lacks.  A basis element is kept as the nullspace vector
-    {(cell, μ): value}, the cometric with value·μ at each position (a, b) of
-    the cell, the e_a-coefficient of G e_b; no basis cometric is built.
+    {(cell, μ): value}, μ packed, the cometric with value·μ at each position
+    (a, b) of the cell, the e_a-coefficient of G e_b; no basis cometric is built.
     """
     m, n = algebroid.rank, algebroid.nvars
     block = m if paired_blocks is None else paired_blocks
@@ -874,7 +873,7 @@ def courant_solution_space(
         for a, b in positions:
             for (i, ea), va in algebroid.anchor[a].terms.items():
                 for (j, eb), vb in algebroid.anchor[b].terms.items():
-                    key = ((i, j), tuple(map(add, ea, eb)))
+                    key = ((i, j), ea + eb)
                     product[key] = product.get(key, 0) + va * vb
     return CourantSpace(witness.nullspace(witness.monomial_multiples(products, n, max_degree)), cells, m)
 
@@ -974,21 +973,21 @@ def lie_infeasibility_certificate(
         for ((gpair, g), gtop), ((hpair, h), htop) in combinations_with_replacement(zip(basis, tops), 2)
     ]
     low = min((c.min_degree() for c in quadratic if not c.is_zero()), default=None)
-    r = min((sum(exps) for rho in a.anchor for _, exps in rho.terms), default=None)
-    monos = witness.monomials_up_to(a.nvars, max_degree)
-    slope = cache(lambda w, mu: (-a.anchor[w].apply(Poly.monomial(a.nvars, mu))).terms.items())
+    r = min((_degree(exps) for rho in a.anchor for _, exps in rho.terms), default=None)
+    monos = [(sum(mu), _pack(mu)) for mu in witness.monomials_up_to(a.nvars, max_degree)]
+    slope = cache(lambda w, mu: [(e, -v) for (_, e), v in apply_row({}, a.anchor[w].moves, [((None, mu), 1)]).items()])
     for c, top in zip(constants, tops):
         floors = [(c, 0)] + [(guv, r - 1) for guv, _ in top if r is not None]
         m = min((s.min_degree() + d for s, d in floors if not s.is_zero()), default=None)
-        for mu in monos if m is not None else ():  # with no m, every coefficient of c_p is zero
-            if low is not None and sum(mu) + m >= low:
+        for degree, mu in monos if m is not None else ():  # with no m, every coefficient of c_p is zero
+            if low is not None and degree + m >= low:
                 break
             # the coefficient of c_p at mu, one term dict: mu * C_p - sum_cyc rho(w)(mu) * G_p(u, v)
             out: dict = {}
             for s, f in ((c, [(mu, 1)]), *((guv, slope(w, mu)) for guv, w in top)):
                 for (slot, exps), v in s.terms.items():
                     _add_shifted(out, slot, exps, v, f)
-            found = min((sum(exps) for _, exps in _clean(out)), default=low)
+            found = min((_degree(exps) for _, exps in _clean(out)), default=low)
             low = found if low is None else min(low, found)
     # with no nonzero coefficient the modification is zero, and J is nonzero
     status = "infeasible" if low is None or low > jac_min else "inconclusive"

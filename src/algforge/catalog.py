@@ -58,7 +58,7 @@ def e0prime_to_e0_images() -> list[Section]:
 def tangent_bundle(base: BaseSpace) -> Algebroid:
     """The tangent bundle of `base`: generator T_j is d/dx_j, identity anchor, zero structure table."""
     n = base.dim
-    anchor = [_vector_field(base, {(i, (0,) * n): 1}) for i in range(n)]
+    anchor = [_vector_field(base, {(i, 0): 1}) for i in range(n)]
     return Algebroid(base, tuple(f"T{i + 1}" for i in range(n)), anchor, {}, f"tangent{n}")
 
 

@@ -17,7 +17,6 @@ are loops over nonzero terms.  Results are wrapped, not re-checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _Terms, _vector_field
@@ -32,7 +31,7 @@ from .forms import (
     differential,
     pullback,
 )
-from .poly import Poly
+from .poly import _MASK, FIELD_BITS, Poly
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +41,8 @@ from .poly import Poly
 
 class FormMatrix(_Terms):
     """Square matrix of forms of one common degree with the ``_Terms`` arithmetic:
-    one term dict {((a, b, u), exponents): coefficient} in normal form, entry
-    [a][b] on the index tuple u, so a zero entry is never stored."""
+    one term dict {((a, b, u), packed monomial): coefficient} in normal form,
+    entry [a][b] on the index tuple u, so a zero entry is never stored."""
 
     __slots__ = ("algebroid", "size", "degree")
 
@@ -56,8 +55,7 @@ class FormMatrix(_Terms):
 
     @staticmethod
     def identity(algebroid: Algebroid, size: int) -> FormMatrix:
-        one = (0,) * algebroid.nvars
-        return FormMatrix(algebroid, size, 0, {((i, i, ()), one): 1 for i in range(size)})
+        return FormMatrix(algebroid, size, 0, {((i, i, ()), 0): 1 for i in range(size)})
 
     @property
     def nvars(self) -> int:
@@ -119,8 +117,8 @@ class FormMatrix(_Terms):
 
 def _product(left: dict, right: dict, diagonal: bool) -> dict:
     """The wedge product of two matrices' term dicts, unfinished: entry [a][b] is
-    Σ_c left[a][c] ∧ right[c][b], keyed ((a, b, u), exponents); with ``diagonal``
-    only the a == b entries, summed and keyed (u, exponents): the trace."""
+    Σ_c left[a][c] ∧ right[c][b], keyed ((a, b, u), monomial); with ``diagonal``
+    only the a == b entries, summed and keyed (u, monomial): the trace."""
     rows: dict = {}
     for ((c, b, t), eb), y in right.items():
         rows.setdefault(c, []).append((b, t, eb, y))
@@ -131,7 +129,7 @@ def _product(left: dict, right: dict, diagonal: bool) -> dict:
                 continue
             sign, u = _merge_sign(s, t)
             if sign:
-                key = (u if diagonal else (a, b, u), tuple(map(add, ea, eb)))
+                key = (u if diagonal else (a, b, u), ea + eb)
                 out[key] = out.get(key, 0) + (x * y if sign > 0 else -(x * y))
     return out
 
@@ -194,17 +192,17 @@ class ProductAlgebroid(NamedTuple):
 
     base: Algebroid
     extended: Algebroid
-    t_index: int  # index of the interval variable in the extended base
+    t_index: int  # index of the interval variable in the extended base, its last
     et_index: int  # index of the interval generator
 
     def restrict_form(self, omega: Form, u) -> Form:
         """Substitute t = u and delete interval components."""
-        t = self.t_index
         out: dict = {}
         for (key, exps), c in omega.terms.items():
             if self.et_index not in key:
-                k = (key, exps[:t] + exps[t + 1 :])
-                out[k] = out.get(k, 0) + (c * u ** exps[t] if exps[t] else c)
+                # t is the last variable: its power is the lowest field
+                k, power = (key, exps >> FIELD_BITS), exps & _MASK
+                out[k] = out.get(k, 0) + (c * u**power if power else c)
         return _form(self.base, omega.degree, _clean(out))
 
     def homotopy(self, omega: Form) -> Form:
@@ -217,20 +215,20 @@ class ProductAlgebroid(NamedTuple):
         """
         if omega.degree == 0:
             return Form.zero(self.base, 0)
-        t = self.t_index
         out: dict = {}
         for (key, exps), c in omega.terms.items():
             if self.et_index in key:
                 s = tuple(i for i in key if i != self.et_index)
-                k = (s, exps[:t] + exps[t + 1 :])
-                value = Fraction(c, exps[t] + 1) if exps[t] else c
+                k, power = (s, exps >> FIELD_BITS), exps & _MASK
+                value = Fraction(c, power + 1) if power else c
                 out[k] = out.get(k, 0) + (-value if len(s) % 2 else value)
         return _form(self.base, omega.degree - 1, _clean(out))
 
 
 def _t_free(terms: dict) -> dict:
-    """A term dict {(slot, exponents): coefficient} re-keyed to the base extended by t, t-free."""
-    return {(slot, exps + (0,)): c for (slot, exps), c in terms.items()}
+    """A term dict {(slot, monomial): coefficient} re-keyed to the base extended
+    by t, t-free: t is the last variable, so its field is appended below."""
+    return {(slot, exps << FIELD_BITS): c for (slot, exps), c in terms.items()}
 
 
 def product_algebroid(e: Algebroid) -> ProductAlgebroid:
@@ -238,7 +236,7 @@ def product_algebroid(e: Algebroid) -> ProductAlgebroid:
     n = e.nvars
     ext_base = BaseSpace(tuple(e.base.var_names) + ("t",))
     anchor = [_vector_field(ext_base, _t_free(rho.terms)) for rho in e.anchor]
-    anchor.append(_vector_field(ext_base, {(n, (0,) * (n + 1)): 1}))
+    anchor.append(_vector_field(ext_base, {(n, 0): 1}))
     structure = {pair: _section(e.rank + 1, n + 1, _t_free(value.terms)) for pair, value in e.structure.items()}
     gen_names = tuple(e.gen_names) + ("et",)
     extended = Algebroid(ext_base, gen_names, anchor, structure, name=(e.name or "E") + "_x_interval")

@@ -43,7 +43,6 @@ against the plain extension's curvature table.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -53,8 +52,8 @@ from .algebroid import (
     Section,
     _clean,
     _pair_add,
+    _pair_table,
     _section,
-    _signed,
     map_section,
     pair_sum,
     sweep,
@@ -89,6 +88,7 @@ class EConnection:
                 raise AlgebroidError("gamma value has the wrong rank")
             if not value.is_zero():
                 self.gamma[(alpha, b)] = value
+        self._gamma_table = _pair_table(self.gamma, skew=False)
         self._curvature_table: dict[tuple[int, int, int], Section] | None = None
 
     # ---- structure ----
@@ -102,18 +102,14 @@ class EConnection:
         return Section.zero(self.target_rank, self.algebroid.nvars)
 
     def gamma_entry(self, alpha: int, b: int) -> Section:
-        return self.gamma.get((alpha, b), self.zero_target())
+        value = self.gamma.get((alpha, b))
+        return self.zero_target() if value is None else value
 
     # ---- the two extension rules ----
 
-    def _gamma_at(self, alpha: int, b: int) -> tuple[Section, int] | None:
-        """The gamma table as a ``pair_sum`` entry: every value enters with sign +1."""
-        value = self.gamma.get((alpha, b))
-        return None if value is None else (value, 1)
-
     def _nabla(self, out: dict, x: Section, s: Section, sign: int = 1) -> dict:
         """Add sign * nabla_X s = sign * (D_X s + sum_{alpha, b} X_alpha s_b gamma(alpha, b)) to ``out``."""
-        return _pair_add(self.algebroid.derivative(out, x, s, sign), x, s, self._gamma_at, sign)
+        return _pair_add(self.algebroid.derivative(out, x, s, sign), x, s, self._gamma_table, sign)
 
     def covariant_derivative(self, x: Section, s: Section) -> Section:
         """nabla_X s = D_X s + sum_{alpha, b} X_alpha s_b gamma(alpha, b)."""
@@ -167,7 +163,7 @@ class EConnection:
         """
         if self._curvature_table is None:
             a_, g, units = self.algebroid, self.gamma, self.algebroid.units
-            targets = [_section(self.target_rank, a_.nvars, {(b, (0,) * a_.nvars): 1}) for b in range(self.target_rank)]
+            targets = [_section(self.target_rank, a_.nvars, {(b, 0): 1}) for b in range(self.target_rank)]
             self._curvature_table = {}
             for i, j in combinations(range(a_.rank), 2):
                 bracket = a_.bracket_gen(i, j)
@@ -177,7 +173,7 @@ class EConnection:
                         self._nabla(out, units[i], g[j, b])
                     if (i, b) in g:
                         self._nabla(out, units[j], g[i, b], -1)
-                    terms = _clean(_pair_add(out, bracket, targets[b], self._gamma_at, -1))
+                    terms = _clean(_pair_add(out, bracket, targets[b], self._gamma_table, -1))
                     if terms:
                         self._curvature_table[(i, j, b)] = _section(self.target_rank, a_.nvars, terms)
         return self._curvature_table
@@ -186,9 +182,10 @@ class EConnection:
         """R(e_i, e_j)e_b for any generator pair, read off the curvature table."""
         if i == j:
             return self.zero_target()
-        if i < j:
-            return self.curvature_table().get((i, j, b), self.zero_target())
-        return -self.curvature_table().get((j, i, b), self.zero_target())
+        value = self.curvature_table().get((i, j, b) if i < j else (j, i, b))
+        if value is None:
+            return self.zero_target()
+        return value if i < j else -value
 
     def bianchi_table(self) -> dict[tuple[int, int, int], Section]:
         """The Bianchi defect on generator triples i < j < k; zero values omitted.
@@ -204,20 +201,20 @@ class EConnection:
         self._require_endo()
         a = self.algebroid
         u, jacobiators = a.units, a.jacobiator_table
-        torsion = partial(_signed, self.torsion_table())
+        torsion = _pair_table(self.torsion_table())
 
         def defect(i: int, j: int, k: int) -> Section:
             out: dict = {}
             for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
                 _add_terms(out, self.curvature_gen(p, q, r).terms)
                 # - nabla_p T(q, r) + T(nabla_p e_q, e_r) + T(e_q, nabla_p e_r)
-                found = torsion(q, r)
+                found = torsion.get((q, r))
                 if found is not None:
                     self._nabla(out, u[p], found[0], -found[1])
                 _pair_add(out, self.gamma_entry(p, q), u[r], torsion)
                 _pair_add(out, u[q], self.gamma_entry(p, r), torsion)
                 # - T(T(e_p, e_q), e_r)
-                found = torsion(p, q)
+                found = torsion.get((p, q))
                 if found is not None:
                     _pair_add(out, found[0], u[r], torsion, -found[1])
             _add_terms(out, jacobiators.get((i, j, k), a.zero_section()).terms, -1)
@@ -241,7 +238,7 @@ def induced_connection(algebroid: Algebroid, base: EConnection, name: str = "ind
     d/dx_j -> base.gamma(j, b), on the same target.
     """
     tangent, n = base.algebroid, algebroid.nvars
-    identity = [{(j, (0,) * n): 1} for j in range(n)]
+    identity = [{(j, 0): 1} for j in range(n)]
     if tangent.base != algebroid.base or [rho.terms for rho in tangent.anchor] != identity or tangent.structure:
         raise AlgebroidError("the base connection must be along the tangent bundle of the algebroid's base")
     maps = [[base.gamma_entry(j, b) for j in range(n)] for b in range(base.target_rank)]
@@ -263,7 +260,7 @@ class DerivedBundle(NamedTuple):
     derived: Algebroid
     lifted: EConnection
     plain_ext: EConnection
-    wedge: dict[tuple[int, int], Section]  # (i, j), i < j -> the derived generator e_i∧e_j
+    wedge: dict[tuple[int, int], tuple[Section, int]]  # (i, j) either way -> (e_i∧e_j stored on i < j, sign)
 
     @property
     def m(self) -> int:
@@ -271,7 +268,7 @@ class DerivedBundle(NamedTuple):
 
     @property
     def wedge_pairs(self) -> list[tuple[int, int]]:
-        return list(self.wedge)
+        return list(combinations(range(self.m), 2))
 
     def e_part(self, s: Section) -> Section:
         return _section(self.m, s.nvars, {key: c for key, c in s.terms.items() if key[0] < self.m})
@@ -281,7 +278,7 @@ class DerivedBundle(NamedTuple):
 
     def wedge_of(self, u: Section, v: Section) -> Section:
         """Derived section u∧v of two E-sections."""
-        return pair_sum({}, u, _section(self.derived.rank, v.nvars, v.terms), partial(_signed, self.wedge))
+        return pair_sum({}, u, _section(self.derived.rank, v.nvars, v.terms), self.wedge)
 
 
 def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> DerivedBundle:
@@ -318,8 +315,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         return _section(total, nvars, s.terms)
 
     units = [lift(u) for u in e.units]
-    table = {pair: _section(total, nvars, {(w, (0,) * nvars): 1}) for w, pair in enumerate(pairs, start=m)}
-    wedge = partial(_signed, table)
+    wedge = _pair_table({pair: _section(total, nvars, {(w, 0): 1}) for w, pair in enumerate(pairs, start=m)})
 
     anchor = list(e.anchor) + [
         vf_bracket(e.anchor[i], e.anchor[j]) - e.anchor_of(e.bracket_gen(i, j)) for i, j in pairs
@@ -350,7 +346,7 @@ def derive_bundle(conn: EConnection, include_half_correction: bool = True) -> De
         derived,
         EConnection(derived, lifted, name="lifted"),
         EConnection(derived, plain, name="plain-extension"),
-        table,
+        wedge,
     )
 
 

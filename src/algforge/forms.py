@@ -1,11 +1,12 @@
 """Exterior forms on an algebroid's dual generator basis.
 
-A k-form is a section of Λ^k E*: one flat dict {(index tuple, exponents):
-coefficient} over strictly increasing k-tuples of generator indices, with the
-section arithmetic; ``comps`` is its sparse split (``_Terms.split``), one Poly
-per nonzero tuple in tuple order, which ``to_text`` renders.  The dict
-is also the form's witness column: the searches below hand it to ``witness``
-as it is and read solutions back as forms.  Only the public constructor,
+A k-form is a section of Λ^k E*: one flat dict {(index tuple, packed
+monomial): coefficient} over strictly increasing k-tuples of generator
+indices, with the section arithmetic; ``comps`` is its sparse split
+(``_Terms.split``), one Poly per nonzero tuple in tuple order, which
+``to_text`` renders.  The dict is also the form's witness column: the
+searches below hand it to ``witness`` as it is and read solutions back as
+forms.  Only the public constructor,
 which takes outside input, checks keys; wedge, the differential, cofactors
 and the interval operators of ``charclass`` wrap their ``_clean`` dicts
 through ``_form``.
@@ -38,13 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _clean, _Terms, apply_row
-from .poly import Poly, _trusted
+from .algebroid import Algebroid, AlgebroidError, Section, _clean, _packed, _Terms, apply_row
+from .poly import Poly, _degree, _pack, _trusted, _unpack
 
 
 @cache
@@ -96,7 +96,7 @@ class Form(_Terms):
                 raise AlgebroidError("component index out of range")
             if list(key) != sorted(set(key)):
                 raise AlgebroidError("component keys must be strictly increasing")
-            for exps, c in value.terms.items():
+            for exps, c in _packed(value).items():
                 terms[(key, exps)] = c
         self.algebroid, self.degree, self.terms = algebroid, degree, terms
 
@@ -160,8 +160,8 @@ class Form(_Terms):
             raise AlgebroidError("wrong number of arguments for this degree")
         if any(s.rank != self.algebroid.rank for s in sections):
             raise AlgebroidError("sections must have the rank of the form's algebroid")
-        terms = _clean(_pull(self.terms, sections))
-        return _trusted(self.algebroid.nvars, {exps: c for (_, exps), c in terms.items()})
+        terms, n = _clean(_pull(self.terms, sections)), self.nvars
+        return _trusted(n, {_unpack(exps, n): c for (_, exps), c in terms.items()})
 
     # ---- wedge ----
 
@@ -208,7 +208,7 @@ def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
         for (t, eb), b in beta.items():
             sign, key = _merge_sign(s, t)
             if sign:
-                key = (key, tuple(map(add, ea, eb)))
+                key = (key, ea + eb)
                 out[key] = out.get(key, 0) + (a * b if sign > 0 else -(a * b))
     return out
 
@@ -221,19 +221,19 @@ def _wedge_into(out: dict, alpha: dict, beta: dict) -> dict:
 def _coframe_d(a: Algebroid, u: tuple[int, ...]) -> tuple[list, list]:
     """The derivative of the coframe monomial θ^u, read from ``a.coframe_d``.
 
-    Two parts, built on the first use of u and kept: the anchor moves
-    (ρ(e_b), sign, key) that carry df ∧ θ^u onto θ^key = ±θ^b ∧ θ^u, and the
-    terms ((key, exponents), coefficient) of
+    Two parts, built on the first use of u and kept: the ``apply_row``
+    moves of every anchor image ρ(e_b), each signed and landing on θ^key =
+    ±θ^b ∧ θ^u, which carry f θ^u to df ∧ θ^u, and the terms ((key,
+    monomial), coefficient) of
     dθ^u = Σ_t (−1)^t θ^{u_0} ∧ … ∧ dθ^{u_t} ∧ … ∧ θ^{u_{k−1}}.
     """
     found = a.coframe_d.get(u)
     if found is None:
         moves = []
         for b, rho in enumerate(a.anchor):
-            if rho.terms:
-                sign, key = _merge_sign((b,), u)
-                if sign:
-                    moves.append((rho, sign, key))
+            sign, key = _merge_sign((b,), u)
+            if sign:
+                moves += [(at, delta, sign * c, key) for at, delta, c, _ in rho.moves]
         dtheta: dict = {}
         for t, c in enumerate(u):
             rest = u[:t] + u[t + 1 :]
@@ -264,16 +264,15 @@ def differential(omega: Form) -> Form:
     if not omega.terms:
         return _form(a, omega.degree + 1, {})
     by_key: dict = {}
-    for (u, exps), c in omega.terms.items():
-        by_key.setdefault(u, []).append((exps, c))
+    for item in omega.terms.items():
+        by_key.setdefault(item[0][0], []).append(item)
     out: dict = {}
     for u, f in by_key.items():
         moves, dtheta = _coframe_d(a, u)
-        for rho, sign, key in moves:
-            apply_row(out, rho, (((key, exps), c) for exps, c in f), sign)
-        for exps, fc in f:
+        apply_row(out, moves, f)
+        for (_, exps), fc in f:
             for (key, e), v in dtheta:
-                k = (key, tuple(map(add, exps, e)))
+                k = (key, exps + e)
                 out[k] = out.get(k, 0) + fc * v
     return _form(a, omega.degree + 1, _clean(dict(sorted(out.items()))))
 
@@ -394,7 +393,7 @@ class Lambda2Ideal:
         divides it, as a cofactor term on s = u - t; the rest, the canonical
         remainder, is what no generator divides.
         """
-        remainder, values, divisors = {}, {}, {}
+        remainder, values, divisors, n = {}, {}, {}, self.algebroid.nvars
         for (u, exps), c in omega.terms.items():
             if u not in divisors:
                 divisors[u] = []
@@ -402,11 +401,12 @@ class Lambda2Ideal:
                     (((t, g_exps), g_scalar),) = g.terms.items()
                     if set(t) <= set(u):
                         s = tuple(sorted(set(u) - set(t)))
-                        divisors[u].append((g_idx, s, _merge_sign(s, t)[0], g_exps, g_scalar))
-            for g_idx, s, sign, g_exps, g_scalar in divisors[u]:
-                if all(e >= ge for e, ge in zip(exps, g_exps)):
-                    quotient = tuple(e - ge for e, ge in zip(exps, g_exps))
-                    values[((g_idx, s), quotient)] = Fraction(sign * c, g_scalar)
+                        divisors[u].append((g_idx, s, _merge_sign(s, t)[0], g_exps, _unpack(g_exps, n), g_scalar))
+            powers = _unpack(exps, n)
+            for g_idx, s, sign, g_exps, g_powers, g_scalar in divisors[u]:
+                if all(e >= ge for e, ge in zip(powers, g_powers)):
+                    # every field of the quotient is nonnegative, so no borrow
+                    values[((g_idx, s), exps - g_exps)] = Fraction(sign * c, g_scalar)
                     break
             else:
                 remainder[(u, exps)] = c
@@ -456,9 +456,10 @@ class Lambda2Ideal:
 
 
 def _coordinate_key(coord):
-    """Index tuple first, then the monomial in graded-lex order, highest first."""
+    """Index tuple first, then the monomial in graded-lex order, highest first:
+    a larger packed monomial of the same degree is the larger tuple."""
     u, exps = coord
-    return u, -sum(exps), tuple(-e for e in exps)
+    return u, -_degree(exps), -exps
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +476,7 @@ def _basis_columns(a: Algebroid, degree: int, max_degree: int, operator) -> dict
     if degree < 0:
         return {}
     columns = {}
-    monos = witness.monomials_up_to(a.nvars, max_degree)
+    monos = [_pack(mu) for mu in witness.monomials_up_to(a.nvars, max_degree)]
     for s in combinations(range(a.rank), degree):
         for mu in monos:
             image = operator(_form(a, degree, {(s, mu): 1}))

@@ -16,11 +16,38 @@ Instances are immutable: nothing writes ``terms`` after construction, so an
 operation may return one of its operands unchanged.  The public constructor
 normalises whatever it is given; ring operations build their results in
 normal form and wrap them without a second pass (``_trusted``).
+
+Sections, vector fields, forms and the witness systems key their terms by
+(slot, packed int) instead: ``_pack`` lays the exponent tuple out in
+FIELD_BITS-bit fields, the first variable in the most significant field, so
+int order is tuple order, a monomial shift is one int addition, and a
+derivative along x_j subtracts the packed unit of field j, which cannot
+borrow because that exponent is at least 1.  ``_unpack`` and ``_degree``
+read a key back; ``Poly`` keeps its exponent tuples.
+
+The field-width guard.  A packed key is exact while every field stays below
+2**FIELD_BITS = 2**32; past that a field would carry into its neighbour and
+name a wrong monomial.  Every exponent tuple packed passes the guard in
+``_pack``, which refuses an exponent above MAX_EXPONENT = 2**16 - 1 (the
+constructors ``Section``, ``VectorField``, ``Form`` and ``scale`` by a Poly
+raise it as an ``AlgebroidError``); a document's exponents are at most
+``dsl.DEGREE_CAP`` = 64.  A computed exponent is the sum of the exponents
+of the input terms multiplied into its term (a derivative only lowers one
+by 1): three in a bracket, covariant derivative or Jacobiator term, a few
+more in a curvature term, and one per factor of a wedge, whose form degree
+stops at the rank, so Tr R^k multiplies k curvature terms with 2k <= rank;
+a derived bundle, whose tables are computed curvature terms, nests these
+counts once more.  A field reaches 2**32 only when 2**16 input terms at
+the guard's limit meet in one product (2**26 at the document cap), far
+past any of these counts.  A witness search shifts by monomials up to its
+degree bound D, and listing them takes longer than any D that could fill a
+field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Sequence
 
@@ -28,6 +55,39 @@ Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
 _ZERO = Fraction(0)
+
+FIELD_BITS = 32
+_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = (1 << 16) - 1
+
+
+@lru_cache(maxsize=1 << 14)
+def _pack(exps: Exponent) -> int:
+    """An exponent tuple as one int, the first variable in the most significant
+    field; OverflowError for an exponent above MAX_EXPONENT, the field-width
+    guard.  Kept per tuple, as ``_unpack`` is per key, in a bounded cache: a
+    run meets few distinct monomials, each of them many times."""
+    key = 0
+    for e in exps:
+        if e > MAX_EXPONENT:
+            raise OverflowError(f"exponent {e} exceeds the packed-monomial limit of {MAX_EXPONENT}")
+        key = key << FIELD_BITS | e
+    return key
+
+
+@lru_cache(maxsize=1 << 14)
+def _unpack(key: int, nvars: int) -> Exponent:
+    """The exponent tuple of a packed key in ``nvars`` variables."""
+    return tuple(key >> shift & _MASK for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS))
+
+
+def _degree(key: int) -> int:
+    """The total degree of a packed key: the sum of its fields."""
+    total = 0
+    while key:
+        total += key & _MASK
+        key >>= FIELD_BITS
+    return total
 
 
 def _coeff(value: Coeff) -> Coeff:
@@ -52,8 +112,8 @@ def _fold(terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
 def _merge(a: dict, b: dict, negate: bool = False) -> dict:
     """a + b, or a - b when ``negate``, of two normal-form term dicts as a new one.
 
-    Keys are whatever the dicts share (exponent tuples here, (generator,
-    exponents) for sections); sums that cancel are dropped and integral
+    Keys are whatever the dicts share (exponent tuples here, (slot, packed
+    monomial) for sections); sums that cancel are dropped and integral
     Fractions folded to int.
     """
     out = a.copy()
@@ -265,6 +325,31 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i + 1}" for i in range(self.nvars)]
         return f"Poly({self.to_text(names)})"
+
+
+def sum_text(split, names, var_names) -> str:
+    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements, from
+    its sparse split {slot: Poly} in slot order; ``names[slot]`` names a slot."""
+    pieces = []
+    for slot, coeff in split.items():
+        name = names[slot]
+        text = coeff.to_text(var_names)
+        if text == "1":
+            pieces.append(name)
+        elif text == "-1":
+            pieces.append(f"-{name}")
+        else:
+            body = f"({text})" if " " in text else text
+            pieces.append(f"{body}*{name}")
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += f" - {piece[1:]}"
+        else:
+            out += f" + {piece}"
+    return out
 
 
 def _trusted(nvars: int, terms: dict[Exponent, Coeff]) -> Poly:

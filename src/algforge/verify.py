@@ -337,10 +337,11 @@ def c14_d_squared(ctx: Context):
     monomial_ok = 0
     for trial in range(20):
         omega = sampler.form(e0, 1, max_degree=2)
-        for _, exps in d_squared(omega).terms:
-            if exps[0] < 2 and exps[1] < 2:
-                return False, "a d^2 coefficient escapes <x1^2, x2^2>"
-            monomial_ok += 1
+        for coeff in d_squared(omega).comps.values():
+            for exps in coeff.terms:
+                if exps[0] < 2 and exps[1] < 2:
+                    return False, "a d^2 coefficient escapes <x1^2, x2^2>"
+                monomial_ok += 1
     return True, (
         "d^2 kills functions and all degrees > 2; on 20 random 1-forms d^2(w) equals w paired "
         "with the bracket-first cyclic sum (= minus the Jacobiator; convention recorded); "

@@ -3,14 +3,14 @@
 A *column* maps coordinates to exact rationals (int or Fraction); columns
 come in a dict keyed by *tag*, whose order is the column order.  That order
 fixes every answer, since free unknowns are set to zero and the reduced row
-echelon form is unique for a given column order.  Tags are
-``(slot, exponent)`` pairs (a cofactor, form component or matrix cell, times
-a monomial).  This module owns each system from layout to answer: the
-columns become one sparse row per coordinate, keyed by column position
-(with a target's values in one more column), ``linsolve.rref`` reduces
-them once, and solutions and nullspace vectors are read off the pivot rows
-as nonzero values in tag order, each an int where integral and a Fraction
-otherwise.  A failed search means no witness up to the degree bound, never
+echelon form is unique for a given column order.  Tags and coordinates
+are ``(slot, packed monomial)`` pairs (a cofactor, form component or matrix
+cell, times a monomial packed by ``poly._pack``).  This module owns each
+system from layout to answer: the columns become one sparse row per
+coordinate, keyed by column position (with a target's values in one more
+column), ``linsolve.rref`` reduces them once, and solutions and nullspace
+vectors are read off the pivot rows as nonzero values in tag order, each an
+int where integral and a Fraction otherwise.  A failed search means no witness up to the degree bound, never
 a refutation.
 """
 
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
 from typing import Callable, Hashable
 
 from . import linsolve
+from .poly import _pack
 
 Column = dict[Hashable, int | Fraction]
 
@@ -41,12 +41,12 @@ def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
 def monomial_multiples(columns: dict[Hashable, Column], nvars: int, max_degree: int) -> dict[Hashable, Column]:
     """Every column times every monomial mu of degree <= max_degree, tagged (tag, mu).
 
-    Coordinates are (slot, exponents), so a multiple shifts each exponent
-    tuple by mu: the columns of a map that is linear over functions.
+    Coordinates are (slot, packed monomial), so a multiple adds the packed mu
+    to each: the columns of a map that is linear over functions.
     """
-    monos = monomials_up_to(nvars, max_degree)
+    monos = [_pack(mu) for mu in monomials_up_to(nvars, max_degree)]
     return {
-        (tag, mu): {(slot, tuple(map(add, exps, mu))): v for (slot, exps), v in col.items()}
+        (tag, mu): {(slot, exps + mu): v for (slot, exps), v in col.items()}
         for tag, col in columns.items()
         for mu in monos
     }

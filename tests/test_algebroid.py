@@ -32,7 +32,7 @@ from algforge.catalog import (
     torsionfree_gamma,
 )
 from algforge.connection import EConnection, derive_bundle
-from algforge.dsl import document_algebroid, document_endo
+from algforge.dsl import document_algebroid, document_connection, document_endo
 from algforge.poly import Poly
 from algforge.sampling import Sampler
 
@@ -124,6 +124,22 @@ def test_jacobiator_table_matches_the_nested_brackets():
     assert all(a.jacobiator_table for a in bundles[-3:])
 
 
+@pytest.mark.parametrize("name", CORPUS + ("rederived",))
+def test_jacobiator_table_skips_only_triples_without_a_pair_bracket(name):
+    # the table visits only the triples with a nonzero pair bracket; the full
+    # closed-form sweep must give the same values in the same order, on every
+    # corpus bundle (E0_itemized among them) and on the rank-55 bundle that
+    # `derive derived_e0 --connection lifted` writes
+    if name == "rederived":
+        doc = corpus_document("derived_e0")
+        a = derive_bundle(document_connection(doc, document_algebroid(doc), "lifted")).derived
+        assert a.rank == 55
+    else:
+        a = document_algebroid(corpus_document(name))
+    full = sweep(a.rank, 3, a.jacobiator_gen)
+    assert list(a.jacobiator_table.items()) == list(full.items())
+
+
 def test_one_jacobiator_read_builds_no_table():
     a = document_algebroid(corpus_document("derived_e0"))
     u = a.units
@@ -135,7 +151,9 @@ def test_sweep_keeps_the_nonzero_values_in_combinations_order():
     assert list(sweep(4, 2, E0.bracket_gen)) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     assert sweep(4, 3, lambda i, j, k: E0.jacobiator(*(E0.units[t] for t in (i, j, k)))) == dict(E0.check_lie().failures)
     assert E0.unit_section(2) is E0.units[2]
-    assert [u.terms for u in E0.units] == [{(i, (0, 0)): 1} for i in range(4)]
+    # the unpacked view: (generator, exponent tuple) -> coefficient
+    unpacked = [{(a, exps): c for a, p in u.split.items() for exps, c in p.terms.items()} for u in E0.units]
+    assert unpacked == [{(i, (0, 0)): 1} for i in range(4)]
 
 
 def test_kernel_sections_are_anchor_killed_but_not_central():

@@ -12,7 +12,7 @@ membership, normal-form and weak-exact queries take the bounded path.
 import hashlib
 
 import pytest
-from courant_basis import basis_sections
+from courant_basis import basis_sections, unpacked_terms
 
 from algforge.algebroid import courant_solution_space, subalgebroid_restrict
 from algforge.catalog import builtin, corpus_document
@@ -179,7 +179,7 @@ def test_courant_paired_basis_at_degree_two():
 def _basis_digest(space, nvars):
     """sha256 prefix of every basis element's images, each image's terms sorted."""
     text = "\n".join(
-        "|".join(",".join(f"{a}:{exps}:{c}" for (a, exps), c in sorted(image.terms.items())) for image in g)
+        "|".join(",".join(f"{a}:{exps}:{c}" for (a, exps), c in sorted(unpacked_terms(image).items())) for image in g)
         for g in basis_sections(space, nvars)
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
