@@ -35,13 +35,17 @@ def test_pack_round_trips(exps):
     assert _unpack(_pack(exps), len(exps)) == exps
 
 
+# (nvars, keys): (slot, exponents) keys with a generator or an index tuple as the slot
 slots = st.integers(0, 3) | st.tuples(st.integers(0, 5), st.integers(0, 5))
+keyed = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(slots, st.tuples(*[exponent] * n))))
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(slots, st.tuples(*[exponent] * n))))))
+@given(keyed)
 def test_packed_keys_sort_as_the_tuples(case):
-    # (generator, exps) and (index tuple, exps) keys, sorted one kind at a time
+    # sorted one kind of slot at a time
     n, keys = case
     for kind in (int, tuple):
         tuple_keys = [key for key in keys if type(key[0]) is kind]
@@ -80,7 +84,9 @@ N = E0.nvars
 
 def partial(f: Poly, v: int) -> Poly:
     """d f / d x_v on Poly terms."""
-    return Poly(f.nvars, {exps[:v] + (exps[v] - 1,) + exps[v + 1 :]: c * exps[v] for exps, c in f.terms.items() if exps[v]})
+    return Poly(
+        f.nvars, {exps[:v] + (exps[v] - 1,) + exps[v + 1 :]: c * exps[v] for exps, c in f.terms.items() if exps[v]}
+    )
 
 
 def along(field: VectorField, f: Poly) -> Poly:
