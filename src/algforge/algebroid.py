@@ -375,6 +375,7 @@ class Algebroid:
             raise AlgebroidError("structure section has the wrong rank")
         self.structure = _skew_table(structure or {}, "bracket")
         self.pairs = _pair_table(self.structure)  # the structure table in both orders, for _pair_add
+        self._zero = _section(self.rank, self.nvars, {})  # shared, as the units are: a section is never written
         self.name = name
 
     # ---- building blocks ----
@@ -410,7 +411,7 @@ class Algebroid:
         return tuple(_section(self.rank, self.nvars, {(i, 0): 1}) for i in range(self.rank))
 
     def zero_section(self) -> Section:
-        return Section.zero(self.rank, self.nvars)
+        return self._zero
 
     def unit_section(self, i: int) -> Section:
         return self.units[i]
