@@ -1,11 +1,10 @@
 """The basis cometrics of a Courant solution space, rebuilt from its nullspace vectors.
 
 ``CourantSpace`` keeps the vectors {(cell, mu): value} it was solved as, mu
-a packed monomial;
-the commands read only their constant terms.  A test that looks at the
-cometrics themselves rebuilds them here: basis element g is the list of
-images g[b] = G e_b, and a cell's value times mu sits at each of its
-positions (a, b), the e_a-coefficient of g[b].
+a packed monomial; the commands read only their constant terms.  A test
+that looks at the cometrics themselves rebuilds them here: basis element g
+is the list of images g[b] = G e_b, and a cell's value times mu sits at
+each of its positions (a, b), the e_a-coefficient of g[b].
 """
 
 from algforge.algebroid import Section

@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 
 import pytest
-from courant_basis import basis_sections
+from courant_basis import basis_sections, unpacked_terms
 
 from algforge import algebroid as algebroid_module
 from algforge import catalog, linsolve
@@ -151,9 +151,7 @@ def test_sweep_keeps_the_nonzero_values_in_combinations_order():
     assert list(sweep(4, 2, E0.bracket_gen)) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     assert sweep(4, 3, lambda i, j, k: E0.jacobiator(*(E0.units[t] for t in (i, j, k)))) == dict(E0.check_lie().failures)
     assert E0.unit_section(2) is E0.units[2]
-    # the unpacked view: (generator, exponent tuple) -> coefficient
-    unpacked = [{(a, exps): c for a, p in u.split.items() for exps, c in p.terms.items()} for u in E0.units]
-    assert unpacked == [{(i, (0, 0)): 1} for i in range(4)]
+    assert [unpacked_terms(u) for u in E0.units] == [{(i, (0, 0)): 1} for i in range(4)]
 
 
 def test_kernel_sections_are_anchor_killed_but_not_central():
