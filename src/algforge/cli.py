@@ -42,6 +42,7 @@ from .dsl import (
     parse,
     serialize,
 )
+from .poly import MAX_EXPONENT
 from .reports import FAIL, INCONCLUSIVE, PASS, Report, input_digest
 
 # each command imports the layers only it runs, so that a process compiles
@@ -458,10 +459,18 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _degree_bound(text: str) -> int:
+    # a bounded search packs every monomial up to the bound, behind poly's field-width guard
+    value = _non_negative(text)
+    if value > MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(f"expected a degree bound of at most {MAX_EXPONENT}, got {text!r}")
+    return value
+
+
 # an argument is its flags, then its add_argument keywords; every command takes these first
 _COMMON = [
     ("--seed", {"type": int, "default": 0, "help": "seed recorded in the report and used by any sampling"}),
-    ("--max-degree", {"type": _non_negative, "help": "coefficient degree bound for the bounded searches"
+    ("--max-degree", {"type": _degree_bound, "help": "coefficient degree bound for the bounded searches"
                       " (default 4, env ALGFORGE_MAX_DEGREE)"}),
     ("--json", {"action": "store_true", "help": "emit the report as JSON"}),
 ]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import algforge
 from algforge import cli
 from algforge.dsl import parse
+from algforge.poly import MAX_EXPONENT
 
 SRC = str(Path(algforge.__file__).resolve().parent.parent)
 
@@ -447,6 +448,33 @@ def test_bad_degree_in_the_environment_is_a_usage_error(capsys, monkeypatch, val
     assert code == 2
     assert out == ""
     assert "--max-degree" in err
+
+
+LINE_DOC = """base 1 (u)
+
+bundle L rank 3 gens (P, Q, R)
+anchor P -> u*d1
+anchor Q -> u^2*d1
+anchor R -> 0
+bracket [P, Q] = Q
+form w1 = u*w(P)
+"""
+
+
+@pytest.mark.parametrize("command", [("courant",), ("obstruction", "--triple", "1,2,3"), ("cohomology", "--form", "w1")])
+def test_degree_bound_past_the_packed_field_guard_is_a_usage_error(tmp_path, capsys, command):
+    # over one variable a search lists only D + 1 monomials, so only the bound check stops
+    # a D whose monomials the packed keys cannot hold
+    doc = tmp_path / "line.alg"
+    doc.write_text(LINE_DOC)
+    code, out, err = run(capsys, command[0], str(doc), *command[1:], "--max-degree", str(MAX_EXPONENT + 1))
+    assert code == 2
+    assert out == ""
+    assert f"argument --max-degree: expected a degree bound of at most {MAX_EXPONENT}, got '{MAX_EXPONENT + 1}'" in err
+
+
+def test_the_largest_degree_bound_is_accepted():
+    assert cli._degree_bound(str(MAX_EXPONENT)) == MAX_EXPONENT
 
 
 def test_degree_from_the_environment(capsys, monkeypatch):
