@@ -42,7 +42,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 from . import linsolve, witness
-from .poly import FIELD_BITS, Poly, _MASK, _degree, _fold, _merge, _pack, _trusted, _unpack, sum_text
+from .poly import FIELD_BITS, Poly, _MASK, _degree, _fold, _merge, _pack, _trusted, _unpack
 
 
 class AlgebroidError(ValueError):
@@ -153,11 +153,8 @@ class Section(_Terms):
         return tuple(split[a] if a in split else _trusted(self.nvars, {}) for a in range(self.rank))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and (self.rank, self.nvars) == (other.rank, other.nvars)
-            and self.terms == other.terms
-        )
+        same_bundle = isinstance(other, Section) and (self.rank, self.nvars) == (other.rank, other.nvars)
+        return same_bundle and self.terms == other.terms
 
     def min_degree(self) -> int:
         """Smallest total degree over all nonzero coefficient terms (-1 if zero)."""
@@ -284,6 +281,20 @@ def apply_row(out: dict, moves: list, items, weight=1, shift: int = 0) -> dict:
     return out
 
 
+def sum_text(split, names, var_names) -> str:
+    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements, from
+    its sparse split {slot: Poly} in slot order; ``names[slot]`` names a slot."""
+    pieces = []
+    for slot, coeff in split.items():
+        text = coeff.to_text(var_names)
+        if text in ("1", "-1"):
+            piece = text[:-1] + names[slot]
+        else:
+            piece = f"({text})*{names[slot]}" if " " in text else f"{text}*{names[slot]}"
+        pieces.append(piece if not pieces else f"- {piece[1:]}" if piece[0] == "-" else f"+ {piece}")
+    return " ".join(pieces) or "0"
+
+
 def sweep(rank: int, k: int, value) -> dict[tuple[int, ...], Section]:
     """{t: value(*t)} over the increasing k-tuples t of generator indices, in
     ``combinations`` order, with zero values left out."""
@@ -375,7 +386,6 @@ class Algebroid:
             raise AlgebroidError("structure section has the wrong rank")
         self.structure = _skew_table(structure or {}, "bracket")
         self.pairs = _pair_table(self.structure)  # the structure table in both orders, for _pair_add
-        self._zero = _section(self.rank, self.nvars, {})  # shared, as the units are: a section is never written
         self.name = name
 
     # ---- building blocks ----
@@ -411,7 +421,7 @@ class Algebroid:
         return tuple(_section(self.rank, self.nvars, {(i, 0): 1}) for i in range(self.rank))
 
     def zero_section(self) -> Section:
-        return self._zero
+        return Section.zero(self.rank, self.nvars)
 
     def unit_section(self, i: int) -> Section:
         return self.units[i]
@@ -461,11 +471,8 @@ class Algebroid:
 
     def jacobiator(self, x: Section, y: Section, z: Section) -> Section:
         """Cyclic sum [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
-        return (
-            self.bracket(x, self.bracket(y, z))
-            + self.bracket(y, self.bracket(z, x))
-            + self.bracket(z, self.bracket(x, y))
-        )
+        b = self.bracket
+        return b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
 
     # ---- axiom and Lie sweeps ----
 
@@ -544,10 +551,7 @@ class AxiomReport(NamedTuple):
             return f"anchor compatibility holds on all {pairs} generator pairs"
         i, j, defect = self.failures[0]
         names = self.algebroid.gen_names
-        return (
-            f"anchor compatibility fails on ({names[i]}, {names[j]}): "
-            f"defect {defect.to_text()}"
-        )
+        return f"anchor compatibility fails on ({names[i]}, {names[j]}): defect {defect.to_text()}"
 
 
 class LieReport(NamedTuple):
@@ -692,20 +696,13 @@ def subalgebroid_restrict(
     names = list(names) if names else [f"G{i + 1}" for i in range(k)]
     if len(names) != k:
         raise AlgebroidError("one name per generating section")
-    # Independence over the coefficient ring, checked at sample points.
-    independent = False
-    for raw in _GENERIC_POINTS:
-        point = list(raw[: algebroid.nvars])
-        while len(point) < algebroid.nvars:
-            point.append(len(point) + 2)
-        rows = [[c.eval_at(point) for c in g.coeffs] for g in gens]
-        if linsolve.rank(rows) == k:
-            independent = True
-            break
-    if not independent:
+    # Independence over the coefficient ring, checked at sample points: each
+    # point's coordinates past the listed ones are index + 2
+    nvars = algebroid.nvars
+    points = [[*raw[:nvars], *range(len(raw) + 2, nvars + 2)] for raw in _GENERIC_POINTS]
+    if all(linsolve.rank([[c.eval_at(p) for c in g.coeffs] for g in gens]) < k for p in points):
         raise AlgebroidError("generating sections are dependent at all sample points")
 
-    nvars = algebroid.nvars
     # one column per (generator g, monomial mu): the terms of the section mu * g
     columns = witness.monomial_multiples({g: gen.terms for g, gen in enumerate(gens)}, nvars, max_degree)
     structure: dict[tuple[int, int], Section] = {}

@@ -89,7 +89,6 @@ class EConnection:
             if not value.is_zero():
                 self.gamma[(alpha, b)] = value
         self._gamma_table = _pair_table(self.gamma, skew=False)
-        self._zero = Section.zero(self.target_rank, algebroid.nvars)  # shared: a section is never written
         self._curvature_table: dict[tuple[int, int, int], Section] | None = None
 
     # ---- structure ----
@@ -100,7 +99,7 @@ class EConnection:
         return self.target_gens == self.algebroid.gen_names
 
     def zero_target(self) -> Section:
-        return self._zero
+        return Section.zero(self.target_rank, self.algebroid.nvars)
 
     def gamma_entry(self, alpha: int, b: int) -> Section:
         value = self.gamma.get((alpha, b))

@@ -37,8 +37,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField
-from .poly import Poly, sum_text
+from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, sum_text
+from .poly import Poly
 
 # connections and forms are imported where a document is elaborated into
 # them, so that parsing loads neither layer

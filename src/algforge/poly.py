@@ -40,14 +40,14 @@ a derived bundle, whose tables are computed curvature terms, nests these
 counts once more.  A field reaches 2**32 only when 2**16 input terms at
 the guard's limit meet in one product (2**26 at the document cap), far
 past any of these counts.  A witness search shifts by monomials up to its
-degree bound D, and listing them takes longer than any D that could fill a
-field.
+degree bound D, each packed through the same guard, so a D above
+MAX_EXPONENT raises OverflowError before any shift; the command line
+refuses such a ``--max-degree`` as a usage error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Sequence
 
@@ -61,12 +61,10 @@ _MASK = (1 << FIELD_BITS) - 1
 MAX_EXPONENT = (1 << 16) - 1
 
 
-@lru_cache(maxsize=1 << 14)
 def _pack(exps: Exponent) -> int:
     """An exponent tuple as one int, the first variable in the most significant
     field; OverflowError for an exponent above MAX_EXPONENT, the field-width
-    guard.  Kept per tuple, as ``_unpack`` is per key, in a bounded cache: a
-    run meets few distinct monomials, each of them many times."""
+    guard."""
     key = 0
     for e in exps:
         if e > MAX_EXPONENT:
@@ -75,7 +73,6 @@ def _pack(exps: Exponent) -> int:
     return key
 
 
-@lru_cache(maxsize=1 << 14)
 def _unpack(key: int, nvars: int) -> Exponent:
     """The exponent tuple of a packed key in ``nvars`` variables."""
     return tuple(key >> shift & _MASK for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS))
@@ -325,31 +322,6 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i + 1}" for i in range(self.nvars)]
         return f"Poly({self.to_text(names)})"
-
-
-def sum_text(split, names, var_names) -> str:
-    """Canonical `c1*B1 + c2*B2` text of a sum over named basis elements, from
-    its sparse split {slot: Poly} in slot order; ``names[slot]`` names a slot."""
-    pieces = []
-    for slot, coeff in split.items():
-        name = names[slot]
-        text = coeff.to_text(var_names)
-        if text == "1":
-            pieces.append(name)
-        elif text == "-1":
-            pieces.append(f"-{name}")
-        else:
-            body = f"({text})" if " " in text else text
-            pieces.append(f"{body}*{name}")
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out
 
 
 def _trusted(nvars: int, terms: dict[Exponent, Coeff]) -> Poly:
