@@ -33,9 +33,8 @@ print(f"         (the trace of the connection forms, {connection_forms(tf).trace
 print(f"  Tr R^2 weak closed: {weak_closed(char_form(tf, 2), ideal).status} (differential falls into the obstruction ideal)")
 
 print("\nindependence from the connection (transgression):")
-for k in (1, 2):
-    rep = transgression_check(fl, tf, k, ideal=ideal)
-    print(f"  order {k}: {rep.describe()}")
+for rep in transgression_check(fl, tf, (1, 2), ideal=ideal):
+    print(f"  order {rep.k}: {rep.describe()}")
     print(f"    difference      = {rep.difference.to_text()}")
     print(f"    primary witness = {rep.primary_witness.to_text()}")
 

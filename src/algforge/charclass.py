@@ -3,9 +3,10 @@
 The pipeline: a connection's gamma table becomes a matrix of 1-forms, its
 curvature a matrix of 2-forms satisfying the Cartan equation R = d(theta) +
 theta∧theta exactly; traces of wedge powers of R are the characteristic
-forms.  Independence from the connection is verified per instance by an
-explicit homotopy: the two connections are joined along an extra interval
-variable, and an integration operator H peels the interval off, splitting the
+forms, all orders of one connection read off one running power of R.
+Independence from the connection is verified per instance by an explicit
+homotopy: the two connections are joined along an extra interval variable,
+and an integration operator H peels the interval off, splitting the
 difference of characteristic forms into an exact part and an ideal part.
 
 Forms and matrices of forms (``FormMatrix``, which never stores a zero entry)
@@ -17,7 +18,7 @@ are loops over nonzero terms.  Results are wrapped, not re-checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebroid import Algebroid, AlgebroidError, BaseSpace, Section, _clean, _section, _Terms, _vector_field
 from .connection import EConnection, induced_connection
@@ -111,9 +112,6 @@ class FormMatrix(_Terms):
                 out[(a, b, u), exps] = c
         return FormMatrix(self.algebroid, self.size, self.degree + 1, out)
 
-    def d2(self) -> FormMatrix:
-        return self.d().d()
-
 
 def _product(left: dict, right: dict, diagonal: bool) -> dict:
     """The wedge product of two matrices' term dicts, unfinished: entry [a][b] is
@@ -157,29 +155,40 @@ def curvature_matrix(conn: EConnection) -> FormMatrix:
     return _form_matrix(conn, 2, conn.curvature_table())
 
 
-def cartan_residual(conn: EConnection) -> FormMatrix:
-    """R - d(theta) - theta∧theta; identically zero."""
+def structure_residuals(conn: EConnection) -> tuple[FormMatrix, FormMatrix]:
+    """R - d(theta) - theta∧theta and d(R) - d²(theta) - R∧theta + theta∧R,
+    both identically zero, sharing theta, R and d(theta)."""
     theta = connection_forms(conn)
-    return curvature_matrix(conn) - theta.d() - theta.wedge_mul(theta)
+    r = curvature_matrix(conn)
+    d_theta = theta.d()
+    cartan = r - d_theta - theta.wedge_mul(theta)
+    return cartan, r.d() - d_theta.d() - r.wedge_mul(theta) + theta.wedge_mul(r)
+
+
+def char_forms(conn: EConnection, orders: Iterable[int]) -> Iterator[tuple[int, Form]]:
+    """(k, Tr R^k) for each k of the increasing ``orders``, in turn, from one
+    running power of the curvature matrix.
+
+    Only the diagonal of the last product is formed:
+    Tr R^k = Σ_{i,j} (R^{k−1})_ij ∧ R_ji.  Once the power is zero every
+    later trace form is zero, so no further product is formed.
+    """
+    r = curvature_matrix(conn)
+    power, done = FormMatrix.identity(conn.algebroid, r.size), 0  # power = R^done
+    last = 0
+    for k in orders:
+        if k <= last:
+            raise AlgebroidError("characteristic forms start at k = 1" if k < 1 else "orders must increase")
+        last = k
+        while done < k - 1 and not power.is_zero():
+            power, done = power.wedge_mul(r), done + 1
+        yield k, _form(conn.algebroid, 2 * k, _clean(_product(power.terms, r.terms, diagonal=True)))
 
 
 def char_form(conn: EConnection, k: int) -> Form:
-    """Trace of the k-th wedge power of the curvature matrix.
-
-    Only the diagonal of the last product is formed:
-    Tr R^k = Σ_{i,j} (R^{k−1})_ij ∧ R_ji.
-    """
-    if k < 1:
-        raise AlgebroidError("characteristic forms start at k = 1")
-    r = curvature_matrix(conn)
-    return _form(conn.algebroid, 2 * k, _clean(_product(r.wedge_power(k - 1).terms, r.terms, diagonal=True)))
-
-
-def dR_identity_residual(conn: EConnection) -> FormMatrix:
-    """d(R) - d²(theta) - R∧theta + theta∧R; identically zero."""
-    theta = connection_forms(conn)
-    r = curvature_matrix(conn)
-    return r.d() - theta.d2() - r.wedge_mul(theta) + theta.wedge_mul(r)
+    """Trace of the k-th wedge power of the curvature matrix."""
+    ((_, form),) = char_forms(conn, (k,))
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +274,15 @@ def interpolate_connections(
     return EConnection(p.extended, gamma, target_gens=first.target_gens, name="interpolated")
 
 
-class HomotopyReport(NamedTuple):
-    prism_residual: Form  # H(d omega) + d(H omega) - (restrict_1 - restrict_0)
-    square_residual: Form  # H(d² omega) - d²(H omega)
-
-    @property
-    def ok(self) -> bool:
-        return self.prism_residual.is_zero() and self.square_residual.is_zero()
-
-
-def homotopy_identity_report(p: ProductAlgebroid, omega: Form) -> HomotopyReport:
+def prism_residual(p: ProductAlgebroid, omega: Form) -> Form:
+    """H(d omega) + d(H omega) - (restrict_1 - restrict_0); identically zero."""
     lhs = p.homotopy(differential(omega)) + differential(p.homotopy(omega))
-    rhs = p.restrict_form(omega, 1) - p.restrict_form(omega, 0)
-    prism = lhs - rhs
-    square = p.homotopy(d_squared(omega)) - d_squared(p.homotopy(omega))
-    return HomotopyReport(prism, square)
+    return lhs - (p.restrict_form(omega, 1) - p.restrict_form(omega, 0))
+
+
+def square_residual(p: ProductAlgebroid, omega: Form) -> Form:
+    """H(d² omega) - d²(H omega); identically zero."""
+    return p.homotopy(d_squared(omega)) - d_squared(p.homotopy(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +316,29 @@ class TransgressionReport(NamedTuple):
 def transgression_check(
     first: EConnection,
     second: EConnection,
-    k: int,
+    orders: Sequence[int],
     ideal: Lambda2Ideal | None = None,
     max_degree: int = 4,
-) -> TransgressionReport:
-    """Certify connection-independence of the order-k characteristic form."""
+) -> list[TransgressionReport]:
+    """Certify connection-independence of the characteristic form of each of the
+    increasing ``orders``, one report per order; the product and the
+    interpolated connection are built once for all of them."""
     e = first.algebroid
     if ideal is None:
         ideal = Lambda2Ideal(e)
     p = product_algebroid(e)
     tilde = interpolate_connections(p, first, second)
-    ch_tilde = char_form(tilde, k)
-    ch_first, ch_second = char_form(first, k), char_form(second, k)
-    diff = ch_second - ch_first
-    primary = p.homotopy(ch_tilde)
-    ideal_part = p.homotopy(differential(ch_tilde))
-    identity_ok = (differential(primary) + ideal_part) == diff
-    restriction_ok = p.restrict_form(ch_tilde, 0) == ch_first and p.restrict_form(ch_tilde, 1) == ch_second
-    membership = ideal.membership(ideal_part, max_degree)
-    return TransgressionReport(k, diff, primary, ideal_part, identity_ok, restriction_ok, membership)
+    reports = []
+    forms = zip(*(char_forms(conn, orders) for conn in (tilde, first, second)))
+    for (k, ch_tilde), (_, ch_first), (_, ch_second) in forms:
+        diff = ch_second - ch_first
+        primary = p.homotopy(ch_tilde)
+        ideal_part = p.homotopy(differential(ch_tilde))
+        identity_ok = (differential(primary) + ideal_part) == diff
+        restriction_ok = p.restrict_form(ch_tilde, 0) == ch_first and p.restrict_form(ch_tilde, 1) == ch_second
+        membership = ideal.membership(ideal_part, max_degree)
+        reports.append(TransgressionReport(k, diff, primary, ideal_part, identity_ok, restriction_ok, membership))
+    return reports
 
 
 class PullbackReport(NamedTuple):

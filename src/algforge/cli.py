@@ -282,7 +282,7 @@ def cmd_cohomology(args) -> Report:
 
 
 def cmd_charclass(args) -> Report:
-    from .charclass import cartan_residual, char_form, dR_identity_residual
+    from .charclass import char_forms, structure_residuals
     from .forms import Lambda2Ideal, strong_closed, weak_closed
 
     doc, report = _load(args)
@@ -290,15 +290,20 @@ def cmd_charclass(args) -> Report:
     ideal = Lambda2Ideal(a)
     D = args.max_degree
 
-    report.add("structure-equation", cartan_residual(conn).is_zero(), note="curvature = d(theta) + theta^theta")
+    cartan, d_cartan = structure_residuals(conn)
+    report.add("structure-equation", cartan.is_zero(), note="curvature = d(theta) + theta^theta")
     report.add(
         "differentiated-structure-equation",
-        dR_identity_residual(conn).is_zero(),
+        d_cartan.is_zero(),
         note="d(curvature) = d^2(theta) + [curvature, theta]",
     )
 
-    for k in range(1, args.max_k + 1):
-        form = char_form(conn, k)
+    beyond = a.rank // 2 + 1
+    for k, form in char_forms(conn, range(1, max(args.max_k, beyond) + 1)):
+        if k == beyond:
+            top = form
+        if k > args.max_k:
+            continue
         report.add(f"trace-power-{k}", True, witness=form.to_text())
         if form.is_zero():
             report.add(f"trace-power-{k}-closed", True, note="identically zero")
@@ -314,10 +319,9 @@ def cmd_charclass(args) -> Report:
             note="weak (differential lies in the obstruction ideal)" if weak.is_yes else (weak.note or None),
         )
 
-    beyond = a.rank // 2 + 1
     report.add(
         "trace-powers-vanish-beyond-top-degree",
-        char_form(conn, beyond).is_zero(),
+        top.is_zero(),
         note=f"order {beyond} exceeds half the rank",
     )
     return report
@@ -332,7 +336,7 @@ def cmd_transgression(args) -> Report:
     a2, second = _connection_of(doc, args.c2)
     if a1.gen_names != a2.gen_names:
         raise CliError("the two connections live on different bundles")
-    rep = transgression_check(first, second, args.k, ideal=Lambda2Ideal(a1), max_degree=args.max_degree)
+    (rep,) = transgression_check(first, second, (args.k,), ideal=Lambda2Ideal(a1), max_degree=args.max_degree)
     report.add(
         "difference-splits",
         rep.identity_ok,

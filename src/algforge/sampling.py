@@ -14,7 +14,7 @@ from itertools import combinations
 from .algebroid import Algebroid, BracketModifier, Section
 from .connection import EConnection
 from .forms import Form
-from .poly import Poly
+from .poly import Poly, _trusted
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 
@@ -38,11 +38,16 @@ class Sampler:
         return tuple(exps)
 
     def poly(self, nvars: int, max_degree: int = 2, terms: int = 2) -> Poly:
-        out = Poly.zero(nvars)
+        """A sum of up to ``terms`` random monomials, added into one term dict in draw order."""
+        out: dict = {}
         for _ in range(self.rng.randint(1, terms)):
             exps = self.monomial_exponents(nvars, max_degree)
-            out = out + Poly.monomial(nvars, exps, self.coefficient())
-        return out
+            total = out.get(exps, 0) + self.coefficient()
+            if total:
+                out[exps] = total
+            else:
+                del out[exps]
+        return _trusted(nvars, out)
 
     def maybe_zero_poly(self, nvars: int, max_degree: int = 2, zero_chance: float = 0.5) -> Poly:
         if self.rng.random() < zero_chance:

@@ -17,7 +17,6 @@ a refutation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Callable, Hashable
 
 from . import linsolve
@@ -27,14 +26,30 @@ Column = dict[Hashable, int | Fraction]
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= max_degree, stable order."""
+    """All exponent tuples of total degree <= max_degree, stable order.
+
+    By degree, and within one degree lexicographically descending (the order
+    of ``combinations_with_replacement`` over the variables).  Each tuple
+    is the previous one's successor: lower the last nonzero exponent before
+    the final variable by one and give the next variable that one plus the
+    final exponent, so a tuple costs O(nvars), not O(degree).
+    """
+    if nvars == 0:
+        return [()] if max_degree >= 0 else []
+    last = nvars - 1
     out: list[tuple[int, ...]] = []
     for d in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for v in combo:
-                exps[v] += 1
+        exps = [d] + [0] * last
+        while True:
             out.append(tuple(exps))
+            i = last - 1
+            while i >= 0 and not exps[i]:
+                i -= 1
+            if i < 0:
+                break
+            exps[i] -= 1
+            tail, exps[last] = exps[last], 0
+            exps[i + 1] = tail + 1
     return out
 
 

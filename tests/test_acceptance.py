@@ -9,6 +9,7 @@ command, so the CLI and this gate can never drift apart.
 import pytest
 
 from algforge import verify
+from algforge.sampling import Sampler
 
 _CTX = verify.Context(seed=0, max_degree=4)
 
@@ -32,3 +33,38 @@ def test_report_runs_clean():
 def test_dsl_contract_finds_the_corpus_through_the_catalog(monkeypatch, tmp_path):
     monkeypatch.setattr(verify, "corpus_file", lambda name: tmp_path / f"{name}.alg")
     assert verify.c19_dsl_contract(_CTX) == (False, "corpus file E0.alg is missing")
+
+
+def fresh_draws(seed, count):
+    sampler = Sampler(seed)
+    return [sampler.connection(verify._e0(), max_degree=1) for _ in range(count)]
+
+
+def same_gammas(left, right):
+    return [list(c.gamma.items()) for c in left] == [list(c.gamma.items()) for c in right]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 7])
+def test_sampled_connections_are_a_fresh_samplers_draws(seed):
+    drawn = verify._sampled_connections(seed)
+    assert len(drawn) == 20
+    assert same_gammas(drawn, fresh_draws(seed, 20))
+    assert all(conn.algebroid is verify._e0() for conn in drawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 7])
+def test_transgression_pairs_are_the_first_ten_draws_in_order(monkeypatch, seed):
+    pairs = []
+    check = verify.transgression_check
+
+    def recording(first, second, *args, **kwargs):
+        pairs.append((first, second))
+        return check(first, second, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "transgression_check", recording)
+    assert verify.c17_transgression(verify.Context(seed=seed))[0]
+    assert len(pairs) == 6
+    assert pairs[0][1] is verify._torsionfree()
+    drawn = [conn for pair in pairs[1:] for conn in pair]
+    assert all(a is b for a, b in zip(drawn, verify._sampled_connections(seed)))
+    assert same_gammas(drawn, fresh_draws(seed, 10))

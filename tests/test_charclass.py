@@ -8,13 +8,13 @@ from algforge.algebroid import AlgebroidError
 from algforge.catalog import builtin, corpus_document, make_tangent, tangent_bundle, torsionfree_gamma
 from algforge.charclass import (
     FormMatrix,
-    cartan_residual,
     char_form,
+    char_forms,
     connection_forms,
     curvature_matrix,
-    dR_identity_residual,
     product_algebroid,
     pullback_consistency,
+    structure_residuals,
     transgression_check,
 )
 from algforge.connection import EConnection, flat_connection
@@ -44,7 +44,7 @@ def d_trace_power_residual(conn, k):
     theta = connection_forms(conn)
     r = curvature_matrix(conn)
     lhs = differential(r.wedge_power(k).trace())
-    rhs = theta.d2().wedge_mul(r.wedge_power(k - 1)).trace()
+    rhs = theta.d().d().wedge_mul(r.wedge_power(k - 1)).trace()
     return lhs - rhs.scale(k)
 
 
@@ -175,10 +175,10 @@ def test_connection_form_entries():
 
 
 def test_structure_equation_both_fixed_connections():
-    assert cartan_residual(TF).is_zero()
-    assert cartan_residual(FLAT).is_zero()
-    assert dR_identity_residual(TF).is_zero()
-    assert dR_identity_residual(FLAT).is_zero()
+    for conn in (TF, FLAT):
+        cartan, d_cartan = structure_residuals(conn)
+        assert cartan.is_zero()
+        assert d_cartan.is_zero()
 
 
 def test_curvature_matrix_against_pointwise_curvature():
@@ -211,6 +211,43 @@ def test_char_form_is_the_trace_of_the_whole_power():
     assert any(mutated_char_form(conn, 2) != reference_char_form(conn, 2) for conn in seeded)
 
 
+def test_running_power_matches_the_whole_power_on_curved_connections():
+    # seeded degree <= 1 connections on E0 and on the rank-10 derived bundle:
+    # curvature and trace forms nonzero, so the products are not all empty
+    derived = document_algebroid(corpus_document("derived_e0"))
+    seeded = [Sampler(seed).connection(E0, max_degree=1) for seed in (0, 1, 5, 7)]
+    seeded += [Sampler(seed).connection(derived, max_degree=1, density=0.1) for seed in (1, 2)]
+    for conn in [TF, *seeded]:
+        forms = dict(char_forms(conn, (1, 2, 3)))
+        assert list(forms) == [1, 2, 3]
+        for k in (1, 2, 3):
+            assert forms[k] == reference_char_form(conn, k)
+    assert all(curvature_matrix(conn).terms for conn in seeded)
+    assert all(char_form(conn, 1).terms for conn in seeded)
+    assert sum(1 for conn in seeded if char_form(conn, 2).terms) >= 4
+    # an order past the last nonzero power, alone or after the others
+    assert dict(char_forms(TF, (1, 2, 10**18)))[10**18] == Form.zero(E0, 2 * 10**18)
+    # orders come in increasing and start at 1
+    with pytest.raises(AlgebroidError, match="start at k = 1"):
+        list(char_forms(TF, (0, 1)))
+    with pytest.raises(AlgebroidError, match="orders must increase"):
+        list(char_forms(TF, (2, 1)))
+
+
+def test_transgression_of_several_orders_equals_one_call_per_order():
+    sampler = Sampler(5)
+    first = sampler.connection(E0, max_degree=1)
+    second = sampler.connection(E0, max_degree=1)
+    reports = transgression_check(first, second, (1, 2, 3), ideal=IDEAL)
+    assert [rep.k for rep in reports] == [1, 2, 3]
+    # orders 1 and 2 differ and have a witness; order 2 has an ideal part too
+    assert not any(rep.difference.is_zero() or rep.primary_witness.is_zero() for rep in reports[:2])
+    assert not reports[1].ideal_part.is_zero()
+    for rep in reports:
+        assert rep.ok
+        assert [rep] == transgression_check(first, second, (rep.k,), ideal=IDEAL)
+
+
 def test_trace_forms_of_flat_connection_vanish():
     for k in (1, 2, 3):
         assert char_form(FLAT, k).is_zero()
@@ -241,14 +278,14 @@ def test_derivative_of_trace_powers_identity():
 
 def test_transgression_flat_to_torsionfree():
     for k in (1, 2):
-        rep = transgression_check(FLAT, TF, k, ideal=IDEAL)
+        (rep,) = transgression_check(FLAT, TF, (k,), ideal=IDEAL)
         assert rep.identity_ok
         assert rep.restriction_ok
         assert rep.ideal_membership.is_yes
         assert rep.ok
         assert rep.difference == char_form(TF, k) - char_form(FLAT, k)
     # order 1: the primary witness is exactly the trace of the connection forms
-    rep1 = transgression_check(FLAT, TF, 1, ideal=IDEAL)
+    (rep1,) = transgression_check(FLAT, TF, (1,), ideal=IDEAL)
     assert rep1.primary_witness == connection_forms(TF).trace()
 
 
@@ -256,7 +293,7 @@ def test_transgression_between_seeded_connections():
     sampler = Sampler(11)
     first = sampler.connection(E0, max_degree=1)
     second = sampler.connection(E0, max_degree=1)
-    rep = transgression_check(first, second, 1, ideal=IDEAL)
+    (rep,) = transgression_check(first, second, (1,), ideal=IDEAL)
     assert rep.ok
 
 

@@ -89,3 +89,26 @@ def test_sampler_is_deterministic():
 
 def test_sampler_seeds_differ():
     assert Sampler(1).poly(2, max_degree=2, terms=3) != Sampler(2).poly(2, max_degree=2, terms=3)
+
+
+def repeated_add_poly(sampler, nvars, max_degree, terms):
+    """The sum of the same draws by repeated ``Poly.__add__`` of one-term polynomials."""
+    out = Poly.zero(nvars)
+    for _ in range(sampler.rng.randint(1, terms)):
+        exps = sampler.monomial_exponents(nvars, max_degree)
+        out = out + Poly.monomial(nvars, exps, sampler.coefficient())
+    return out
+
+
+def test_sampler_poly_matches_repeated_add():
+    # one variable of degree <= 1 and many terms make repeated and cancelling
+    # monomials common, which is where the term order could drift
+    shapes = [(2, 2, 2), (2, 3, 2), (3, 1, 1), (1, 1, 6), (2, 1, 5)]
+    for seed in range(10):
+        built, reference = Sampler(seed), Sampler(seed)
+        for _ in range(20):
+            for nvars, max_degree, terms in shapes:
+                got = built.poly(nvars, max_degree, terms)
+                want = repeated_add_poly(reference, nvars, max_degree, terms)
+                assert (got.nvars, list(got.terms.items())) == (want.nvars, list(want.terms.items()))
+        assert built.rng.getstate() == reference.rng.getstate()

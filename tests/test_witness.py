@@ -1,6 +1,7 @@
 """Tagged-column witness searches on hand-built columns."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from algforge import witness
 
@@ -68,3 +69,21 @@ def test_reduce_under_a_key_reversing_insertion_order():
     assert list(remainder.items()) == [("y", F(2)), ("x", F(-2))]
     # the remainder of a member of the span is zero
     assert witness.reduce(columns, {"z": F(2), "x": F(2), "w": F(-1)}, key=reverse) == {}
+
+
+def counted_monomials(nvars, max_degree):
+    """Each exponent tuple counted off its ``combinations_with_replacement`` combination."""
+    out = []
+    for d in range(max_degree + 1):
+        for combo in combinations_with_replacement(range(nvars), d):
+            exps = [0] * nvars
+            for v in combo:
+                exps[v] += 1
+            out.append(tuple(exps))
+    return out
+
+
+def test_monomials_up_to_keeps_the_combination_order():
+    for nvars in range(4):
+        for max_degree in range(-1, 7):
+            assert witness.monomials_up_to(nvars, max_degree) == counted_monomials(nvars, max_degree)
