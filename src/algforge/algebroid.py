@@ -807,14 +807,14 @@ class CourantSpace(NamedTuple):
 
     def invertible_at_point(self) -> list[int]:
         """Indices of basis elements whose value at the origin is an invertible matrix."""
-        # row b of G(0) transposed holds the μ = 0 values on the image G e_b; a
-        # zero row makes G(0) singular, so only a matrix without one is ranked
-        values = [[{} for _ in range(self.rank)] for _ in self.vectors]
-        for rows, vec in zip(values, self.vectors):
-            for (cell, mu), v in vec.items():
-                for a, b in () if mu else self.cells[cell]:
-                    rows[b][a] = v
-        return [idx for idx, rows in enumerate(values) if all(rows) and len(linsolve.rref(rows)) == self.rank]
+        # G(0) is the μ = 0 values; a zero row b of G(0)ᵀ, the image G e_b, makes it singular
+        found = []
+        for idx, vec in enumerate(self.vectors):
+            if constant := [(a, b, v) for (cell, mu), v in vec.items() if not mu for a, b in self.cells[cell]]:
+                rows = [{a: v for a, b, v in constant if b == r} for r in range(self.rank)]
+                if all(rows) and len(linsolve.rref(rows)) == self.rank:
+                    found.append(idx)
+        return found
 
 
 def _cells(m: int, block: int) -> dict[tuple[int, int], list[tuple[int, int]]]:

@@ -84,17 +84,6 @@ class FormMatrix(_Terms):
         out = _product(self.terms, other.terms, diagonal=False)
         return FormMatrix(self.algebroid, self.size, self.degree + other.degree, _clean(out))
 
-    def wedge_power(self, k: int) -> FormMatrix:
-        if k < 0:
-            raise AlgebroidError("matrix wedge power needs k >= 0")
-        out = FormMatrix.identity(self.algebroid, self.size)
-        for _ in range(k):
-            if out.is_zero():
-                # every further factor keeps it zero; only the degree grows
-                return FormMatrix.zero(self.algebroid, self.size, self.degree * k)
-            out = out.wedge_mul(self)
-        return out
-
     def trace(self) -> Form:
         out: dict = {}
         for ((a, b, u), exps), c in self.terms.items():

@@ -491,7 +491,7 @@ def strong_closed(omega: Form, max_degree: int = 4) -> Decision:
     d_omega = differential(omega)
     if d_omega.is_zero():
         return Decision(YES, Form.zero(a, max(omega.degree - 1, 0)), note="d omega = 0")
-    x = witness.solve(_basis_columns(a, omega.degree - 1, max_degree, d_squared), d_omega.terms)
+    x = witness.solve(witness.plain(_basis_columns(a, omega.degree - 1, max_degree, d_squared)), d_omega.terms)
     if x is None:
         return Decision(NO_WITNESS, note=f"no theta with coefficient degree <= {max_degree}")
     return Decision(YES, _form(a, omega.degree - 1, x))
@@ -511,7 +511,7 @@ def weak_exact(omega: Form, ideal: Lambda2Ideal, max_degree: int = 4) -> Decisio
     # theta slots are index tuples, ideal slots (generator, index tuple): the
     # tags cannot collide
     ideal_columns = ideal._columns(omega.degree, max_degree)
-    x = witness.solve({**d_columns, **ideal_columns}, omega.terms)
+    x = witness.solve({**witness.plain(d_columns), **ideal_columns}, omega.terms)
     if x is None:
         return Decision(NO_WITNESS, note=f"no split with coefficient degree <= {max_degree}")
     theta = _form(a, omega.degree - 1, {t: v for t, v in x.items() if t in d_columns})

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .algebroid import Algebroid, BracketModifier, Section
+from .algebroid import Algebroid, BracketModifier, Section, _packed
 from .connection import EConnection
-from .forms import Form
+from .forms import Form, _form
 from .poly import Poly, _trusted
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
@@ -66,12 +66,19 @@ class Sampler:
         return Section(coeffs)
 
     def form(self, algebroid: Algebroid, degree: int, max_degree: int = 2) -> Form:
+        """A random polynomial on one or two index tuples, or on () for a function.
+
+        The index tuples come from ``combinations`` and are valid, so the form
+        is wrapped from its packed terms without the constructor's checks.
+        """
         if degree == 0:
-            return Form.function(algebroid, self.poly(algebroid.nvars, max_degree))
-        keys = list(combinations(range(algebroid.rank), degree))
-        picked = self.rng.sample(keys, k=min(len(keys), self.rng.randint(1, 2)))
-        comps = {key: self.poly(algebroid.nvars, max_degree) for key in picked}
-        return Form(algebroid, degree, comps)
+            picked = [()]
+        else:
+            keys = list(combinations(range(algebroid.rank), degree))
+            picked = self.rng.sample(keys, k=min(len(keys), self.rng.randint(1, 2)))
+        n = algebroid.nvars
+        terms = {(key, exps): c for key in picked for exps, c in _packed(self.poly(n, max_degree)).items()}
+        return _form(algebroid, degree, terms)
 
     def connection(self, algebroid: Algebroid, max_degree: int = 1, density: float = 0.3) -> EConnection:
         """A random connection of the algebroid on itself."""

@@ -1,17 +1,21 @@
 """Degree-bounded witness searches as tagged sparse linear systems.
 
-A *column* maps coordinates to exact rationals (int or Fraction); columns
-come in a dict keyed by *tag*, whose order is the column order.  That order
-fixes every answer, since free unknowns are set to zero and the reduced row
-echelon form is unique for a given column order.  Tags and coordinates
-are ``(slot, packed monomial)`` pairs (a cofactor, form component or matrix
-cell, times a monomial packed by ``poly._pack``).  This module owns each
-system from layout to answer: the columns become one sparse row per
-coordinate, keyed by column position (with a target's values in one more
-column), ``linsolve.rref`` reduces them once, and solutions and nullspace
-vectors are read off the pivot rows as nonzero values in tag order, each an
-int where integral and a Fraction otherwise.  A failed search means no witness up to the degree bound, never
-a refutation.
+A *column* maps coordinates to exact rationals (int or Fraction).  A system
+is a dict keyed by *tag*, whose order is the column order, of columns each
+with a *shift*: a packed monomial (``poly._pack``) that multiplies the
+column, 0 for none.  That order fixes every answer, since free unknowns are
+set to zero and the reduced row echelon form is unique for a given column
+order.  Tags and coordinates are ``(slot, packed monomial)`` pairs (a
+cofactor, form component or matrix cell, times a monomial), so a shift adds
+the packed monomial to each coordinate: ``monomial_multiples`` gives every
+column every monomial up to a degree bound as one (column, shift) pair, and
+no shifted column is built.  This module owns each system from layout to
+answer: ``_rows`` writes one sparse row per coordinate straight from the
+shifted columns, keyed by column position (with a target's values in one
+more column), ``linsolve.rref`` reduces them once, and solutions and
+nullspace vectors are read off the pivot rows as nonzero values in tag
+order, each an int where integral and a Fraction otherwise.  A failed
+search means no witness up to the degree bound, never a refutation.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from . import linsolve
 from .poly import _pack
 
 Column = dict[Hashable, int | Fraction]
+# a column and the packed monomial it is shifted by (0 for none)
+Shifted = tuple[Column, int]
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -53,52 +59,60 @@ def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomial_multiples(columns: dict[Hashable, Column], nvars: int, max_degree: int) -> dict[Hashable, Column]:
+def monomial_multiples(columns: dict[Hashable, Column], nvars: int, max_degree: int) -> dict[Hashable, Shifted]:
     """Every column times every monomial mu of degree <= max_degree, tagged (tag, mu).
 
-    Coordinates are (slot, packed monomial), so a multiple adds the packed mu
-    to each: the columns of a map that is linear over functions.
+    The columns of a map that is linear over functions: each multiple is its
+    column with the shift mu, in the order tag, then mu.
     """
     monos = [_pack(mu) for mu in monomials_up_to(nvars, max_degree)]
-    return {
-        (tag, mu): {(slot, exps + mu): v for (slot, exps), v in col.items()}
-        for tag, col in columns.items()
-        for mu in monos
-    }
+    return {(tag, mu): (col, mu) for tag, col in columns.items() for mu in monos}
 
 
-def _rref(columns: dict[Hashable, Column], target: Column) -> dict[int, linsolve.Row]:
-    """RREF of one sparse row per coordinate, its entries keyed by column position.
+def plain(columns: dict[Hashable, Column]) -> dict[Hashable, Shifted]:
+    """The columns themselves, each with the zero shift."""
+    return {tag: (col, 0) for tag, col in columns.items()}
+
+
+def _rows(columns: dict[Hashable, Shifted], target: Column) -> list[linsolve.Row]:
+    """One sparse row per coordinate, first seen first, its entries keyed by column position.
 
     The target's values sit in column ``len(columns)``, so its coordinates
-    get a row even if no column reaches them.
+    get a row, and come first, even if no column reaches them.
     """
     n = len(columns)
     rows: dict[Hashable, linsolve.Row] = {c: {n: v} for c, v in target.items()}
-    for j, col in enumerate(columns.values()):
+    for j, (col, mu) in enumerate(columns.values()):
         for coord, value in col.items():
-            rows.setdefault(coord, {})[j] = value
-    return linsolve.rref(list(rows.values()))
+            if mu:
+                slot, exps = coord
+                coord = slot, exps + mu
+            row = rows.get(coord)
+            if row is None:
+                rows[coord] = {j: value}
+            else:
+                row[j] = value
+    return list(rows.values())
 
 
-def solve(columns: dict[Hashable, Column], target: Column) -> Column | None:
+def solve(columns: dict[Hashable, Shifted], target: Column) -> Column | None:
     """Nonzero values of a combination of the columns equal to target, or None."""
     n = len(columns)
-    red = _rref(columns, target)
+    red = linsolve.rref(_rows(columns, target))
     if n in red:  # a pivot in the target column means 0 = 1 somewhere
         return None
     tags = list(columns)
     return {tags[p]: row[n] for p, row in red.items() if n in row}
 
 
-def nullspace(columns: dict[Hashable, Column]) -> list[Column]:
+def nullspace(columns: dict[Hashable, Shifted]) -> list[Column]:
     """Basis of the combinations of the columns that vanish, as nonzero values.
 
     One vector per free column, which is its last entry: a pivot row has
     entries only at its pivot and at free columns after it.
     """
     tags = list(columns)
-    red = _rref(columns, {})
+    red = linsolve.rref(_rows(columns, {}))
     basis = {c: {} for c in range(len(tags)) if c not in red}
     for p, row in red.items():
         for c, v in row.items():
@@ -109,17 +123,18 @@ def nullspace(columns: dict[Hashable, Column]) -> list[Column]:
     return list(basis.values())
 
 
-def reduce(columns: dict[Hashable, Column], target: Column, key: Callable) -> Column:
+def reduce(columns: dict[Hashable, Shifted], target: Column, key: Callable) -> Column:
     """The target minus the span of the columns, canonical for the coordinate order.
 
     Coordinates are sorted by ``key``; the remainder has no entry at any
     pivot coordinate of the columns' reduced echelon form.
     """
-    coords = sorted(dict.fromkeys(c for col in (target, *columns.values()) for c in col), key=key)
+    shifted = [{(slot, exps + mu): v for (slot, exps), v in col.items()} if mu else col for col, mu in columns.values()]
+    coords = sorted(dict.fromkeys(c for col in (target, *shifted) for c in col), key=key)
     index = {c: i for i, c in enumerate(coords)}
     vec = {index[c]: v for c, v in target.items() if v}
     # one row per column, so the pivots are coordinates
-    red = linsolve.rref([{index[c]: v for c, v in col.items()} for col in columns.values()])
+    red = linsolve.rref([{index[c]: v for c, v in col.items()} for col in shifted])
     for piv, row in red.items():
         if piv in vec:
             linsolve._subtract(vec, vec[piv], row)

@@ -8,6 +8,7 @@ the same pivots and values.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ def _sparse(rows):
 
 def _columns(rows, ncols):
     """Dense rows as witness columns: column j has tag j, row r is coordinate r."""
-    return {j: {r: Fraction(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(ncols)}
+    return witness.plain({j: {r: Fraction(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(ncols)})
 
 
 def _solve(rows, rhs, ncols):
@@ -237,3 +238,82 @@ def test_rref_matches_reference_on_courant_systems(monkeypatch, max_degree, bloc
     red = rref(systems[0])
     assert list(red.items()) == list(reference_rref(systems[0]).items())
     assert _normal_form(red)
+
+
+# ---- the integer pass: scaled rows, gcd-reduced multipliers, one division by the lead ----
+
+F = Fraction
+INTEGER_CASES = {
+    # leads 2, 3 and -2, whose back substitution leaves Fractions
+    "pivots-2-3-minus-2": [
+        {0: 2, 1: 1, 3: 1},
+        {1: 3, 2: 1, 3: 2},
+        {2: -2, 3: 1, 4: 1},
+        {0: 4, 1: 6, 2: 2, 4: 6},
+    ],
+    "mixed-denominators": [
+        {0: F(1, 2), 1: F(1, 3), 2: F(1, 6)},
+        {0: F(2, 5), 1: 1, 3: F(3, 4)},
+        {1: F(5, 6), 2: F(7, 10), 3: -2},
+    ],
+    "integral-fractions": [{0: F(4, 2), 1: F(6, 3)}, {0: F(2), 1: 3, 2: F(-8, 4)}, {0: F(4, 2), 2: F(3, 2)}],
+    "all-zero-row": [{0: 0, 1: 0}, {}, {0: 2, 1: 4}, {1: F(0)}, {1: 3, 2: 0}],
+    # the third row is 2·first + second and cancels once both pivots are
+    # cleared; the fourth is −3·first
+    "cancels-to-zero": [{0: 2, 1: 1}, {1: 3, 2: 1}, {0: 4, 1: 5, 2: 1}, {0: -6, 1: -3}],
+}
+
+
+def _typed(row):
+    return sorted((c, type(v), v) for c, v in row.items())
+
+
+def _normal(value):
+    """A Fraction as the ``poly`` normal form: an int where integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+@pytest.mark.parametrize("rows", INTEGER_CASES.values(), ids=INTEGER_CASES)
+def test_integer_pass_matches_reference_value_for_value_and_type_for_type(rows):
+    given = [dict(row) for row in rows]
+    red = linsolve.rref(rows)
+    want = reference_rref(rows)
+    assert list(red) == list(want)
+    assert [_typed(row) for row in red.values()] == [
+        _typed({c: _normal(v) for c, v in row.items()}) for row in want.values()
+    ]
+    assert rows == given  # the input rows are left alone
+
+
+def test_integer_pass_cases_reach_rational_values_and_a_cancelled_row():
+    red = linsolve.rref(INTEGER_CASES["pivots-2-3-minus-2"])
+    assert any(type(v) is Fraction for row in red.values() for v in row.values())
+    # the last two rows cancel, so two of the four make pivots
+    assert len(linsolve.rref(INTEGER_CASES["cancels-to-zero"])) == 2
+
+
+def test_cleared_rows_use_gcd_reduced_multipliers():
+    # lead 6 against f = 4: g = 2, so the row becomes 3·row − 2·other
+    row = {0: 4, 1: 1, 2: 5}
+    assert linsolve._clear(row, 0, {0: 6, 1: 1, 3: 1}) == [3]
+    assert row == {1: 1, 2: 15, 3: -2}
+
+
+def test_kept_rows_are_primitive_with_a_positive_lead():
+    assert linsolve._primitive({0: -4, 2: 6, 5: -10}, -4) == {0: 2, 2: -3, 5: 5}
+    assert linsolve._primitive({0: -1, 1: 3}, -1) == {0: 1, 1: -3}
+    assert linsolve._primitive({1: 6, 2: 9}, 6) == {1: 2, 2: 3}
+
+
+@pytest.mark.parametrize("rows", INTEGER_CASES.values(), ids=INTEGER_CASES)
+def test_every_row_cleared_against_is_primitive_with_a_positive_lead(monkeypatch, rows):
+    seen, clear = [], linsolve._clear
+
+    def check(row, p, other):
+        seen.append(dict(other))
+        return clear(row, p, other)
+
+    monkeypatch.setattr(linsolve, "_clear", check)
+    linsolve.rref(rows)
+    assert seen
+    assert all(gcd(*other.values()) == 1 and other[min(other)] > 0 for other in seen)

@@ -10,28 +10,28 @@ F = Fraction
 
 def test_solve_ignores_an_explicit_zero_value():
     # Courant columns can cancel to an explicit 0 at a coordinate
-    columns = {"a": {"x": F(1), "y": F(0)}, "b": {"y": F(2)}}
+    columns = witness.plain({"a": {"x": F(1), "y": F(0)}, "b": {"y": F(2)}})
     assert witness.solve(columns, {"x": F(3), "y": F(4)}) == {"a": F(3), "b": F(2)}
     assert witness.solve(columns, {"x": F(0), "y": F(0)}) == {}
     assert witness.nullspace(columns) == []
 
 
 def test_explicit_zero_value_does_not_make_a_pivot():
-    columns = {"a": {"y": F(0)}, "b": {"y": F(1)}}
+    columns = witness.plain({"a": {"y": F(0)}, "b": {"y": F(1)}})
     assert witness.nullspace(columns) == [{"a": F(1)}]
     assert witness.reduce(columns, {"y": F(5)}, key=lambda c: c) == {}
 
 
 def test_all_zero_column_is_its_own_nullspace_vector():
-    columns = {"a": {"x": F(1)}, "z": {}, "b": {"x": F(1), "y": F(1)}}
+    columns = witness.plain({"a": {"x": F(1)}, "z": {}, "b": {"x": F(1), "y": F(1)}})
     assert witness.nullspace(columns) == [{"z": F(1)}]
     assert witness.solve(columns, {"x": F(2), "y": F(1)}) == {"a": F(1), "b": F(1)}
-    zeros = {"p": {"x": F(0)}, "q": {}}
+    zeros = witness.plain({"p": {"x": F(0)}, "q": {}})
     assert witness.nullspace(zeros) == [{"p": F(1)}, {"q": F(1)}]
 
 
 def test_solution_and_nullspace_come_back_in_column_order():
-    columns = {"c": {"x": F(1)}, "a": {"x": F(1)}, "b": {"x": F(2), "y": F(1)}}
+    columns = witness.plain({"c": {"x": F(1)}, "a": {"x": F(1)}, "b": {"x": F(2), "y": F(1)}})
     x = witness.solve(columns, {"x": F(1), "y": F(1)})
     assert list(x.items()) == [("c", F(-1)), ("b", F(1))]
     null = witness.nullspace(columns)
@@ -39,7 +39,7 @@ def test_solution_and_nullspace_come_back_in_column_order():
 
 
 def test_coordinate_only_in_the_target_has_no_solution():
-    assert witness.solve({"a": {"x": F(1)}}, {"x": F(1), "y": F(1)}) is None
+    assert witness.solve(witness.plain({"a": {"x": F(1)}}), {"x": F(1), "y": F(1)}) is None
 
 
 def test_empty_column_set():
@@ -51,7 +51,7 @@ def test_empty_column_set():
 
 
 def test_reduce_depends_on_the_coordinate_order():
-    columns = {"a": {"x": F(1), "y": F(1)}}
+    columns = witness.plain({"a": {"x": F(1), "y": F(1)}})
     target = {"x": F(1)}
     # x first: x is the pivot and the remainder moves to y
     assert witness.reduce(columns, target, key=lambda c: c) == {"y": F(-1)}
@@ -62,7 +62,7 @@ def test_reduce_depends_on_the_coordinate_order():
 def test_reduce_under_a_key_reversing_insertion_order():
     inserted = ["x", "y", "z", "w"]
     reverse = {c: -i for i, c in enumerate(inserted)}.__getitem__
-    columns = {"a": {"z": F(1), "x": F(1)}, "b": {"w": F(2)}}
+    columns = witness.plain({"a": {"z": F(1), "x": F(1)}, "b": {"w": F(2)}})
     target = {"x": F(1), "y": F(2), "z": F(3), "w": F(4)}
     remainder = witness.reduce(columns, target, key=reverse)
     # pivots w and z (first in key order); the remainder follows the key
