@@ -8,8 +8,12 @@ check — and exits 0 when no check failed, 1 when one did, and 2 on usage,
 parse, or lookup errors and when the report cannot be written.  ``--json``
 switches the report to a fixed-key-order JSON rendering; identical inputs,
 seeds, and degree bounds give identical bytes.  Bounded searches that end
-without a verdict are reported as ``inconclusive`` and do not fail the run.
+without a verdict are reported as ``inconclusive`` and do not fail the run,
+as are checks that do not apply to the input and are skipped.
 ``algforge --help`` lists the commands, read from the ``_COMMANDS`` table.
+A well-formed command line is read straight from that table; argparse builds
+a parser only for help, usage errors and the forms the direct reader leaves
+to it, so most commands never pay for argparse's set-up.
 """
 
 from __future__ import annotations
@@ -382,11 +386,12 @@ def cmd_courant(args) -> Report:
             )
         report.add("paired-block-space", True, note=pnote)
     else:
-        report.add("paired-block-space", True, note="skipped: rank is odd")
+        report.add_status("paired-block-space", INCONCLUSIVE, note="skipped: rank is odd")
 
     for decl in doc.cometrics:
         if len(decl.rows) != a.rank:
-            report.add(f"defect:{decl.name}", True, note=f"skipped: size {len(decl.rows)} != rank {a.rank}")
+            skipped = f"skipped: size {len(decl.rows)} != rank {a.rank}"
+            report.add_status(f"defect:{decl.name}", INCONCLUSIVE, note=skipped)
             continue
         defect = courant_defect(a, decl.rows)
         lines = ["[" + ", ".join(p.to_text(a.base.var_names) for p in row.coeffs) + "]" for row in defect]
@@ -508,6 +513,73 @@ _COMMANDS = {
 }
 
 
+def _degree_default() -> str:
+    # read on every call; a string default goes through the option's type,
+    # so a bad environment value is a usage error too
+    return os.environ.get("ALGFORGE_MAX_DEGREE", "4")
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed command line, read from the same tables; None for any other line.
+
+    Well formed: a command name, then only exact option strings of that command
+    (a value as the next token or after ``--long=``, never starting with ``-``),
+    its positionals and every required option.  Help, abbreviations, ``--``, a
+    missing or extra argument and a value its type refuses are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, positionals = {}, []
+    for *flags, keywords in _COMMON + _COMMANDS[argv[0]][1]:
+        if flags[0].startswith("-"):
+            # argparse's dest: the first long flag, else the first flag
+            long = next((f for f in flags if f.startswith("--")), flags[0])
+            options.update(dict.fromkeys(flags, (long.lstrip("-").replace("-", "_"), keywords)))
+        else:
+            positionals.append(flags[0])  # FILE, which takes no type
+
+    def typed(keywords, text):
+        return keywords["type"](text) if "type" in keywords else text
+
+    given, words = {}, []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+            if flag not in options:
+                return None
+            dest, keywords = options[flag]
+            if keywords.get("action") == "store_true":
+                if eq:
+                    return None
+                given[dest] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+            # every occurrence is converted, as argparse does; the last one is kept
+            given[dest] = typed(keywords, value)
+        if len(words) != len(positionals) or any(k.get("required") and d not in given for d, k in options.values()):
+            return None
+        given.update(zip(positionals, words))
+        for dest, keywords in options.values():
+            if dest in given:
+                continue
+            if dest == "max_degree":
+                default = _degree_default()
+            else:
+                default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+            # argparse converts a string default through the type too
+            given[dest] = typed(keywords, default) if isinstance(default, str) else default
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(command=argv[0], **given)
+
+
 class _Commands(argparse._SubParsersAction):
     """The command choice; a command's parser is built when argparse first dispatches to it, then kept."""
 
@@ -523,9 +595,8 @@ class _Commands(argparse._SubParsersAction):
             for *flags, keywords in _COMMON + _COMMANDS[name][1]:
                 command.add_argument(*flags, **keywords)
             self._name_parser_map[name] = command
-        # read on every call, as the parser is kept; a string default goes
-        # through the type, so a bad environment value is a usage error too
-        self._name_parser_map[name].set_defaults(max_degree=os.environ.get("ALGFORGE_MAX_DEGREE", "4"))
+        # read on every call, as the parser is kept
+        self._name_parser_map[name].set_defaults(max_degree=_degree_default())
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -540,10 +611,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     # looked up on each call, not stored in the parser that outlives it
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -1,6 +1,8 @@
 """The command-line contract: exit codes, report shape, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import algforge
@@ -279,7 +281,15 @@ def test_courant_skips_a_cometric_whose_size_is_not_the_rank(tmp_path, capsys):
     code, out, _ = run(capsys, "courant", str(doc), "--max-degree", "0", "--json")
     assert code == 0
     check = next(c for c in json.loads(out)["checks"] if c["name"] == "defect:G")
-    assert check["note"] == "skipped: size 1 != rank 2"
+    # a skipped check computed nothing, so it cannot pass; only a FAIL sets exit 1
+    assert (check["status"], check["note"]) == ("inconclusive", "skipped: size 1 != rank 2")
+
+
+def test_courant_skips_the_paired_blocks_on_odd_rank(capsys):
+    code, out, _ = run(capsys, "courant", "tangent3", "--max-degree", "0", "--json")
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "paired-block-space")
+    assert (check["status"], check["note"]) == ("inconclusive", "skipped: rank is odd")
 
 
 def test_nijenhuis(capsys):
@@ -494,8 +504,9 @@ def test_the_environment_degree_is_read_on_every_call(capsys, monkeypatch):
     assert "dimension 3 at coefficient degree <= 1" in out
 
 
-def test_calls_in_one_process_build_each_command_parser_once_and_read_the_bound_each_time(capsys, monkeypatch):
-    # (argv, ALGFORGE_MAX_DEGREE); the unknown command is refused before any command parser runs
+def test_only_the_unknown_command_builds_a_parser_and_each_call_reads_the_bound(capsys, monkeypatch):
+    # (argv, ALGFORGE_MAX_DEGREE); the well-formed lines are read from the
+    # tables, and the unknown command is refused before any command parser runs
     calls = [
         (["check", "E0"], "2"),
         (["lie", "E0"], "3"),
@@ -537,8 +548,77 @@ def test_calls_in_one_process_build_each_command_parser_once_and_read_the_bound_
     finally:
         cli._parser.cache_clear()
     assert bounds == [2, 3, 5, 2, 1]
-    # the program's parser once, and one parser per command run, whatever the number of calls
-    assert built == Counter(["algforge"] + [f"algforge {name}" for name in ("check", "lie", "obstruction", "courant")])
+    # only the unknown command goes through argparse, and builds no command parser
+    assert built == Counter(["algforge"])
+
+
+# values and spellings the direct reader must read as argparse does, or leave to it
+READER_VALUES = ["E0", "1,2,3", "3", "0", "", "-1", "-h", "--", "٣", "abc", " 4", "99999", "all", "x=y"]
+READER_ODD_TOKENS = ["-h", "--help", "--", "-", "--max-deg", "--tri", "--js", "--con", "-oOUT", "-o=OUT", "--json=1"]
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMON + cli._COMMANDS[name][1]
+    flags = [flag for *spellings, _ in arguments for flag in spellings if flag[0] == "-"]
+    flag, value = st.sampled_from(flags), st.sampled_from(READER_VALUES)
+    # mostly well formed: the positionals and required options, each left out now and then
+    groups = [
+        ("E0",) if spellings[0][0] != "-" else (draw(st.sampled_from(spellings)), draw(st.sampled_from(["E0", "3"])))
+        for *spellings, keywords in arguments
+        if (spellings[0][0] != "-" or keywords.get("required")) and draw(st.integers(0, 5))
+    ]
+    groups += draw(
+        st.lists(
+            st.one_of(
+                st.tuples(flag, value),
+                st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+                st.tuples(flag),
+                st.tuples(value),
+                st.tuples(st.sampled_from(READER_ODD_TOKENS)),
+            ),
+            max_size=3,
+        )
+    )
+    return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines(), st.sampled_from([None, "2", "abc", "", "٣", "99999"]))
+@example(["obstruction", "E0"], None)  # a required option missing
+@example(["courant", "E0", "--seed", "3"], None)  # a value its type converts
+@example(["courant", "E0", "--seed", "x", "--seed", "3"], None)  # each occurrence is converted
+@example(["courant", "E0"], "abc")
+@example(["courant", "E0", "--max-degree", "2"], "abc")
+@example(["derive", "E0", "--connection", "c", "-o", "x", "--output=y"], None)
+def test_a_line_the_reader_reads_gives_argparse_s_namespace(argv, bound):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("ALGFORGE_MAX_DEGREE", None)
+        if bound is not None:
+            os.environ["ALGFORGE_MAX_DEGREE"] = bound
+        read = cli._read(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = cli._parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if read is not None:
+        assert read == parsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["courant", "E0", "--max-degree", "4", "--json"],
+        ["obstruction", "E0", "--triple=1,2,3", "--max-degree", "3", "--json"],
+        ["verify-paper", "--seed", "5", "--json"],
+        ["derive", "E0", "--connection", "torsionfree", "-o", "out.alg"],
+        ["transgression", "E0", "--c1", "flat", "--c2", "torsionfree", "--k", "2"],
+    ],
+)
+def test_the_reader_reads_well_formed_lines(argv):
+    assert cli._read(argv) == cli._parser().parse_args(argv)
 
 
 class _LookedUp(Exception):

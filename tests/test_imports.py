@@ -26,6 +26,9 @@ UNUSED = [
     "algforge.sampling",
     "algforge.verify",
     "dataclasses",
+    # gettext imports it for argparse's first message; a well-formed command
+    # line builds no argparse parser
+    "locale",
 ]
 # what every command needs: the package root and the modules cli imports on load
 AT_IMPORT = ["algforge"] + [
