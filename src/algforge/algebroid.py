@@ -9,8 +9,10 @@ A section is one flat dict {(generator, packed monomial): coefficient}
 (``poly._pack``).  A vector field is a section of the base's tangent bundle
 (slot j is d/dx_j), a k-form (``forms.Form``) one of Λ^k E*; all three share
 one arithmetic, ``_Terms``, whose sparse ``split`` (one unpacked Poly per
-nonzero slot) every text renderer reads; ``Section.coeffs``, one Poly per
-generator, is kept for matrix rows.
+nonzero slot) is what ``sum_text``, the one renderer of a sum over a basis,
+reads: sections over their generators, vector fields over d1..dn and forms
+(``form_text``) over their wedges, each printed as the document language
+writes it.  ``Section.coeffs``, one Poly per generator, is kept for matrix rows.
 ``map_section`` applies any bundle map given by its images.  Brackets of
 arbitrary polynomial sections are produced from the table by the Leibniz
 expansion, written once for every generator-pair table (structure, bracket
@@ -201,16 +203,7 @@ class VectorField(Section):
         return isinstance(other, VectorField) and self.base == other.base and self.terms == other.terms
 
     def to_text(self) -> str:
-        names = self.base.var_names
-        pieces = []
-        for j, comp in self.split.items():
-            text = comp.to_text(names)
-            if text == "1":
-                pieces.append(f"d{j + 1}")
-            else:
-                body = f"({text})" if " " in text else text
-                pieces.append(f"{body}*d{j + 1}")
-        return " + ".join(pieces) if pieces else "0"
+        return sum_text(self.split, [f"d{j + 1}" for j in range(self.nvars)], self.base.var_names)
 
     def __repr__(self):
         return f"VectorField({self.to_text()})"
@@ -293,6 +286,16 @@ def sum_text(split, names, var_names) -> str:
             piece = f"({text})*{names[slot]}" if " " in text else f"{text}*{names[slot]}"
         pieces.append(piece if not pieces else f"- {piece[1:]}" if piece[0] == "-" else f"+ {piece}")
     return " ".join(pieces) or "0"
+
+
+def form_text(split, gen_names, var_names) -> str:
+    """Canonical text of a form from its split {index tuple: Poly} in tuple
+    order: a sum over the wedges `w(A)^w(B)`, or a 0-form's function,
+    parenthesised when it holds a space or a leading sign."""
+    if () in split:
+        text = split[()].to_text(var_names)
+        return f"({text})" if " " in text or text[0] == "-" else text
+    return sum_text(split, {k: "^".join(f"w({gen_names[i]})" for i in k) for k in split}, var_names)
 
 
 def sweep(rank: int, k: int, value) -> dict[tuple[int, ...], Section]:
@@ -484,11 +487,7 @@ class Algebroid:
     def require_axioms(self) -> None:
         report = self.check_axioms()
         if not report.ok:
-            i, j, defect = report.failures[0]
-            raise AlgebroidError(
-                "anchor compatibility fails on pair "
-                f"({self.gen_names[i]}, {self.gen_names[j]}); defect {defect.to_text()}"
-            )
+            raise AlgebroidError(report.describe())
 
     @cached_property
     def jacobiator_table(self) -> dict[tuple[int, int, int], Section]:

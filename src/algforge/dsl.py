@@ -37,7 +37,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, sum_text
+from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, form_text, sum_text
 from .poly import Poly
 
 # connections and forms are imported where a document is elaborated into
@@ -713,10 +713,9 @@ def serialize(doc: Document) -> str:
     for b in doc.bundles:
         lines.append("")
         lines.append(f"bundle {b.name} rank {len(b.gens)} gens ({', '.join(b.gens)})")
-        d_names = [f"d{j + 1}" for j in range(len(v))]
         for gen, vf in zip(b.gens, b.anchors):
             if not vf.is_zero():
-                lines.append(f"anchor {gen} -> {sum_text(vf.split, d_names, v)}")
+                lines.append(f"anchor {gen} -> {vf.to_text()}")
         for (i, j), value in sorted(b.brackets.items()):
             lines.append(f"bracket [{b.gens[i]}, {b.gens[j]}] = {sum_text(value.split, b.gens, v)}")
     for s in doc.sections:
@@ -749,15 +748,9 @@ def serialize(doc: Document) -> str:
         lines.append("]")
     for f in doc.forms:
         gens = doc.bundle(f.bundle).gens
-        split = dict(sorted(f.comps.items()))
-        if list(split) == [()]:
-            text = split[()].to_text(v)
-            if " " in text or text.startswith("-"):
-                text = f"({text})"
-        else:
-            text = sum_text(split, {k: "^".join(f"w({gens[i]})" for i in k) for k in split}, v)
-            if f.degree:
-                text = _or_zero_on(text, "^".join(f"w({g})" for g in gens[: f.degree]))
+        text = form_text(dict(sorted(f.comps.items())), gens, v)
+        if f.degree:
+            text = _or_zero_on(text, "^".join(f"w({g})" for g in gens[: f.degree]))
         # a 0-form names no generator, so one off the first bundle names its bundle
         on = f" on {f.bundle}" if not f.degree and f.bundle != doc.bundles[0].name else ""
         lines.append("")

@@ -4,7 +4,8 @@ A k-form is a section of Λ^k E*: one flat dict {(index tuple, packed
 monomial): coefficient} over strictly increasing k-tuples of generator
 indices, with the section arithmetic; ``comps`` is its sparse split
 (``_Terms.split``), one Poly per nonzero tuple in tuple order, which
-``to_text`` renders.  The dict is also the form's witness column: the
+``to_text`` renders through ``algebroid.form_text`` as a document's `form`
+line writes it.  The dict is also the form's witness column: the
 searches below hand it to ``witness`` as it is and read solutions back as
 forms.  Only the public constructor,
 which takes outside input, checks keys; wedge, the differential, cofactors
@@ -43,7 +44,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _clean, _packed, _Terms, apply_row
+from .algebroid import Algebroid, AlgebroidError, Section, _clean, _packed, _Terms, apply_row, form_text
 from .poly import Poly, _degree, _pack, _trusted, _unpack
 
 
@@ -172,24 +173,8 @@ class Form(_Terms):
     # ---- text ----
 
     def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = self.algebroid.gen_names
-        vnames = self.algebroid.base.var_names
-        pieces = []
-        for key, coeff in self.comps.items():
-            basis = "^".join(f"w({names[i]})" for i in key)
-            text = coeff.to_text(vnames)
-            if not key:
-                pieces.append(text)
-            elif text == "1":
-                pieces.append(basis)
-            elif text == "-1":
-                pieces.append(f"-{basis}")
-            else:
-                body = f"({text})" if (" " in text or text.startswith("-")) else text
-                pieces.append(f"{body} * {basis}")
-        return " + ".join(pieces)
+        a = self.algebroid
+        return form_text(self.comps, a.gen_names, a.base.var_names)
 
     def __repr__(self):
         return f"Form({self.to_text()})"

@@ -240,7 +240,7 @@ def test_charclass_reports_trace_powers(capsys):
 def test_transgression(capsys):
     code, out, _ = run(capsys, "transgression", "E0", "--c1", "flat", "--c2", "torsionfree", "--k", "1")
     assert code == 0
-    assert "4*x1 * w(X11) + 4*x2 * w(X22)" in out
+    assert "4*x1*w(X11) + 4*x2*w(X22)" in out
 
 
 def test_transgression_at_a_huge_order_stops_once_the_power_is_zero(capsys):

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algforge.algebroid import Section
+from algforge.algebroid import Algebroid, Section, VectorField
 from algforge.catalog import builtin, e0_kernel_sections, make_tangent
 from algforge.connection import derive_bundle, flat_connection
 from algforge.dsl import (
@@ -26,7 +27,10 @@ from algforge.dsl import (
     serialize,
     tokenize,
 )
+from algforge.forms import Form
 from algforge.poly import Poly
+from algforge.sampling import Sampler
+from test_rational_golden import HALVES
 
 CORPUS = resources.files("algforge") / "corpus"
 
@@ -371,6 +375,49 @@ def test_algebroid_to_document_sanitizes_wedge_names():
 def test_default_zero_brackets_are_not_serialized():
     doc = parse(corpus_text("E0.alg"))
     assert "bracket [X11, X22]" not in serialize(doc)
+
+
+# ---------------------------------------------------------------------------
+# every printed sum reads back as what was printed
+# ---------------------------------------------------------------------------
+
+
+def read_back(a, line: str):
+    """The document of one printed line over the base and generators of ``a``."""
+    return parse(
+        f"base {a.nvars} ({', '.join(a.base.var_names)})\n"
+        f"bundle {a.name} rank {a.rank} gens ({', '.join(a.gen_names)})\n{line}\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["E0.alg", "derived_e0.alg", "HALVES"])
+def test_every_printed_sum_reads_back_as_what_was_printed(name):
+    a = document_algebroid(parse(HALVES if name == "HALVES" else corpus_text(name)))
+    sampler = Sampler(0)
+
+    def variants(value):
+        """The draw, and the draw with Fraction coefficients and with its signs flipped."""
+        return value, value.scale(Fraction(-2, 3)), -value
+
+    for _ in range(8):
+        for s in variants(sampler.section(a)):
+            assert read_back(a, f"section s = {a.section_text(s)}").sections[0].value == s
+
+    # anchors, sampled vector fields and the anchor-axiom defects of a sampled bracket
+    drawn = [VectorField(a.base, [sampler.maybe_zero_poly(a.nvars) for _ in range(a.nvars)]) for _ in range(8)]
+    table = {pair: sampler.section(a) for pair in list(combinations(range(a.rank), 2))[:6]}
+    defects = [defect for *_, defect in Algebroid(a.base, a.gen_names, a.anchor, table).check_axioms().failures]
+    assert defects
+    for field in [*a.anchor, *drawn, *defects]:
+        for v in variants(field):
+            assert read_back(a, f"anchor {a.gen_names[0]} -> {v.to_text()}").bundles[0].anchors[0] == v
+
+    forms = [sampler.form(a, degree) for degree in range(4) for _ in range(4)] + [Form.zero(a, 0)]
+    for form in forms:
+        for f in variants(form):
+            assert document_form(read_back(a, f"form f = {f.to_text()}"), a, "f") == f
+    # a report prints the zero form of every degree as 0, which reads back as the zero function
+    assert document_form(read_back(a, f"form f = {Form.zero(a, 2).to_text()}"), a, "f") == Form.zero(a, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ form zeta = 1/3*y*w(A) - 1/2*w(C)
 """
 
 RATIONAL_JSON = {
-    "check": ("f1046a79578a5a2d6418c1600a346ec7b8c7047cd9cca4700fe77c876c1f6bf3", 1),
-    "cohomology --form eta": ("9f7ec49f235288fe81aaf3baead78a12e6778e25b9d518a967a2e8d3aedaff20", 0),
+    "check": ("5ccd80f6cfde91e268dadf8571ec11d15c636543816502801bbfd95ab1e2d457", 1),
+    "cohomology --form eta": ("2fea98578fb2529a3bc24932f8a87758ace168385e601a9a7b524b168aedf85c", 0),
     "cohomology --form zeta": ("fa773e688cc2369cfaa999e351158ce0b35aac2b5c23afc23603f68ac5981bc1", 1),
     "charclass --connection half --max-k 3": (
-        "327837a211b575ece2bf4a234d27fa463652ec0142b43b42f26f5a9aff2ac9b4",
+        "67d61ba9f5d2cf5604615823fe1a258b54cc392c09d7e9c91e40b866f1063e66",
         0,
     ),
     "connection-report --connection half": (

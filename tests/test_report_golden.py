@@ -63,5 +63,5 @@ def test_lie_refuses_a_bundle_that_fails_the_anchor_axioms(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: anchor compatibility fails on pair (X11, X21); defect (-2*x1^3 + 2*x1^2*x2)*d2\n"
+        "error: anchor compatibility fails on (X11, X21): defect (-2*x1^3 + 2*x1^2*x2)*d2\n"
     )

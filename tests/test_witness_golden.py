@@ -53,7 +53,7 @@ def test_itemized_ideal_takes_the_bounded_path():
 def test_bounded_membership_cofactors_of_a_3_form(bound):
     decision = IDEAL.membership(MEMBER3, bound)
     assert decision.status == "yes"
-    assert texts(decision.cofactors) == {0: "x2^2 + x1", 1: "x1*x2"}
+    assert texts(decision.cofactors) == {0: "(x2^2 + x1)", 1: "x1*x2"}
     assert IDEAL.check_cofactors(MEMBER3, decision)
 
 
@@ -61,7 +61,7 @@ def test_bounded_membership_cofactors_of_a_3_form(bound):
 def test_bounded_membership_cofactors_of_a_4_form(bound):
     decision = IDEAL.membership(MEMBER4, bound)
     assert decision.status == "yes"
-    assert texts(decision.cofactors) == {0: "(-x1) * w(X11) + 3/2*x1 * w(X22)"}
+    assert texts(decision.cofactors) == {0: "-x1*w(X11) + 3/2*x1*w(X22)"}
     assert IDEAL.check_cofactors(MEMBER4, decision)
 
 
@@ -79,7 +79,7 @@ def test_bounded_normal_form_of_a_member_is_zero():
 def test_bounded_normal_form_of_a_non_member(bound):
     assert IDEAL.membership(OUTSIDER3, bound).status == "no-witness"
     assert IDEAL.normal_form(OUTSIDER3, bound).to_text() == (
-        "x1 * w(X11)^w(X21)^w(X12) + (3/2*x1*x2^2 + x2^3) * w(X21)^w(X12)^w(X22)"
+        "x1*w(X11)^w(X21)^w(X12) + (3/2*x1*x2^2 + x2^3)*w(X21)^w(X12)^w(X22)"
     )
 
 
@@ -89,17 +89,17 @@ def test_bounded_weak_exact_theta():
     two = weak_exact(target, IDEAL, 2)
     assert two.status == "yes"
     assert two.theta.to_text() == (
-        "x1 * w(X11)^w(X21) + (-x2^2) * w(X11)^w(X12) + (-2*x1*x2) * w(X21)^w(X12)"
+        "x1*w(X11)^w(X21) - x2^2*w(X11)^w(X12) - 2*x1*x2*w(X21)^w(X12)"
     )
     assert texts(two.cofactors) == {0: "x2^2", 1: "x1*x2"}
     three = weak_exact(target, IDEAL, 3)
     assert three.status == "yes"
     assert three.theta.to_text() == (
-        "(3/4*x1^3 - 23/8*x1^2*x2 - 1/2*x1*x2^2 + x1) * w(X11)^w(X21)"
-        " + (-x2^2) * w(X11)^w(X12)"
-        " + (-19/8*x2^3) * w(X11)^w(X22)"
-        " + (-3/4*x1*x2^2 - 9/4*x2^3 - 2*x1*x2) * w(X21)^w(X12)"
-        " + (-3/4*x1^2*x2) * w(X21)^w(X22)"
+        "(3/4*x1^3 - 23/8*x1^2*x2 - 1/2*x1*x2^2 + x1)*w(X11)^w(X21)"
+        " - x2^2*w(X11)^w(X12)"
+        " - 19/8*x2^3*w(X11)^w(X22)"
+        " + (-3/4*x1*x2^2 - 9/4*x2^3 - 2*x1*x2)*w(X21)^w(X12)"
+        " - 3/4*x1^2*x2*w(X21)^w(X22)"
     )
     assert three.cofactors == {}
 
@@ -107,7 +107,7 @@ def test_bounded_weak_exact_theta():
 def test_bounded_strong_closed_theta():
     decision = strong_closed(differential(w(1).scale(X2)), 2)
     assert decision.status == "yes"
-    assert decision.theta.to_text() == "x2 * w(X21)"
+    assert decision.theta.to_text() == "x2*w(X21)"
 
 
 def test_fast_path_cofactors_and_normal_forms():
@@ -124,18 +124,18 @@ def test_fast_path_cofactors_and_normal_forms():
         + v(3).wedge(g[1]).scale(X1**3)
         + v(0, 1, 2, 3).scale(X1 * X1 * X2 * X2)
     )
-    assert texts(ideal.membership(m4).cofactors) == {0: "(-x1^3 - 1/2*x1^2 + x1*x2 + 3) * w(X11)"}
+    assert texts(ideal.membership(m4).cofactors) == {0: "(-x1^3 - 1/2*x1^2 + x1*x2 + 3)*w(X11)"}
     m3 = v(1, 2, 3).scale(5 * X1**2 * X2 - 3 * X2**3) + v(0, 1, 2).scale(X1**2 + X2**2)
-    assert texts(ideal.membership(m3).cofactors) == {0: "3/2*x2", 1: "-1/2", 2: "5/2*x2", 3: "1/2"}
+    assert texts(ideal.membership(m3).cofactors) == {0: "3/2*x2", 1: "(-1/2)", 2: "5/2*x2", 3: "1/2"}
     outsider = m3 + v(0, 1, 3).scale(X1) + v(1, 2, 3).scale(X1 * X2 + 7)
     decision = ideal.membership(outsider)
     assert decision.status == "no"
     assert decision.note == "component on w(X21)^w(X12)^w(X22) has terms outside the generator monomials"
     assert ideal.normal_form(outsider).to_text() == (
-        "x1 * w(X11)^w(X21)^w(X22) + (x1*x2 + 7) * w(X21)^w(X12)^w(X22)"
+        "x1*w(X11)^w(X21)^w(X22) + (x1*x2 + 7)*w(X21)^w(X12)^w(X22)"
     )
     residue = ideal.normal_form(m4 + v(0, 1, 2, 3).scale(X1 * X2))
-    assert residue.to_text() == "x1*x2 * w(X11)^w(X21)^w(X12)^w(X22)"
+    assert residue.to_text() == "x1*x2*w(X11)^w(X21)^w(X12)^w(X22)"
 
 
 def _basis_text(space):
