@@ -12,7 +12,9 @@ one arithmetic, ``_Terms``, whose sparse ``split`` (one unpacked Poly per
 nonzero slot) is what ``sum_text``, the one renderer of a sum over a basis,
 reads: sections over their generators, vector fields over d1..dn and forms
 (``form_text``) over their wedges, each printed as the document language
-writes it.  ``Section.coeffs``, one Poly per generator, is kept for matrix rows.
+writes it.  ``_slot_terms`` is its inverse, the one conversion of (slot, Poly)
+pairs into a term dict.  ``Section.coeffs``, one Poly per generator, is kept
+for matrix rows.
 ``map_section`` applies any bundle map given by its images.  Brackets of
 arbitrary polynomial sections are produced from the table by the Leibniz
 expansion, written once for every generator-pair table (structure, bracket
@@ -134,7 +136,7 @@ class Section(_Terms):
         coeffs = tuple(coeffs)
         self.rank = len(coeffs)
         self.nvars = coeffs[0].nvars if coeffs else 0
-        self.terms = {(a, exps): c for a, p in enumerate(coeffs) for exps, c in _packed(p).items()}
+        self.terms = _slot_terms(enumerate(coeffs))
 
     @staticmethod
     def zero(rank: int, nvars: int) -> Section:
@@ -196,7 +198,7 @@ class VectorField(Section):
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a coefficient function."""
-        out = apply_row({}, self.moves, [((None, exps), c) for exps, c in _packed(f).items()])
+        out = apply_row({}, self.moves, _slot_terms([(None, f)]).items())
         return Poly(self.nvars, {_unpack(exps, self.nvars): c for (_, exps), c in out.items()})
 
     def __eq__(self, other):
@@ -246,6 +248,11 @@ def _packed(p: Poly) -> dict:
         return {_pack(exps): c for exps, c in p.terms.items()}
     except OverflowError as err:
         raise AlgebroidError(str(err)) from None
+
+
+def _slot_terms(pairs) -> dict:
+    """The term dict of (slot, Poly) pairs, slots in the order given: the inverse of ``_Terms.split``."""
+    return {(slot, exps): c for slot, p in pairs for exps, c in _packed(p).items()}
 
 
 def _add_shifted(out: dict, slot, shift: int, weight, terms) -> None:

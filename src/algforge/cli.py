@@ -12,8 +12,9 @@ without a verdict are reported as ``inconclusive`` and do not fail the run,
 as are checks that do not apply to the input and are skipped.
 ``algforge --help`` lists the commands, read from the ``_COMMANDS`` table.
 A well-formed command line is read straight from that table; argparse builds
-a parser only for help, usage errors and the forms the direct reader leaves
-to it, so most commands never pay for argparse's set-up.
+its parser, every command's included, on each use, and is used only for help,
+usage errors and the forms the direct reader leaves to it, so most commands
+never pay for argparse's set-up.
 """
 
 from __future__ import annotations
@@ -580,33 +581,17 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], **given)
 
 
-class _Commands(argparse._SubParsersAction):
-    """The command choice; a command's parser is built when argparse first dispatches to it, then kept."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._name_parser_map.update(dict.fromkeys(_COMMANDS))
-        self._choices_actions.extend(self._ChoicesPseudoAction(name, (), text) for name, (text, _) in _COMMANDS.items())
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if self._name_parser_map[name] is None:
-            command = self._parser_class(prog=f"{self._prog_prefix} {name}", formatter_class=parser.formatter_class)
-            for *flags, keywords in _COMMON + _COMMANDS[name][1]:
-                command.add_argument(*flags, **keywords)
-            self._name_parser_map[name] = command
-        # read on every call, as the parser is kept
-        self._name_parser_map[name].set_defaults(max_degree=_degree_default())
-        super().__call__(parser, namespace, values, option_string)
-
-
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process on first use."""
+    """The argument parser, built on each use: only help, usage errors and the forms ``_read`` leaves reach it."""
     # argparse wraps at COLUMNS; 78 is its width with no terminal attached
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0], formatter_class=formatter)
-    parser.add_subparsers(dest="command", required=True, action=_Commands)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (text, arguments) in _COMMANDS.items():
+        command = commands.add_parser(name, help=text, formatter_class=formatter)
+        for *flags, keywords in _COMMON + arguments:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(max_degree=_degree_default())
     return parser
 
 
@@ -617,7 +602,6 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    # looked up on each call, not stored in the parser that outlives it
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         report = command(args)

@@ -20,7 +20,8 @@ is structurally equal to doc.  Each distinct text is parsed once per process.
 
 Every right-hand side is a sum of signed terms, and a term is a '*'-product
 of polynomial factors and basis elements; one loop, `_Parser.parse_terms`,
-reads them all.  Anchor terms name exactly one coordinate field `d1..dn`,
+reads them all, and one fold, `_Parser.fold`, adds each sum up per slot, in
+slot order, for one term dict.  Anchor terms name exactly one coordinate field `d1..dn`,
 section terms (brackets, connection entries, endomorphism images) exactly one
 generator, and the literal 0 may stand alone.  Form terms name any number of
 generator duals `w(...)`, none in a 0-form, and `w(A)*w(B)` is `w(A)^w(B)`.
@@ -38,6 +39,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebroid import Algebroid, BaseSpace, Endomorphism, Section, VectorField, form_text, sum_text
+from .algebroid import _section, _slot_terms, _vector_field
 from .poly import Poly
 
 # connections and forms are imported where a document is elaborated into
@@ -341,9 +343,9 @@ class _Parser:
             self.semantic(f"bundle declares rank {rank} but lists {len(gen_toks)} generators", kw)
         name = self.declare(name_tok, "bundle")
         gens = tuple(self.declare(tok, "generator") for tok in gen_toks)
-        n = len(self.base_vars)
+        base = BaseSpace(self.base_vars)
         # the anchors are a list while anchor statements fill it, a tuple once parsed
-        decl = BundleDecl(name, gens, [VectorField(BaseSpace(self.base_vars), [Poly.zero(n)] * n) for _ in gens], {})
+        decl = BundleDecl(name, gens, [_vector_field(base, {}) for _ in gens], {})
         self.doc.bundles.append(decl)
         for idx, g in enumerate(gens):
             self.bundle_of_gen[g] = (decl, idx)
@@ -586,44 +588,53 @@ class _Parser:
             elif not coeff.is_zero():
                 self.semantic(f"term has no {hint}; only the literal 0 may stand alone", self.peek())
 
+    def fold(self, pairs) -> list[tuple]:
+        """The (slot, coefficient) pairs of a sum, added up per slot: the nonzero sums, in slot order."""
+        zero, sums = Poly.zero(len(self.base_vars)), {}
+        for slot, coeff in pairs:
+            sums[slot] = sums.get(slot, zero) + coeff
+        return [(slot, sums[slot]) for slot in sorted(sums) if not sums[slot].is_zero()]
+
     def parse_vf_expr(self) -> VectorField:
         n = len(self.base_vars)
         d_names = {f"d{k + 1}": k for k in range(n)}
-        comps = [Poly.zero(n) for _ in range(n)]
-        for coeff, tok in self.named_terms(f"coordinate field d1..d{n}"):
-            idx = d_names.get(tok.text)
-            if idx is None:
-                self.semantic(f"{tok.text!r} is not a coordinate field of this {n}-variable base", tok)
-            comps[idx] = comps[idx] + coeff
-        return VectorField(BaseSpace(self.base_vars), comps)
+
+        def slots():
+            for coeff, tok in self.named_terms(f"coordinate field d1..d{n}"):
+                idx = d_names.get(tok.text)
+                if idx is None:
+                    self.semantic(f"{tok.text!r} is not a coordinate field of this {n}-variable base", tok)
+                yield idx, coeff
+
+        return _vector_field(BaseSpace(self.base_vars), _slot_terms(self.fold(slots())))
 
     def parse_section_expr(self, bundle: BundleDecl | None, where: Token | None = None) -> tuple[BundleDecl, Section]:
         """A section of `bundle`; given None, of the bundle its first generator
         belongs to, with an error at `where` if it names none."""
         fixed = bundle is not None
-        entries: list[tuple[int, Poly]] = []
-        for coeff, tok in self.named_terms("generator"):
-            hit = self.bundle_of_gen.get(tok.text)
-            if fixed and (hit is None or hit[0] is not bundle):
-                self.semantic(f"{tok.text!r} is not a generator of bundle {bundle.name!r}", tok)
-            if hit is None:
-                self.semantic(f"undeclared generator {tok.text!r}", tok)
-            bundle = bundle or hit[0]
-            if hit[0] is not bundle:
-                self.semantic("section mixes generators of different bundles", tok)
-            entries.append((hit[1], coeff))
+
+        def slots():
+            nonlocal bundle
+            for coeff, tok in self.named_terms("generator"):
+                hit = self.bundle_of_gen.get(tok.text)
+                if fixed and (hit is None or hit[0] is not bundle):
+                    self.semantic(f"{tok.text!r} is not a generator of bundle {bundle.name!r}", tok)
+                if hit is None:
+                    self.semantic(f"undeclared generator {tok.text!r}", tok)
+                bundle = bundle or hit[0]
+                if hit[0] is not bundle:
+                    self.semantic("section mixes generators of different bundles", tok)
+                yield hit[1], coeff
+
+        pairs = self.fold(slots())
         if bundle is None:
             self.semantic("section expression names no generator", where)
-        coeffs = [Poly.zero(len(self.base_vars))] * len(bundle.gens)
-        for idx, coeff in entries:
-            coeffs[idx] = coeffs[idx] + coeff
-        return bundle, Section(coeffs)
+        return bundle, _section(len(bundle.gens), len(self.base_vars), _slot_terms(pairs))
 
     def parse_form_expr(
         self, where: Token, bundle: BundleDecl | None
     ) -> tuple[BundleDecl, int, dict[tuple[int, ...], Poly]]:
         """A form on `bundle`; given None, on the bundle of its duals, or the first bundle if it names none."""
-        n = len(self.base_vars)
         fixed = bundle is not None
 
         def read_duals() -> list[int] | None:
@@ -649,22 +660,20 @@ class _Parser:
                 if not self.accept("^"):
                     return indices
 
-        # fold terms: sort indices (an odd number of inversions negates the term),
-        # drop repeats and zeros, but keep the degree of a zero term (0*w(A) is
-        # a zero 1-form); w(A)*w(B) is w(A)^w(B)
+        # a term's slot is its sorted indices (an odd number of inversions
+        # negates it); a repeated index or a zero coefficient drops the term but
+        # keeps its degree (0*w(A) is a zero 1-form); w(A)*w(B) is w(A)^w(B)
         degrees = set()
-        comps: dict[tuple[int, ...], Poly] = {}
-        for coeff, duals in self.parse_terms(read_duals, "generator dual"):
-            indices = [i for chain in duals for i in chain]
-            degrees.add(len(indices))
-            if len(set(indices)) != len(indices):
-                continue
-            if coeff.is_zero():
-                continue
-            key = tuple(sorted(indices))
-            odd = sum(a > b for a, b in combinations(indices, 2)) % 2
-            comps[key] = comps.get(key, Poly.zero(n)) + (-coeff if odd else coeff)
-        comps = {k: v for k, v in comps.items() if not v.is_zero()}
+
+        def slots():
+            for coeff, duals in self.parse_terms(read_duals, "generator dual"):
+                indices = [i for chain in duals for i in chain]
+                degrees.add(len(indices))
+                if len(set(indices)) == len(indices) and not coeff.is_zero():
+                    odd = sum(a > b for a, b in combinations(indices, 2)) % 2
+                    yield tuple(sorted(indices)), -coeff if odd else coeff
+
+        comps = dict(self.fold(slots()))
         live_degrees = {len(k) for k in comps} or (degrees or {0})
         if len(live_degrees) > 1:
             self.semantic("form mixes components of different degrees", where)

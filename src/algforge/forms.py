@@ -8,9 +8,10 @@ indices, with the section arithmetic; ``comps`` is its sparse split
 line writes it.  The dict is also the form's witness column: the
 searches below hand it to ``witness`` as it is and read solutions back as
 forms.  Only the public constructor,
-which takes outside input, checks keys; wedge, the differential, cofactors
-and the interval operators of ``charclass`` wrap their ``_clean`` dicts
-through ``_form``.
+which takes outside input, checks keys before it converts its Polys through
+``algebroid._slot_terms``; wedge, the differential, cofactors and the
+interval operators of ``charclass`` wrap their ``_clean`` dicts through
+``_form``.
 
 The differential is the derivation fixed by two rules:
 df = Σ_b ρ(e_b)(f) θ^b on functions, read from the anchor images, and
@@ -44,7 +45,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import witness
-from .algebroid import Algebroid, AlgebroidError, Section, _clean, _packed, _Terms, apply_row, form_text
+from .algebroid import Algebroid, AlgebroidError, Section, _clean, _slot_terms, _Terms, apply_row, form_text
 from .poly import Poly, _degree, _pack, _trusted, _unpack
 
 
@@ -88,18 +89,15 @@ class Form(_Terms):
     def __init__(self, algebroid: Algebroid, degree: int, comps: dict[tuple[int, ...], Poly]):
         if degree < 0:
             raise AlgebroidError("form degree must be nonnegative")
-        terms = {}
-        for key, value in comps.items():
-            key = tuple(key)
+        keys = [tuple(key) for key in comps]
+        for key in keys:
             if len(key) != degree:
                 raise AlgebroidError("component key has the wrong length")
             if any(not 0 <= i < algebroid.rank for i in key):
                 raise AlgebroidError("component index out of range")
             if list(key) != sorted(set(key)):
                 raise AlgebroidError("component keys must be strictly increasing")
-            for exps, c in _packed(value).items():
-                terms[(key, exps)] = c
-        self.algebroid, self.degree, self.terms = algebroid, degree, terms
+        self.algebroid, self.degree, self.terms = algebroid, degree, _slot_terms(zip(keys, comps.values()))
 
     # ---- constructors ----
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .algebroid import Algebroid, BracketModifier, Section, _packed
+from .algebroid import Algebroid, BracketModifier, Section, _section, _slot_terms
 from .connection import EConnection
 from .forms import Form, _form
 from .poly import Poly, _trusted
@@ -76,9 +76,7 @@ class Sampler:
         else:
             keys = list(combinations(range(algebroid.rank), degree))
             picked = self.rng.sample(keys, k=min(len(keys), self.rng.randint(1, 2)))
-        n = algebroid.nvars
-        terms = {(key, exps): c for key in picked for exps, c in _packed(self.poly(n, max_degree)).items()}
-        return _form(algebroid, degree, terms)
+        return _form(algebroid, degree, _slot_terms((key, self.poly(algebroid.nvars, max_degree)) for key in picked))
 
     def connection(self, algebroid: Algebroid, max_degree: int = 1, density: float = 0.3) -> EConnection:
         """A random connection of the algebroid on itself."""
@@ -89,9 +87,9 @@ class Sampler:
             for b in range(m):
                 if self.rng.random() >= density:
                     continue
-                coeffs = [Poly.zero(n) for _ in range(m)]
-                coeffs[self.rng.randrange(m)] = self.poly(n, max_degree, terms=1)
-                gamma[(alpha, b)] = Section(coeffs)
+                # the polynomial is drawn before its slot
+                p = self.poly(n, max_degree, terms=1)
+                gamma[(alpha, b)] = _section(m, n, _slot_terms([(self.rng.randrange(m), p)]))
         return EConnection(algebroid, gamma, name="sampled")
 
     def kernel_modifier(

@@ -506,7 +506,7 @@ def test_the_environment_degree_is_read_on_every_call(capsys, monkeypatch):
 
 def test_only_the_unknown_command_builds_a_parser_and_each_call_reads_the_bound(capsys, monkeypatch):
     # (argv, ALGFORGE_MAX_DEGREE); the well-formed lines are read from the
-    # tables, and the unknown command is refused before any command parser runs
+    # tables, and only the unknown command builds argparse's parser
     calls = [
         (["check", "E0"], "2"),
         (["lie", "E0"], "3"),
@@ -534,22 +534,18 @@ def test_only_the_unknown_command_builds_a_parser_and_each_call_reads_the_bound(
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     for name in ("check", "lie", "obstruction", "courant"):
         monkeypatch.setattr(cli, f"cmd_{name}", recorded(getattr(cli, f"cmd_{name}")))
-    cli._parser.cache_clear()
-    try:
-        for argv, bound in calls:
-            monkeypatch.setenv("ALGFORGE_MAX_DEGREE", bound)
-            fresh = subprocess.run(
-                [sys.executable, "-m", "algforge.cli", *argv],
-                env=dict(os.environ, PYTHONPATH=SRC),
-                capture_output=True,
-                text=True,
-            )
-            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    finally:
-        cli._parser.cache_clear()
+    for argv, bound in calls:
+        monkeypatch.setenv("ALGFORGE_MAX_DEGREE", bound)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "algforge.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert bounds == [2, 3, 5, 2, 1]
-    # only the unknown command goes through argparse, and builds no command parser
-    assert built == Counter(["algforge"])
+    # only the unknown command goes through argparse, which builds its whole parser once
+    assert built == Counter(["algforge", *(f"algforge {name}" for name in cli._COMMANDS)])
 
 
 # values and spellings the direct reader must read as argparse does, or leave to it

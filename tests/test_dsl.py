@@ -378,6 +378,64 @@ def test_default_zero_brackets_are_not_serialized():
 
 
 # ---------------------------------------------------------------------------
+# parsed sums are folded per slot, in slot order
+# ---------------------------------------------------------------------------
+
+# names generators and coordinate fields out of order, twice and cancelling
+OUT_OF_ORDER = """
+base 2 (x, y)
+bundle H rank 3 gens (A, B, C)
+anchor A -> x*d2 + d1 - x*d2
+anchor B -> y*d2
+bracket [B, A] = x*C - C - x*C
+section s = y*C + 2*A - y*C + A
+connection nabla on H { C B -> C + x*A - A  default 0 }
+endo J { B -> C + y*A - y*A + x*B  A -> -2*B }
+form f = y*w(B)^w(A) + w(A)^w(B) + x*w(C)*w(A)
+"""
+
+
+def parsed_sums(doc):
+    """Every sum a document parses: anchors, brackets, sections, connection entries, endomorphism images."""
+    for b in doc.bundles:
+        yield from b.anchors
+        yield from b.brackets.values()
+    yield from (s.value for s in doc.sections)
+    for c in doc.connections:
+        yield from c.gamma.values()
+    for e in doc.endos:
+        yield from e.images
+
+
+@pytest.mark.parametrize("name", [*VALID, "OUT_OF_ORDER"])
+def test_parsed_sums_are_in_slot_order_and_equal_the_dense_construction(name):
+    doc = parse(OUT_OF_ORDER if name == "OUT_OF_ORDER" else corpus_text(name))
+    sums = list(parsed_sums(doc))
+    assert sums
+    for x in sums:
+        dense = VectorField(x.base, x.coeffs) if isinstance(x, VectorField) else Section(x.coeffs)
+        assert x == dense
+        assert list(x.terms.items()) == list(dense.terms.items())
+    for f in doc.forms:
+        assert list(f.comps) == sorted(f.comps)
+
+
+def test_an_out_of_order_sum_folds_each_slot_once():
+    doc = parse(OUT_OF_ORDER)
+    b = doc.bundle()
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    one = Poly.const(2, 1)
+    assert [v.coeffs for v in b.anchors] == [(one, Poly.zero(2)), (Poly.zero(2), y), (Poly.zero(2),) * 2]
+    assert b.brackets == {(0, 1): Section([Poly.zero(2), Poly.zero(2), one])}
+    assert doc.section("s").value.terms == {(0, 0): 3}
+    assert doc.connection("nabla").gamma == {(2, 1): Section([x - one, Poly.zero(2), one])}
+    assert [list(image.terms.items()) for image in doc.endo("J").images] == [
+        [((1, 0), -2)], list(Section([Poly.zero(2), x, one]).terms.items()), []
+    ]
+    assert doc.form("f").comps == {(0, 1): one - y, (0, 2): -x}
+
+
+# ---------------------------------------------------------------------------
 # every printed sum reads back as what was printed
 # ---------------------------------------------------------------------------
 
