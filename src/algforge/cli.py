@@ -11,20 +11,20 @@ seeds, and degree bounds give identical bytes.  Bounded searches that end
 without a verdict are reported as ``inconclusive`` and do not fail the run,
 as are checks that do not apply to the input and are skipped.
 ``algforge --help`` lists the commands, read from the ``_COMMANDS`` table.
-A well-formed command line is read straight from that table; argparse builds
-its parser, every command's included, on each use, and is used only for help,
+A well-formed command line is read straight from that table; argparse is
+imported, and builds its parser, every command's included, only for help,
 usage errors and the forms the direct reader leaves to it, so most commands
-never pay for argparse's set-up.
+never load it.  Its parser re-raises a validator's ``CliError`` as its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .algebroid import (
@@ -53,6 +53,8 @@ from .reports import FAIL, INCONCLUSIVE, PASS, Report, input_digest
 # each command imports the layers only it runs, so that a process compiles
 # no module its command does not use
 if TYPE_CHECKING:
+    import argparse
+
     from .connection import EConnection
 
 
@@ -116,7 +118,7 @@ def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
         raise CliError(f"triple must be three comma-separated indices, got {text!r}")
     try:
         idx = tuple(_non_negative(p.strip()) - 1 for p in parts)
-    except argparse.ArgumentTypeError:
+    except (CliError, ValueError):  # ValueError: too many digits for int
         raise CliError(f"triple indices must be positive integers, got {text!r}") from None
     if len(set(idx)) != 3 or not all(0 <= i < rank for i in idx):
         raise CliError(f"triple needs three distinct indices in 1..{rank}, got {text!r}")
@@ -465,7 +467,7 @@ def cmd_verify_paper(args) -> Report:
 
 def _non_negative(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise CliError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -473,7 +475,7 @@ def _degree_bound(text: str) -> int:
     # a bounded search packs every monomial up to the bound, behind poly's field-width guard
     value = _non_negative(text)
     if value > MAX_EXPONENT:
-        raise argparse.ArgumentTypeError(f"expected a degree bound of at most {MAX_EXPONENT}, got {text!r}")
+        raise CliError(f"expected a degree bound of at most {MAX_EXPONENT}, got {text!r}")
     return value
 
 
@@ -520,8 +522,8 @@ def _degree_default() -> str:
     return os.environ.get("ALGFORGE_MAX_DEGREE", "4")
 
 
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives a well-formed command line, read from the same tables; None for any other line.
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives a well-formed command line, read from the same tables; None for any other line.
 
     Well formed: a command name, then only exact option strings of that command
     (a value as the next token or after ``--long=``, never starting with ``-``),
@@ -576,13 +578,25 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
                 default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
             # argparse converts a string default through the type too
             given[dest] = typed(keywords, default) if isinstance(default, str) else default
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except (CliError, TypeError, ValueError):
         return None
-    return argparse.Namespace(command=argv[0], **given)
+    return SimpleNamespace(command=argv[0], **given)
 
 
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on each use: only help, usage errors and the forms ``_read`` leaves reach it."""
+    import argparse
+
+    def refusing(convert):
+        def typed(text: str):
+            try:
+                return convert(text)
+            except CliError as exc:  # argparse prints this text, and the type's name for a ValueError
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        typed.__name__ = convert.__name__
+        return typed
+
     # argparse wraps at COLUMNS; 78 is its width with no terminal attached
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(prog="algforge", description=__doc__.splitlines()[0], formatter_class=formatter)
@@ -590,6 +604,8 @@ def _parser() -> argparse.ArgumentParser:
     for name, (text, arguments) in _COMMANDS.items():
         command = commands.add_parser(name, help=text, formatter_class=formatter)
         for *flags, keywords in _COMMON + arguments:
+            if "type" in keywords:
+                keywords = {**keywords, "type": refusing(keywords["type"])}
             command.add_argument(*flags, **keywords)
         command.set_defaults(max_degree=_degree_default())
     return parser

@@ -16,7 +16,9 @@ Unspecified anchors, brackets, connection entries, and endomorphism images
 default to zero; explicit diagonal brackets must be zero.  `#` starts a
 comment.  Parsing elaborates straight into exact engine objects, so a parsed
 document is canonical: serialize() prints it back and parse(serialize(doc))
-is structurally equal to doc.  Each distinct text is parsed once per process.
+is structurally equal to doc.  Each distinct text is parsed once per process,
+from the token texts of one pass of the token pattern; where a token sits, by
+line and column, is worked out, by `tokenize`, only for an error.
 
 Every right-hand side is a sum of signed terms, and a term is a '*'-product
 of polynomial factors and basis elements; one loop, `_Parser.parse_terms`,
@@ -77,27 +79,33 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternative per token kind; unnamed ones are skipped.  Only ASCII digits
-# start an integer ("²" is a digit to str.isdigit), and a word must start with
-# a letter or "_", which `\w` alone does not ensure.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|\#[^\n]*|(?P<arrow>->)|(?P<sym>[()\[\]{},^*+\-=/])"
-    r"|(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<bad>.)"
-)
+# Newlines, other whitespace and comments match outside the one group, so
+# `findall` gives "" for them and a token's text otherwise.  Only ASCII digits start an integer
+# ("²" is a digit to str.isdigit), and a word must start with a letter or "_",
+# which `\w` alone does not ensure.
+_TOKEN = re.compile(r"\n|[ \t\r]+|\#[^\n]*|(->|[()\[\]{},^*+\-=/]|[0-9]+|\w+|.)")
+_PUNCTUATION = {**dict.fromkeys("()[]{},^*+-=/", "sym"), "->": "arrow", "": "eof"}
+
+
+def _kind(word: str) -> str:
+    """The kind of a token's text, "bad" for text the language refuses."""
+    first = word[:1]
+    if first.isalpha() or first == "_":
+        return "ident"
+    return "int" if "0" <= first <= "9" else _PUNCTUATION.get(word, "bad")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, start = 1, 0  # start: where the current line begins
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
+        word = m.group(1)
+        if word is None:  # a newline, other whitespace or a comment
+            if m.group() == "\n":
+                line, start = line + 1, m.end()
             continue
-        if kind == "newline":
-            line, start = line + 1, m.end()
-            continue
-        word, col = m.group(), m.start() - start + 1
-        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+        kind, col = _kind(word), m.start() - start + 1
+        if kind == "bad":
             raise DslError(f"unexpected character {word[0]!r}", line, col)
         tokens.append(Token(kind, word, line, col))
     # a comment takes no columns, so input that ends in one ends at its "#"
@@ -191,22 +199,14 @@ class Document(NamedTuple):
 # parser
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = {
-    "base",
-    "bundle",
-    "anchor",
-    "bracket",
-    "section",
-    "connection",
-    "endo",
-    "cometric",
-    "form",
-}
-
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.words = [word for word in _TOKEN.findall(text) if word] + [""]  # a token is its index here; "" is eof
+        self.kinds = {word: _kind(word) for word in set(self.words)}
+        if "bad" in self.kinds.values():
+            tokenize(text)  # raises at the first bad character
         self.pos = 0
         self.base_vars: tuple[str, ...] | None = None
         self.var_index: dict[str, int] = {}
@@ -217,115 +217,107 @@ class _Parser:
 
     # ---- token plumbing ----
 
-    # eof is the last token and advance stops at it, so self.pos is always in range
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, at: int, kind: str = "syntax"):
+        tok = tokenize(self.text)[at]
+        raise DslError(message, tok.line, tok.col, kind)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def semantic(self, message: str, at: int):
+        self.error(message, at, "semantic")
+
+    # eof is the last word and advance stops at it, so self.pos is always in range
+    def peek(self) -> str:
+        return self.words[self.pos]
+
+    def advance(self) -> int:
+        """The index of the current token, which is then passed."""
+        at = self.pos
+        if self.words[at]:
             self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("sym", "arrow", "ident")
+        return at
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.words[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise DslError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+    def expect(self, text: str) -> int:
+        if self.peek() != text:
+            self.error(f"expected {text!r}, found {self.peek()!r}", self.pos)
         return self.advance()
 
-    def expect_ident(self, what: str = "name") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise DslError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+    def expect_ident(self, what: str = "name") -> int:
+        if self.kinds[self.peek()] != "ident":
+            self.error(f"expected {what}, found {self.peek()!r}", self.pos)
         return self.advance()
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise DslError(f"expected integer, found {tok.text!r}", tok.line, tok.col)
-        self.advance()
-        return self.int_value(tok)
+        if self.kinds[self.peek()] != "int":
+            self.error(f"expected integer, found {self.peek()!r}", self.pos)
+        return self.int_value(self.advance())
 
-    def int_value(self, tok: Token) -> int:
+    def int_value(self, at: int) -> int:
         """The value of an integer literal; Python refuses very long digit strings."""
         try:
-            return int(tok.text)
+            return int(self.words[at])
         except ValueError:
-            self.semantic(f"integer literal of {len(tok.text)} digits is too long", tok)
+            self.semantic(f"integer literal of {len(self.words[at])} digits is too long", at)
 
-    def name_list(self, what: str) -> list[Token]:
+    def name_list(self, what: str) -> list[int]:
         """A parenthesised, comma-separated list of at least one name."""
         self.expect("(")
-        toks = [self.expect_ident(what)]
+        names = [self.expect_ident(what)]
         while self.accept(","):
-            toks.append(self.expect_ident(what))
+            names.append(self.expect_ident(what))
         self.expect(")")
-        return toks
-
-    def semantic(self, message: str, tok: Token):
-        raise DslError(message, tok.line, tok.col, kind="semantic")
+        return names
 
     # ---- name registry ----
 
-    def declare(self, tok: Token, kind: str) -> str:
-        if tok.text in self.names:
-            self.semantic(f"name {tok.text!r} already declared as {self.names[tok.text]}", tok)
-        if tok.text in self.var_index:
-            self.semantic(f"name {tok.text!r} already names a base variable", tok)
-        self.names[tok.text] = kind
-        return tok.text
+    def declare(self, at: int, kind: str) -> str:
+        name = self.words[at]
+        if name in self.names:
+            self.semantic(f"name {name!r} already declared as {self.names[name]}", at)
+        if name in self.var_index:
+            self.semantic(f"name {name!r} already names a base variable", at)
+        self.names[name] = kind
+        return name
 
-    def lookup_bundle(self, tok: Token) -> BundleDecl:
-        bundle = next((b for b in self.doc.bundles if b.name == tok.text), None)
+    def lookup_bundle(self, at: int) -> BundleDecl:
+        bundle = next((b for b in self.doc.bundles if b.name == self.words[at]), None)
         if bundle is None:
-            self.semantic(f"undeclared bundle {tok.text!r}", tok)
+            self.semantic(f"undeclared bundle {self.words[at]!r}", at)
         return bundle
 
-    def lookup_gen(self, tok: Token) -> tuple[BundleDecl, int]:
-        hit = self.bundle_of_gen.get(tok.text)
+    def lookup_gen(self, at: int) -> tuple[BundleDecl, int]:
+        hit = self.bundle_of_gen.get(self.words[at])
         if hit is None:
-            self.semantic(f"undeclared generator {tok.text!r}", tok)
+            self.semantic(f"undeclared generator {self.words[at]!r}", at)
         return hit
 
     # ---- document ----
 
     def parse_document(self) -> Document:
-        while self.peek().kind != "eof":
+        while self.peek():
             kw = self.advance()
-            if kw.kind != "ident" or kw.text not in _KEYWORDS:
-                raise DslError(
-                    f"expected a statement keyword ({', '.join(sorted(_KEYWORDS))}), found {kw.text!r}",
-                    kw.line,
-                    kw.col,
-                )
-            if self.base_vars is None and kw.text != "base":
+            word = self.words[kw]
+            if word not in _KEYWORDS:
+                self.error(f"expected a statement keyword ({', '.join(sorted(_KEYWORDS))}), found {word!r}", kw)
+            if self.base_vars is None and word != "base":
                 self.semantic("a base statement must come first", kw)
-            getattr(self, "stmt_" + kw.text)(kw)
+            getattr(self, "stmt_" + word)(kw)
         if self.base_vars is None:
-            last = self.peek()
-            raise DslError("document has no base statement", last.line, last.col, kind="semantic")
+            self.semantic("document has no base statement", self.pos)
         bundles = [b._replace(anchors=tuple(b.anchors)) for b in self.doc.bundles]
         return self.doc._replace(base_vars=self.base_vars, bundles=bundles)
 
     # ---- statements ----
 
-    def stmt_base(self, kw: Token):
+    def stmt_base(self, kw: int):
         if self.base_vars is not None:
             self.semantic("only one base statement is allowed", kw)
         dim = self.expect_int()
-        names = [tok.text for tok in self.name_list("variable name")]
+        names = [self.words[at] for at in self.name_list("variable name")]
         if len(set(names)) != len(names):
             self.semantic("base variable names must be unique", kw)
         if dim != len(names):
@@ -333,16 +325,16 @@ class _Parser:
         self.base_vars = tuple(names)
         self.var_index = {name: i for i, name in enumerate(names)}
 
-    def stmt_bundle(self, kw: Token):
-        name_tok = self.expect_ident("bundle name")
+    def stmt_bundle(self, kw: int):
+        name_at = self.expect_ident("bundle name")
         self.expect("rank")
         rank = self.expect_int()
         self.expect("gens")
-        gen_toks = self.name_list("generator name")
-        if rank != len(gen_toks):
-            self.semantic(f"bundle declares rank {rank} but lists {len(gen_toks)} generators", kw)
-        name = self.declare(name_tok, "bundle")
-        gens = tuple(self.declare(tok, "generator") for tok in gen_toks)
+        gen_ats = self.name_list("generator name")
+        if rank != len(gen_ats):
+            self.semantic(f"bundle declares rank {rank} but lists {len(gen_ats)} generators", kw)
+        name = self.declare(name_at, "bundle")
+        gens = tuple(self.declare(at, "generator") for at in gen_ats)
         base = BaseSpace(self.base_vars)
         # the anchors are a list while anchor statements fill it, a tuple once parsed
         decl = BundleDecl(name, gens, [_vector_field(base, {}) for _ in gens], {})
@@ -350,102 +342,102 @@ class _Parser:
         for idx, g in enumerate(gens):
             self.bundle_of_gen[g] = (decl, idx)
 
-    def stmt_anchor(self, kw: Token):
-        gen_tok = self.expect_ident("generator name")
-        decl, idx = self.lookup_gen(gen_tok)
+    def stmt_anchor(self, kw: int):
+        gen_at = self.expect_ident("generator name")
+        decl, idx = self.lookup_gen(gen_at)
         self.expect("->")
         vf = self.parse_vf_expr()
-        if gen_tok.text in self.anchored:
-            self.semantic(f"anchor of {gen_tok.text!r} declared twice", gen_tok)
-        self.anchored.add(gen_tok.text)
+        if self.words[gen_at] in self.anchored:
+            self.semantic(f"anchor of {self.words[gen_at]!r} declared twice", gen_at)
+        self.anchored.add(self.words[gen_at])
         decl.anchors[idx] = vf
 
-    def stmt_bracket(self, kw: Token):
+    def stmt_bracket(self, kw: int):
         self.expect("[")
-        a_tok = self.expect_ident("generator name")
+        a_at = self.expect_ident("generator name")
         self.expect(",")
-        b_tok = self.expect_ident("generator name")
+        b_at = self.expect_ident("generator name")
         self.expect("]")
         self.expect("=")
-        decl_a, i = self.lookup_gen(a_tok)
-        decl_b, j = self.lookup_gen(b_tok)
+        decl_a, i = self.lookup_gen(a_at)
+        decl_b, j = self.lookup_gen(b_at)
         if decl_a is not decl_b:
-            self.semantic("bracket entries must come from one bundle", a_tok)
+            self.semantic("bracket entries must come from one bundle", a_at)
         value = self.parse_section_expr(decl_a)[1]
         if i == j:
             if not value.is_zero():
-                self.semantic("diagonal bracket must be zero", a_tok)
+                self.semantic("diagonal bracket must be zero", a_at)
             return
         key = (i, j) if i < j else (j, i)
         if key in decl_a.brackets:
-            self.semantic(f"bracket [{a_tok.text}, {b_tok.text}] declared twice", a_tok)
+            self.semantic(f"bracket [{self.words[a_at]}, {self.words[b_at]}] declared twice", a_at)
         if i > j:
             value = -value
         if not value.is_zero():
             decl_a.brackets[key] = value
 
-    def stmt_section(self, kw: Token):
-        name_tok = self.expect_ident("section name")
+    def stmt_section(self, kw: int):
+        name_at = self.expect_ident("section name")
         self.expect("=")
-        bundle, value = self.parse_section_expr(None, name_tok)
-        name = self.declare(name_tok, "section")
+        bundle, value = self.parse_section_expr(None, name_at)
+        name = self.declare(name_at, "section")
         self.doc.sections.append(SectionDecl(name, bundle.name, value))
 
-    def stmt_connection(self, kw: Token):
-        name_tok = self.expect_ident("connection name")
+    def stmt_connection(self, kw: int):
+        name_at = self.expect_ident("connection name")
         self.expect("on")
         bundle = self.lookup_bundle(self.expect_ident("bundle name"))
         self.expect("{")
         gamma: dict[tuple[int, int], Section] = {}
-        while not self.at("}"):
+        while self.peek() != "}":
             if self.accept("default"):
-                zero_tok = self.peek()
+                zero_at = self.pos
                 if self.expect_int() != 0:
-                    self.semantic("only 'default 0' is supported", zero_tok)
+                    self.semantic("only 'default 0' is supported", zero_at)
                 continue
-            d_tok = self.expect_ident("generator name")
-            t_tok = self.expect_ident("generator name")
-            decl_d, alpha = self.lookup_gen(d_tok)
-            decl_t, b_idx = self.lookup_gen(t_tok)
+            d_at = self.expect_ident("generator name")
+            t_at = self.expect_ident("generator name")
+            decl_d, alpha = self.lookup_gen(d_at)
+            decl_t, b_idx = self.lookup_gen(t_at)
             if decl_d is not bundle or decl_t is not bundle:
-                self.semantic("connection entries must use the bundle's generators", d_tok)
+                self.semantic("connection entries must use the bundle's generators", d_at)
             self.expect("->")
             value = self.parse_section_expr(bundle)[1]
             if (alpha, b_idx) in gamma:
-                self.semantic(f"connection entry {d_tok.text} {t_tok.text} declared twice", d_tok)
+                self.semantic(f"connection entry {self.words[d_at]} {self.words[t_at]} declared twice", d_at)
             if not value.is_zero():
                 gamma[(alpha, b_idx)] = value
         self.expect("}")
-        name = self.declare(name_tok, "connection")
+        name = self.declare(name_at, "connection")
         self.doc.connections.append(ConnectionDecl(name, bundle.name, gamma))
 
-    def stmt_endo(self, kw: Token):
-        name_tok = self.expect_ident("endomorphism name")
+    def stmt_endo(self, kw: int):
+        name_at = self.expect_ident("endomorphism name")
         self.expect("{")
         bundle = None
         images: dict[int, Section] = {}
-        while not self.at("}"):
-            g_tok = self.expect_ident("generator name")
-            decl, idx = self.lookup_gen(g_tok)
+        while self.peek() != "}":
+            g_at = self.expect_ident("generator name")
+            decl, idx = self.lookup_gen(g_at)
             if bundle is None:
                 bundle = decl
             elif decl is not bundle:
-                self.semantic("endomorphism entries must use one bundle", g_tok)
+                self.semantic("endomorphism entries must use one bundle", g_at)
             self.expect("->")
             value = self.parse_section_expr(bundle)[1]
             if idx in images:
-                self.semantic(f"image of {g_tok.text!r} declared twice", g_tok)
+                self.semantic(f"image of {self.words[g_at]!r} declared twice", g_at)
             images[idx] = value
         close = self.expect("}")
         if bundle is None:
             self.semantic("endomorphism needs at least one image", close)
         m = len(bundle.gens)
         zero = Section.zero(m, len(self.base_vars))
-        name = self.declare(name_tok, "endo")
+        name = self.declare(name_at, "endo")
         self.doc.endos.append(EndoDecl(name, bundle.name, tuple(images.get(b, zero) for b in range(m))))
 
-    def stmt_cometric(self, kw: Token):
-        name_tok = self.expect_ident("cometric name")
+    def stmt_cometric(self, kw: int):
+        name_at = self.expect_ident("cometric name")
         self.expect("=")
         self.expect("[")
         rows = []
@@ -461,15 +453,15 @@ class _Parser:
         close = self.expect("]")
         if any(r.rank != len(rows) for r in rows):
             self.semantic("cometric matrix must be square", close)
-        name = self.declare(name_tok, "cometric")
+        name = self.declare(name_at, "cometric")
         self.doc.cometrics.append(CometricDecl(name, tuple(rows)))
 
-    def stmt_form(self, kw: Token):
-        name_tok = self.expect_ident("form name")
+    def stmt_form(self, kw: int):
+        name_at = self.expect_ident("form name")
         bundle = self.lookup_bundle(self.expect_ident("bundle name")) if self.accept("on") else None
         self.expect("=")
-        bundle, degree, comps = self.parse_form_expr(name_tok, bundle)
-        name = self.declare(name_tok, "form")
+        bundle, degree, comps = self.parse_form_expr(name_at, bundle)
+        name = self.declare(name_at, "form")
         self.doc.forms.append(FormDecl(name, bundle.name, degree, comps))
 
     # ---- expressions ----
@@ -492,11 +484,11 @@ class _Parser:
 
     def times_poly_factor(self, value: Poly) -> Poly:
         """value times the next factor, refused past the degree cap."""
-        tok = self.peek()
+        at = self.pos
         value = value * self.parse_poly_factor()
         degree = value.total_degree()
         if degree > DEGREE_CAP:
-            self.semantic(f"product of degree {degree} exceeds the degree cap of {DEGREE_CAP}", tok)
+            self.semantic(f"product of degree {degree} exceeds the degree cap of {DEGREE_CAP}", at)
         return value
 
     def parse_poly_factor(self) -> Poly:
@@ -504,36 +496,35 @@ class _Parser:
             return -self.parse_poly_factor()
         value = self.parse_poly_atom()
         if self.accept("^"):
-            tok = self.peek()
+            at = self.pos
             k = self.expect_int()
             if k > DEGREE_CAP or value.total_degree() * k > DEGREE_CAP:
-                self.semantic(f"exponent {k} would exceed the degree cap of {DEGREE_CAP}", tok)
+                self.semantic(f"exponent {k} would exceed the degree cap of {DEGREE_CAP}", at)
             return value ** k
         return value
 
     def parse_poly_atom(self) -> Poly:
         n = len(self.base_vars)
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            num = self.int_value(tok)
+        at, word = self.pos, self.peek()
+        if self.kinds[word] == "int":
+            num = self.int_value(self.advance())
             if self.accept("/"):
                 den = self.expect_int()
                 if den == 0:
-                    self.semantic("zero denominator", tok)
+                    self.semantic("zero denominator", at)
                 return Poly.const(n, Fraction(num, den))
             return Poly.const(n, num)
-        if tok.kind == "ident":
-            idx = self.var_index.get(tok.text)
+        if self.kinds[word] == "ident":
+            idx = self.var_index.get(word)
             if idx is None:
-                raise DslError(f"unknown variable {tok.text!r}", tok.line, tok.col, kind="semantic")
+                self.semantic(f"unknown variable {word!r}", at)
             self.advance()
             return Poly.variable(n, idx)
         if self.accept("("):
             value = self.parse_poly_expr()
             self.expect(")")
             return value
-        raise DslError(f"expected a polynomial, found {tok.text!r}", tok.line, tok.col)
+        self.error(f"expected a polynomial, found {word!r}", at)
 
     def parse_terms(self, read_atom, hint: str):
         """Yield the (coefficient, atoms) terms of a signed sum, one at a time.
@@ -556,37 +547,35 @@ class _Parser:
             first = False
             coeff, atoms = Poly.const(n, sign), []
             while True:
-                tok = self.peek()
                 atom = read_atom()
+                word = self.peek()
                 if atom is not None:
                     atoms.append(atom)
-                elif tok.kind == "ident" and tok.text in self.var_index or tok.kind == "int" or tok.text == "(":
+                elif word in self.var_index or word == "(" or self.kinds[word] == "int":
                     coeff = self.times_poly_factor(coeff)
                 else:
-                    kind = "semantic" if tok.kind == "ident" and tok.text not in _KEYWORDS else "syntax"
-                    raise DslError(f"expected a {hint} or polynomial, found {tok.text!r}", tok.line, tok.col, kind)
+                    kind = "semantic" if self.kinds[word] == "ident" and word not in _KEYWORDS else "syntax"
+                    self.error(f"expected a {hint} or polynomial, found {word!r}", self.pos, kind)
                 if not self.accept("*"):
                     break
             yield coeff, atoms
 
-    def read_name(self) -> Token | None:
+    def read_name(self) -> int | None:
         """A generator or coordinate-field name (`d1..dn`) as a basis atom."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in self.var_index and (
-            tok.text in self.bundle_of_gen or tok.text.startswith("d") and tok.text[1:].isdigit()
-        ):
+        word = self.peek()
+        if word not in self.var_index and (word in self.bundle_of_gen or word.startswith("d") and word[1:].isdigit()):
             return self.advance()
         return None
 
     def named_terms(self, hint: str):
-        """(coefficient, name token) per term of a sum naming one basis element a term."""
+        """(coefficient, name token index) per term of a sum naming one basis element a term."""
         for coeff, names in self.parse_terms(self.read_name, hint):
             if len(names) > 1:
                 self.semantic("term names two basis elements", names[1])
             if names:
                 yield coeff, names[0]
             elif not coeff.is_zero():
-                self.semantic(f"term has no {hint}; only the literal 0 may stand alone", self.peek())
+                self.semantic(f"term has no {hint}; only the literal 0 may stand alone", self.pos)
 
     def fold(self, pairs) -> list[tuple]:
         """The (slot, coefficient) pairs of a sum, added up per slot: the nonzero sums, in slot order."""
@@ -600,30 +589,30 @@ class _Parser:
         d_names = {f"d{k + 1}": k for k in range(n)}
 
         def slots():
-            for coeff, tok in self.named_terms(f"coordinate field d1..d{n}"):
-                idx = d_names.get(tok.text)
+            for coeff, at in self.named_terms(f"coordinate field d1..d{n}"):
+                idx = d_names.get(self.words[at])
                 if idx is None:
-                    self.semantic(f"{tok.text!r} is not a coordinate field of this {n}-variable base", tok)
+                    self.semantic(f"{self.words[at]!r} is not a coordinate field of this {n}-variable base", at)
                 yield idx, coeff
 
         return _vector_field(BaseSpace(self.base_vars), _slot_terms(self.fold(slots())))
 
-    def parse_section_expr(self, bundle: BundleDecl | None, where: Token | None = None) -> tuple[BundleDecl, Section]:
+    def parse_section_expr(self, bundle: BundleDecl | None, where: int | None = None) -> tuple[BundleDecl, Section]:
         """A section of `bundle`; given None, of the bundle its first generator
         belongs to, with an error at `where` if it names none."""
         fixed = bundle is not None
 
         def slots():
             nonlocal bundle
-            for coeff, tok in self.named_terms("generator"):
-                hit = self.bundle_of_gen.get(tok.text)
+            for coeff, at in self.named_terms("generator"):
+                hit = self.bundle_of_gen.get(self.words[at])
                 if fixed and (hit is None or hit[0] is not bundle):
-                    self.semantic(f"{tok.text!r} is not a generator of bundle {bundle.name!r}", tok)
+                    self.semantic(f"{self.words[at]!r} is not a generator of bundle {bundle.name!r}", at)
                 if hit is None:
-                    self.semantic(f"undeclared generator {tok.text!r}", tok)
+                    self.semantic(f"undeclared generator {self.words[at]!r}", at)
                 bundle = bundle or hit[0]
                 if hit[0] is not bundle:
-                    self.semantic("section mixes generators of different bundles", tok)
+                    self.semantic("section mixes generators of different bundles", at)
                 yield hit[1], coeff
 
         pairs = self.fold(slots())
@@ -632,7 +621,7 @@ class _Parser:
         return bundle, _section(len(bundle.gens), len(self.base_vars), _slot_terms(pairs))
 
     def parse_form_expr(
-        self, where: Token, bundle: BundleDecl | None
+        self, where: int, bundle: BundleDecl | None
     ) -> tuple[BundleDecl, int, dict[tuple[int, ...], Poly]]:
         """A form on `bundle`; given None, on the bundle of its duals, or the first bundle if it names none."""
         fixed = bundle is not None
@@ -640,21 +629,19 @@ class _Parser:
         def read_duals() -> list[int] | None:
             """w(g)(^w(g))* as generator indices."""
             nonlocal bundle
-            if not (self.at("w") and self.peek(1).text == "("):
+            if not (self.peek() == "w" and self.words[self.pos + 1] == "("):
                 return None
             indices = []
             while True:
                 self.expect("w")
                 self.expect("(")
-                g_tok = self.expect_ident("generator name")
-                hit = self.bundle_of_gen.get(g_tok.text)
-                if hit is None:
-                    self.semantic(f"undeclared generator {g_tok.text!r}", g_tok)
+                g_at = self.expect_ident("generator name")
+                hit = self.lookup_gen(g_at)
                 if fixed and hit[0] is not bundle:
-                    self.semantic(f"{g_tok.text!r} is not a generator of bundle {bundle.name!r}", g_tok)
+                    self.semantic(f"{self.words[g_at]!r} is not a generator of bundle {bundle.name!r}", g_at)
                 bundle = bundle or hit[0]
                 if hit[0] is not bundle:
-                    self.semantic("form mixes generators of different bundles", g_tok)
+                    self.semantic("form mixes generators of different bundles", g_at)
                 self.expect(")")
                 indices.append(hit[1])
                 if not self.accept("^"):
@@ -682,6 +669,10 @@ class _Parser:
                 self.semantic("a scalar form needs a bundle to live on; declare one first", where)
             bundle = self.doc.bundles[0]
         return bundle, next(iter(live_degrees)), comps
+
+
+# one statement keyword per `stmt_` method
+_KEYWORDS = frozenset(name.removeprefix("stmt_") for name in vars(_Parser) if name.startswith("stmt_"))
 
 
 @lru_cache(maxsize=64)

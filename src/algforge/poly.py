@@ -246,14 +246,14 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        # the lowest set bit's power starts the product, and a square is taken only below the top bit
+        result, base = None if exponent else Poly.const(self.nvars, 1), self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:

@@ -6,15 +6,24 @@ printed) and a note.  Inconclusive is reserved for degree-bounded searches
 that neither certified nor refuted; it does not fail the run.  The JSON form
 is rendered with a fixed key order and no environment-dependent content, so
 identical inputs and seeds give identical bytes.
+The input digest is hashed by the interpreter's built-in SHA-256: importing
+``hashlib`` maps OpenSSL's libcrypto, about 3.5 MB, into every process.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import NamedTuple
 
 from . import __version__
+
+try:  # the built-in module: _sha2 from Python 3.12 on, _sha256 before
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without it
+        from hashlib import sha256
 
 PASS = "pass"
 FAIL = "fail"
@@ -24,7 +33,7 @@ INCONCLUSIVE = "inconclusive"
 def input_digest(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return hashlib.sha256(data).hexdigest()[:16]
+    return sha256(data).hexdigest()[:16]
 
 
 class Check(NamedTuple):
@@ -53,9 +62,7 @@ class Report(NamedTuple):
     checks: list[Check]  # appended to by add and add_status
 
     def add(self, name: str, ok: bool, witness: str | None = None, note: str | None = None) -> Check:
-        check = Check(name, PASS if ok else FAIL, witness, note)
-        self.checks.append(check)
-        return check
+        return self.add_status(name, PASS if ok else FAIL, witness, note)
 
     def add_status(self, name: str, status: str, witness: str | None = None, note: str | None = None) -> Check:
         check = Check(name, status, witness, note)

@@ -186,7 +186,8 @@ def test_jacobiator_rejects_bad_triples(capsys):
     assert run(capsys, "jacobiator", "E0", "--triples", "1,1,2")[0] == 2
     # indices follow the --max-degree rule, ASCII digits only: int() would
     # read the Arabic-Indic one and 1_0, and let a sign through
-    for triple in ("\u0661,2,3", "1_0,2,3", "+1,2,3", "-1,2,3"):
+    # and an index too long for int() is refused as well, not a traceback
+    for triple in ("\u0661,2,3", "1_0,2,3", "+1,2,3", "-1,2,3", "1,2," + "1" * 5000):
         for command in (("jacobiator", "E0", "--triples=" + triple), ("obstruction", "E0", "--triple=" + triple)):
             error = f"error: triple indices must be positive integers, got {triple!r}\n"
             assert run(capsys, *command) == (2, "", error)
@@ -600,7 +601,7 @@ def test_a_line_the_reader_reads_gives_argparse_s_namespace(argv, bound):
         except SystemExit:
             parsed = None
     if read is not None:
-        assert read == parsed
+        assert parsed is not None and vars(read) == vars(parsed)
 
 
 @pytest.mark.parametrize(
@@ -614,7 +615,7 @@ def test_a_line_the_reader_reads_gives_argparse_s_namespace(argv, bound):
     ],
 )
 def test_the_reader_reads_well_formed_lines(argv):
-    assert cli._read(argv) == cli._parser().parse_args(argv)
+    assert vars(cli._read(argv)) == vars(cli._parser().parse_args(argv))
 
 
 class _LookedUp(Exception):
@@ -645,7 +646,7 @@ def test_name_and_integer_tests_agree_with_ascii_patterns(text):
     if re.fullmatch(r"[0-9]+", text):
         assert cli._non_negative(text) == int(text)
     else:
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(cli.CliError):
             cli._non_negative(text)
 
 

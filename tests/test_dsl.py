@@ -1,5 +1,6 @@
 """The document language: parsing, elaboration, serialization, corpus sync."""
 
+import random
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -559,3 +560,33 @@ def test_tokenizer_matches_the_reference_on_random_text(text):
 def test_a_trailing_comment_leaves_the_end_at_its_hash():
     end = tokenize("base  # note")[-1]
     assert (end.kind, end.line, end.col) == ("eof", 1, 7)
+
+
+# what a mutation writes over a span of a corpus document: symbols, words of
+# the language, names and numbers the corpus uses, or nothing
+EDITS = [*"()[]{},^*+-=/ \n0", "", "->", "x1", "d2", "w(", "X11", "anchor", "bracket", "section", "2/3", "^70"]
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(EDITS) + text[i + rng.choice([0, 0, 1, 2, 6]) :]
+    return text
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_a_parse_error_sits_at_a_token(name):
+    rng = random.Random(name)
+    errors = 0
+    for _ in range(150):
+        text = mutated(rng, corpus_text(name))
+        try:
+            tokens = tokenize(text)
+        except DslError:
+            continue
+        try:
+            parse(text)
+        except DslError as err:
+            errors += 1
+            assert (err.line, err.col) in {(t.line, t.col) for t in tokens}, text
+    assert errors

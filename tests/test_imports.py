@@ -26,9 +26,14 @@ UNUSED = [
     "algforge.sampling",
     "algforge.verify",
     "dataclasses",
-    # gettext imports it for argparse's first message; a well-formed command
-    # line builds no argparse parser
+    # a well-formed command line builds no argparse parser, so neither argparse
+    # nor gettext, which imports locale for argparse's first message, is loaded
+    "argparse",
+    "gettext",
     "locale",
+    # hashlib maps OpenSSL's libcrypto; the input digest uses the built-in SHA-256
+    "hashlib",
+    "_hashlib",
 ]
 # what every command needs: the package root and the modules cli imports on load
 AT_IMPORT = ["algforge"] + [
@@ -41,6 +46,7 @@ import algforge.cli
 
 UNUSED = {unused!r}
 loaded = [sorted(m for m in sys.modules if m.startswith("algforge"))]
+loaded.append(sorted(m for m in UNUSED if m in sys.modules))
 for argv in (
     ["obstruction", "E0", "--triple", "1,2,3", "--max-degree", "3", "--json"],
     ["courant", "E0", "--max-degree", "4", "--json"],
@@ -56,8 +62,9 @@ def test_cli_loads_only_the_layers_its_command_runs():
     run = subprocess.run(
         [sys.executable, "-c", PROBE.format(unused=UNUSED)], env=env, capture_output=True, text=True, check=True
     )
-    at_import, after_obstruction, after_courant = ast.literal_eval(run.stdout.splitlines()[-1])
+    at_import, unused_at_import, after_obstruction, after_courant = ast.literal_eval(run.stdout.splitlines()[-1])
     assert at_import == AT_IMPORT
+    assert unused_at_import == []
     assert after_obstruction == []
     assert after_courant == []
 
@@ -81,3 +88,22 @@ def test_dir_lists_the_public_names():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         algforge.no_such_name
+
+
+# criterion 19 runs an unknown command, which argparse refuses, so only the digest's modules are checked
+VERIFY_PROBE = """
+import contextlib
+import io
+import sys
+import algforge.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    algforge.cli.main(["verify-paper"])
+print(sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules))
+"""
+
+
+def test_verify_paper_loads_no_openssl():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", VERIFY_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

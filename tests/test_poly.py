@@ -180,3 +180,28 @@ def test_integral_fractions_become_ints():
         assert p.terms and all(type(c) is int for c in p.terms.values())
     assert (half_x * 2).terms == {(1, 0, 0): 1}
     assert Poly.const(NVARS, Fraction(4, 2)).terms == {(0,) * NVARS: 2}
+
+
+@pytest.mark.parametrize("p", [X, X + 1, 2 * X - Y * Fraction(1, 3)], ids=["x", "x+1", "2x-y/3"])
+def test_power_is_the_repeated_product(p):
+    product = Poly.const(2, 1)
+    for k in range(65):
+        if k <= 20 or k == 64:
+            assert p**k == product, k
+        product = product * p
+
+
+def test_power_squares_only_up_to_its_top_bit(monkeypatch):
+    products = []
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    base = X + 1
+    for k in [*range(1, 21), 64, 127]:
+        products.clear()
+        base**k
+        assert len(products) == k.bit_length() - 1 + k.bit_count() - 1, k

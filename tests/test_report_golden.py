@@ -8,11 +8,13 @@ files under ``tests/golden`` are the outputs of the commands named in their
 file names.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from algforge import cli
+from algforge.reports import input_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,3 +67,13 @@ def test_lie_refuses_a_bundle_that_fails_the_anchor_axioms(capsys):
     assert captured.err == (
         "error: anchor compatibility fails on (X11, X21): defect (-2*x1^3 + 2*x1^2*x2)*d2\n"
     )
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["", b"", "base 2 (x1, x2)\n", b"E0", "é ² ٣ ∂ 𝔤", "x" * 2**20, bytes(range(256)) * 2**12],
+    ids=["empty str", "empty bytes", "str", "bytes", "non-ASCII", "1 MB str", "1 MB bytes"],
+)
+def test_input_digest_is_the_sha256_prefix(data):
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    assert input_digest(data) == hashlib.sha256(raw).hexdigest()[:16]
