@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 from . import linsolve, witness
 from .poly import FIELD_BITS, Poly, _MASK, _degree, _fold, _merge, _pack, _trusted, _unpack
+from .reports import INCONCLUSIVE, PASS
 
 
 class AlgebroidError(ValueError):
@@ -895,6 +896,11 @@ class Certificate(NamedTuple):
     max_degree: int
     jacobiator_min_degree: int | None = None
     modifier_min_degree: int | None = None
+
+    @property
+    def report_status(self) -> str:
+        """Infeasible and trivially feasible both settle the triple; any other outcome raises KeyError."""
+        return {"infeasible": PASS, "trivially-feasible": PASS, "inconclusive": INCONCLUSIVE}[self.status]
 
     def describe(self, names) -> str:
         i, j, k = self.triple

@@ -48,7 +48,7 @@ from .dsl import (
     serialize,
 )
 from .poly import MAX_EXPONENT
-from .reports import FAIL, INCONCLUSIVE, PASS, Report, input_digest
+from .reports import INCONCLUSIVE, Report, input_digest
 
 # each command imports the layers only it runs, so that a process compiles
 # no module its command does not use
@@ -108,10 +108,6 @@ def _load(args) -> tuple[Document, Report]:
     return doc, report
 
 
-def _status_of(decision_status: str) -> str:
-    return {"yes": PASS, "no-witness": INCONCLUSIVE}.get(decision_status, FAIL)
-
-
 def _parse_triple(text: str, rank: int) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -149,12 +145,9 @@ def cmd_check(args) -> Report:
     for b in doc.bundles:
         a = document_algebroid(doc, b.name)
         axioms = a.check_axioms()
-        if axioms.ok:
-            report.add(f"anchor-axioms:{b.name}", True, note=_pairs(a.rank))
-        else:
-            names = a.gen_names
-            lines = [f"({names[i]}, {names[j]}): defect {defect.to_text()}" for i, j, defect in axioms.failures]
-            report.add(f"anchor-axioms:{b.name}", False, witness="\n".join(lines))
+        lines = [f"({a.gen_names[i]}, {a.gen_names[j]}): defect {d.to_text()}" for i, j, d in axioms.failures]
+        note = None if lines else _pairs(a.rank)
+        report.add(f"anchor-axioms:{b.name}", axioms.ok, witness="\n".join(lines) or None, note=note)
     return report
 
 
@@ -224,16 +217,10 @@ def cmd_connection_report(args) -> Report:
         ),
     )
 
-    bad = conn.bianchi_table()
-    if not bad:
-        report.add("curvature-identity", True, note="cyclic curvature sum matches the Jacobi defect on all triples")
-    else:
-        (i, j, k), defect = next(iter(bad.items()))
-        report.add(
-            "curvature-identity",
-            False,
-            witness=f"triple ({names[i]},{names[j]},{names[k]}): {a.section_text(defect)}",
-        )
+    bad = conn.bianchi_table().items()
+    witness = next((f"triple ({names[i]},{names[j]},{names[k]}): {a.section_text(d)}" for (i, j, k), d in bad), None)
+    note = "cyclic curvature sum matches the Jacobi defect on all triples" if witness is None else None
+    report.add("curvature-identity", witness is None, witness=witness, note=note)
     return report
 
 
@@ -281,7 +268,7 @@ def cmd_cohomology(args) -> Report:
     ):
         report.add_status(
             name,
-            _status_of(decision.status),
+            decision.report_status,
             witness=None if decision.theta is None else f"theta = {decision.theta.to_text()}",
             note=decision.note or None,
         )
@@ -315,16 +302,11 @@ def cmd_charclass(args) -> Report:
         if form.is_zero():
             report.add(f"trace-power-{k}-closed", True, note="identically zero")
             continue
-        strong = strong_closed(form, D)
-        if strong.is_yes:
-            report.add(f"trace-power-{k}-closed", True, note="strong (witness found)")
-            continue
-        weak = weak_closed(form, ideal, D)
-        report.add_status(
-            f"trace-power-{k}-closed",
-            _status_of(weak.status),
-            note="weak (differential lies in the obstruction ideal)" if weak.is_yes else (weak.note or None),
-        )
+        closed, note = strong_closed(form, D), "strong (witness found)"
+        if not closed.is_yes:
+            closed = weak_closed(form, ideal, D)
+            note = "weak (differential lies in the obstruction ideal)" if closed.is_yes else (closed.note or None)
+        report.add_status(f"trace-power-{k}-closed", closed.report_status, note=note)
 
     report.add(
         "trace-powers-vanish-beyond-top-degree",
@@ -357,7 +339,7 @@ def cmd_transgression(args) -> Report:
     )
     report.add_status(
         "ideal-part-membership",
-        _status_of(rep.ideal_membership.status),
+        rep.ideal_membership.report_status,
         witness=None if rep.ideal_part.is_zero() else f"ideal part = {rep.ideal_part.to_text()}",
         note=rep.ideal_membership.note or None,
     )
@@ -449,8 +431,7 @@ def cmd_obstruction(args) -> Report:
     )
 
     cert = lie_infeasibility_certificate(a, triple, kernel, max_degree=args.max_degree)
-    status = INCONCLUSIVE if cert.status == "inconclusive" else PASS  # infeasible or trivially feasible
-    report.add_status("kernel-modification-certificate", status, note=cert.describe(a.gen_names))
+    report.add_status("kernel-modification-certificate", cert.report_status, note=cert.describe(a.gen_names))
     return report
 
 
@@ -583,6 +564,22 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **given)
 
 
+def _split_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--OPTION=--`` or ``-o--`` split in two, a missing value; argparse up to 3.12 reads []."""
+    arguments = _COMMON + _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else []
+    takes_value = {flag: "action" not in keywords for *flags, keywords in arguments for flag in flags if flag[0] == "-"}
+    out = []
+    for n, token in enumerate(argv):
+        if token == "--":  # the rest is positional
+            return out + argv[n:]
+        head = token[:-3] if token.endswith("=--") else token[:2] if len(token) == 4 and token.endswith("--") else ""
+        # the exact flag, else the one long flag it abbreviates
+        named = [f for f in takes_value if f == head]
+        named = named or [f for f in takes_value if head[:2] == "--" and f.startswith(head)]
+        out += [head, "--"] if len(named) == 1 and takes_value[named[0]] else [token]
+    return out
+
+
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on each use: only help, usage errors and the forms ``_read`` leaves reach it."""
     import argparse
@@ -612,10 +609,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _read(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            args = _parser().parse_args(_split_dash_values(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     command = globals()["cmd_" + args.command.replace("-", "_")]

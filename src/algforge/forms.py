@@ -47,6 +47,7 @@ from typing import NamedTuple
 from . import witness
 from .algebroid import Algebroid, AlgebroidError, Section, _clean, _slot_terms, _Terms, apply_row, form_text
 from .poly import Poly, _degree, _pack, _trusted, _unpack
+from .reports import FAIL, INCONCLUSIVE, PASS
 
 
 @cache
@@ -306,6 +307,8 @@ def pullback(algebroid: Algebroid, base_form: Form) -> Form:
 YES = "yes"
 NO = "no"
 NO_WITNESS = "no-witness"
+# each outcome's status in a report: a bounded search that found no witness refutes nothing
+REPORT_STATUS = {YES: PASS, NO: FAIL, NO_WITNESS: INCONCLUSIVE}
 
 
 class Decision(NamedTuple):
@@ -325,6 +328,11 @@ class Decision(NamedTuple):
     @property
     def is_yes(self) -> bool:
         return self.status == YES
+
+    @property
+    def report_status(self) -> str:
+        """PASS, FAIL or INCONCLUSIVE, read from ``REPORT_STATUS``; any other outcome raises KeyError."""
+        return REPORT_STATUS[self.status]
 
 
 class Lambda2Ideal:

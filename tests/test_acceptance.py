@@ -9,6 +9,7 @@ command, so the CLI and this gate can never drift apart.
 import pytest
 
 from algforge import verify
+from algforge.algebroid import Algebroid
 from algforge.sampling import Sampler
 
 _CTX = verify.Context(seed=0, max_degree=4)
@@ -33,6 +34,19 @@ def test_report_runs_clean():
 def test_dsl_contract_finds_the_corpus_through_the_catalog(monkeypatch, tmp_path):
     monkeypatch.setattr(verify, "corpus_file", lambda name: tmp_path / f"{name}.alg")
     assert verify.c19_dsl_contract(_CTX) == (False, "corpus file E0.alg is missing")
+
+
+def test_the_pairing_criterion_fails_when_the_jacobiator_is_off(monkeypatch):
+    # d^2 of a 1-form is read off the structure table, so a Jacobiator off by e_0
+    # on one triple breaks the pairing there
+    jacobiator_gen = Algebroid.jacobiator_gen
+
+    def off_by_e0(self, i, j, k):
+        value = jacobiator_gen(self, i, j, k)
+        return value + self.units[0] if (i, j, k) == (0, 1, 2) else value
+
+    monkeypatch.setattr(Algebroid, "jacobiator_gen", off_by_e0)
+    assert verify.c14_d_squared(verify.Context()) == (False, "pairing fails on 1-form 0, triple (0,1,2)")
 
 
 def fresh_draws(seed, count):

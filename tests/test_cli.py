@@ -375,6 +375,25 @@ def test_counts_in_notes_agree_in_number(capsys, command, document, note):
     assert json.loads(out)["checks"][0]["note"] == note
 
 
+def test_obstruction_is_inconclusive_when_a_kernel_section_reaches_degree_0(tmp_path, capsys):
+    # B - A1 is anchor-killed, so modification terms reach down to degree 0
+    path = tmp_path / "FK.alg"
+    path.write_text(
+        "base 3 (x1, x2, x3)\nbundle F rank 4 gens (A1, A2, A3, B)\n"
+        "anchor A1 -> d1\nanchor A2 -> d2\nanchor A3 -> d3\nanchor B -> d1\n"
+        "bracket [A2, A3] = x1*B - x1*A1\nsection K = B - A1\n"
+    )
+    code, out, _ = run(capsys, "obstruction", str(path), "--triple", "1,2,3", "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "[INCONCLUSIVE] kernel-modification-certificate  (inconclusive at degree bound 2 on (A1, A2, A3): "
+        "modification terms reach down to degree 0)"
+    )
+    code, out, _ = run(capsys, "obstruction", "E0prime", "--triple", "2,3,4", "--max-degree", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["checks"][1]["status"] == "inconclusive"
+
+
 def test_obstruction_trivial_triple(capsys):
     code, out, _ = run(capsys, "obstruction", "E0", "--triple", "1,2,4")
     assert code == 0
@@ -450,6 +469,25 @@ def test_bad_bounds_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "expected a non-negative integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("check", "E0", "--seed=--", "--json"), "--seed"),
+        (("courant", "E0", "--max-degree=--"), "--max-degree"),
+        (("courant", "E0", "--max-d=--"), "--max-degree"),
+        (("cohomology", "E0", "--form=--"), "--form"),
+        (("derive", "E0", "--connection", "torsionfree", "-o--"), "-o/--output"),
+    ],
+    ids=["int", "degree-bound", "abbreviated", "string", "short"],
+)
+def test_a_double_dash_inside_the_option_s_own_token_is_a_missing_value(capsys, argv, option):
+    # argparse up to 3.12 stores [] for these and runs no type on it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"algforge {argv[0]}: error: argument {option}: expected one argument"
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", ""])
